@@ -28,6 +28,7 @@ from .construct import (
 )
 from .errors import (
     BadParam,
+    CodeRejected,
     ConstructionError,
     DegreeExceeded,
     Disconnected,

@@ -24,7 +24,7 @@ from .construct import (
     construct_graph_code,
     construct_tree_code,
 )
-from .errors import BadParam
+from .errors import BadParam, CodeRejected
 from .families import (
     as_subdivided_star,
     enumerate_small_graphs,
@@ -77,7 +77,7 @@ def _worker_count() -> int:
         return 1
 
 
-def _audit_tree_task(edges_and_delta) -> AuditRecord:
+def _audit_tree_task(edges_and_delta) -> tuple[AuditRecord, int]:
     n, edges, delta = edges_and_delta
     return _audit_instance(Graph(n, edges), delta, is_tree=True)
 
@@ -97,11 +97,14 @@ def _map_instances(task, items):
         return list(pool.imap(task, items, chunksize=8))
 
 
-def _audit_instance(g: Graph, delta: int | None, *, is_tree: bool) -> AuditRecord:
+def _audit_instance(g: Graph, delta: int | None, *, is_tree: bool) -> tuple[AuditRecord, int]:
+    """The instance's record and its count of exhaustive constructor fallbacks."""
     g = canonical_graph(g)
     d = delta if delta is not None else max(3, max_degree(g))
     result = solve(g)
-    assert is_io_code(g, result.code).ok
+    verdict = is_io_code(g, result.code)
+    if not verdict.ok:
+        raise CodeRejected(f"{emit_graph6(g)}: solver code rejected: {verdict.describe()}", verdict)
     if is_tree:
         code, trace = construct_tree_code(g, d)
     else:
@@ -111,7 +114,7 @@ def _audit_instance(g: Graph, delta: int | None, *, is_tree: bool) -> AuditRecor
     gamma_status = check_bound(g.n, result.gamma, d, is_exceptional_star=exceptional)
     cons_status = check_bound(g.n, len(code), d, is_exceptional_star=exceptional)
     extremal = (not exceptional) and 2 * d * result.gamma == (2 * d - 1) * g.n
-    return AuditRecord(
+    record = AuditRecord(
         graph6=emit_graph6(g),
         n=g.n,
         m=g.edge_count,
@@ -126,9 +129,14 @@ def _audit_instance(g: Graph, delta: int | None, *, is_tree: bool) -> AuditRecor
         is_extremal=extremal,
         witness_code=tuple(sorted(result.code)),
     )
+    return record, sum(step.case == "exhaustive_fallback" for step in trace.steps)
 
 
-def _summarize(records: list[AuditRecord], started: float, **extra) -> dict:
+def _summarize(
+    results: list[tuple[AuditRecord, int]], started: float, **extra
+) -> tuple[list[AuditRecord], dict]:
+    """The records of (record, fallbacks) results, and their summary."""
+    records = [r for r, _ in results]
     violations = [
         r.graph6
         for r in records
@@ -144,10 +152,11 @@ def _summarize(records: list[AuditRecord], started: float, **extra) -> dict:
             if BoundStatus.EXCEPTIONAL_STAR.value in (r.bound_status, r.constructor_status)
         ),
         "extremal": sum(1 for r in records if r.is_extremal),
+        "fallbacks": sum(f for _, f in results),
         "runtime_s": round(time.monotonic() - started, 3),
     }
     summary.update(extra)
-    return summary
+    return records, summary
 
 
 def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord], dict]:
@@ -168,8 +177,8 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
             if delta is not None and max_degree(t) > delta:
                 continue
             tasks.append((t.n, t.edges(), delta))
-    records = _map_instances(_audit_tree_task, tasks)
-    return records, _summarize(records, started, n_max=n_max, delta=delta)
+    results = _map_instances(_audit_tree_task, tasks)
+    return _summarize(results, started, n_max=n_max, delta=delta)
 
 
 def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord], dict]:
@@ -181,7 +190,7 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
     if not 5 <= n_max <= 7:
         raise BadParam(f"graph audit supports 5 <= n_max <= 7, got {n_max}")
     started = time.monotonic()
-    records = []
+    results = []
     labeled = 0
     for n in range(5, n_max + 1):
         seen: set[str] = set()
@@ -193,10 +202,8 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
             if key in seen:
                 continue
             seen.add(key)
-            records.append(_audit_instance(g, delta, is_tree=False))
-    return records, _summarize(
-        records, started, n_max=n_max, delta=delta, labeled_instances=labeled
-    )
+            results.append(_audit_instance(g, delta, is_tree=False))
+    return _summarize(results, started, n_max=n_max, delta=delta, labeled_instances=labeled)
 
 
 def audit_graphs_sampled(
@@ -216,9 +223,9 @@ def audit_graphs_sampled(
         raise BadParam("need count >= 1 and 5 <= n_low <= n_high")
     started = time.monotonic()
     rng = random.Random(seed)
-    records = []
+    results = []
     seen: set[str] = set()
-    while len(records) < count:
+    while len(results) < count:
         n = rng.randint(n_low, n_high)
         p = rng.uniform(0.1, 0.35)
         g = Graph(
@@ -235,10 +242,8 @@ def audit_graphs_sampled(
         if key in seen:
             continue
         seen.add(key)
-        records.append(_audit_instance(g, delta, is_tree=g.edge_count == g.n - 1))
-    return records, _summarize(
-        records, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta
-    )
+        results.append(_audit_instance(g, delta, is_tree=g.edge_count == g.n - 1))
+    return _summarize(results, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 
 def verify_tight_families(

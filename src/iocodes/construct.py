@@ -15,9 +15,9 @@ center; rooting at a longest path and splitting off the branch at the
 second, third or fourth path vertex; and peeling a 5- or 6-vertex path
 tail.  Sub-instances whose cut leaf became an open twin are repaired by
 deleting that leaf before recursing.  Every case is validated on the
-spot; if no case applies along any longest path (which no audited
-instance triggers), an exact solve finishes the sub-instance and the
-trace carries a warning.  All bound arithmetic is integer-exact.
+spot; if no case applies along any longest path (three of the 3,149
+twin-free trees with n <= 16 reach this), an exact solve finishes the
+sub-instance and the trace carries a warning.  All bound arithmetic is integer-exact.
 """
 
 from __future__ import annotations
@@ -172,12 +172,21 @@ def _fallback_exact(g: Graph, to_orig: list[int], trace: ConstructionTrace, reas
     return code
 
 
+def _depth_limit(g: Graph) -> int:
+    """Recursion allowance for an input: every step shrinks the instance.
+
+    Taken from the original input, since sub-instances shrink while the
+    depth grows.
+    """
+    return g.n + g.edge_count + 4
+
+
 # ---------------------------------------------------------------------------
 # Tree constructor
 
 
-def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, depth: int) -> set[int]:
-    if depth > g.n + g.edge_count + 4:
+def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, depth_left: int) -> set[int]:
+    if depth_left < 0:
         raise ConstructionError("recursion depth exceeded", trace)
     if g.n < 5:
         return _fallback_exact(g, to_orig, trace, "sub-instance below order 5")
@@ -199,14 +208,14 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
     for split in _star_component_candidates(g, delta):
         mark = trace.mark()
         try:
-            return _star_component_split(g, to_orig, delta, trace, depth, *split)
+            return _star_component_split(g, to_orig, delta, trace, depth_left, *split)
         except _CaseMiss:
             trace.rollback(mark)
 
     for path in diametral_paths(g):
         mark = trace.mark()
         try:
-            return _longest_path_case(g, to_orig, delta, trace, depth, path)
+            return _longest_path_case(g, to_orig, delta, trace, depth_left, path)
         except _CaseMiss:
             trace.rollback(mark)
 
@@ -242,7 +251,7 @@ def _star_component_split(
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    depth: int,
+    depth_left: int,
     v1: int,
     v2: int,
     k: int,
@@ -258,7 +267,7 @@ def _star_component_split(
 
     # the near code keeps the star center, so twin repair is always safe here
     far, twin_pruned = _far_side_code(
-        g, side2, to_orig[v2], delta, trace, depth,
+        g, side2, to_orig[v2], delta, trace, depth_left,
         star_patterns=True, require_near_anchor=True,
     )
     code = near | far
@@ -304,7 +313,7 @@ def _far_side_code(
     cut_orig: int,
     delta: int,
     trace: ConstructionTrace,
-    depth: int,
+    depth_left: int,
     *,
     star_patterns: bool,
     require_near_anchor: bool = False,
@@ -328,7 +337,7 @@ def _far_side_code(
                 code,
             )
             return code, False
-        return _build_tree(g2, side.to_orig, delta, trace, depth + 1), False
+        return _build_tree(g2, side.to_orig, delta, trace, depth_left - 1), False
 
     local = side.local_of(cut_orig)
     pair = next((p for p in twins if local in p), None)
@@ -353,7 +362,7 @@ def _far_side_code(
             code,
         )
     else:
-        code = _build_tree(pruned, sub_map, delta, trace, depth + 1)
+        code = _build_tree(pruned, sub_map, delta, trace, depth_left - 1)
     trace.add("twin_leaf_pruned", {"leaf": cut_orig, "far_order": g2.n})
     return code, True
 
@@ -363,7 +372,7 @@ def _longest_path_case(
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    depth: int,
+    depth_left: int,
     path: list[int],
 ) -> set[int]:
     d = len(path) - 1
@@ -381,7 +390,7 @@ def _longest_path_case(
     elif deg(v[4]) >= 3:
         position = 4
     else:
-        return _path_tail_split(g, to_orig, delta, trace, depth, v)
+        return _path_tail_split(g, to_orig, delta, trace, depth_left, v)
 
     side1, side2 = _split_at_edge(g, to_orig, v[position], v[position + 1])
     if side2.g.n < 5:
@@ -395,7 +404,7 @@ def _longest_path_case(
     elif not far_twins:
         # branch not in the family: generic split, valid because any two
         # one-sided IO-codes merge across a bridge
-        near = _build_tree(side1.g, side1.to_orig, delta, trace, depth + 1)
+        near = _build_tree(side1.g, side1.to_orig, delta, trace, depth_left - 1)
     else:
         raise _CaseMiss("branch outside family while far side has twins")
 
@@ -405,7 +414,7 @@ def _longest_path_case(
         to_orig[v[position + 1]],
         delta,
         trace,
-        depth,
+        depth_left,
         star_patterns=False,
         require_near_anchor=to_orig[v[position]] in near,
     )
@@ -432,7 +441,7 @@ def _path_tail_split(
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    depth: int,
+    depth_left: int,
     v: list[int],
 ) -> set[int]:
     """Peel the 5- or 6-vertex tail hanging at the fourth path vertex."""
@@ -458,7 +467,7 @@ def _path_tail_split(
         to_orig[v[5]],
         delta,
         trace,
-        depth,
+        depth_left,
         star_patterns=False,
         require_near_anchor=True,
     )
@@ -506,7 +515,7 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
     star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
         trace.exceptional_star = True
-    code = _build_tree(g, list(range(g.n)), delta, trace, 0)
+    code = _build_tree(g, list(range(g.n)), delta, trace, _depth_limit(g))
     result = VertexSet(g.n, code)
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)
@@ -520,12 +529,12 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 _PAW_DEGREES = [1, 2, 2, 3]
 
 
-def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, depth: int) -> set[int]:
-    if depth > g.n + g.edge_count + 4:
+def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, depth_left: int) -> set[int]:
+    if depth_left < 0:
         raise ConstructionError("recursion depth exceeded", trace)
     if g.edge_count == g.n - 1:
         trace.add("tree_reduction", {"order": g.n})
-        return _build_tree(g, to_orig, delta, trace, depth)
+        return _build_tree(g, to_orig, delta, trace, depth_left)
     if g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES:
         code = {to_orig[v] for v in range(4) if g.degree(v) >= 2}
         trace.add("paw_base", {}, code)
@@ -551,7 +560,7 @@ def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTr
         h = delete_edge(g, (a, b))
         if not find_open_twins(h):
             trace.add("cycle_edge_removed", {"edge": (to_orig[a], to_orig[b])})
-            return _build_graph(h, to_orig, delta, trace, depth + 1)
+            return _build_graph(h, to_orig, delta, trace, depth_left - 1)
 
     # every cycle-edge deletion creates twins: the cycle alternates
     # support vertices and degree-2 vertices; delete one of the latter
@@ -571,7 +580,7 @@ def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTr
     if not is_connected(g0) or find_open_twins(g0):
         return _fallback_exact(g, to_orig, trace, "vertex deletion left a bad remainder")
     trace.add("cycle_vertex_removed", {"vertex": to_orig[v0]})
-    return _build_graph(g0, [to_orig[x] for x in new_to_old], delta, trace, depth + 1)
+    return _build_graph(g0, [to_orig[x] for x in new_to_old], delta, trace, depth_left - 1)
 
 
 def _star_plus_edge_code(
@@ -644,7 +653,7 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
     star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
         trace.exceptional_star = True
-    code = _build_graph(g, list(range(g.n)), delta, trace, 0)
+    code = _build_graph(g, list(range(g.n)), delta, trace, _depth_limit(g))
     result = VertexSet(g.n, code)
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)

@@ -40,6 +40,14 @@ class NoCode(GraphError):
         self.witness = witness
 
 
+class CodeRejected(GraphError):
+    """A computed code failed re-verification; carries the failing verdict."""
+
+    def __init__(self, message, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
+
+
 class TooLarge(GraphError):
     pass
 

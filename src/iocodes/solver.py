@@ -9,15 +9,26 @@ The branch-and-bound search propagates unit requirements (which forces
 every support vertex immediately), branches on a smallest open
 requirement with candidates ordered by how many open requirements they
 resolve, and prunes with a greedy disjoint-requirement lower bound.
+
+On trees an exact linear-time dynamic program (``_tree_dp``) supplies
+the minimum as a target: once the search has explored as many nodes as
+the tree has vertices, it stops as soon as its incumbent reaches the
+minimum, and a budget below the minimum is refused without searching.  The
+search still produces every returned code, so codes are the ones an
+unbounded search returns.  The program rests on a local rule for
+4-cycle-free graphs, where two vertices share at most one neighbour: S
+is an IO-code iff every vertex has a neighbour in S and no s in S has
+two neighbours whose only S-neighbour is s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
-from .errors import NoCode, TooLarge
-from .graphs import Graph, VertexSet, find_open_twins, min_degree
+from .errors import CodeRejected, NoCode, TooLarge
+from .graphs import Graph, VertexSet, _bfs_order, find_open_twins, is_tree, min_degree
 from .verify import is_io_code
 
 __all__ = ["SolveResult", "solve", "solve_oracle", "solve_with_budget"]
@@ -107,8 +118,18 @@ def _disjoint_bound(open_reqs: list[int]) -> int:
     return count
 
 
-def _search(g: Graph, cap: int | None, first_hit: bool):
-    """Core branch and bound; returns (best_mask or None, nodes explored)."""
+def _search(g: Graph, cap: int | None = None, exact: Callable[[], int] | None = None):
+    """Core branch and bound; returns (best_mask or None, nodes explored).
+
+    The search stops as soon as the incumbent has size at most its goal:
+    ``cap`` itself when a cap is given, so any code within it decides the
+    question, or else the exact minimum from ``exact``.  That callable
+    costs about as much as exploring one node per vertex, so it is asked
+    only once the search has explored ``g.n`` nodes; searches that end
+    sooner, most of them on small trees, never pay for it.  The incumbent
+    is replaced only on strict improvement, so stopping at the minimum
+    returns the code the unbounded search returns.
+    """
     reqs = _requirements(g)
     root_chosen, root_open = _propagate_units(reqs, 0)
     best_mask = None
@@ -116,11 +137,14 @@ def _search(g: Graph, cap: int | None, first_hit: bool):
     greedy = _greedy_cover(reqs, root_chosen)
     if greedy.bit_count() < best_size:
         best_mask, best_size = greedy, greedy.bit_count()
+    goal = cap if cap is not None else 0  # every code has size >= 1
     nodes = 0
 
     def recurse(chosen: int, size: int, open_reqs: list[int]) -> None:
-        nonlocal best_mask, best_size, nodes
+        nonlocal best_mask, best_size, nodes, goal
         nodes += 1
+        if nodes == g.n and exact is not None:
+            goal = exact()
         if not open_reqs:
             if size < best_size:
                 best_mask, best_size = chosen, size
@@ -133,36 +157,110 @@ def _search(g: Graph, cap: int | None, first_hit: bool):
             key=lambda v: (-sum(1 for r in open_reqs if r >> v & 1), v),
         )
         for v in candidates:
-            if first_hit and best_mask is not None:
+            if best_size <= goal:
                 return
             nxt, nxt_open = _propagate_units(open_reqs, chosen | 1 << v)
             recurse(nxt, nxt.bit_count(), nxt_open)
 
-    if not (first_hit and best_mask is not None):
+    if best_size > goal:
         recurse(root_chosen, root_chosen.bit_count(), root_open)
     return best_mask, nodes
 
 
+def _tree_dp(g: Graph) -> tuple[int, int]:
+    """Minimum IO-code of a twin-free tree: (gamma, code mask), in O(n).
+
+    Rooted at 0 and filled in reverse BFS order.  A vertex v with parent
+    p exports, for each value of "p in S", the cheapest choice inside its
+    subtree for each key (v in S, v has no S-child, v has a private
+    child), where a private child is one whose only S-neighbour is v.
+    The parent folds its children's keys into (S-children capped at 2,
+    private-child count of the unique S-child, own private children),
+    which is all the local rule needs: v is dominated, v has at most one
+    private child, and if v's only S-neighbour is a child c, then c has
+    no private child.  The fold keeps back-pointers for the witness.
+    """
+    dist, parent = _bfs_order(g, 0)
+    order = sorted(range(g.n), key=dist.__getitem__)
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    # export[v][xp]: key -> (cost, fold state); folds[v][xv]: per child, state -> back-pointer
+    export: list = [None] * g.n
+    folds: list = [None] * g.n
+    for v in reversed(order):
+        finals, trails = [], []
+        for xv in (0, 1):
+            states = {(0, 0, 0): xv}
+            trail = []
+            for c in children[v]:
+                nxt: dict = {}
+                back: dict = {}
+                for (sc, uq, pc), cost in states.items():
+                    for key, (c_cost, _) in export[c][xv].items():
+                        x, lone, q = key
+                        npc = pc + lone
+                        if npc > 1:
+                            continue
+                        state = (min(sc + x, 2), q if x and sc == 0 else (0 if x else uq), npc)
+                        total = cost + c_cost
+                        if state not in nxt or total < nxt[state]:
+                            nxt[state] = total
+                            back[state] = ((sc, uq, pc), key)
+                states = nxt
+                trail.append(back)
+            finals.append(states)
+            trails.append(trail)
+        folds[v] = trails
+        export[v] = []
+        for xp in (0, 1):
+            table: dict = {}
+            for xv in (0, 1):
+                for (sc, uq, pc), cost in finals[xv].items():
+                    if sc + xp == 0 or (sc == 1 and not xp and uq):
+                        continue  # v undominated, or v private to a child that has one
+                    key = (xv, int(sc == 0), pc)
+                    if key not in table or cost < table[key][0]:
+                        table[key] = (cost, (sc, uq, pc))
+            export[v].append(table)
+    root = order[0]
+    (xr, _, _), (gamma, state) = min(export[root][0].items(), key=lambda item: item[1][0])
+    mask = 0
+    stack = [(root, xr, state)]
+    while stack:
+        v, xv, state = stack.pop()
+        mask |= xv << v
+        for c, back in zip(reversed(children[v]), reversed(folds[v][xv])):
+            state, key = back[state]
+            stack.append((c, key[0], export[c][xv][key][1]))
+    return gamma, mask
+
+
+def _verified(g: Graph, mask: int) -> VertexSet:
+    """The code of ``mask``, re-checked against the literal predicates."""
+    code = VertexSet(g.n, mask=mask)
+    verdict = is_io_code(g, code)
+    if not verdict.ok:
+        raise CodeRejected(f"solver produced an invalid code: {verdict.describe()}", verdict)
+    return code
+
+
 def solve(g: Graph) -> SolveResult:
-    """Exact minimum IO-code via branch and bound."""
+    """Exact minimum IO-code via branch and bound (targeted on trees)."""
     _require_admissible(g)
-    best_mask, nodes = _search(g, cap=None, first_hit=False)
-    code = VertexSet(g.n, mask=best_mask)
-    assert is_io_code(g, code).ok
+    exact = (lambda: _tree_dp(g)[0]) if is_tree(g) else None
+    best_mask, nodes = _search(g, exact=exact)
+    code = _verified(g, best_mask)
     return SolveResult(len(code), code, nodes, "branch_and_bound")
 
 
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     """Some IO-code of size <= max_size, or None (exact decision)."""
     _require_admissible(g)
-    if max_size < 0:
+    if max_size < 0 or (is_tree(g) and max_size < _tree_dp(g)[0]):
         return None
-    best_mask, _ = _search(g, cap=max_size, first_hit=True)
-    if best_mask is None:
-        return None
-    code = VertexSet(g.n, mask=best_mask)
-    assert is_io_code(g, code).ok
-    return code
+    best_mask, _ = _search(g, cap=max_size)
+    return None if best_mask is None else _verified(g, best_mask)
 
 
 def solve_oracle(g: Graph, cap: int = ORACLE_CAP) -> SolveResult:

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from iocodes import Graph
 
@@ -82,3 +83,9 @@ def brute_all_distances(g: Graph) -> list[list[int]]:
 @pytest.fixture
 def rng():
     return random.Random(0xC0DE5)
+
+
+# Property tests are part of tier-1: a fixed example sequence, no timing
+# deadline on a shared host, and no example database left on disk.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=40, database=None)
+settings.load_profile("tier1")

@@ -1,10 +1,12 @@
 import json
 
-from iocodes import audit_graphs, audit_trees, verify_tight_families
-from iocodes.audit import records_to_csv, sample_twin_free_graphs, summary_to_json
+import pytest
+
+from iocodes import CodeRejected, Graph, audit_graphs, audit_trees, verify_tight_families
+from iocodes.audit import _audit_instance, records_to_csv, sample_twin_free_graphs, summary_to_json
 from iocodes.formats import parse_graph6
 from iocodes.graphs import VertexSet
-from iocodes.verify import is_io_code
+from iocodes.verify import Verdict, is_io_code
 
 
 class TestTreeAudit:
@@ -112,3 +114,19 @@ class TestHelpers:
         assert len(text.splitlines()) == len(records) + 1
         payload = json.loads(summary_to_json(summary))
         assert payload["violations"] == 0
+        assert payload["fallbacks"] == 0
+
+    def test_fallbacks_are_counted(self):
+        # the smallest audited tree where no decomposition case applies
+        tree = Graph(15, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 14), (5, 9), (6, 10), (7, 14),
+                          (8, 14), (9, 11), (10, 12), (11, 13), (12, 13), (13, 14)])
+        record, fallbacks = _audit_instance(tree, None, is_tree=True)
+        assert fallbacks == 1
+        assert record.constructor_status == "within_bound"
+
+    def test_rejected_solver_code_raises(self, monkeypatch):
+        verdict = Verdict(False, ("not_totally_dominated", 0))
+        monkeypatch.setattr("iocodes.audit.is_io_code", lambda g, s: verdict)
+        with pytest.raises(CodeRejected) as err:
+            audit_trees(5)
+        assert err.value.verdict is verdict

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import random_tree
@@ -100,6 +102,20 @@ class TestTreeConstructor:
         with pytest.raises(DegreeExceeded):
             g, _ = gen_subdivided_star(5)
             construct_tree_code(g, 4)
+
+    def test_deep_decomposition_on_valid_trees(self):
+        # sub-instances shrink while the recursion deepens, so the depth
+        # allowance must come from the input, not from the sub-instance
+        for n in (109, 113, 117):
+            rng = random.Random(0)
+            k = (n + 1) // 2
+            edges = []
+            for i in range(1, k):
+                edges += [(rng.randrange(i), k + i - 1), (k + i - 1, i)]
+            t = Graph(n, edges)
+            code, trace = construct_tree_code(t, 8)
+            assert is_io_code(t, code).ok
+            assert check_bound(t.n, len(code), 8) is BoundStatus.WITHIN_BOUND
 
     def test_trace_union_reconstructs_code(self):
         for n in range(5, 12):

@@ -2,9 +2,11 @@ import pytest
 
 from conftest import random_graph
 from iocodes import (
+    CodeRejected,
     Graph,
     NoCode,
     TooLarge,
+    Verdict,
     VertexSet,
     admits_io_code,
     classify_vertices,
@@ -83,6 +85,14 @@ class TestSolve:
     def test_no_code(self):
         with pytest.raises(NoCode):
             solve(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+
+    def test_rejected_code_raises_with_verdict(self, monkeypatch):
+        verdict = Verdict(False, ("not_separated", 0, 4))
+        monkeypatch.setattr("iocodes.solver.is_io_code", lambda g, s: verdict)
+        for run in (lambda: solve(path(5)), lambda: solve(K3), lambda: solve_with_budget(path(5), 4)):
+            with pytest.raises(CodeRejected) as err:
+                run()
+            assert err.value.verdict is verdict
 
 
 class TestBudget:
