@@ -48,7 +48,6 @@ from .errors import (
 from .families import (
     AttachmentVector,
     FamilySpec,
-    as_reduced_subdivided_star,
     as_subdivided_star,
     build_family_tree,
     canonical_set,

@@ -18,12 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .canon import canonical_graph
-from .construct import (
-    BoundStatus,
-    check_bound,
-    construct_graph_code,
-    construct_tree_code,
-)
+from .construct import BoundStatus, check_bound, construct_code
 from .errors import BadParam, CodeRejected
 from .families import (
     as_subdivided_star,
@@ -35,7 +30,7 @@ from .families import (
     gen_tight_tree_pair,
 )
 from .formats import emit_graph6
-from .graphs import Graph, find_open_twins, has_four_cycle, max_degree
+from .graphs import Graph, find_open_twins, has_four_cycle, is_connected, max_degree
 from .solver import solve, solve_with_budget
 from .verify import is_io_code
 
@@ -79,7 +74,7 @@ def _worker_count() -> int:
 
 def _audit_tree_task(edges_and_delta) -> tuple[AuditRecord, int]:
     n, edges, delta = edges_and_delta
-    return _audit_instance(Graph(n, edges), delta, is_tree=True)
+    return _audit_instance(Graph(n, edges), delta)
 
 
 def _map_instances(task, items):
@@ -97,7 +92,7 @@ def _map_instances(task, items):
         return list(pool.imap(task, items, chunksize=8))
 
 
-def _audit_instance(g: Graph, delta: int | None, *, is_tree: bool) -> tuple[AuditRecord, int]:
+def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
     """The instance's record and its count of exhaustive constructor fallbacks."""
     g = canonical_graph(g)
     d = delta if delta is not None else max(3, max_degree(g))
@@ -105,10 +100,7 @@ def _audit_instance(g: Graph, delta: int | None, *, is_tree: bool) -> tuple[Audi
     verdict = is_io_code(g, result.code)
     if not verdict.ok:
         raise CodeRejected(f"{emit_graph6(g)}: solver code rejected: {verdict.describe()}", verdict)
-    if is_tree:
-        code, trace = construct_tree_code(g, d)
-    else:
-        code, trace = construct_graph_code(g, d)
+    code, trace = construct_code(g, d)
     star = as_subdivided_star(g)
     exceptional = star is not None and star[1] == d
     gamma_status = check_bound(g.n, result.gamma, d, is_exceptional_star=exceptional)
@@ -202,7 +194,7 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
             if key in seen:
                 continue
             seen.add(key)
-            results.append(_audit_instance(g, delta, is_tree=False))
+            results.append(_audit_instance(g, delta))
     return _summarize(results, started, n_max=n_max, delta=delta, labeled_instances=labeled)
 
 
@@ -226,15 +218,8 @@ def audit_graphs_sampled(
     results = []
     seen: set[str] = set()
     while len(results) < count:
-        n = rng.randint(n_low, n_high)
-        p = rng.uniform(0.1, 0.35)
-        g = Graph(
-            n,
-            [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
-        )
-        from .graphs import is_connected
-
-        if not is_connected(g) or find_open_twins(g) or has_four_cycle(g):
+        g = _random_twin_free_graph(rng, n_low, n_high, 0.1, 0.35)
+        if has_four_cycle(g):
             continue
         if delta is not None and max_degree(g) > delta:
             continue
@@ -242,7 +227,7 @@ def audit_graphs_sampled(
         if key in seen:
             continue
         seen.add(key)
-        results.append(_audit_instance(g, delta, is_tree=g.edge_count == g.n - 1))
+        results.append(_audit_instance(g, delta))
     return _summarize(results, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 
@@ -312,25 +297,20 @@ def verify_tight_families(
     return report
 
 
+def _random_twin_free_graph(rng: random.Random, n_low: int, n_high: int, p_low: float, p_high: float) -> Graph:
+    """Draw G(n, p), n and p uniform in the ranges, until one is connected and twin-free."""
+    while True:
+        n = rng.randint(n_low, n_high)
+        p = rng.uniform(p_low, p_high)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if is_connected(g) and not find_open_twins(g):
+            return g
+
+
 def sample_twin_free_graphs(count: int, n_low: int, n_high: int, seed: int) -> list[Graph]:
     """Seeded connected twin-free random graphs for cross-validation runs."""
     rng = random.Random(seed)
-    out: list[Graph] = []
-    while len(out) < count:
-        n = rng.randint(n_low, n_high)
-        p = rng.uniform(0.15, 0.5)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ]
-        g = Graph(n, edges)
-        from .graphs import is_connected
-
-        if is_connected(g) and not find_open_twins(g):
-            out.append(g)
-    return out
+    return [_random_twin_free_graph(rng, n_low, n_high, 0.15, 0.5) for _ in range(count)]
 
 
 def records_to_csv(records: list[AuditRecord]) -> str:

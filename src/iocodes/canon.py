@@ -9,17 +9,13 @@ Exact for every graph, practical for the audit scales used here
 
 from __future__ import annotations
 
+# graphs._bits is reached through its module: the per-layer tracer wraps
+# functions imported by name, and a bit iterator is not a layer call
+from . import graphs
 from .formats import emit_graph6
 from .graphs import Graph
 
 __all__ = ["canonical_order", "canonical_graph", "canonical_graph6", "isomorphic"]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _refine(g: Graph, colors: list[int]) -> list[int]:
@@ -27,7 +23,7 @@ def _refine(g: Graph, colors: list[int]) -> list[int]:
     while True:
         sigs = []
         for v in range(g.n):
-            nb = sorted(colors[u] for u in _bits(g.adj[v]))
+            nb = sorted(colors[u] for u in graphs._bits(g.adj[v]))
             sigs.append((colors[v], tuple(nb)))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]

@@ -20,7 +20,7 @@ from .audit import (
     summary_to_json,
     verify_tight_families,
 )
-from .construct import check_bound, construct_graph_code, construct_tree_code
+from .construct import check_bound, construct_code
 from .errors import GraphError, ParseError
 from .families import (
     build_family_tree,
@@ -119,10 +119,7 @@ def _cmd_solve(args) -> int:
 def _cmd_construct(args) -> int:
     g = _read_graph(args.graph)
     delta = args.delta if args.delta is not None else max(3, max_degree(g))
-    if g.edge_count == g.n - 1:
-        code, trace = construct_tree_code(g, delta)
-    else:
-        code, trace = construct_graph_code(g, delta)
+    code, trace = construct_code(g, delta)
     status = check_bound(g.n, len(code), delta, is_exceptional_star=trace.exceptional_star)
     _emit(
         {

@@ -38,8 +38,8 @@ from .errors import (
 from .families import (
     as_subdivided_star,
     canonical_set,
+    recognize_family,
     recognize_family_rooted,
-    recognize_family_spec,
 )
 from .graphs import (
     Graph,
@@ -51,9 +51,11 @@ from .graphs import (
     diametral_paths,
     find_induced_cycle,
     find_open_twins,
+    has_four_cycle,
     is_connected,
     max_degree,
 )
+from .solver import solve
 from .verify import is_io_code
 
 __all__ = [
@@ -63,6 +65,7 @@ __all__ = [
     "check_bound",
     "construct_tree_code",
     "construct_graph_code",
+    "construct_code",
 ]
 
 
@@ -163,8 +166,6 @@ def _verify_local(g: Graph, to_orig: list[int], code_orig: set[int]) -> bool:
 
 
 def _fallback_exact(g: Graph, to_orig: list[int], trace: ConstructionTrace, reason: str) -> set[int]:
-    from .solver import solve
-
     trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
     result = solve(g)
     code = {to_orig[v] for v in result.code}
@@ -191,7 +192,7 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
     if g.n < 5:
         return _fallback_exact(g, to_orig, trace, "sub-instance below order 5")
 
-    spec = recognize_family_spec(g)
+    spec = recognize_family(g)
     if spec is not None:
         code = {to_orig[v] for v in canonical_set(spec)}
         trace.add(
@@ -225,23 +226,23 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
 def _star_component_candidates(g: Graph, delta: int):
     """Edges whose removal leaves a subdivided star centered at an endpoint.
 
-    Ordered by fewest star legs, then lowest edge, matching the
-    preference for the smallest split-off component.
+    The side of ``center`` beyond the edge to ``other`` is that star
+    exactly when each neighbour of ``center`` other than ``other`` has
+    degree 2 and its far neighbour is a leaf.  Ordered by fewest star
+    legs, then lowest edge, matching the preference for the smallest
+    split-off component.
     """
+    deg = g.degree_sequence()
     found = []
-    for a, b in g.edges():
-        h = delete_edge(g, (a, b))
-        for comp, new_to_old, old_to_new in components(h):
-            for endpoint in (a, b):
-                if endpoint not in old_to_new:
-                    continue
-                star = as_subdivided_star(comp)
-                if star is None:
-                    continue
-                center_local, k = star
-                if new_to_old[center_local] == endpoint and 2 <= k <= delta - 1:
-                    other = b if endpoint == a else a
-                    found.append((k, (min(a, b), max(a, b)), endpoint, other))
+    for edge in g.edges():
+        for center, other in (edge, edge[::-1]):
+            k = deg[center] - 1
+            if 2 <= k <= delta - 1 and all(
+                deg[s] == 2 and deg[next(x for x in g.neighbors(s) if x != center)] == 1
+                for s in g.neighbors(center)
+                if s != other
+            ):
+                found.append((k, edge, center, other))
     found.sort()
     return [(center, other, k) for k, _, center, other in found]
 
@@ -642,8 +643,6 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
     twins = find_open_twins(g)
     if twins:
         raise NoCode(f"open twins {twins[0]}", witness=twins[0])
-    from .graphs import has_four_cycle
-
     if has_four_cycle(g):
         raise FourCyclePresent("input contains a 4-cycle")
     if max_degree(g) > delta:
@@ -658,3 +657,14 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)
     return result, trace
+
+
+def construct_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
+    """The tree constructor on trees, the graph constructor otherwise.
+
+    On a tree both give the same code; the graph constructor's trace only
+    adds a ``tree_reduction`` step.
+    """
+    if g.edge_count == g.n - 1:
+        return construct_tree_code(g, delta)
+    return construct_graph_code(g, delta)

@@ -28,6 +28,7 @@ from typing import Iterator
 
 import networkx as nx
 
+from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
 from .graphs import Graph, VertexSet
 
@@ -44,7 +45,6 @@ __all__ = [
     "gen_subcubic_gp",
     "gen_star_plus_edge",
     "as_subdivided_star",
-    "as_reduced_subdivided_star",
     "enumerate_trees",
     "enumerate_small_graphs",
 ]
@@ -283,8 +283,12 @@ def _branch_shape(g: Graph, root: int, link: int) -> tuple[int, dict] | None:
 
 
 def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
-    """Match the tree against the family with the given root, or None."""
-    if g.n < 2:
+    """Match the tree against the family with the given root, or None.
+
+    No attachment has more than 5 vertices, so a root of degree below
+    (n - 1) / 5 is rejected without walking its branches.
+    """
+    if g.n < 2 or g.n > 1 + 5 * g.degree(root):
         return None
     branches = []
     for link in sorted(g.neighbors(root)):
@@ -309,15 +313,8 @@ def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
     )
 
 
-def recognize_family(g: Graph) -> tuple[int, AttachmentVector] | None:
-    """Lowest root for which the tree matches the family, with its vector."""
-    spec = recognize_family_spec(g)
-    if spec is None:
-        return None
-    return spec.distinguished["root"], AttachmentVector.of(spec.params["vector"])
-
-
-def recognize_family_spec(g: Graph) -> FamilySpec | None:
+def recognize_family(g: Graph) -> FamilySpec | None:
+    """The family match at the lowest root for which the tree has one."""
     for root in range(g.n):
         spec = recognize_family_rooted(g, root)
         if spec is not None:
@@ -495,36 +492,6 @@ def as_subdivided_star(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def as_reduced_subdivided_star(g: Graph) -> tuple[int, int, int] | None:
-    """(center, pendant leaf, k) if the graph is a reduced subdivided star."""
-    if g.n < 4 or g.n % 2 == 1 or g.edge_count != g.n - 1:
-        return None
-    k = g.n // 2
-    for c in range(g.n):
-        if g.degree(c) != k:
-            continue
-        pendant = None
-        ok = True
-        for s in g.neighbors(c):
-            ds = g.degree(s)
-            if ds == 1:
-                if pendant is not None:
-                    ok = False
-                    break
-                pendant = s
-            elif ds == 2:
-                other = next(v for v in g.neighbors(s) if v != c)
-                if g.degree(other) != 1:
-                    ok = False
-                    break
-            else:
-                ok = False
-                break
-        if ok and pendant is not None:
-            return c, pendant, k
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Enumeration substrates for the audit harness
 
@@ -560,8 +527,6 @@ def enumerate_small_graphs(
     representative per isomorphism class is produced (the canonically
     relabeled one).
     """
-    from .canon import canonical_graph  # local import to avoid a cycle
-
     if not 1 <= n <= GRAPH_CAP:
         raise BadParam(f"exhaustive enumeration supports 1 <= n <= {GRAPH_CAP}, got {n}")
     pairs = list(combinations(range(n), 2))

@@ -331,10 +331,6 @@ def classify_vertices(g: Graph) -> dict[str, VertexSet]:
     }
 
 
-def support_vertices(g: Graph) -> VertexSet:
-    return classify_vertices(g)["support"]
-
-
 def diameter(g: Graph) -> int:
     """Maximum pairwise distance; raises on disconnected input."""
     if g.n == 0:
@@ -369,39 +365,33 @@ def longest_path_in_tree(g: Graph) -> list[int]:
         raise Disconnected("longest path of disconnected graph")
     if g.edge_count != g.n - 1:
         raise NotATree("longest_path_in_tree on cyclic input")
-    if g.n == 1:
-        return [0]
-    best = None
-    for a in range(g.n):
-        dist, _ = _bfs_order(g, a)
-        for b in range(a + 1, g.n):
-            key = (-dist[b], a, b)
-            if best is None or key < best:
-                best = key
-    _, a, b = best
-    return tree_path(g, a, b)
+    return next(diametral_paths(g))
 
 
-def diametral_paths(g: Graph) -> list[list[int]]:
+def diametral_paths(g: Graph) -> Iterator[list[int]]:
     """All diameter-realizing paths of a tree, in both orientations.
 
-    Ordered by (start, end) endpoint pair; used by the constructive
-    algorithms, which root a tree at either end of a longest path.
+    Yielded lazily in (start, end) endpoint order; used by the
+    constructive algorithms, which root a tree at either end of a longest
+    path.  Path ends come from three BFS runs: in a tree, every vertex's
+    eccentricity is its larger distance to the two ends of any one
+    diametral pair.
     """
     if g.n <= 1:
-        return [[0]] if g.n == 1 else []
-    dists = {}
-    diam = 0
+        if g.n == 1:
+            yield [0]
+        return
+    dist0, _ = _bfs_order(g, 0)
+    x = dist0.index(max(dist0))
+    dist_x, _ = _bfs_order(g, x)
+    diam = max(dist_x)
+    dist_y, _ = _bfs_order(g, dist_x.index(diam))
     for a in range(g.n):
-        dist, _ = _bfs_order(g, a)
-        dists[a] = dist
-        diam = max(diam, max(dist))
-    out = []
-    for a in range(g.n):
-        for b in range(g.n):
-            if a != b and dists[a][b] == diam:
-                out.append(tree_path(g, a, b))
-    return out
+        if max(dist_x[a], dist_y[a]) == diam:
+            dist, _ = _bfs_order(g, a)
+            for b in range(g.n):
+                if dist[b] == diam:
+                    yield tree_path(g, a, b)
 
 
 def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
@@ -426,21 +416,6 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, list[int], dict[int, int]]:
         for a, b in g.edges()
         if a != v and b != v
     ]
-    return Graph(len(keep), edges), keep, old_to_new
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int], dict[int, int]]:
-    """The subgraph induced on ``vertices``; returns index maps both ways."""
-    keep = sorted(set(vertices))
-    for v in keep:
-        g.check_vertex(v)
-    old_to_new = {old: i for i, old in enumerate(keep)}
-    keep_mask = _mask_of(keep)
-    edges = []
-    for u in keep:
-        for v in _bits(g.adj[u] & keep_mask):
-            if u < v:
-                edges.append((old_to_new[u], old_to_new[v]))
     return Graph(len(keep), edges), keep, old_to_new
 
 

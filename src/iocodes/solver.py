@@ -27,6 +27,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
+# graphs._bits is reached through its module: the per-layer tracer wraps
+# functions imported by name, and a bit iterator is not a layer call
+from . import graphs
 from .errors import CodeRejected, NoCode, TooLarge
 from .graphs import Graph, VertexSet, _bfs_order, find_open_twins, is_tree, min_degree
 from .verify import is_io_code
@@ -44,13 +47,6 @@ class SolveResult:
     method: str
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _require_admissible(g: Graph) -> None:
     if g.n == 0 or min_degree(g) == 0:
         isolate = next((v for v in range(g.n) if g.adj[v] == 0), None)
@@ -64,13 +60,15 @@ def _requirements(g: Graph) -> list[int]:
     """Deduplicated, dominance-reduced requirement masks.
 
     Any requirement that contains another as a subset is redundant for a
-    hitting set and dropped.
+    hitting set and dropped.  So only pairs with a common neighbour are
+    formed: for disjoint N(u) and N(v) the separation requirement is
+    N(u) | N(v), which contains the domination requirement N(u).
     """
-    reqs = set(g.adj)
-    for u in range(g.n):
-        au = g.adj[u]
-        for v in range(u + 1, g.n):
-            reqs.add(au ^ g.adj[v])
+    adj = g.adj
+    reqs = set(adj)
+    for w in range(g.n):
+        for u, v in combinations(graphs._bits(adj[w]), 2):
+            reqs.add(adj[u] ^ adj[v])
     ordered = sorted(reqs, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for r in ordered:
@@ -99,7 +97,7 @@ def _greedy_cover(reqs: list[int], chosen: int) -> int:
     while open_reqs:
         counts: dict[int, int] = {}
         for r in open_reqs:
-            for v in _bits(r):
+            for v in graphs._bits(r):
                 counts[v] = counts.get(v, 0) + 1
         best_v = min(counts, key=lambda v: (-counts[v], v))
         chosen |= 1 << best_v
@@ -153,7 +151,7 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], int] | None = 
             return
         branch_req = min(open_reqs, key=lambda m: (m.bit_count(), m))
         candidates = sorted(
-            _bits(branch_req),
+            graphs._bits(branch_req),
             key=lambda v: (-sum(1 for r in open_reqs if r >> v & 1), v),
         )
         for v in candidates:

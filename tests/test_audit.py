@@ -120,7 +120,7 @@ class TestHelpers:
         # the smallest audited tree where no decomposition case applies
         tree = Graph(15, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 14), (5, 9), (6, 10), (7, 14),
                           (8, 14), (9, 11), (10, 12), (11, 13), (12, 13), (13, 14)])
-        record, fallbacks = _audit_instance(tree, None, is_tree=True)
+        record, fallbacks = _audit_instance(tree, None)
         assert fallbacks == 1
         assert record.constructor_status == "within_bound"
 

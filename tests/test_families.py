@@ -26,7 +26,6 @@ from iocodes import (
     recognize_family_rooted,
 )
 from iocodes.canon import canonical_graph6, isomorphic
-from iocodes.families import recognize_family_spec
 
 # known counts of free trees by order
 FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -140,13 +139,13 @@ class TestFamilyTrees:
 class TestRecognition:
     def test_p5_from_end(self):
         p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        root, vec = recognize_family(p5)
-        assert root == 0 and vec.as_tuple() == (0, 0, 0, 1, 0, 0)
+        spec = recognize_family(p5)
+        assert spec.distinguished["root"] == 0 and spec.params["vector"] == (0, 0, 0, 1, 0, 0)
 
     def test_reduced_star(self):
         g, _ = gen_reduced_subdivided_star(4)
-        root, vec = recognize_family(g)
-        assert root == 0 and vec.as_tuple() == (1, 3, 0, 0, 0, 0)
+        spec = recognize_family(g)
+        assert spec.distinguished["root"] == 0 and spec.params["vector"] == (1, 3, 0, 0, 0, 0)
 
     def test_small_paths_rejected(self):
         for n in (2, 3, 4):
@@ -162,7 +161,7 @@ class TestRecognition:
                 if av.is_admissible() and 1 <= av.total <= 6:
                     break
             g, _ = build_family_tree(av)
-            spec = recognize_family_spec(g)
+            spec = recognize_family(g)
             assert spec is not None
             rebuilt, _ = build_family_tree(spec.params["vector"])
             assert isomorphic(g, rebuilt)

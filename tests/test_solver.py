@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, random_tree
 from iocodes import (
     CodeRejected,
     Graph,
@@ -13,11 +15,13 @@ from iocodes import (
     gen_reduced_subdivided_star,
     gen_subcubic_gp,
     gen_subdivided_star,
+    has_four_cycle,
     is_io_code,
     solve,
     solve_oracle,
     solve_with_budget,
 )
+from iocodes.solver import _requirements
 
 
 def path(n):
@@ -135,3 +139,37 @@ class TestOracleAgreement:
                 continue
             done += 1
             assert solve(g).gamma == solve_oracle(g).gamma
+
+
+def requirements_from_all_pairs(g):
+    """Every neighbourhood and every pairwise symmetric difference, dominance-reduced."""
+    reqs = set(g.adj) | {g.adj[u] ^ g.adj[v] for u, v in combinations(range(g.n), 2)}
+    kept = []
+    for r in sorted(reqs, key=lambda m: (m.bit_count(), m)):
+        if not any(k & r == k for k in kept):
+            kept.append(r)
+    return kept
+
+
+class TestRequirements:
+    def test_random_graphs_with_and_without_four_cycles(self, rng):
+        seen = {True: 0, False: 0}
+        while sum(seen.values()) < 300:
+            g = random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.8), rng)
+            if admits_io_code(g):
+                seen[has_four_cycle(g)] += 1
+                assert _requirements(g) == requirements_from_all_pairs(g)
+        assert min(seen.values()) >= 50
+
+    def test_subdivided_trees_and_gadget_cycles(self, rng):
+        graphs = [gen_subcubic_gp(p)[0] for p in (3, 5)]
+        for _ in range(40):
+            t = random_tree(rng.randint(3, 30), rng)
+            # one new vertex on every edge of a tree on >= 3 vertices leaves no open twins
+            edges = []
+            for i, (u, v) in enumerate(t.edges()):
+                edges += [(u, t.n + i), (t.n + i, v)]
+            graphs.append(Graph(t.n + t.edge_count, edges))
+        for g in graphs:
+            assert admits_io_code(g)
+            assert _requirements(g) == requirements_from_all_pairs(g)

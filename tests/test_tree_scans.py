@@ -1,0 +1,108 @@
+"""The tree constructor's scans against their edge-deletion and all-pairs definitions.
+
+The constructor reads its cases off degrees and distances; these tests
+keep the literal definitions as oracles: a subdivided-star component is
+found by deleting the edge and recognizing the component, and the
+diametral paths come from all pairwise distances.
+"""
+
+import hashlib
+import json
+
+from conftest import brute_all_distances, random_tree
+from iocodes import (
+    as_subdivided_star,
+    components,
+    construct_tree_code,
+    delete_edge,
+    enumerate_trees,
+    find_open_twins,
+    longest_path_in_tree,
+    max_degree,
+)
+from iocodes.construct import _star_component_candidates
+from iocodes.graphs import diametral_paths
+
+TWIN_FREE_TREES = [
+    t for n in range(1, 13) for t in enumerate_trees(n) if not find_open_twins(t)
+]
+
+# sha256 over construct_tree_code's (sorted code, trace) on every twin-free
+# tree with 5 <= n <= 12, at each delta from max(3, max degree) to max
+# degree + 2, as produced by the edge-deletion constructor it replaced.
+TREE_CODES_AND_TRACES_SHA256 = "7cf74bccb07cbfc7b0b865be748eeeca998825427c2bca32a4f2ba49c59e0df5"
+
+
+def star_candidates_by_edge_deletion(g, delta):
+    found = []
+    for a, b in g.edges():
+        for comp, new_to_old, old_to_new in components(delete_edge(g, (a, b))):
+            for endpoint in (a, b):
+                if endpoint not in old_to_new:
+                    continue
+                star = as_subdivided_star(comp)
+                if star is not None and new_to_old[star[0]] == endpoint and 2 <= star[1] <= delta - 1:
+                    found.append((star[1], (a, b), endpoint, b if endpoint == a else a))
+    found.sort()
+    return [(center, other, k) for k, _, center, other in found]
+
+
+def diametral_paths_by_all_pairs(g):
+    dist = brute_all_distances(g)
+    diam = max(max(row) for row in dist)
+    out = []
+    for a in range(g.n):
+        for b in range(g.n):
+            if a != b and dist[a][b] == diam:
+                path = [a]
+                while path[-1] != b:
+                    here = path[-1]
+                    path.append(next(x for x in g.neighbors(here) if dist[x][b] == dist[here][b] - 1))
+                out.append(path)
+    return out if g.n > 1 else [[0]]
+
+
+def _random_trees(count, low, high, rng):
+    return [random_tree(rng.randint(low, high), rng) for _ in range(count)]
+
+
+class TestStarCandidates:
+    def test_twin_free_trees(self):
+        for t in TWIN_FREE_TREES:
+            for delta in range(3, max(1, max_degree(t)) + 3):
+                assert _star_component_candidates(t, delta) == star_candidates_by_edge_deletion(t, delta)
+
+    def test_random_trees(self, rng):
+        for t in _random_trees(60, 13, 60, rng):
+            for delta in (3, max(3, max_degree(t))):
+                assert _star_component_candidates(t, delta) == star_candidates_by_edge_deletion(t, delta)
+
+
+class TestDiametralPaths:
+    def test_twin_free_trees(self):
+        for t in TWIN_FREE_TREES:
+            assert list(diametral_paths(t)) == diametral_paths_by_all_pairs(t)
+
+    def test_random_trees(self, rng):
+        for t in _random_trees(60, 13, 60, rng):
+            assert list(diametral_paths(t)) == diametral_paths_by_all_pairs(t)
+
+    def test_longest_path_is_lowest_endpoint_pair(self, rng):
+        for t in TWIN_FREE_TREES + _random_trees(40, 13, 40, rng):
+            dist = brute_all_distances(t)
+            diam = max(max(row) for row in dist)
+            a, b = min((a, b) for a in range(t.n) for b in range(a, t.n) if dist[a][b] == diam)
+            path = longest_path_in_tree(t)
+            assert (path[0], path[-1]) == (a, b) and len(path) == diam + 1
+
+
+def test_tree_codes_and_traces_unchanged():
+    digest = hashlib.sha256()
+    for t in TWIN_FREE_TREES:
+        if t.n < 5:
+            continue
+        top = max_degree(t)
+        for delta in range(max(3, top), top + 3):
+            code, trace = construct_tree_code(t, delta)
+            digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
+    assert digest.hexdigest() == TREE_CODES_AND_TRACES_SHA256
