@@ -51,6 +51,7 @@ from .families import (
     as_subdivided_star,
     build_family_tree,
     canonical_set,
+    enumerate_graph_classes,
     enumerate_small_graphs,
     enumerate_trees,
     gen_reduced_subdivided_star,

@@ -22,7 +22,7 @@ from .construct import BoundStatus, check_bound, construct_code
 from .errors import BadParam, CodeRejected
 from .families import (
     as_subdivided_star,
-    enumerate_small_graphs,
+    enumerate_graph_classes,
     enumerate_trees,
     gen_reduced_subdivided_star,
     gen_subcubic_gp,
@@ -72,7 +72,7 @@ def _worker_count() -> int:
         return 1
 
 
-def _audit_tree_task(edges_and_delta) -> tuple[AuditRecord, int]:
+def _audit_task(edges_and_delta) -> tuple[AuditRecord, int]:
     n, edges, delta = edges_and_delta
     return _audit_instance(Graph(n, edges), delta)
 
@@ -169,32 +169,33 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
             if delta is not None and max_degree(t) > delta:
                 continue
             tasks.append((t.n, t.edges(), delta))
-    results = _map_instances(_audit_tree_task, tasks)
+    results = _map_instances(_audit_task, tasks)
     return _summarize(results, started, n_max=n_max, delta=delta)
 
 
 def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord], dict]:
     """Certify the bound over connected twin-free 4-cycle-free graphs.
 
-    Exhaustive by labeled edge-subset enumeration for n <= 7, deduplicated
-    to one record per isomorphism class.
+    Exhaustive for n <= 7, one record per isomorphism class.  The
+    classes come from ``enumerate_graph_classes``, which grows them
+    vertex by vertex instead of visiting labeled graphs, and arrive in
+    the order in which a labeled edge-subset sweep would first meet
+    them.  ``labeled_instances`` is the sum of the classes' labeled
+    counts ``n!/|Aut|``, that is, the number of labeled graphs covered.
+    With ``delta`` given, classes of larger maximum degree are skipped.
     """
     if not 5 <= n_max <= 7:
         raise BadParam(f"graph audit supports 5 <= n_max <= 7, got {n_max}")
     started = time.monotonic()
-    results = []
+    tasks = []
     labeled = 0
     for n in range(5, n_max + 1):
-        seen: set[str] = set()
-        for g in enumerate_small_graphs(n, connected=True, twin_free=True, c4_free=True):
-            if delta is not None and max_degree(g) > delta:
-                continue
-            labeled += 1
-            key = emit_graph6(canonical_graph(g))
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(_audit_instance(g, delta))
+        for g, count in enumerate_graph_classes(
+            n, connected=True, twin_free=True, c4_free=True, max_deg=delta
+        ):
+            labeled += count
+            tasks.append((g.n, g.edges(), delta))
+    results = _map_instances(_audit_task, tasks)
     return _summarize(results, started, n_max=n_max, delta=delta, labeled_instances=labeled)
 
 
@@ -215,9 +216,9 @@ def audit_graphs_sampled(
         raise BadParam("need count >= 1 and 5 <= n_low <= n_high")
     started = time.monotonic()
     rng = random.Random(seed)
-    results = []
+    tasks = []
     seen: set[str] = set()
-    while len(results) < count:
+    while len(tasks) < count:
         g = _random_twin_free_graph(rng, n_low, n_high, 0.1, 0.35)
         if has_four_cycle(g):
             continue
@@ -227,7 +228,8 @@ def audit_graphs_sampled(
         if key in seen:
             continue
         seen.add(key)
-        results.append(_audit_instance(g, delta))
+        tasks.append((g.n, g.edges(), delta))
+    results = _map_instances(_audit_task, tasks)
     return _summarize(results, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 

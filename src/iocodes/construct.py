@@ -22,6 +22,7 @@ sub-instance and the trace carries a warning.  All bound arithmetic is integer-e
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -180,6 +181,23 @@ def _depth_limit(g: Graph) -> int:
     depth grows.
     """
     return g.n + g.edge_count + 4
+
+
+def _decompose(build, g: Graph, delta: int, trace: ConstructionTrace) -> set[int]:
+    """Run a constructor's recursive decomposition on the whole input.
+
+    Every split nests a few Python frames, so a long enough path (a
+    5-vertex tail per split) exhausts the interpreter's recursion limit;
+    that becomes a ``ConstructionError`` carrying the partial trace.
+    """
+    try:
+        return build(g, list(range(g.n)), delta, trace, _depth_limit(g))
+    except RecursionError:
+        raise ConstructionError(
+            f"decomposition of the {g.n}-vertex input nests deeper than "
+            f"the Python recursion limit ({sys.getrecursionlimit()})",
+            trace,
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +534,7 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
     star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
         trace.exceptional_star = True
-    code = _build_tree(g, list(range(g.n)), delta, trace, _depth_limit(g))
+    code = _decompose(_build_tree, g, delta, trace)
     result = VertexSet(g.n, code)
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)
@@ -652,7 +670,7 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
     star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
         trace.exceptional_star = True
-    code = _build_graph(g, list(range(g.n)), delta, trace, _depth_limit(g))
+    code = _decompose(_build_graph, g, delta, trace)
     result = VertexSet(g.n, code)
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)

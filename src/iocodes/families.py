@@ -17,13 +17,14 @@ that is always an IO-code.
 Also here: subdivided stars and their reduced variants, the bridged
 star pair and the subcubic gadget cycle that attain the extremal bound,
 the three star-plus-edge graphs, and exhaustive enumeration of free
-trees and small graphs for the audit harness.
+trees, labeled small graphs and their isomorphism classes for the audit
+harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 import networkx as nx
@@ -47,6 +48,7 @@ __all__ = [
     "as_subdivided_star",
     "enumerate_trees",
     "enumerate_small_graphs",
+    "enumerate_graph_classes",
 ]
 
 _EXCLUDED_VECTORS = {
@@ -523,15 +525,21 @@ def enumerate_small_graphs(
 ) -> Iterator[Graph]:
     """All labeled graphs on ``n`` vertices by edge-subset enumeration.
 
-    Filters are applied before yielding; with ``dedup`` only one
-    representative per isomorphism class is produced (the canonically
-    relabeled one).
+    The edge subsets are visited in Gray-code order, one edge flip per
+    step, and filters are applied before yielding.  With ``dedup`` the
+    result is instead one canonically relabeled graph per isomorphism
+    class, in the order in which the labeled sweep first meets each
+    class; the classes come from ``enumerate_graph_classes`` and no
+    labeled graph is visited.
     """
     if not 1 <= n <= GRAPH_CAP:
         raise BadParam(f"exhaustive enumeration supports 1 <= n <= {GRAPH_CAP}, got {n}")
+    if dedup:
+        for g, _ in enumerate_graph_classes(n, connected, twin_free, c4_free, max_deg):
+            yield g
+        return
     pairs = list(combinations(range(n), 2))
     adj = [0] * n
-    seen: set[tuple[int, ...]] = set()
     total = 1 << len(pairs)
     gray_prev = 0
     for i in range(total):
@@ -542,15 +550,88 @@ def enumerate_small_graphs(
             u, v = pairs[delta_bits.bit_length() - 1]
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        if not _passes_filters(adj, n, connected, twin_free, c4_free, max_deg):
-            continue
-        g = Graph._from_adj(tuple(adj))
-        if dedup:
-            g = canonical_graph(g)
-            if g.adj in seen:
-                continue
-            seen.add(g.adj)
-        yield g
+        if _passes_filters(adj, n, connected, twin_free, c4_free, max_deg):
+            yield Graph._from_adj(tuple(adj))
+
+
+def enumerate_graph_classes(
+    n: int,
+    connected: bool = False,
+    twin_free: bool = False,
+    c4_free: bool = False,
+    max_deg: int | None = None,
+) -> Iterator[tuple[Graph, int]]:
+    """One canonical graph per isomorphism class on ``n`` vertices, with
+    the number of labeled graphs in that class.
+
+    Classes are grown one vertex at a time: deleting a vertex from a
+    graph on ``k + 1`` vertices leaves a graph on ``k`` vertices, which
+    is 4-cycle-free if the larger one was, so every class on ``k + 1``
+    vertices is a class on ``k`` vertices plus a new vertex joined to
+    some neighbour set.  With ``c4_free`` only neighbour sets in which
+    no two vertices already share a neighbour are tried; these are
+    exactly the ones that create no 4-cycle.  Each level is
+    deduplicated by canonical form.  Connectivity, twin-freeness and the
+    degree cap are checked on the classes on ``n`` vertices only; the
+    first two do not survive every deletion.
+
+    Each surviving class is then relabeled in all ``n!`` ways.  The
+    distinct edge sets give its labeled count ``n!/|Aut|`` and the first
+    step at which the Gray-code sweep of ``enumerate_small_graphs``
+    visits it; classes are yielded in that order, so the output matches
+    a deduplicated labeled sweep without running one.
+    """
+    if not 1 <= n <= GRAPH_CAP:
+        raise BadParam(f"exhaustive enumeration supports 1 <= n <= {GRAPH_CAP}, got {n}")
+    level = [(0,)]
+    for k in range(1, n):
+        grown: dict[tuple[int, ...], None] = {}
+        for adj in level:
+            for nb in range(1 << k):
+                if c4_free and any((a & nb).bit_count() > 1 for a in adj):
+                    continue
+                new = tuple(a | (nb >> v & 1) << k for v, a in enumerate(adj)) + (nb,)
+                grown[canonical_graph(Graph._from_adj(new)).adj] = None
+        level = list(grown)
+    found = []
+    for adj in level:
+        if _passes_filters(adj, n, connected, twin_free, False, max_deg):
+            g = Graph._from_adj(adj)
+            first_step, labeled = _gray_orbit(g)
+            found.append((first_step, g, labeled))
+    found.sort(key=lambda item: item[0])
+    for _, g, labeled in found:
+        yield g, labeled
+
+
+def _gray_orbit(g: Graph) -> tuple[int, int]:
+    """(first Gray-code sweep step, labeled count) of the graph's class.
+
+    Bit ``k`` of an edge mask is the ``k``-th vertex pair in
+    lexicographic order, as in the sweep; the sweep reaches mask ``m``
+    at the step whose Gray code is ``m``.
+    """
+    n = g.n
+    bit = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(combinations(range(n), 2)):
+        bit[u][v] = bit[v][u] = 1 << k
+    edges = g.edges()
+    masks = set()
+    for p in permutations(range(n)):
+        mask = 0
+        for u, v in edges:
+            mask |= bit[p[u]][p[v]]
+        masks.add(mask)
+    return min(_gray_step(m) for m in masks), len(masks)
+
+
+def _gray_step(code: int) -> int:
+    """The step ``i`` with ``i ^ (i >> 1) == code``."""
+    step = 0
+    while code:
+        step ^= code
+        code >>= 1
+    return step
 
 
 def _passes_filters(adj, n, connected, twin_free, c4_free, max_deg) -> bool:

@@ -100,6 +100,15 @@ class TestWorkers:
         parallel, _ = audit_trees(9, 3)
         assert records_to_csv(serial) == records_to_csv(parallel)
 
+    def test_graph_audits_on_a_pool_match_serial(self, monkeypatch):
+        from iocodes.audit import WORKERS_ENV, audit_graphs_sampled
+
+        serial = [audit_graphs(6)[0], audit_graphs_sampled(6, 8, 10, seed=3)[0]]
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        parallel = [audit_graphs(6)[0], audit_graphs_sampled(6, 8, 10, seed=3)[0]]
+        for a, b in zip(serial, parallel):
+            assert records_to_csv(a) == records_to_csv(b)
+
 
 class TestHelpers:
     def test_sampler_seeded(self):

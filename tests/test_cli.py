@@ -81,6 +81,14 @@ class TestConstruct:
         assert status == 0
         assert json.loads(out)["delta"] == 3
 
+    def test_path_beyond_the_recursion_limit_exits_with_an_error(self, capsys, tmp_path):
+        f = tmp_path / "p2000.edges"
+        f.write_text("".join(f"{i} {i + 1}\n" for i in range(1999)))
+        status, out, err = run(capsys, "construct", str(f), "--delta", "3")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and "recursion limit" in err
+
 
 class TestGenerate:
     def test_edge_list_output(self, capsys):

@@ -6,6 +6,8 @@ from conftest import random_tree
 from iocodes import (
     BadParam,
     BoundStatus,
+    ConstructionError,
+    ConstructionTrace,
     DegreeExceeded,
     FourCyclePresent,
     Graph,
@@ -116,6 +118,13 @@ class TestTreeConstructor:
             code, trace = construct_tree_code(t, 8)
             assert is_io_code(t, code).ok
             assert check_bound(t.n, len(code), 8) is BoundStatus.WITHIN_BOUND
+
+    def test_path_beyond_the_recursion_limit_raises_a_typed_error(self):
+        # each 5-vertex tail peeled off a path nests a few Python frames
+        with pytest.raises(ConstructionError) as err:
+            construct_tree_code(path(2000), 3)
+        assert "recursion limit" in str(err.value)
+        assert isinstance(err.value.trace, ConstructionTrace)
 
     def test_trace_union_reconstructs_code(self):
         for n in range(5, 12):
