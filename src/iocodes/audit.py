@@ -21,7 +21,6 @@ from .canon import canonical_graph
 from .construct import BoundStatus, check_bound, construct_code
 from .errors import BadParam, CodeRejected
 from .families import (
-    as_subdivided_star,
     enumerate_graph_classes,
     enumerate_trees,
     gen_reduced_subdivided_star,
@@ -101,8 +100,7 @@ def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
     if not verdict.ok:
         raise CodeRejected(f"{emit_graph6(g)}: solver code rejected: {verdict.describe()}", verdict)
     code, trace = construct_code(g, d)
-    star = as_subdivided_star(g)
-    exceptional = star is not None and star[1] == d
+    exceptional = trace.exceptional_star
     gamma_status = check_bound(g.n, result.gamma, d, is_exceptional_star=exceptional)
     cons_status = check_bound(g.n, len(code), d, is_exceptional_star=exceptional)
     extremal = (not exceptional) and 2 * d * result.gamma == (2 * d - 1) * g.n

@@ -174,39 +174,38 @@ def _fallback_exact(g: Graph, to_orig: list[int], trace: ConstructionTrace, reas
     return code
 
 
-def _depth_limit(g: Graph) -> int:
-    """Recursion allowance for an input: every step shrinks the instance.
+def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
+    """Code and trace of a validated input, by the decomposition ``build``.
 
-    Taken from the original input, since sub-instances shrink while the
-    depth grows.
+    Flags the subdivided star on ``delta`` legs, the one input allowed
+    above the bound, runs ``build`` on the whole graph and verifies the
+    code it returns.  Every step recurses on a smaller tree or a graph
+    with fewer cycles, so the recursion ends on its own, but each split
+    nests a few Python frames: a long enough path (a 5-vertex tail per
+    split) exhausts the interpreter's recursion limit, and that becomes a
+    ``ConstructionError`` carrying the partial trace.
     """
-    return g.n + g.edge_count + 4
-
-
-def _decompose(build, g: Graph, delta: int, trace: ConstructionTrace) -> set[int]:
-    """Run a constructor's recursive decomposition on the whole input.
-
-    Every split nests a few Python frames, so a long enough path (a
-    5-vertex tail per split) exhausts the interpreter's recursion limit;
-    that becomes a ``ConstructionError`` carrying the partial trace.
-    """
+    star = as_subdivided_star(g)
+    trace = ConstructionTrace(exceptional_star=star is not None and star[1] == delta)
     try:
-        return build(g, list(range(g.n)), delta, trace, _depth_limit(g))
+        code = build(g, list(range(g.n)), delta, trace)
     except RecursionError:
         raise ConstructionError(
             f"decomposition of the {g.n}-vertex input nests deeper than "
             f"the Python recursion limit ({sys.getrecursionlimit()})",
             trace,
         ) from None
+    result = VertexSet(g.n, code)
+    if not is_io_code(g, result).ok:
+        raise ConstructionError("constructed set failed final verification", trace)
+    return result, trace
 
 
 # ---------------------------------------------------------------------------
 # Tree constructor
 
 
-def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, depth_left: int) -> set[int]:
-    if depth_left < 0:
-        raise ConstructionError("recursion depth exceeded", trace)
+def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace) -> set[int]:
     if g.n < 5:
         return _fallback_exact(g, to_orig, trace, "sub-instance below order 5")
 
@@ -227,14 +226,14 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
     for split in _star_component_candidates(g, delta):
         mark = trace.mark()
         try:
-            return _star_component_split(g, to_orig, delta, trace, depth_left, *split)
+            return _star_component_split(g, to_orig, delta, trace, *split)
         except _CaseMiss:
             trace.rollback(mark)
 
     for path in diametral_paths(g):
         mark = trace.mark()
         try:
-            return _longest_path_case(g, to_orig, delta, trace, depth_left, path)
+            return _longest_path_case(g, to_orig, delta, trace, path)
         except _CaseMiss:
             trace.rollback(mark)
 
@@ -270,7 +269,6 @@ def _star_component_split(
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    depth_left: int,
     v1: int,
     v2: int,
     k: int,
@@ -286,7 +284,7 @@ def _star_component_split(
 
     # the near code keeps the star center, so twin repair is always safe here
     far, twin_pruned = _far_side_code(
-        g, side2, to_orig[v2], delta, trace, depth_left,
+        g, side2, to_orig[v2], delta, trace,
         star_patterns=True, require_near_anchor=True,
     )
     code = near | far
@@ -332,7 +330,6 @@ def _far_side_code(
     cut_orig: int,
     delta: int,
     trace: ConstructionTrace,
-    depth_left: int,
     *,
     star_patterns: bool,
     require_near_anchor: bool = False,
@@ -356,7 +353,7 @@ def _far_side_code(
                 code,
             )
             return code, False
-        return _build_tree(g2, side.to_orig, delta, trace, depth_left - 1), False
+        return _build_tree(g2, side.to_orig, delta, trace), False
 
     local = side.local_of(cut_orig)
     pair = next((p for p in twins if local in p), None)
@@ -381,7 +378,7 @@ def _far_side_code(
             code,
         )
     else:
-        code = _build_tree(pruned, sub_map, delta, trace, depth_left - 1)
+        code = _build_tree(pruned, sub_map, delta, trace)
     trace.add("twin_leaf_pruned", {"leaf": cut_orig, "far_order": g2.n})
     return code, True
 
@@ -391,7 +388,6 @@ def _longest_path_case(
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    depth_left: int,
     path: list[int],
 ) -> set[int]:
     d = len(path) - 1
@@ -409,7 +405,7 @@ def _longest_path_case(
     elif deg(v[4]) >= 3:
         position = 4
     else:
-        return _path_tail_split(g, to_orig, delta, trace, depth_left, v)
+        return _path_tail_split(g, to_orig, delta, trace, v)
 
     side1, side2 = _split_at_edge(g, to_orig, v[position], v[position + 1])
     if side2.g.n < 5:
@@ -423,7 +419,7 @@ def _longest_path_case(
     elif not far_twins:
         # branch not in the family: generic split, valid because any two
         # one-sided IO-codes merge across a bridge
-        near = _build_tree(side1.g, side1.to_orig, delta, trace, depth_left - 1)
+        near = _build_tree(side1.g, side1.to_orig, delta, trace)
     else:
         raise _CaseMiss("branch outside family while far side has twins")
 
@@ -433,7 +429,6 @@ def _longest_path_case(
         to_orig[v[position + 1]],
         delta,
         trace,
-        depth_left,
         star_patterns=False,
         require_near_anchor=to_orig[v[position]] in near,
     )
@@ -460,7 +455,6 @@ def _path_tail_split(
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    depth_left: int,
     v: list[int],
 ) -> set[int]:
     """Peel the 5- or 6-vertex tail hanging at the fourth path vertex."""
@@ -486,7 +480,6 @@ def _path_tail_split(
         to_orig[v[5]],
         delta,
         trace,
-        depth_left,
         star_patterns=False,
         require_near_anchor=True,
     )
@@ -526,19 +519,13 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
     """IO-code of a twin-free tree meeting the degree-delta bound.
 
     The returned code satisfies ``2*delta*|S| <= (2*delta-1)*n`` unless
-    the tree is the subdivided star on ``delta`` legs, in which case the
-    trace is flagged and the code has the known optimal size.
+    the tree is the subdivided star on ``delta`` legs, in which case
+    ``trace.exceptional_star`` is set and the code has the known optimal
+    size.  An invalid input raises the typed error of the first check it
+    fails; a valid one is finished by ``_decompose``.
     """
     _validate_tree_input(g, delta)
-    trace = ConstructionTrace()
-    star = as_subdivided_star(g)
-    if star is not None and star[1] == delta:
-        trace.exceptional_star = True
-    code = _decompose(_build_tree, g, delta, trace)
-    result = VertexSet(g.n, code)
-    if not is_io_code(g, result).ok:
-        raise ConstructionError("constructed set failed final verification", trace)
-    return result, trace
+    return _decompose(_build_tree, g, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +535,10 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 _PAW_DEGREES = [1, 2, 2, 3]
 
 
-def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, depth_left: int) -> set[int]:
-    if depth_left < 0:
-        raise ConstructionError("recursion depth exceeded", trace)
+def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace) -> set[int]:
     if g.edge_count == g.n - 1:
         trace.add("tree_reduction", {"order": g.n})
-        return _build_tree(g, to_orig, delta, trace, depth_left)
+        return _build_tree(g, to_orig, delta, trace)
     if g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES:
         code = {to_orig[v] for v in range(4) if g.degree(v) >= 2}
         trace.add("paw_base", {}, code)
@@ -579,7 +564,7 @@ def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTr
         h = delete_edge(g, (a, b))
         if not find_open_twins(h):
             trace.add("cycle_edge_removed", {"edge": (to_orig[a], to_orig[b])})
-            return _build_graph(h, to_orig, delta, trace, depth_left - 1)
+            return _build_graph(h, to_orig, delta, trace)
 
     # every cycle-edge deletion creates twins: the cycle alternates
     # support vertices and degree-2 vertices; delete one of the latter
@@ -599,7 +584,7 @@ def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTr
     if not is_connected(g0) or find_open_twins(g0):
         return _fallback_exact(g, to_orig, trace, "vertex deletion left a bad remainder")
     trace.add("cycle_vertex_removed", {"vertex": to_orig[v0]})
-    return _build_graph(g0, [to_orig[x] for x in new_to_old], delta, trace, depth_left - 1)
+    return _build_graph(g0, [to_orig[x] for x in new_to_old], delta, trace)
 
 
 def _star_plus_edge_code(
@@ -650,7 +635,9 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
     """IO-code of a connected twin-free 4-cycle-free graph within the bound.
 
     Accepts the one order-4 base case (a triangle with a pendant); all
-    other inputs need order at least 5.
+    other inputs need order at least 5.  As for trees, an invalid input
+    raises the typed error of the first check it fails, and a valid one
+    is finished by ``_decompose``, which flags the exceptional star.
     """
     if delta < 3:
         raise BadParam(f"delta must be at least 3, got {delta}")
@@ -665,16 +652,7 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
         raise FourCyclePresent("input contains a 4-cycle")
     if max_degree(g) > delta:
         raise DegreeExceeded(f"maximum degree {max_degree(g)} exceeds delta={delta}")
-
-    trace = ConstructionTrace()
-    star = as_subdivided_star(g)
-    if star is not None and star[1] == delta:
-        trace.exceptional_star = True
-    code = _decompose(_build_graph, g, delta, trace)
-    result = VertexSet(g.n, code)
-    if not is_io_code(g, result).ok:
-        raise ConstructionError("constructed set failed final verification", trace)
-    return result, trace
+    return _decompose(_build_graph, g, delta)
 
 
 def construct_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:

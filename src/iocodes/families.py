@@ -501,10 +501,10 @@ TREE_CAP = 18
 GRAPH_CAP = 7
 
 
-def enumerate_trees(n: int, cap: int = TREE_CAP) -> Iterator[Graph]:
+def enumerate_trees(n: int) -> Iterator[Graph]:
     """All free trees on ``n`` vertices, one per isomorphism class."""
-    if not 1 <= n <= cap:
-        raise BadParam(f"tree enumeration supports 1 <= n <= {cap}, got {n}")
+    if not 1 <= n <= TREE_CAP:
+        raise BadParam(f"tree enumeration supports 1 <= n <= {TREE_CAP}, got {n}")
     if n == 1:
         yield Graph(1)
         return
@@ -521,23 +521,16 @@ def enumerate_small_graphs(
     twin_free: bool = False,
     c4_free: bool = False,
     max_deg: int | None = None,
-    dedup: bool = False,
 ) -> Iterator[Graph]:
     """All labeled graphs on ``n`` vertices by edge-subset enumeration.
 
     The edge subsets are visited in Gray-code order, one edge flip per
-    step, and filters are applied before yielding.  With ``dedup`` the
-    result is instead one canonically relabeled graph per isomorphism
-    class, in the order in which the labeled sweep first meets each
-    class; the classes come from ``enumerate_graph_classes`` and no
-    labeled graph is visited.
+    step, and filters are applied before yielding.  One graph per
+    isomorphism class comes from ``enumerate_graph_classes``; this sweep
+    is the independent oracle it is tested against.
     """
     if not 1 <= n <= GRAPH_CAP:
         raise BadParam(f"exhaustive enumeration supports 1 <= n <= {GRAPH_CAP}, got {n}")
-    if dedup:
-        for g, _ in enumerate_graph_classes(n, connected, twin_free, c4_free, max_deg):
-            yield g
-        return
     pairs = list(combinations(range(n), 2))
     adj = [0] * n
     total = 1 << len(pairs)
@@ -572,8 +565,9 @@ def enumerate_graph_classes(
     no two vertices already share a neighbour are tried; these are
     exactly the ones that create no 4-cycle.  Each level is
     deduplicated by canonical form.  Connectivity, twin-freeness and the
-    degree cap are checked on the classes on ``n`` vertices only; the
-    first two do not survive every deletion.
+    degree cap are checked on level ``n`` only, before canonical
+    labeling (they do not depend on the labels); the first two do not
+    survive every deletion.
 
     Each surviving class is then relabeled in all ``n!`` ways.  The
     distinct edge sets give its labeled count ``n!/|Aut|`` and the first
@@ -583,22 +577,23 @@ def enumerate_graph_classes(
     """
     if not 1 <= n <= GRAPH_CAP:
         raise BadParam(f"exhaustive enumeration supports 1 <= n <= {GRAPH_CAP}, got {n}")
-    level = [(0,)]
-    for k in range(1, n):
+    level = [()]
+    for k in range(n):
         grown: dict[tuple[int, ...], None] = {}
         for adj in level:
             for nb in range(1 << k):
                 if c4_free and any((a & nb).bit_count() > 1 for a in adj):
                     continue
                 new = tuple(a | (nb >> v & 1) << k for v, a in enumerate(adj)) + (nb,)
+                if k == n - 1 and not _passes_filters(new, n, connected, twin_free, False, max_deg):
+                    continue
                 grown[canonical_graph(Graph._from_adj(new)).adj] = None
         level = list(grown)
     found = []
     for adj in level:
-        if _passes_filters(adj, n, connected, twin_free, False, max_deg):
-            g = Graph._from_adj(adj)
-            first_step, labeled = _gray_orbit(g)
-            found.append((first_step, g, labeled))
+        g = Graph._from_adj(adj)
+        first_step, labeled = _gray_orbit(g)
+        found.append((first_step, g, labeled))
     found.sort(key=lambda item: item[0])
     for _, g, labeled in found:
         yield g, labeled

@@ -261,14 +261,14 @@ def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     return None if best_mask is None else _verified(g, best_mask)
 
 
-def solve_oracle(g: Graph, cap: int = ORACLE_CAP) -> SolveResult:
+def solve_oracle(g: Graph) -> SolveResult:
     """Brute force: subsets in increasing cardinality; exact by exhaustion.
 
     Kept free of the solver's reductions so the two routes stay
     independent checks of each other.
     """
-    if g.n > cap:
-        raise TooLarge(f"oracle capped at n <= {cap}, got {g.n}")
+    if g.n > ORACLE_CAP:
+        raise TooLarge(f"oracle capped at n <= {ORACLE_CAP}, got {g.n}")
     _require_admissible(g)
     nodes = 0
     for size in range(1, g.n + 1):

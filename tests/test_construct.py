@@ -17,7 +17,7 @@ from iocodes import (
     check_bound,
     construct_graph_code,
     construct_tree_code,
-    enumerate_small_graphs,
+    enumerate_graph_classes,
     enumerate_trees,
     find_open_twins,
     gen_star_plus_edge,
@@ -106,8 +106,9 @@ class TestTreeConstructor:
             construct_tree_code(g, 4)
 
     def test_deep_decomposition_on_valid_trees(self):
-        # sub-instances shrink while the recursion deepens, so the depth
-        # allowance must come from the input, not from the sub-instance
+        # deep decompositions of seeded subdivided random trees: every step
+        # recurses on a smaller tree, so nothing but the interpreter's
+        # recursion limit bounds the depth, and these stay well inside it
         for n in (109, 113, 117):
             rng = random.Random(0)
             k = (n + 1) // 2
@@ -209,7 +210,7 @@ class TestGraphConstructor:
 
     def test_exhaustive_small(self):
         for n in range(5, 8):
-            for g in enumerate_small_graphs(n, connected=True, twin_free=True, c4_free=True, dedup=True):
+            for g, _ in enumerate_graph_classes(n, connected=True, twin_free=True, c4_free=True):
                 d = max(3, max_degree(g))
                 code, trace = construct_graph_code(g, d)
                 assert is_io_code(g, code).ok

@@ -11,6 +11,7 @@ from iocodes import (
     NotInFamily,
     build_family_tree,
     canonical_set,
+    enumerate_graph_classes,
     enumerate_small_graphs,
     enumerate_trees,
     find_open_twins,
@@ -278,7 +279,7 @@ class TestSmallGraphEnumeration:
         assert sum(1 for _ in enumerate_small_graphs(4)) == 64
 
     def test_connected_classes_n3(self):
-        classes = list(enumerate_small_graphs(3, connected=True, dedup=True))
+        classes = list(enumerate_graph_classes(3, connected=True))
         assert len(classes) == 2  # the path and the triangle
 
     def test_filters_sound(self, rng):
@@ -293,7 +294,7 @@ class TestSmallGraphEnumeration:
         c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         keys = {
             canonical_graph6(g)
-            for g in enumerate_small_graphs(5, connected=True, twin_free=True, c4_free=True, dedup=True)
+            for g, _ in enumerate_graph_classes(5, connected=True, twin_free=True, c4_free=True)
         }
         assert canonical_graph6(c5) in keys
 
