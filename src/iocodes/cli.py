@@ -23,6 +23,7 @@ from .audit import (
 from .construct import check_bound, construct_code
 from .errors import GraphError, ParseError
 from .families import (
+    GRAPH_CAP,
     build_family_tree,
     gen_reduced_subdivided_star,
     gen_star_plus_edge,
@@ -52,11 +53,12 @@ def _read_graph(path: str) -> Graph:
 def _read_code(path: str, n: int) -> VertexSet:
     text = _read_text(path)
     members = []
-    for lineno, line in enumerate(text.split(), start=1):
-        try:
-            members.append(int(line))
-        except ValueError:
-            raise ParseError(f"bad vertex index {line!r}", line=lineno)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for token in line.split():
+            try:
+                members.append(int(token))
+            except ValueError:
+                raise ParseError(f"bad vertex index {token!r}", line=lineno) from None
     return VertexSet(n, members)
 
 
@@ -168,9 +170,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.space == "trees":
-        records, summary = audit_trees(args.n_max, args.delta)
+        records, summary = audit_trees(10 if args.n_max is None else args.n_max, args.delta)
     elif args.space == "graphs":
-        records, summary = audit_graphs(args.n_max, args.delta)
+        records, summary = audit_graphs(GRAPH_CAP if args.n_max is None else args.n_max, args.delta)
     else:
         report = verify_tight_families(args.delta_max, args.p_max)
         _emit(report)
@@ -220,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="batch certification runs")
     p.add_argument("space", choices=("trees", "graphs", "families"))
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument(
+        "--n-max", type=int, default=None, help=f"largest order (default: 10 for trees, {GRAPH_CAP} for graphs)"
+    )
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--delta-max", type=int, default=5)
     p.add_argument("--p-max", type=int, default=6)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .errors import (
     BadParam,
@@ -223,17 +224,20 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
         )
         return code
 
-    for split in _star_component_candidates(g, delta):
+    for center, other, k in _star_component_candidates(g, delta):
         mark = trace.mark()
         try:
-            return _star_component_split(g, to_orig, delta, trace, *split)
+            return _split(
+                g, to_orig, delta, trace, "star_component_split", center, other,
+                partial(_star_near, k), star_patterns=True,
+            )
         except _CaseMiss:
             trace.rollback(mark)
 
     for path in diametral_paths(g):
         mark = trace.mark()
         try:
-            return _longest_path_case(g, to_orig, delta, trace, path)
+            return _split(g, to_orig, delta, trace, *_path_rule(g, to_orig, delta, trace, path))
         except _CaseMiss:
             trace.rollback(mark)
 
@@ -264,44 +268,51 @@ def _star_component_candidates(g: Graph, delta: int):
     return [(center, other, k) for k, _, center, other in found]
 
 
-def _star_component_split(
+def _split(
     g: Graph,
     to_orig: list[int],
     delta: int,
     trace: ConstructionTrace,
-    v1: int,
-    v2: int,
-    k: int,
+    case: str,
+    u: int,
+    v: int,
+    near_rule,
+    *,
+    star_patterns: bool = False,
 ) -> set[int]:
-    """Split off a subdivided star hanging by its center vertex."""
-    side1, side2 = _split_at_edge(g, to_orig, v1, v2)
-    if side2.g.n < 5:
+    """Code of ``g`` from its split at the bridge ``uv`` (local indices).
+
+    The side of ``u`` is the near side and the side of ``v`` the far side,
+    which needs at least 5 vertices.  ``near_rule(near, far)`` returns the
+    near code and the case's own trace detail; the far side is coded by
+    ``_far_side_code``, which may prune a twin leaf at ``v`` only when the
+    near code holds ``u``.  The merged code is verified on ``g`` and
+    recorded as one ``case`` step with the split edge, the far order and
+    whether a twin leaf was pruned.  Any failure raises ``_CaseMiss``.
+    """
+    near, far = _split_at_edge(g, to_orig, u, v)
+    if far.g.n < 5:
         raise _CaseMiss("far side too small")
-
-    # near side: all of the star except its lowest-index far leaf
-    leaves1 = sorted(side1.to_orig[v] for v in _leaves_of(side1.g))
-    near = set(side1.to_orig) - {leaves1[0]}
-
-    # the near code keeps the star center, so twin repair is always safe here
-    far, twin_pruned = _far_side_code(
-        g, side2, to_orig[v2], delta, trace,
-        star_patterns=True, require_near_anchor=True,
+    near_code, detail = near_rule(near, far)
+    far_code, twin_pruned = _far_side_code(
+        far, to_orig[v], delta, trace,
+        star_patterns=star_patterns, require_near_anchor=to_orig[u] in near_code,
     )
-    code = near | far
+    code = near_code | far_code
     if not _verify_local(g, to_orig, code):
         raise _CaseMiss("merged code failed verification")
     trace.add(
-        "star_component_split",
-        {
-            "edge": (to_orig[v1], to_orig[v2]),
-            "star_legs": k,
-            "near_order": side1.g.n,
-            "far_order": side2.g.n,
-            "twin_pruned": twin_pruned,
-        },
-        near,
+        case,
+        {"edge": (to_orig[u], to_orig[v]), **detail, "far_order": far.g.n, "twin_pruned": twin_pruned},
+        near_code,
     )
     return code
+
+
+def _star_near(k: int, near: _Side, far: _Side) -> tuple[set[int], dict]:
+    """A split-off subdivided star: all of it except its lowest-index far leaf."""
+    leaf = min(near.to_orig[x] for x in _leaves_of(near.g))
+    return set(near.to_orig) - {leaf}, {"star_legs": k, "near_order": near.g.n}
 
 
 def _absorbed_star_code(side: _Side, cut_orig: int) -> set[int]:
@@ -325,14 +336,13 @@ def _absorbed_star_code(side: _Side, cut_orig: int) -> set[int]:
 
 
 def _far_side_code(
-    g: Graph,
     side: _Side,
     cut_orig: int,
     delta: int,
     trace: ConstructionTrace,
     *,
     star_patterns: bool,
-    require_near_anchor: bool = False,
+    require_near_anchor: bool,
 ) -> tuple[set[int], bool]:
     """Code for the component on the far side of a split.
 
@@ -383,120 +393,51 @@ def _far_side_code(
     return code, True
 
 
-def _longest_path_case(
-    g: Graph,
-    to_orig: list[int],
-    delta: int,
-    trace: ConstructionTrace,
-    path: list[int],
-) -> set[int]:
-    d = len(path) - 1
-    if d < 5:
+def _path_rule(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, path: list[int]):
+    """The longest-path case along ``path``: ``_split``'s case, edge and near rule.
+
+    Needs diameter at least 5 and a degree-2 support at the path's end.
+    The split is at the branch of the second, third or fourth path vertex,
+    the first of degree at least 4, 3 and 3 respectively; failing all
+    three, the tail hanging at the fourth is peeled.
+    """
+    if len(path) < 6:
         raise _CaseMiss("diameter below 5 must be family-recognized")
-    v = path
-    deg = g.degree
-    if deg(v[1]) != 2:
+    if g.degree(path[1]) != 2:
         raise _CaseMiss("support on the path has extra leaves")
+    for position, min_degree in ((2, 4), (3, 3), (4, 3)):
+        if g.degree(path[position]) >= min_degree:
+            rule = partial(_branch_near, position, to_orig[path[position]], delta, trace)
+            return "deep_branch_split", path[position], path[position + 1], rule
+    return "path_tail_split", path[4], path[5], partial(_tail_near, [to_orig[x] for x in path[:5]])
 
-    if deg(v[2]) >= 4:
-        position = 2
-    elif deg(v[3]) >= 3:
-        position = 3
-    elif deg(v[4]) >= 3:
-        position = 4
-    else:
-        return _path_tail_split(g, to_orig, delta, trace, v)
 
-    side1, side2 = _split_at_edge(g, to_orig, v[position], v[position + 1])
-    if side2.g.n < 5:
-        raise _CaseMiss("far side too small")
-    root_local = side1.local_of(to_orig[v[position]])
-    spec1 = recognize_family_rooted(side1.g, root_local)
-    far_twins = bool(find_open_twins(side2.g))
-
-    if spec1 is not None:
-        near = {side1.to_orig[x] for x in canonical_set(spec1)}
-    elif not far_twins:
-        # branch not in the family: generic split, valid because any two
-        # one-sided IO-codes merge across a bridge
-        near = _build_tree(side1.g, side1.to_orig, delta, trace)
-    else:
+def _branch_near(
+    position: int, root: int, delta: int, trace: ConstructionTrace, near: _Side, far: _Side
+) -> tuple[set[int], dict]:
+    """A deep branch rooted at path vertex ``root``: its canonical set if it
+    is a family tree there, else a code built for it on its own."""
+    spec = recognize_family_rooted(near.g, near.local_of(root))
+    detail = {"position": position, "near_order": near.g.n, "recognized_branch": spec is not None}
+    if spec is not None:
+        return {near.to_orig[x] for x in canonical_set(spec)}, detail
+    if find_open_twins(far.g):
         raise _CaseMiss("branch outside family while far side has twins")
-
-    far, twin_pruned = _far_side_code(
-        g,
-        side2,
-        to_orig[v[position + 1]],
-        delta,
-        trace,
-        star_patterns=False,
-        require_near_anchor=to_orig[v[position]] in near,
-    )
-    code = near | far
-    if not _verify_local(g, to_orig, code):
-        raise _CaseMiss("merged code failed verification")
-    trace.add(
-        "deep_branch_split",
-        {
-            "position": position,
-            "edge": (to_orig[v[position]], to_orig[v[position + 1]]),
-            "near_order": side1.g.n,
-            "far_order": side2.g.n,
-            "recognized_branch": spec1 is not None,
-            "twin_pruned": twin_pruned,
-        },
-        near,
-    )
-    return code
+    # valid because any two one-sided IO-codes merge across a bridge
+    return _build_tree(near.g, near.to_orig, delta, trace), detail
 
 
-def _path_tail_split(
-    g: Graph,
-    to_orig: list[int],
-    delta: int,
-    trace: ConstructionTrace,
-    v: list[int],
-) -> set[int]:
-    """Peel the 5- or 6-vertex tail hanging at the fourth path vertex."""
-    side1, side2 = _split_at_edge(g, to_orig, v[4], v[5])
-    if side2.g.n < 5:
-        raise _CaseMiss("far side too small")
-    tail_origs = set(side1.to_orig)
-    path_origs = [to_orig[v[i]] for i in range(5)]
-    if side1.g.n == 5 and tail_origs == set(path_origs):
-        near = set(path_origs[1:])  # leave out the path end
-    elif side1.g.n == 6 and set(path_origs) < tail_origs:
-        extra_orig = next(iter(tail_origs - set(path_origs)))
-        extra_local = side1.local_of(extra_orig)
-        if side1.g.degree(extra_local) != 1:
-            raise _CaseMiss("unexpected tail shape")
-        near = set(path_origs)  # leave out the extra leaf
-    else:
-        raise _CaseMiss("unexpected tail shape")
-
-    far, twin_pruned = _far_side_code(
-        g,
-        side2,
-        to_orig[v[5]],
-        delta,
-        trace,
-        star_patterns=False,
-        require_near_anchor=True,
-    )
-    code = near | far
-    if not _verify_local(g, to_orig, code):
-        raise _CaseMiss("merged code failed verification")
-    trace.add(
-        "path_tail_split",
-        {
-            "edge": (to_orig[v[4]], to_orig[v[5]]),
-            "tail_order": side1.g.n,
-            "far_order": side2.g.n,
-            "twin_pruned": twin_pruned,
-        },
-        near,
-    )
-    return code
+def _tail_near(path_origs: list[int], near: _Side, far: _Side) -> tuple[set[int], dict]:
+    """The tail at the fourth path vertex, which holds the first five path
+    vertices: without the path end if that is all, without the extra leaf
+    if there is one more vertex and it is a leaf."""
+    detail = {"tail_order": near.g.n}
+    extra = set(near.to_orig).difference(path_origs)
+    if not extra:
+        return set(path_origs[1:]), detail
+    if len(extra) == 1 and near.g.degree(near.local_of(*extra)) == 1:
+        return set(path_origs), detail
+    raise _CaseMiss("unexpected tail shape")
 
 
 def _validate_tree_input(g: Graph, delta: int) -> None:

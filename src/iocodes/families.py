@@ -58,8 +58,20 @@ _EXCLUDED_VECTORS = {
     (1, 1, 0, 0, 0, 0),
 }
 
-# vertices contributed by one attachment of each type
-_TYPE_SIZE = {1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 5}
+# The six attachment types as vertex blocks: for each position in the
+# block, the position of its parent (-1 for the root), then the positions
+# the canonical set leaves out.  Positions list the branch breadth-first,
+# smaller subtrees first; no type has a second such listing.
+_SHAPES = {
+    1: ((-1,), (0,)),
+    2: ((-1, 0), ()),
+    3: ((-1, 0, 1), (2,)),
+    4: ((-1, 0, 1, 2), (3,)),
+    5: ((-1, 0, 0, 2), (1,)),
+    6: ((-1, 0, 1, 1, 3), (2,)),
+}
+_TYPE_OF_PARENTS = {parents: t for t, (parents, _) in _SHAPES.items()}
+_LARGEST_SHAPE = max(len(parents) for parents, _ in _SHAPES.values())
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class AttachmentVector:
         return self.total >= 1
 
     def order(self) -> int:
-        return 1 + sum(k * _TYPE_SIZE[i + 1] for i, k in enumerate(self.as_tuple()))
+        return 1 + sum(k * len(_SHAPES[t][0]) for t, k in enumerate(self.as_tuple(), 1))
 
     @classmethod
     def of(cls, values) -> "AttachmentVector":
@@ -104,7 +116,13 @@ class AttachmentVector:
 @dataclass(frozen=True)
 class FamilySpec:
     """Descriptor of a generated instance: parameters, distinguished
-    vertices, optionally a reference code known to verify."""
+    vertices, optionally a reference code known to verify.
+
+    For an attachment tree, ``attachments`` holds one ``(type, block)``
+    pair per branch at the root, sorted by type and then link: ``block``
+    lists the branch's vertices in the position order of ``_SHAPES``, so
+    ``block[0]`` is the link, the root's neighbour.
+    """
 
     kind: str
     params: dict
@@ -127,39 +145,15 @@ def build_family_tree(vector) -> tuple[Graph, FamilySpec]:
     if not vec.is_admissible():
         raise NotInFamily(f"vector {vec.as_tuple()} not admissible")
     edges: list[tuple[int, int]] = []
-    attachments: list[tuple[int, dict]] = []
+    attachments: list[tuple[int, tuple[int, ...]]] = []
     nxt = 1
-
-    def take() -> int:
-        nonlocal nxt
-        v = nxt
-        nxt += 1
-        return v
-
-    for _ in range(vec.k1):
-        a = take()
-        edges.append((0, a))
-        attachments.append((1, {"link": a}))
-    for _ in range(vec.k2):
-        a, b = take(), take()
-        edges += [(0, a), (a, b)]
-        attachments.append((2, {"link": a, "leaf2": b}))
-    for _ in range(vec.k3):
-        a, b, c = take(), take(), take()
-        edges += [(0, a), (a, b), (b, c)]
-        attachments.append((3, {"link": a, "mid": b, "leaf3": c}))
-    for _ in range(vec.k4):
-        a, b, c, d = take(), take(), take(), take()
-        edges += [(0, a), (a, b), (b, c), (c, d)]
-        attachments.append((4, {"link": a, "v2": b, "v3": c, "leaf4": d}))
-    for _ in range(vec.k5):
-        a, p, b, c = take(), take(), take(), take()
-        edges += [(0, a), (a, p), (a, b), (b, c)]
-        attachments.append((5, {"link": a, "leaf2": p, "mid": b, "leaf3": c}))
-    for _ in range(vec.k6):
-        a, c, y, s, z = take(), take(), take(), take(), take()
-        edges += [(0, a), (a, c), (c, y), (c, s), (s, z)]
-        attachments.append((6, {"link": a, "hub": c, "leaf3": y, "mid": s, "leaf4": z}))
+    for t, count in enumerate(vec.as_tuple(), 1):
+        parents = _SHAPES[t][0]
+        for _ in range(count):
+            block = tuple(range(nxt, nxt + len(parents)))
+            edges += [(0 if p < 0 else block[p], v) for p, v in zip(parents, block)]
+            attachments.append((t, block))
+            nxt += len(parents)
 
     g = Graph(nxt, edges)
     spec = FamilySpec(
@@ -171,117 +165,63 @@ def build_family_tree(vector) -> tuple[Graph, FamilySpec]:
     return g, spec
 
 
+# the two trees whose root is a degree-2 support vertex: their canonical
+# set also keeps the type-1 link, so it leaves out a single leaf
+_KEEPS_TYPE1_LINK = {(1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0)}
+
+
 def canonical_set(spec: FamilySpec) -> VertexSet:
     """The always-verifying code of an attachment tree.
 
-    Root in; type-2 attachments fully in except, when there is no type-1
-    attachment, the distance-2 leaf of the first type-2 attachment;
-    type-3/4 drop their far leaf; type-5 drops its distance-2 leaf;
-    type-6 drops its distance-3 leaf.  Two small trees where the root is
-    a degree-2 support vertex instead keep everything except a single
-    designated leaf.
+    Every vertex except the positions ``_SHAPES`` leaves out of each
+    attachment: the type-1 link, the far leaf of types 3 and 4, the
+    distance-2 leaf of type 5 and the distance-3 leaf of type 6.  Two
+    exceptions: with no type-1 attachment the distance-2 leaf of the
+    first type-2 attachment is left out too, and the two trees in
+    ``_KEEPS_TYPE1_LINK`` keep their type-1 link.
     """
     if spec.kind != "attachment_tree":
         raise NotInFamily(f"canonical set undefined for kind {spec.kind!r}")
     vec = tuple(spec.params["vector"])
     n = spec.params["order"]
-    atts = spec.attachments
-    full = (1 << n) - 1
-    if vec == (1, 0, 1, 0, 0, 0):
-        roles = next(r for t, r in atts if t == 3)
-        return VertexSet(n, mask=full ^ (1 << roles["leaf3"]))
-    if vec == (1, 0, 0, 0, 1, 0):
-        roles = next(r for t, r in atts if t == 5)
-        return VertexSet(n, mask=full ^ (1 << roles["leaf2"]))
-
-    members = {spec.distinguished["root"]}
-    k1 = vec[0]
-    dropped_type2_leaf = False
-    for t, roles in atts:
-        if t == 1:
-            continue
-        if t == 2:
-            members.add(roles["link"])
-            if k1 == 0 and not dropped_type2_leaf:
-                dropped_type2_leaf = True
-            else:
-                members.add(roles["leaf2"])
-        elif t == 3:
-            members.update((roles["link"], roles["mid"]))
-        elif t == 4:
-            members.update((roles["link"], roles["v2"], roles["v3"]))
-        elif t == 5:
-            members.update((roles["link"], roles["mid"], roles["leaf3"]))
-        elif t == 6:
-            members.update((roles["link"], roles["hub"], roles["mid"], roles["leaf4"]))
-    return VertexSet(n, members)
+    mask = (1 << n) - 1
+    drop_type2_leaf = vec[0] == 0
+    for t, block in spec.attachments:
+        left_out = _SHAPES[t][1]
+        if t == 1 and vec in _KEEPS_TYPE1_LINK:
+            left_out = ()
+        elif t == 2 and drop_type2_leaf:
+            left_out, drop_type2_leaf = (1,), False
+        for i in left_out:
+            mask ^= 1 << block[i]
+    return VertexSet(n, mask=mask)
 
 
-def _subtree_children(g: Graph, root: int, link: int):
-    """Children map of the branch hanging at ``link`` away from ``root``."""
-    children: dict[int, list[int]] = {link: []}
-    order = [link]
-    stack = [(link, root)]
-    while stack:
-        u, parent = stack.pop()
-        for v in sorted(g.neighbors(u)):
-            if v != parent:
-                children[u].append(v)
-                children[v] = []
-                order.append(v)
-                stack.append((v, u))
-    return children, order
+def _branch_shape(g: Graph, root: int, link: int) -> tuple[int, tuple[int, ...]] | None:
+    """The branch at ``link`` as ``(type, block)``, if it is an attachment.
 
-
-def _branch_shape(g: Graph, root: int, link: int) -> tuple[int, dict] | None:
-    """Classify the branch at ``link`` as one attachment type, if any."""
-    children, order = _subtree_children(g, root, link)
-    size = len(order)
-    if size == 1:
-        return 1, {"link": link}
-    if size == 2:
-        b = children[link][0]
-        return 2, {"link": link, "leaf2": b}
-    if size == 3:
-        if len(children[link]) == 1:
-            b = children[link][0]
-            if len(children[b]) == 1:
-                return 3, {"link": link, "mid": b, "leaf3": children[b][0]}
-        return None
-    if size == 4:
-        if len(children[link]) == 1:
-            b = children[link][0]
-            if len(children[b]) == 1:
-                c = children[b][0]
-                if len(children[c]) == 1:
-                    return 4, {"link": link, "v2": b, "v3": c, "leaf4": children[c][0]}
+    Stops walking once the branch outgrows the largest attachment, lists
+    the branch breadth-first with smaller subtrees first (ties by index),
+    and looks its parent positions up in ``_SHAPES``.
+    """
+    parent = {link: root}
+    walked = [link]
+    for u in walked:
+        for w in g.neighbors(u):
+            if w != parent[u]:
+                parent[w] = u
+                walked.append(w)
+        if len(walked) > _LARGEST_SHAPE:
             return None
-        if len(children[link]) == 2:
-            x, y = children[link]
-            for p, b in ((x, y), (y, x)):
-                if not children[p] and len(children[b]) == 1 and not children[children[b][0]]:
-                    return 5, {"link": link, "leaf2": p, "mid": b, "leaf3": children[b][0]}
-        return None
-    if size == 5:
-        if len(children[link]) == 1:
-            hub = children[link][0]
-            if len(children[hub]) == 2:
-                x, y = children[hub]
-                for leaf, s in ((x, y), (y, x)):
-                    if (
-                        not children[leaf]
-                        and len(children[s]) == 1
-                        and not children[children[s][0]]
-                    ):
-                        return 6, {
-                            "link": link,
-                            "hub": hub,
-                            "leaf3": leaf,
-                            "mid": s,
-                            "leaf4": children[s][0],
-                        }
-        return None
-    return None
+    size = dict.fromkeys(walked, 1)
+    for w in reversed(walked[1:]):
+        size[parent[w]] += size[w]
+    block = [link]
+    for u in block:
+        block += sorted((w for w in g.neighbors(u) if w != parent[u]), key=lambda w: (size[w], w))
+    position = {v: i for i, v in enumerate(block)}
+    t = _TYPE_OF_PARENTS.get(tuple(position.get(parent[v], -1) for v in block))
+    return None if t is None else (t, tuple(block))
 
 
 def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
@@ -290,23 +230,18 @@ def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
     No attachment has more than 5 vertices, so a root of degree below
     (n - 1) / 5 is rejected without walking its branches.
     """
-    if g.n < 2 or g.n > 1 + 5 * g.degree(root):
+    if g.n < 2 or g.n > 1 + _LARGEST_SHAPE * g.degree(root):
         return None
     branches = []
-    for link in sorted(g.neighbors(root)):
+    for link in g.neighbors(root):
         shape = _branch_shape(g, root, link)
         if shape is None:
             return None
         branches.append(shape)
-    counts = [0] * 6
-    for t, _ in branches:
-        counts[t - 1] += 1
-    vec = AttachmentVector.of(counts)
-    if not vec.is_admissible():
+    vec = AttachmentVector.of([sum(t == k for t, _ in branches) for k in _SHAPES])
+    if not vec.is_admissible() or vec.order() != g.n:
         return None
-    if vec.order() != g.n:
-        return None
-    branches.sort(key=lambda item: (item[0], item[1]["link"]))
+    branches.sort()
     return FamilySpec(
         kind="attachment_tree",
         params={"vector": vec.as_tuple(), "order": g.n},

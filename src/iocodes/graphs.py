@@ -51,6 +51,8 @@ def _bits(mask: int) -> Iterator[int]:
 def _mask_of(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
+        if v < 0:
+            raise InvalidVertex(f"negative vertex index {v}")
         mask |= 1 << v
     return mask
 

@@ -44,6 +44,20 @@ class TestVerify:
         status, _, err = run(capsys, "verify", p5_file, "/nonexistent/code.txt")
         assert status == 2
 
+    def test_negative_vertex_is_an_error_not_a_traceback(self, capsys, p5_file, code_file):
+        for command in ("verify", "signature"):
+            status, out, err = run(capsys, command, p5_file, code_file("c.txt", [1, -1]))
+            assert status == 1
+            assert out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_bad_token_reports_its_line(self, capsys, p5_file, tmp_path):
+        f = tmp_path / "c.txt"
+        f.write_text("0 1\n2 x\n")
+        status, _, err = run(capsys, "verify", p5_file, str(f))
+        assert status == 2
+        assert "'x'" in err and "(line 2)" in err
+
 
 class TestSolve:
     def test_p5(self, capsys, p5_file):
@@ -142,6 +156,12 @@ class TestAudit:
         summary = json.loads(out)
         assert summary["violations"] == 0
         assert csv_path.read_text().startswith("graph6,")
+
+    def test_graphs_default_to_the_enumeration_cap(self, capsys):
+        status, out, _ = run(capsys, "audit", "graphs")
+        assert status == 0
+        summary = json.loads(out)
+        assert summary["n_max"] == 7 and summary["instances"] == 53
 
     def test_families(self, capsys):
         status, out, _ = run(capsys, "audit", "families", "--delta-max", "3", "--p-max", "3")

@@ -1,0 +1,151 @@
+"""The attachment-shape table against the per-type definitions it replaced.
+
+``families`` reads the six attachment types off one table of parent
+positions.  These tests keep the earlier per-type code as oracles: a
+branch classifier that walks the whole branch and tests each type's
+shape in turn, and a canonical set written per type over role names.
+"""
+
+import random
+from itertools import product
+
+from iocodes import (
+    AttachmentVector,
+    VertexSet,
+    build_family_tree,
+    canonical_set,
+    enumerate_trees,
+    recognize_family,
+)
+from iocodes.families import _branch_shape
+
+# role names of each type's vertices, in block order
+ROLES = {
+    1: ("link",),
+    2: ("link", "leaf2"),
+    3: ("link", "mid", "leaf3"),
+    4: ("link", "v2", "v3", "leaf4"),
+    5: ("link", "leaf2", "mid", "leaf3"),
+    6: ("link", "hub", "leaf3", "mid", "leaf4"),
+}
+
+
+def subtree_children(g, root, link):
+    children = {link: []}
+    order = [link]
+    stack = [(link, root)]
+    while stack:
+        u, parent = stack.pop()
+        for v in sorted(g.neighbors(u)):
+            if v != parent:
+                children[u].append(v)
+                children[v] = []
+                order.append(v)
+                stack.append((v, u))
+    return children, order
+
+
+def branch_shape_by_cases(g, root, link):
+    children, order = subtree_children(g, root, link)
+    size = len(order)
+    if size == 1:
+        return 1, {"link": link}
+    if size == 2:
+        return 2, {"link": link, "leaf2": children[link][0]}
+    if size == 3:
+        if len(children[link]) == 1:
+            b = children[link][0]
+            if len(children[b]) == 1:
+                return 3, {"link": link, "mid": b, "leaf3": children[b][0]}
+        return None
+    if size == 4:
+        if len(children[link]) == 1:
+            b = children[link][0]
+            if len(children[b]) == 1:
+                c = children[b][0]
+                if len(children[c]) == 1:
+                    return 4, {"link": link, "v2": b, "v3": c, "leaf4": children[c][0]}
+            return None
+        if len(children[link]) == 2:
+            x, y = children[link]
+            for p, b in ((x, y), (y, x)):
+                if not children[p] and len(children[b]) == 1 and not children[children[b][0]]:
+                    return 5, {"link": link, "leaf2": p, "mid": b, "leaf3": children[b][0]}
+        return None
+    if size == 5 and len(children[link]) == 1:
+        hub = children[link][0]
+        if len(children[hub]) == 2:
+            x, y = children[hub]
+            for leaf, s in ((x, y), (y, x)):
+                if not children[leaf] and len(children[s]) == 1 and not children[children[s][0]]:
+                    return 6, {"link": link, "hub": hub, "leaf3": leaf, "mid": s, "leaf4": children[s][0]}
+    return None
+
+
+def canonical_set_by_roles(spec):
+    vec = tuple(spec.params["vector"])
+    n = spec.params["order"]
+    atts = [(t, dict(zip(ROLES[t], block))) for t, block in spec.attachments]
+    full = (1 << n) - 1
+    if vec == (1, 0, 1, 0, 0, 0):
+        roles = next(r for t, r in atts if t == 3)
+        return VertexSet(n, mask=full ^ (1 << roles["leaf3"]))
+    if vec == (1, 0, 0, 0, 1, 0):
+        roles = next(r for t, r in atts if t == 5)
+        return VertexSet(n, mask=full ^ (1 << roles["leaf2"]))
+    members = {spec.distinguished["root"]}
+    dropped_type2_leaf = False
+    for t, roles in atts:
+        if t == 2:
+            members.add(roles["link"])
+            if vec[0] == 0 and not dropped_type2_leaf:
+                dropped_type2_leaf = True
+            else:
+                members.add(roles["leaf2"])
+        elif t == 3:
+            members.update((roles["link"], roles["mid"]))
+        elif t == 4:
+            members.update((roles["link"], roles["v2"], roles["v3"]))
+        elif t == 5:
+            members.update((roles["link"], roles["mid"], roles["leaf3"]))
+        elif t == 6:
+            members.update((roles["link"], roles["hub"], roles["mid"], roles["leaf4"]))
+    return VertexSet(n, members)
+
+
+def test_branch_shapes_match_the_cases_on_every_small_tree():
+    checked = 0
+    for n in range(2, 12):
+        for t in enumerate_trees(n):
+            for root in range(n):
+                for link in t.neighbors(root):
+                    expected = branch_shape_by_cases(t, root, link)
+                    shape = _branch_shape(t, root, link)
+                    if expected is None:
+                        assert shape is None
+                    else:
+                        kind, roles = expected
+                        assert shape == (kind, tuple(roles.values()))
+                        checked += 1
+            spec = recognize_family(t)
+            if spec is not None:
+                assert canonical_set(spec) == canonical_set_by_roles(spec)
+    assert checked > 1000
+
+
+def test_canonical_sets_match_the_roles():
+    vectors = [
+        vec
+        for vec in product(range(2), range(6), range(6), range(6), range(6), range(6))
+        if AttachmentVector.of(vec).is_admissible() and sum(vec) <= 5
+    ]
+    rng = random.Random(6)
+    larger = []
+    while len(larger) < 200:
+        vec = (rng.randint(0, 1),) + tuple(rng.randint(0, 4) for _ in range(5))
+        if sum(vec) > 5:
+            larger.append(vec)
+    for vec in vectors + larger:
+        _, spec = build_family_tree(vec)
+        assert canonical_set(spec) == canonical_set_by_roles(spec)
+    assert len(vectors) == 373

@@ -312,3 +312,7 @@ class TestVertexSet:
 
         with pytest.raises(UniverseMismatch):
             VertexSet(3, [1]) | VertexSet(4, [1])
+
+    def test_negative_member_is_an_invalid_vertex(self):
+        with pytest.raises(InvalidVertex):
+            VertexSet(5, [-1])
