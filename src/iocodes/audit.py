@@ -15,7 +15,7 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .canon import canonical_graph
 from .construct import BoundStatus, check_bound, construct_code
@@ -315,22 +315,7 @@ def sample_twin_free_graphs(count: int, n_low: int, n_high: int, seed: int) -> l
 
 def records_to_csv(records: list[AuditRecord]) -> str:
     buf = io.StringIO()
-    fields = [
-        "graph6",
-        "n",
-        "m",
-        "max_degree",
-        "twin_free",
-        "c4_free",
-        "delta",
-        "gamma",
-        "constructor_size",
-        "bound_status",
-        "constructor_status",
-        "is_extremal",
-        "witness_code",
-    ]
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(AuditRecord)], lineterminator="\n")
     writer.writeheader()
     for r in records:
         row = asdict(r)

@@ -33,13 +33,13 @@ from .errors import (
     DegreeExceeded,
     Disconnected,
     FourCyclePresent,
-    NoCode,
     NotATree,
     TooSmall,
 )
 from .families import (
     as_subdivided_star,
     canonical_set,
+    legs_end_in_leaves,
     recognize_family,
     recognize_family_rooted,
 )
@@ -58,7 +58,7 @@ from .graphs import (
     max_degree,
 )
 from .solver import solve
-from .verify import is_io_code
+from .verify import is_io_code, require_admissible
 
 __all__ = [
     "BoundStatus",
@@ -175,6 +175,32 @@ def _fallback_exact(g: Graph, to_orig: list[int], trace: ConstructionTrace, reas
     return code
 
 
+_PAW_DEGREES = [1, 2, 2, 3]
+
+
+def _validate(g: Graph, delta: int, *, tree: bool) -> None:
+    """Raise the typed error of the first hypothesis the input fails.
+
+    The paw is the graph entry's one input below order 5.  A connected
+    input of order 4 or more has no isolated vertex, so
+    ``require_admissible`` can only report twins.
+    """
+    if delta < 3:
+        raise BadParam(f"delta must be at least 3, got {delta}")
+    paw = not tree and g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES
+    if g.n < 5 and not paw:
+        raise TooSmall(f"need order >= 5, got {g.n}")
+    if not is_connected(g):
+        raise Disconnected("input must be connected")
+    if tree and g.edge_count != g.n - 1:
+        raise NotATree("input has a cycle")
+    require_admissible(g)
+    if not tree and has_four_cycle(g):
+        raise FourCyclePresent("input contains a 4-cycle")
+    if max_degree(g) > delta:
+        raise DegreeExceeded(f"maximum degree {max_degree(g)} exceeds delta={delta}")
+
+
 def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
     """Code and trace of a validated input, by the decomposition ``build``.
 
@@ -247,22 +273,14 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
 def _star_component_candidates(g: Graph, delta: int):
     """Edges whose removal leaves a subdivided star centered at an endpoint.
 
-    The side of ``center`` beyond the edge to ``other`` is that star
-    exactly when each neighbour of ``center`` other than ``other`` has
-    degree 2 and its far neighbour is a leaf.  Ordered by fewest star
-    legs, then lowest edge, matching the preference for the smallest
-    split-off component.
+    Ordered by fewest star legs, then lowest edge, matching the preference
+    for the smallest split-off component.
     """
-    deg = g.degree_sequence()
     found = []
     for edge in g.edges():
         for center, other in (edge, edge[::-1]):
-            k = deg[center] - 1
-            if 2 <= k <= delta - 1 and all(
-                deg[s] == 2 and deg[next(x for x in g.neighbors(s) if x != center)] == 1
-                for s in g.neighbors(center)
-                if s != other
-            ):
+            k = g.adj[center].bit_count() - 1
+            if 2 <= k <= delta - 1 and legs_end_in_leaves(g, center, skip=other):
                 found.append((k, edge, center, other))
     found.sort()
     return [(center, other, k) for k, _, center, other in found]
@@ -347,50 +365,41 @@ def _far_side_code(
     """Code for the component on the far side of a split.
 
     If the far side acquired open twins, the cut endpoint must be the
-    twin leaf; it is deleted before recursing and the caller's near-side
-    code has to contain the near endpoint (``require_near_anchor`` is the
-    caller's confirmation that it does).  Returns (code, twin_pruned).
+    twin leaf; it is deleted first and the caller's near-side code has to
+    contain the near endpoint (``require_near_anchor`` is the caller's
+    confirmation that it does).  What remains is then coded by a stored
+    pattern if it is a subdivided star on ``delta`` legs and
+    ``star_patterns`` is set, else by ``_build_tree``.  Returns (code,
+    twin_pruned).
     """
-    g2 = side.g
+    g2, to_orig = side.g, side.to_orig
     twins = find_open_twins(g2)
-    if not twins:
-        star = as_subdivided_star(g2)
-        if star_patterns and star is not None and star[1] == delta:
-            code = _absorbed_star_code(side, cut_orig)
-            trace.add(
-                "absorbed_star_pattern",
-                {"legs": star[1], "order": g2.n, "cut_vertex": cut_orig},
-                code,
-            )
-            return code, False
-        return _build_tree(g2, side.to_orig, delta, trace), False
-
-    local = side.local_of(cut_orig)
-    pair = next((p for p in twins if local in p), None)
-    if pair is None or g2.degree(local) != 1:
-        raise _CaseMiss("far-side twins do not involve the cut endpoint")
-    if not require_near_anchor:
-        raise _CaseMiss("twin repair needs the near endpoint in the near code")
-    pruned, new_to_old, _ = delete_vertex(g2, local)
-    if pruned.n < 5:
-        raise _CaseMiss("twin-pruned far side too small")
-    if find_open_twins(pruned):
-        raise _CaseMiss("twin-pruned far side still has twins")
-    sub_map = [side.to_orig[x] for x in new_to_old]
-    star = as_subdivided_star(pruned)
+    if twins:
+        local = side.local_of(cut_orig)
+        pair = next((p for p in twins if local in p), None)
+        if pair is None or g2.degree(local) != 1:
+            raise _CaseMiss("far-side twins do not involve the cut endpoint")
+        if not require_near_anchor:
+            raise _CaseMiss("twin repair needs the near endpoint in the near code")
+        g2, new_to_old, _ = delete_vertex(g2, local)
+        if g2.n < 5:
+            raise _CaseMiss("twin-pruned far side too small")
+        if find_open_twins(g2):
+            raise _CaseMiss("twin-pruned far side still has twins")
+        to_orig = [side.to_orig[x] for x in new_to_old]
+    star = as_subdivided_star(g2)
     if star_patterns and star is not None and star[1] == delta:
-        partner_local = pair[0] if pair[1] == local else pair[1]
-        partner_orig = side.to_orig[partner_local]
-        code = set(sub_map) - {partner_orig}
-        trace.add(
-            "absorbed_star_pattern",
-            {"legs": star[1], "order": pruned.n, "pruned_leaf": cut_orig},
-            code,
-        )
+        if twins:  # the pruned leaf's twin partner is the one leaf left out
+            partner = side.to_orig[pair[0] if pair[1] == local else pair[1]]
+            code, cut_key = set(to_orig) - {partner}, "pruned_leaf"
+        else:
+            code, cut_key = _absorbed_star_code(side, cut_orig), "cut_vertex"
+        trace.add("absorbed_star_pattern", {"legs": star[1], "order": g2.n, cut_key: cut_orig}, code)
     else:
-        code = _build_tree(pruned, sub_map, delta, trace)
-    trace.add("twin_leaf_pruned", {"leaf": cut_orig, "far_order": g2.n})
-    return code, True
+        code = _build_tree(g2, to_orig, delta, trace)
+    if twins:
+        trace.add("twin_leaf_pruned", {"leaf": cut_orig, "far_order": side.g.n})
+    return code, bool(twins)
 
 
 def _path_rule(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, path: list[int]):
@@ -440,22 +449,6 @@ def _tail_near(path_origs: list[int], near: _Side, far: _Side) -> tuple[set[int]
     raise _CaseMiss("unexpected tail shape")
 
 
-def _validate_tree_input(g: Graph, delta: int) -> None:
-    if delta < 3:
-        raise BadParam(f"delta must be at least 3, got {delta}")
-    if g.n < 5:
-        raise TooSmall(f"need order >= 5, got {g.n}")
-    if not is_connected(g):
-        raise Disconnected("input must be connected")
-    if g.edge_count != g.n - 1:
-        raise NotATree("input has a cycle")
-    twins = find_open_twins(g)
-    if twins:
-        raise NoCode(f"open twins {twins[0]}", witness=twins[0])
-    if max_degree(g) > delta:
-        raise DegreeExceeded(f"maximum degree {max_degree(g)} exceeds delta={delta}")
-
-
 def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
     """IO-code of a twin-free tree meeting the degree-delta bound.
 
@@ -465,15 +458,12 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
     size.  An invalid input raises the typed error of the first check it
     fails; a valid one is finished by ``_decompose``.
     """
-    _validate_tree_input(g, delta)
+    _validate(g, delta, tree=True)
     return _decompose(_build_tree, g, delta)
 
 
 # ---------------------------------------------------------------------------
 # Graph constructor
-
-
-_PAW_DEGREES = [1, 2, 2, 3]
 
 
 def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace) -> set[int]:
@@ -580,19 +570,7 @@ def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionT
     raises the typed error of the first check it fails, and a valid one
     is finished by ``_decompose``, which flags the exceptional star.
     """
-    if delta < 3:
-        raise BadParam(f"delta must be at least 3, got {delta}")
-    if g.n < 4 or (g.n == 4 and sorted(g.degree_sequence()) != _PAW_DEGREES):
-        raise TooSmall(f"need order >= 5, got {g.n}")
-    if not is_connected(g):
-        raise Disconnected("input must be connected")
-    twins = find_open_twins(g)
-    if twins:
-        raise NoCode(f"open twins {twins[0]}", witness=twins[0])
-    if has_four_cycle(g):
-        raise FourCyclePresent("input contains a 4-cycle")
-    if max_degree(g) > delta:
-        raise DegreeExceeded(f"maximum degree {max_degree(g)} exceeds delta={delta}")
+    _validate(g, delta, tree=False)
     return _decompose(_build_graph, g, delta)
 
 

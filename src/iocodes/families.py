@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator
 
-import networkx as nx
-
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, has_four_cycle, is_connected, max_degree
 
 __all__ = [
     "AttachmentVector",
@@ -46,6 +44,7 @@ __all__ = [
     "gen_subcubic_gp",
     "gen_star_plus_edge",
     "as_subdivided_star",
+    "legs_end_in_leaves",
     "enumerate_trees",
     "enumerate_small_graphs",
     "enumerate_graph_classes",
@@ -407,24 +406,25 @@ def gen_star_plus_edge(variant: str, k: int) -> tuple[Graph, FamilySpec]:
 # Structural recognizers used by the constructive algorithms
 
 
+def legs_end_in_leaves(g: Graph, center: int, skip: int | None = None) -> bool:
+    """True iff every neighbour of ``center`` except ``skip`` has degree 2
+    and its other neighbour is a leaf: those are the legs of a subdivided
+    star centered there."""
+    adj = g.adj
+    return all(
+        adj[s].bit_count() == 2 and adj[(adj[s] ^ (1 << center)).bit_length() - 1].bit_count() == 1
+        for s in g.neighbors(center)
+        if s != skip
+    )
+
+
 def as_subdivided_star(g: Graph) -> tuple[int, int] | None:
     """(center, k) if the graph is a subdivided star with k >= 2 legs."""
     if g.n < 5 or g.n % 2 == 0 or g.edge_count != g.n - 1:
         return None
     k = (g.n - 1) // 2
     for c in range(g.n):
-        if g.degree(c) != k:
-            continue
-        ok = True
-        for s in g.neighbors(c):
-            if g.degree(s) != 2:
-                ok = False
-                break
-            other = next(v for v in g.neighbors(s) if v != c)
-            if g.degree(other) != 1:
-                ok = False
-                break
-        if ok:
+        if g.adj[c].bit_count() == k and legs_end_in_leaves(g, c):
             return c, k
     return None
 
@@ -446,6 +446,8 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     if n == 2:
         yield Graph(2, [(0, 1)])
         return
+    import networkx as nx  # loaded here, its one use, to keep it out of every CLI start
+
     for t in nx.nonisomorphic_trees(n):
         yield Graph(n, list(t.edges()))
 
@@ -478,8 +480,9 @@ def enumerate_small_graphs(
             u, v = pairs[delta_bits.bit_length() - 1]
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        if _passes_filters(adj, n, connected, twin_free, c4_free, max_deg):
-            yield Graph._from_adj(tuple(adj))
+        g = Graph._from_adj(tuple(adj))
+        if _passes_filters(g, connected, twin_free, c4_free, max_deg):
+            yield g
 
 
 def enumerate_graph_classes(
@@ -519,10 +522,10 @@ def enumerate_graph_classes(
             for nb in range(1 << k):
                 if c4_free and any((a & nb).bit_count() > 1 for a in adj):
                     continue
-                new = tuple(a | (nb >> v & 1) << k for v, a in enumerate(adj)) + (nb,)
-                if k == n - 1 and not _passes_filters(new, n, connected, twin_free, False, max_deg):
+                g = Graph._from_adj(tuple(a | (nb >> v & 1) << k for v, a in enumerate(adj)) + (nb,))
+                if k == n - 1 and not _passes_filters(g, connected, twin_free, False, max_deg):
                     continue
-                grown[canonical_graph(Graph._from_adj(new)).adj] = None
+                grown[canonical_graph(g).adj] = None
         level = list(grown)
     found = []
     for adj in level:
@@ -564,30 +567,10 @@ def _gray_step(code: int) -> int:
     return step
 
 
-def _passes_filters(adj, n, connected, twin_free, c4_free, max_deg) -> bool:
-    if max_deg is not None and any(m.bit_count() > max_deg for m in adj):
-        return False
-    if twin_free:
-        if len(set(adj)) != n:
-            return False
-    if connected:
-        seen_mask = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen_mask
-            seen_mask |= nxt
-        if seen_mask != (1 << n) - 1:
-            return False
-    if c4_free:
-        for u in range(n):
-            au = adj[u]
-            for v in range(u + 1, n):
-                if (au & adj[v] & ~(1 << u) & ~(1 << v)).bit_count() >= 2:
-                    return False
-    return True
+def _passes_filters(g: Graph, connected, twin_free, c4_free, max_deg) -> bool:
+    return not (
+        (max_deg is not None and max_degree(g) > max_deg)
+        or (twin_free and len(set(g.adj)) != g.n)
+        or (connected and not is_connected(g))
+        or (c4_free and has_four_cycle(g))
+    )

@@ -142,14 +142,16 @@ def parse_graph6(text: str) -> Graph:
 
 
 def load_graph(text: str) -> Graph:
-    """Parse either format, deciding by shape of the first payload line."""
-    stripped = text.strip()
-    if not stripped:
+    """Parse either format, deciding by the first line with content once
+    ``#`` comments are removed.
+
+    graph6 never holds whitespace, ``#`` or ``-`` and never starts with a
+    digit, so such a line opens an edge list.
+    """
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    first = next((line for line in lines if line), "")
+    if not first:
         raise ParseError("empty graph input")
-    first = stripped.splitlines()[0].strip()
-    if first.startswith(">>graph6<<"):
-        return parse_graph6(stripped)
-    tokens = first.split("#", 1)[0].split()
-    if tokens and all(tok.isdigit() or tok == "n" for tok in tokens):
+    if first[0].isdigit() or "-" in first or len(first.split()) > 1:
         return parse_edge_list(text)
-    return parse_graph6(stripped)
+    return parse_graph6(text.strip())

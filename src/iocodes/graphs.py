@@ -264,39 +264,45 @@ def _bfs_order(g: Graph, start: int) -> tuple[list[int], list[int]]:
     return dist, parent
 
 
+def _reach(g: Graph, start: int) -> int:
+    """Mask of the vertices reachable from ``start``, one frontier at a time."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
+def _induced(g: Graph, keep: int) -> tuple[Graph, list[int], dict[int, int]]:
+    """The subgraph induced by the mask ``keep``, re-densified in vertex order;
+    returns (graph, new_to_old, old_to_new)."""
+    new_to_old = list(_bits(keep))
+    old_to_new = {old: i for i, old in enumerate(new_to_old)}
+    edges = [
+        (old_to_new[u], old_to_new[w])
+        for u in new_to_old
+        for w in _bits(g.adj[u] & keep)
+        if u < w
+    ]
+    return Graph(len(new_to_old), edges), new_to_old, old_to_new
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    dist, _ = _bfs_order(g, 0)
-    return all(d >= 0 for d in dist)
+    return g.n == 0 or _reach(g, 0) == (1 << g.n) - 1
 
 
 def components(g: Graph) -> list[tuple[Graph, list[int], dict[int, int]]]:
-    """Connected components as ``(subgraph, new_to_old, old_to_new)`` triples."""
-    seen = [False] * g.n
+    """Connected components as ``(subgraph, new_to_old, old_to_new)`` triples,
+    ordered by their lowest vertex."""
     out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in _bits(g.adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comp.sort()
-        old_to_new = {old: i for i, old in enumerate(comp)}
-        edges = [
-            (old_to_new[u], old_to_new[v])
-            for u in comp
-            for v in _bits(g.adj[u])
-            if u < v
-        ]
-        out.append((Graph(len(comp), edges), comp, old_to_new))
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = _reach(g, (rest & -rest).bit_length() - 1)
+        rest &= ~comp
+        out.append(_induced(g, comp))
     return out
 
 
@@ -411,14 +417,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, list[int], dict[int, int]]:
     """Remove ``v`` and re-densify; returns (graph, new_to_old, old_to_new)."""
     if not (0 <= v < g.n):
         raise NotPresent(f"vertex {v} not in graph")
-    keep = [u for u in range(g.n) if u != v]
-    old_to_new = {old: i for i, old in enumerate(keep)}
-    edges = [
-        (old_to_new[a], old_to_new[b])
-        for a, b in g.edges()
-        if a != v and b != v
-    ]
-    return Graph(len(keep), edges), keep, old_to_new
+    return _induced(g, ((1 << g.n) - 1) ^ (1 << v))
 
 
 def _shortest_cycle_through(g: Graph, v: int) -> list[int] | None:

@@ -31,8 +31,8 @@ from typing import Callable
 # functions imported by name, and a bit iterator is not a layer call
 from . import graphs
 from .errors import CodeRejected, NoCode, TooLarge
-from .graphs import Graph, VertexSet, _bfs_order, find_open_twins, is_tree, min_degree
-from .verify import is_io_code
+from .graphs import Graph, VertexSet, _bfs_order, is_tree
+from .verify import is_io_code, require_admissible
 
 __all__ = ["SolveResult", "solve", "solve_oracle", "solve_with_budget"]
 
@@ -45,15 +45,6 @@ class SolveResult:
     code: VertexSet
     nodes_explored: int
     method: str
-
-
-def _require_admissible(g: Graph) -> None:
-    if g.n == 0 or min_degree(g) == 0:
-        isolate = next((v for v in range(g.n) if g.adj[v] == 0), None)
-        raise NoCode("graph has an isolated vertex", witness=isolate)
-    twins = find_open_twins(g)
-    if twins:
-        raise NoCode(f"open twins {twins[0]}", witness=twins[0])
 
 
 def _requirements(g: Graph) -> list[int]:
@@ -245,7 +236,7 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 
 def solve(g: Graph) -> SolveResult:
     """Exact minimum IO-code via branch and bound (targeted on trees)."""
-    _require_admissible(g)
+    require_admissible(g)
     exact = (lambda: _tree_dp(g)[0]) if is_tree(g) else None
     best_mask, nodes = _search(g, exact=exact)
     code = _verified(g, best_mask)
@@ -254,7 +245,7 @@ def solve(g: Graph) -> SolveResult:
 
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     """Some IO-code of size <= max_size, or None (exact decision)."""
-    _require_admissible(g)
+    require_admissible(g)
     if max_size < 0 or (is_tree(g) and max_size < _tree_dp(g)[0]):
         return None
     best_mask, _ = _search(g, cap=max_size)
@@ -269,7 +260,7 @@ def solve_oracle(g: Graph) -> SolveResult:
     """
     if g.n > ORACLE_CAP:
         raise TooLarge(f"oracle capped at n <= {ORACLE_CAP}, got {g.n}")
-    _require_admissible(g)
+    require_admissible(g)
     nodes = 0
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UniverseMismatch
-from .graphs import Graph, VertexSet, find_open_twins, min_degree
+from .errors import NoCode, UniverseMismatch
+from .graphs import Graph, VertexSet, find_open_twins
 
 __all__ = [
     "Verdict",
@@ -19,6 +19,7 @@ __all__ = [
     "is_separating_open_code",
     "is_io_code",
     "admits_io_code",
+    "require_admissible",
     "signatures",
 ]
 
@@ -90,10 +91,25 @@ def is_io_code(g: Graph, s: VertexSet) -> Verdict:
     return is_separating_open_code(g, s)
 
 
+def require_admissible(g: Graph) -> None:
+    """Raise ``NoCode`` unless the graph is nonempty, isolate-free and open
+    twin-free, the three conditions for an IO-code to exist.
+
+    The witness is the lowest isolated vertex (None on the empty graph),
+    else the first pair of open twins.
+    """
+    if g.n == 0 or 0 in g.adj:
+        isolate = g.adj.index(0) if g.n else None
+        raise NoCode("graph has an isolated vertex", witness=isolate)
+    twins = find_open_twins(g)
+    if twins:
+        raise NoCode(f"open twins {twins[0]}", witness=twins[0])
+
+
 def admits_io_code(g: Graph) -> bool:
-    """True iff the graph is isolate-free and open twin-free."""
-    if g.n == 0:
+    """True iff the graph has an IO-code: ``require_admissible`` passes."""
+    try:
+        require_admissible(g)
+    except NoCode:
         return False
-    if min_degree(g) == 0:
-        return False
-    return not find_open_twins(g)
+    return True

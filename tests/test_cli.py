@@ -72,6 +72,21 @@ class TestSolve:
         _, out, _ = run(capsys, "solve", p5_file, "--oracle")
         assert json.loads(out)["method"] == "oracle"
 
+    def test_negative_vertex_on_the_first_line_is_named(self, capsys, tmp_path):
+        f = tmp_path / "neg.edges"
+        f.write_text("0 -1\n1 2\n")
+        status, out, err = run(capsys, "solve", str(f))
+        assert status == 2
+        assert out == ""
+        assert "negative vertex" in err and "line 1" in err
+
+    def test_edge_list_may_open_with_a_comment(self, capsys, tmp_path):
+        f = tmp_path / "p5.edges"
+        f.write_text("# the path on 5 vertices\n0 1\n1 2\n2 3\n3 4\n")
+        status, out, _ = run(capsys, "solve", str(f))
+        assert status == 0
+        assert json.loads(out)["gamma"] == 4
+
     def test_budget(self, capsys, p5_file):
         _, out, _ = run(capsys, "solve", p5_file, "--budget", "3")
         assert json.loads(out)["found"] is False

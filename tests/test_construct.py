@@ -9,8 +9,10 @@ from iocodes import (
     ConstructionError,
     ConstructionTrace,
     DegreeExceeded,
+    Disconnected,
     FourCyclePresent,
     Graph,
+    GraphError,
     NoCode,
     NotATree,
     TooSmall,
@@ -38,6 +40,49 @@ PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
+def disjoint(*parts):
+    edges, off = [], 0
+    for g in parts:
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        off += g.n
+    return Graph(off, edges)
+
+
+# twin-free 6-cycle with the chord 0-3: two 4-cycles
+CHORDED_C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+BAD_DELTA = (BadParam, "delta must be at least 3, got 2")
+ORDER_4 = (TooSmall, "need order >= 5, got 4")
+DISCONNECTED = (Disconnected, "input must be connected")
+CYCLE = (NotATree, "input has a cycle")
+C4 = (FourCyclePresent, "input contains a 4-cycle")
+TWINS = (NoCode, "open twins (1, 2)")
+DEGREE = (DegreeExceeded, "maximum degree 5 exceeds delta=4")
+
+# (input, delta, first failing check of the tree entry, of the graph entry);
+# None where the input is valid for that entry
+VALIDATION_TABLE = {
+    "bad delta": (path(6), 2, BAD_DELTA, BAD_DELTA),
+    "too small": (path(4), 3, ORDER_4, ORDER_4),
+    "paw": (PAW, 3, ORDER_4, None),
+    "disconnected": (disjoint(path(5), path(5)), 3, DISCONNECTED, DISCONNECTED),
+    "cycle": (C5, 3, CYCLE, None),
+    "twins": (Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), 3, TWINS, TWINS),
+    "4-cycle": (CHORDED_C6, 3, CYCLE, C4),
+    "degree": (gen_subdivided_star(5)[0], 4, DEGREE, DEGREE),
+    "bad delta, too small": (path(3), 2, BAD_DELTA, BAD_DELTA),
+    "too small, disconnected": (Graph(4, [(0, 1), (2, 3)]), 3, ORDER_4, ORDER_4),
+    "disconnected, cycle": (disjoint(C5, path(5)), 3, DISCONNECTED, DISCONNECTED),
+    "cycle, twins, 4-cycle": (
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]), 3, CYCLE, (NoCode, "open twins (0, 2)")
+    ),
+    "twins, degree": (Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 3, TWINS, TWINS),
+    "disconnected, twins, degree": (
+        disjoint(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), path(5)), 3, DISCONNECTED, DISCONNECTED
+    ),
+    "4-cycle, degree": (Graph(7, CHORDED_C6.edges() + [(0, 6)]), 3, CYCLE, C4),
+}
+
+
 class TestCheckBound:
     def test_equality_cases(self):
         assert check_bound(12, 10, 3) is BoundStatus.WITHIN_BOUND
@@ -54,6 +99,28 @@ class TestCheckBound:
     def test_bad_params(self):
         with pytest.raises(BadParam):
             check_bound(0, 0, 3)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("case", list(VALIDATION_TABLE))
+    def test_first_failing_check_raises(self, case):
+        g, delta, tree_error, graph_error = VALIDATION_TABLE[case]
+        for construct, expected in ((construct_tree_code, tree_error), (construct_graph_code, graph_error)):
+            if expected is None:
+                code, _ = construct(g, delta)
+                assert is_io_code(g, code).ok
+                continue
+            cls, message = expected
+            with pytest.raises(GraphError) as caught:
+                construct(g, delta)
+            assert type(caught.value) is cls and str(caught.value) == message, construct.__name__
+
+    def test_twin_error_carries_the_pair(self):
+        g = VALIDATION_TABLE["twins"][0]
+        for construct in (construct_tree_code, construct_graph_code):
+            with pytest.raises(NoCode) as caught:
+                construct(g, 3)
+            assert caught.value.witness == (1, 2)
 
 
 class TestTreeConstructor:

@@ -88,3 +88,18 @@ class TestLoadGraph:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             load_graph("   ")
+
+    def test_comment_only_input_is_empty(self):
+        with pytest.raises(ParseError, match="empty graph input"):
+            load_graph("# only a comment\n\n")
+
+    def test_dispatch_skips_comments(self):
+        assert load_graph("# a path\n\n0 1\n1 2\n").n == 3
+        assert load_graph("  # indented comment\nn 4 # four vertices\n0 1\n").n == 4
+        assert load_graph("\nC~\n").n == 4
+
+    def test_edge_list_errors_are_not_read_as_graph6(self):
+        for text, fault in (("0 -1\n1 2\n", "negative vertex"), ("0 x\n", "non-integer endpoint")):
+            with pytest.raises(ParseError, match=fault) as caught:
+                load_graph(text)
+            assert caught.value.line == 1

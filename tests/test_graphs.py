@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -157,6 +160,25 @@ class TestConnectivity:
         for comp, new_to_old, old_to_new in components(g):
             for new, old in enumerate(new_to_old):
                 assert old_to_new[old] == new
+
+    def test_agrees_with_networkx(self):
+        # sparse draws, so most of the graphs fall apart into several components
+        rng = random.Random(20241)
+        for n in range(13):
+            for _ in range(40):
+                g = random_graph(n, rng.uniform(0.0, 0.35), rng)
+                oracle = nx.Graph()
+                oracle.add_nodes_from(range(n))
+                oracle.add_edges_from(g.edges())
+                expected = sorted(sorted(part) for part in nx.connected_components(oracle))
+                assert is_connected(g) == (len(expected) <= 1)
+                parts = components(g)
+                assert [new_to_old for _, new_to_old, _ in parts] == expected
+                for sub, new_to_old, old_to_new in parts:
+                    assert old_to_new == {old: new for new, old in enumerate(new_to_old)}
+                    induced = nx.relabel_nodes(oracle.subgraph(new_to_old), old_to_new)
+                    assert sorted(sub.edges()) == sorted(tuple(sorted(e)) for e in induced.edges())
+                    assert sub.n == len(new_to_old)
 
 
 class TestClassify:

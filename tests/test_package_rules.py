@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import iocodes
@@ -22,3 +25,15 @@ def test_package_holds_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only tree enumeration needs networkx; every other command starts without it
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, iocodes.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

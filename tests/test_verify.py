@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import pytest
 
-from conftest import random_graph
+from conftest import brute_open_twins, random_graph
 from iocodes import (
     Graph,
+    NoCode,
     UniverseMismatch,
     VertexSet,
     admits_io_code,
@@ -12,6 +15,7 @@ from iocodes import (
     is_io_code,
     is_separating_open_code,
     is_total_dominating,
+    solve,
 )
 from iocodes.verify import NOT_SEPARATED, NOT_TOTALLY_DOMINATED, signatures
 
@@ -104,6 +108,26 @@ class TestAdmits:
 
     def test_isolate_blocks(self):
         assert not admits_io_code(Graph(3, [(0, 1)]))
+
+    def test_agrees_with_solve_and_its_witness(self):
+        # every labeled graph on at most 5 vertices, the empty one included
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                try:
+                    solve(g)
+                    refused = None
+                except NoCode as error:
+                    refused = error
+                assert admits_io_code(g) == (refused is None)
+                if refused is None:
+                    continue
+                isolates = [v for v in range(n) if not g.adj[v]]
+                if n == 0 or isolates:
+                    assert refused.witness == (isolates[0] if isolates else None)
+                else:
+                    assert refused.witness == brute_open_twins(g)[0]
 
     def test_equivalent_to_full_set_check(self, rng):
         for _ in range(150):
