@@ -21,6 +21,7 @@ from .canon import canonical_graph
 from .construct import BoundStatus, check_bound, construct_code
 from .errors import BadParam, CodeRejected
 from .families import (
+    TREE_CAP,
     enumerate_graph_classes,
     enumerate_trees,
     gen_reduced_subdivided_star,
@@ -156,8 +157,8 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
     and the fixed value bounds every record; otherwise each instance is
     checked at ``max(3, its own maximum degree)``.
     """
-    if not 5 <= n_max <= 16:
-        raise BadParam(f"tree audit supports 5 <= n_max <= 16, got {n_max}")
+    if not 5 <= n_max <= TREE_CAP:
+        raise BadParam(f"tree audit supports 5 <= n_max <= {TREE_CAP}, got {n_max}")
     started = time.monotonic()
     tasks = []
     for n in range(5, n_max + 1):

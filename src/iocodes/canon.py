@@ -3,8 +3,20 @@
 Color-refinement plus backtracking over non-singleton cells; the
 canonical form is the lexicographically smallest upper-triangle
 adjacency encoding over all orderings the refinement tree reaches.
-Exact for every graph, practical for the audit scales used here
-(trees to ~16 vertices, arbitrary graphs to ~10).
+
+The search prunes by automorphisms (McKay and Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014).  A leaf that repeats
+the best code yields the automorphism between the two orderings.  At a
+node, a cell vertex is skipped when the automorphisms found so far that
+fix the node's individualized vertices map it onto a sibling already
+tried: refinement and individualization commute with relabeling, so
+its subtree is an image of the sibling's and holds the same codes.
+The minimum is therefore the one the full tree reaches.
+
+Exact for every graph.  Practical for the audit scales: all twin-free
+trees to 18 vertices, and arbitrary graphs to ~10.  Without pruning,
+large automorphism groups made the search factorial; the subdivided
+star on 9 legs now takes 129 refinement calls.
 """
 
 from __future__ import annotations
@@ -18,18 +30,20 @@ from .graphs import Graph
 __all__ = ["canonical_order", "canonical_graph", "canonical_graph6", "isomorphic"]
 
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Iterate neighbor-color-multiset refinement to a fixed point."""
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """Iterate neighbor-color-multiset refinement to a fixed point.
+
+    ``colors`` are dense ranks; so are the returned ones.
+    """
+    count = len(set(colors))
     while True:
-        sigs = []
-        for v in range(g.n):
-            nb = sorted(colors[u] for u in graphs._bits(g.adj[v]))
-            sigs.append((colors[v], tuple(nb)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
+        sigs = [(c, tuple(sorted(map(colors.__getitem__, nb)))) for c, nb in zip(colors, nbrs)]
+        ranked = sorted(set(sigs))
+        if len(ranked) == count:
             return colors
-        colors = new
+        rank = {s: i for i, s in enumerate(ranked)}
+        colors = [rank[s] for s in sigs]
+        count = len(ranked)
 
 
 def _code_for(g: Graph, order: list[int]) -> int:
@@ -43,36 +57,62 @@ def _code_for(g: Graph, order: list[int]) -> int:
 
 
 def canonical_order(g: Graph) -> list[int]:
-    """A canonical vertex ordering (position -> original vertex)."""
-    if g.n <= 1:
-        return list(range(g.n))
-    best: tuple[int, tuple[int, ...]] | None = None
+    """A canonical vertex ordering (position -> original vertex): the
+    first leaf of the refinement tree whose code is the minimum."""
+    n = g.n
+    if n <= 1:
+        return list(range(n))
+    best_code = -1
+    best_order: list[int] = []
+    nbrs = [list(graphs._bits(a)) for a in g.adj]
+    autos: list[list[int]] = []  # automorphisms met so far, as image lists
 
-    def descend(colors: list[int]) -> None:
-        nonlocal best
-        colors = _refine(g, colors)
+    def descend(colors: list[int], fixed: list[int]) -> None:
+        nonlocal best_code, best_order
+        colors = _refine(nbrs, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            order = sorted(range(g.n), key=lambda v: colors[v])
-            key = (_code_for(g, order), tuple(order))
-            if best is None or key < best:
-                best = key
+        if len(cells) == n:
+            order = [0] * n
+            for v, c in enumerate(colors):
+                order[c] = v
+            code = _code_for(g, order)
+            if best_code < 0 or code < best_code:
+                best_code, best_order = code, order
+            elif code == best_code:
+                image = [0] * n
+                for a, b in zip(best_order, order):
+                    image[a] = b
+                autos.append(image)
             return
-        for v in target:
-            # individualize v ahead of its cell, then re-rank to ints
-            sigs = [(colors[u], 0 if u == v else 1) for u in range(g.n)]
-            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            descend([rank[s] for s in sigs])
+        c = min(c for c, cell in cells.items() if len(cell) > 1)
+        tried: list[int] = []
+        for v in cells[c]:
+            if tried and _orbit_meets(v, tried, [a for a in autos if all(a[u] == u for u in fixed)]):
+                continue
+            tried.append(v)
+            # individualize v ahead of its cell; the colors stay dense ranks
+            child = [x if x < c else x + 1 for x in colors]
+            child[v] = c
+            descend(child, fixed + [v])
 
-    descend([0] * g.n)
-    return list(best[1])
+    descend([0] * n, [])
+    return best_order
+
+
+def _orbit_meets(v: int, targets: list[int], generators: list[list[int]]) -> bool:
+    """Whether the group the generators span maps ``v`` into ``targets``."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for a in generators:
+            w = a[u]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return not orbit.isdisjoint(targets)
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -24,6 +24,7 @@ from .construct import check_bound, construct_code
 from .errors import GraphError, ParseError
 from .families import (
     GRAPH_CAP,
+    TREE_CAP,
     build_family_tree,
     gen_reduced_subdivided_star,
     gen_star_plus_edge,
@@ -223,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="batch certification runs")
     p.add_argument("space", choices=("trees", "graphs", "families"))
     p.add_argument(
-        "--n-max", type=int, default=None, help=f"largest order (default: 10 for trees, {GRAPH_CAP} for graphs)"
+        "--n-max",
+        type=int,
+        default=None,
+        help=f"largest order: 5..{TREE_CAP} for trees (default 10), 5..{GRAPH_CAP} for graphs (default {GRAPH_CAP})",
     )
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--delta-max", type=int, default=5)

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
-from .graphs import Graph, VertexSet, has_four_cycle, is_connected, max_degree
+from .graphs import Graph, VertexSet, has_four_cycle, is_connected
 
 __all__ = [
     "AttachmentVector",
@@ -437,19 +437,82 @@ GRAPH_CAP = 7
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """All free trees on ``n`` vertices, one per isomorphism class."""
+    """All free trees on ``n`` vertices, one per isomorphism class.
+
+    The level sequences come from the algorithm of Wright, Richmond,
+    Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
+    Comput. 15, 1986): each free tree is rooted at its center and listed
+    by the depths of its vertices in preorder.  Vertex ``i`` is joined to
+    the last vertex before it one level up.  Trees and labels come out
+    in the order of ``networkx.nonisomorphic_trees``, which implements
+    the same algorithm.
+    """
     if not 1 <= n <= TREE_CAP:
         raise BadParam(f"tree enumeration supports 1 <= n <= {TREE_CAP}, got {n}")
     if n == 1:
         yield Graph(1)
         return
-    if n == 2:
-        yield Graph(2, [(0, 1)])
-        return
-    import networkx as nx  # loaded here, its one use, to keep it out of every CLI start
+    for levels in _free_tree_levels(n):
+        adj = [0] * n
+        last = [0] * n  # the latest vertex at each level so far
+        for v in range(1, n):
+            level = levels[v]
+            u = last[level - 1]
+            adj[u] |= 1 << v
+            adj[v] = 1 << u
+            last[level] = v
+        yield Graph._from_adj(tuple(adj), n - 1)
 
-    for t in nx.nonisomorphic_trees(n):
-        yield Graph(n, list(t.edges()))
+
+def _free_tree_levels(n: int) -> Iterator[list[int]]:
+    """The WROM level sequences on ``n >= 2`` vertices, starting from the
+    path rooted at its center."""
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        # the root's first subtree is vertices 1..m-1; the sequence roots a
+        # free tree canonically unless that subtree is higher than the rest,
+        # or as high and larger, or as high, as large and later
+        m = _second_child(levels)
+        left_height = max(levels[1:m]) - 1
+        rest_height = max(levels[m:], default=0)
+        if left_height > rest_height or left_height == rest_height and (
+            m - 1 > n - m + 1
+            or m - 1 == n - m + 1 and [x - 1 for x in levels[1:m]] > [0, *levels[m:]]
+        ):
+            # jump past every rooted tree that keeps this first subtree
+            jumped = _next_rooted_levels(levels, m - 1)
+            if levels[m - 1] > 2:
+                height = max(jumped[1:_second_child(jumped)])
+                jumped[n - height :] = range(1, height + 1)
+            levels = jumped
+        yield levels
+        levels = _next_rooted_levels(levels)
+
+
+def _second_child(levels: list[int]) -> int:
+    """The index of the root's second child, or the length if it has none."""
+    for i in range(2, len(levels)):
+        if levels[i] == 1:
+            return i
+    return len(levels)
+
+
+def _next_rooted_levels(levels: list[int], p: int | None = None) -> list[int] | None:
+    """The next rooted level sequence (Beyer and Hedetniemi), changing
+    position ``p`` (default: the last one deeper than level 1) first."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
 
 
 def enumerate_small_graphs(
@@ -480,8 +543,9 @@ def enumerate_small_graphs(
             u, v = pairs[delta_bits.bit_length() - 1]
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        g = Graph._from_adj(tuple(adj))
-        if _passes_filters(g, connected, twin_free, c4_free, max_deg):
+        # bit k of the Gray code is the k-th pair, so it counts the edges
+        g = _filtered(adj, connected, twin_free, c4_free, max_deg, gray.bit_count())
+        if g is not None:
             yield g
 
 
@@ -522,8 +586,10 @@ def enumerate_graph_classes(
             for nb in range(1 << k):
                 if c4_free and any((a & nb).bit_count() > 1 for a in adj):
                     continue
-                g = Graph._from_adj(tuple(a | (nb >> v & 1) << k for v, a in enumerate(adj)) + (nb,))
-                if k == n - 1 and not _passes_filters(g, connected, twin_free, False, max_deg):
+                grown_adj = [a | (nb >> v & 1) << k for v, a in enumerate(adj)] + [nb]
+                if k < n - 1:
+                    g = Graph._from_adj(tuple(grown_adj))
+                elif (g := _filtered(grown_adj, connected, twin_free, False, max_deg)) is None:
                     continue
                 grown[canonical_graph(g).adj] = None
         level = list(grown)
@@ -567,10 +633,20 @@ def _gray_step(code: int) -> int:
     return step
 
 
-def _passes_filters(g: Graph, connected, twin_free, c4_free, max_deg) -> bool:
-    return not (
-        (max_deg is not None and max_degree(g) > max_deg)
-        or (twin_free and len(set(g.adj)) != g.n)
-        or (connected and not is_connected(g))
-        or (c4_free and has_four_cycle(g))
-    )
+def _filtered(
+    adj: list[int], connected, twin_free, c4_free, max_deg, edge_count: int | None = None
+) -> Graph | None:
+    """The graph of the adjacency list if it passes the filters, else None.
+
+    The degree cap and twins are read off the list before a ``Graph`` is
+    built; the 4-cycle test, which rejects most of what is left, runs
+    before the connectivity walk.
+    """
+    if (max_deg is not None and max(map(int.bit_count, adj)) > max_deg) or (
+        twin_free and len(set(adj)) != len(adj)
+    ):
+        return None
+    g = Graph._from_adj(tuple(adj), edge_count)
+    if (c4_free and has_four_cycle(g)) or (connected and not is_connected(g)):
+        return None
+    return g

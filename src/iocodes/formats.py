@@ -146,12 +146,20 @@ def load_graph(text: str) -> Graph:
     ``#`` comments are removed.
 
     graph6 never holds whitespace, ``#`` or ``-`` and never starts with a
-    digit, so such a line opens an edge list.
+    digit, so such a line opens an edge list.  A graph6 input is that one
+    line; a second line with content is an error.
     """
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    first = next((line for line in lines if line), "")
+    content = (
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    )
+    _, first = next(content, (None, ""))
     if not first:
         raise ParseError("empty graph input")
     if first[0].isdigit() or "-" in first or len(first.split()) > 1:
         return parse_edge_list(text)
-    return parse_graph6(text.strip())
+    second = next(content, None)
+    if second is not None:
+        raise ParseError(f"second graph6 line {second[1]!r}", line=second[0])
+    return parse_graph6(first)

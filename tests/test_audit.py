@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from iocodes import CodeRejected, Graph, audit_graphs, audit_trees, verify_tight_families
+from iocodes import BadParam, CodeRejected, Graph, audit, audit_graphs, audit_trees, verify_tight_families
 from iocodes.audit import _audit_instance, records_to_csv, sample_twin_free_graphs, summary_to_json
+from iocodes.families import TREE_CAP
 from iocodes.formats import parse_graph6
 from iocodes.graphs import VertexSet
 from iocodes.verify import Verdict, is_io_code
@@ -18,6 +19,17 @@ class TestTreeAudit:
         exceptional = [r for r in records if r.bound_status == "exceptional_star"]
         assert len(exceptional) == 1
         assert exceptional[0].n == 7
+
+    def test_order_range_reaches_the_tree_cap(self, monkeypatch):
+        for n_max in (4, TREE_CAP + 1):
+            with pytest.raises(BadParam, match=f"5 <= n_max <= {TREE_CAP}"):
+                audit_trees(n_max)
+        # certification itself is left out: at the cap the audit hands
+        # over every twin-free tree of that order
+        handed = []
+        monkeypatch.setattr(audit, "_map_instances", lambda task, items: handed.extend(items) or [])
+        audit_trees(TREE_CAP)
+        assert sum(n == TREE_CAP for n, _, _ in handed) == 8370
 
     def test_default_delta_is_per_instance(self):
         records, _ = audit_trees(8)

@@ -1,8 +1,12 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
+import pytest
 from conftest import random_graph, random_tree
-from iocodes import Graph
-from iocodes.canon import canonical_graph, canonical_graph6, isomorphic
+from iocodes import Graph, canon
+from iocodes.canon import canonical_graph, canonical_graph6, canonical_order, isomorphic
+from iocodes.families import enumerate_graph_classes, enumerate_trees, gen_subdivided_star
+from iocodes.formats import emit_graph6
+from iocodes.graphs import find_open_twins
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -56,3 +60,134 @@ class TestCanonical:
         assert not isomorphic(c5, p5)
         perm = [3, 0, 4, 1, 2]
         assert isomorphic(c5, relabel(c5, perm))
+
+
+def reference_order(g: Graph) -> list[int]:
+    """The refinement-tree search without automorphism pruning, as the
+    package had it before: every leaf is visited, and the least
+    (code, order) wins."""
+    if g.n <= 1:
+        return list(range(g.n))
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    best = None
+
+    def refine(colors):
+        while True:
+            sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(g.n)]
+            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [rank[s] for s in sigs]
+            if new == colors:
+                return colors
+            colors = new
+
+    def code_for(order):
+        code = 0
+        for j in range(1, g.n):
+            aj = g.adj[order[j]]
+            for i in range(j):
+                code = (code << 1) | (aj >> order[i] & 1)
+        return code
+
+    def descend(colors):
+        nonlocal best
+        colors = refine(colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            order = sorted(range(g.n), key=lambda v: colors[v])
+            key = (code_for(order), order)
+            if best is None or key < best:
+                best = key
+            return
+        for v in target:
+            # individualize v ahead of its cell, then re-rank to ints
+            sigs = [(colors[u], 0 if u == v else 1) for u in range(g.n)]
+            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            descend([rank[s] for s in sigs])
+
+    descend([0] * g.n)
+    return best[1]
+
+
+def reference_graph(g: Graph) -> Graph:
+    return relabel(g, {old: i for i, old in enumerate(reference_order(g))})
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+class TestOrbitPruning:
+    """The pruned search must reach the code of the full search."""
+
+    def test_twin_free_trees_to_12(self):
+        trees = [t for n in range(1, 13) for t in enumerate_trees(n) if not find_open_twins(t)]
+        assert len(trees) == 167
+        for t in trees:
+            assert canonical_graph(t) == reference_graph(t), emit_graph6(t)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_generated_class_to_7(self, n):
+        # all classes to 6; at 7 the 4-cycle-free ones, which hold the audit's
+        for g, _ in enumerate_graph_classes(n, c4_free=n == 7):
+            assert canonical_graph(g) == reference_graph(g), emit_graph6(g)
+
+    def test_seeded_random_graphs_to_8(self, rng):
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 8), rng.random(), rng)
+            assert canonical_graph(g) == reference_graph(g), emit_graph6(g)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_complete_graphs_and_cycles(self, n):
+        complete = Graph(n, combinations(range(n), 2))
+        cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        for g in (complete, cycle):
+            assert canonical_graph(g) == reference_graph(g)
+
+    @pytest.mark.parametrize("lengths", [(3, 4), (3, 5), (4, 5), (3, 6), (3, 3, 4)])
+    def test_unions_of_cycles_under_relabeling(self, rng, lengths):
+        # regular, so refinement leaves one cell, whose vertices are not all
+        # equivalent: the leaves below them carry different codes
+        edges, base = [], 0
+        for k in lengths:
+            edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+            base += k
+        g = Graph(base, edges)
+        expected = reference_graph(g)
+        for _ in range(8):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_graph(relabel(g, perm)) == expected
+
+    def test_petersen(self):
+        g = petersen()
+        assert canonical_graph(g) == reference_graph(g)
+        perm = [7, 2, 9, 0, 4, 8, 1, 6, 3, 5]
+        assert canonical_graph(relabel(g, perm)) == canonical_graph(g)
+
+    def test_order_relabels_into_the_canonical_graph(self, rng):
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 9), rng.random(), rng)
+            order = canonical_order(g)
+            assert sorted(order) == list(range(g.n))
+            assert relabel(g, {old: i for i, old in enumerate(order)}) == canonical_graph(g)
+
+    def test_subdivided_star_takes_few_refinements(self, monkeypatch):
+        # the unpruned search visits every ordering of the 9 legs
+        calls = 0
+        refine = canon._refine
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return refine(*args)
+
+        monkeypatch.setattr(canon, "_refine", counted)
+        g, _ = gen_subdivided_star(9)
+        canonical_graph(g)
+        assert calls <= 150

@@ -87,6 +87,14 @@ class TestSolve:
         assert status == 0
         assert json.loads(out)["gamma"] == 4
 
+    @pytest.mark.parametrize("text", ["# K4\nC~\n", "C~\n# tail\n"])
+    def test_graph6_with_a_comment_line(self, capsys, tmp_path, text):
+        f = tmp_path / "k4.g6"
+        f.write_text(text)
+        status, out, _ = run(capsys, "solve", str(f))
+        assert status == 0
+        assert json.loads(out)["gamma"] == 3  # K4
+
     def test_budget(self, capsys, p5_file):
         _, out, _ = run(capsys, "solve", p5_file, "--budget", "3")
         assert json.loads(out)["found"] is False

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import networkx as nx
 import pytest
 
 from conftest import prufer_tree
@@ -27,6 +28,7 @@ from iocodes import (
     recognize_family_rooted,
 )
 from iocodes.canon import canonical_graph6, isomorphic
+from iocodes.families import TREE_CAP
 
 # known counts of free trees by order
 FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -272,6 +274,27 @@ class TestTreeEnumeration:
     def test_cap(self):
         with pytest.raises(BadParam):
             list(enumerate_trees(25))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_networkx_in_order(self, n):
+        # networkx implements the same level-sequence algorithm; its trees,
+        # labels included, must come out in the same order
+        expected = [Graph(n, t.edges()).adj for t in nx.nonisomorphic_trees(n)]
+        assert [t.adj for t in enumerate_trees(n)] == expected
+
+    def test_counts_to_the_cap(self):
+        # all trees against a counting formula (OEIS A000055), twin-free
+        # ones against the known counts; a tree's open twins are two
+        # leaves on one support vertex
+        twin_free_counts = {14: 360, 15: 766, 16: 1692, 17: 3726, 18: 8370}
+        assert max(twin_free_counts) == TREE_CAP
+        for n, twin_free in twin_free_counts.items():
+            total = found = 0
+            for t in enumerate_trees(n):
+                total += 1
+                leaves = sum(1 << v for v in range(n) if t.adj[v].bit_count() == 1)
+                found += all((a & leaves).bit_count() < 2 for a in t.adj)
+            assert (total, found) == (nx.number_of_nonisomorphic_trees(n), twin_free)
 
 
 class TestSmallGraphEnumeration:

@@ -98,6 +98,17 @@ class TestLoadGraph:
         assert load_graph("  # indented comment\nn 4 # four vertices\n0 1\n").n == 4
         assert load_graph("\nC~\n").n == 4
 
+    def test_graph6_with_comment_lines(self):
+        k4 = parse_graph6("C~")
+        assert load_graph("# K4\nC~\n") == k4
+        assert load_graph("C~\n# tail\n") == k4
+        assert load_graph("\n  C~  # K4\n\n") == k4
+
+    def test_second_graph6_line_is_named(self):
+        with pytest.raises(ParseError, match="second graph6 line 'C~'") as caught:
+            load_graph("# two graphs\nC~\n\n# another\nC~\n")
+        assert caught.value.line == 5
+
     def test_edge_list_errors_are_not_read_as_graph6(self):
         for text, fault in (("0 -1\n1 2\n", "negative vertex"), ("0 x\n", "non-integer endpoint")):
             with pytest.raises(ParseError, match=fault) as caught:

@@ -27,6 +27,25 @@ def test_package_holds_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_only_itself_and_the_standard_library():
+    # the package has no runtime dependency; networkx serves the tests only
+    outside = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+
 def test_cli_import_leaves_networkx_unloaded():
     # only tree enumeration needs networkx; every other command starts without it
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
