@@ -461,7 +461,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
             adj[u] |= 1 << v
             adj[v] = 1 << u
             last[level] = v
-        yield Graph._from_adj(tuple(adj), n - 1)
+        yield Graph._from_adj(tuple(adj))
 
 
 def _free_tree_levels(n: int) -> Iterator[list[int]]:
@@ -543,8 +543,7 @@ def enumerate_small_graphs(
             u, v = pairs[delta_bits.bit_length() - 1]
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        # bit k of the Gray code is the k-th pair, so it counts the edges
-        g = _filtered(adj, connected, twin_free, c4_free, max_deg, gray.bit_count())
+        g = _filtered(adj, connected, twin_free, c4_free, max_deg)
         if g is not None:
             yield g
 
@@ -633,9 +632,7 @@ def _gray_step(code: int) -> int:
     return step
 
 
-def _filtered(
-    adj: list[int], connected, twin_free, c4_free, max_deg, edge_count: int | None = None
-) -> Graph | None:
+def _filtered(adj: list[int], connected, twin_free, c4_free, max_deg) -> Graph | None:
     """The graph of the adjacency list if it passes the filters, else None.
 
     The degree cap and twins are read off the list before a ``Graph`` is
@@ -646,7 +643,7 @@ def _filtered(
         twin_free and len(set(adj)) != len(adj)
     ):
         return None
-    g = Graph._from_adj(tuple(adj), edge_count)
+    g = Graph._from_adj(tuple(adj))
     if (c4_free and has_four_cycle(g)) or (connected and not is_connected(g)):
         return None
     return g

@@ -82,11 +82,11 @@ class Graph:
         self.edge_count = m
 
     @classmethod
-    def _from_adj(cls, adj: tuple[int, ...], edge_count: int | None = None) -> "Graph":
+    def _from_adj(cls, adj: tuple[int, ...]) -> "Graph":
         g = object.__new__(cls)
         g.n = len(adj)
         g.adj = adj
-        g.edge_count = sum(m.bit_count() for m in adj) // 2 if edge_count is None else edge_count
+        g.edge_count = sum(m.bit_count() for m in adj) // 2
         return g
 
     def check_vertex(self, v: int) -> None:

@@ -24,12 +24,13 @@ class TestTreeAudit:
         for n_max in (4, TREE_CAP + 1):
             with pytest.raises(BadParam, match=f"5 <= n_max <= {TREE_CAP}"):
                 audit_trees(n_max)
-        # certification itself is left out: at the cap the audit hands
-        # over every twin-free tree of that order
-        handed = []
-        monkeypatch.setattr(audit, "_map_instances", lambda task, items: handed.extend(items) or [])
-        audit_trees(TREE_CAP)
-        assert sum(n == TREE_CAP for n, _, _ in handed) == 8370
+        # the cap is accepted and every order up to it is asked for; the
+        # counts at each order are checked in test_families.py
+        orders = []
+        monkeypatch.setattr(audit, "enumerate_trees", lambda n: orders.append(n) or iter(()))
+        _, summary = audit_trees(TREE_CAP)
+        assert orders == list(range(5, TREE_CAP + 1))
+        assert summary["n_max"] == TREE_CAP
 
     def test_default_delta_is_per_instance(self):
         records, _ = audit_trees(8)
