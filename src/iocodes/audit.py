@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 from .canon import canonical_graph
-from .construct import BoundStatus, check_bound, construct_code
+from .construct import BoundStatus, _check_delta, check_bound, construct_code
 from .errors import BadParam, CodeRejected
 from .families import (
     TREE_CAP,
@@ -159,11 +159,12 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
     """
     if not 5 <= n_max <= TREE_CAP:
         raise BadParam(f"tree audit supports 5 <= n_max <= {TREE_CAP}, got {n_max}")
+    _check_delta(delta)
     started = time.monotonic()
     tasks = []
     for n in range(5, n_max + 1):
         for t in enumerate_trees(n):
-            if find_open_twins(t):
+            if len(set(t.adj)) < t.n:  # open twins
                 continue
             if delta is not None and max_degree(t) > delta:
                 continue
@@ -185,6 +186,7 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
     """
     if not 5 <= n_max <= 7:
         raise BadParam(f"graph audit supports 5 <= n_max <= 7, got {n_max}")
+    _check_delta(delta)
     started = time.monotonic()
     tasks = []
     labeled = 0
@@ -213,6 +215,7 @@ def audit_graphs_sampled(
     """
     if count < 1 or n_low < 5 or n_high < n_low:
         raise BadParam("need count >= 1 and 5 <= n_low <= n_high")
+    _check_delta(delta)
     started = time.monotonic()
     rng = random.Random(seed)
     tasks = []

@@ -136,21 +136,35 @@ def _cmd_construct(args) -> int:
     return OK if status.value != "violation" else PROPERTY_FAILURE
 
 
+_VARIANT = "g1|g2|g3"
+
+# family -> (the parameters it takes, builder); every parameter is an
+# integer but the star-plus-edge variant, which the builder checks
 _FAMILY_BUILDERS = {
-    "subdivided-star": lambda a: gen_subdivided_star(int(a[0])),
-    "reduced-subdivided-star": lambda a: gen_reduced_subdivided_star(int(a[0])),
-    "attachment-tree": lambda a: build_family_tree([int(x) for x in a]),
-    "tight-tree-pair": lambda a: gen_tight_tree_pair(int(a[0])),
-    "gadget-cycle": lambda a: gen_subcubic_gp(int(a[0])),
-    "star-plus-edge": lambda a: gen_star_plus_edge(a[0], int(a[1])),
+    "subdivided-star": ("D", gen_subdivided_star),
+    "reduced-subdivided-star": ("D", gen_reduced_subdivided_star),
+    "attachment-tree": ("K1 K2 K3 K4 K5 K6", lambda *counts: build_family_tree(counts)),
+    "tight-tree-pair": ("D", gen_tight_tree_pair),
+    "gadget-cycle": ("P", gen_subcubic_gp),
+    "star-plus-edge": (f"{_VARIANT} K", gen_star_plus_edge),
 }
 
 
+def _family_args(family: str, takes: str, params: list[str]) -> list:
+    names = takes.split()
+    if len(params) == len(names):
+        try:
+            return [p if name == _VARIANT else int(p) for name, p in zip(names, params)]
+        except ValueError:
+            pass
+    raise ParseError(f"family {family} takes {takes}, got {' '.join(params)}")
+
+
 def _cmd_generate(args) -> int:
-    builder = _FAMILY_BUILDERS.get(args.family)
-    if builder is None:
+    if args.family not in _FAMILY_BUILDERS:
         raise ParseError(f"unknown family {args.family!r}; choose from {sorted(_FAMILY_BUILDERS)}")
-    g, spec = builder(args.params)
+    takes, builder = _FAMILY_BUILDERS[args.family]
+    g, spec = builder(*_family_args(args.family, takes, args.params))
     text = emit_graph6(g) + "\n" if args.format == "g6" else emit_edge_list(g)
     sys.stdout.write(text)
     if args.sidecar:

@@ -46,10 +46,10 @@ from .families import (
 from .graphs import (
     Graph,
     VertexSet,
+    _induced,
+    _reach,
     classify_vertices,
-    components,
     delete_edge,
-    delete_vertex,
     diametral_paths,
     find_induced_cycle,
     find_open_twins,
@@ -130,52 +130,49 @@ class _CaseMiss(Exception):
     """A decomposition case did not apply; try the next candidate."""
 
 
-@dataclass
-class _Side:
-    g: Graph
-    to_orig: list[int]
+class _Part:
+    """A sub-instance: its graph, the input label of each local vertex and,
+    built once, the local vertex of each label."""
 
-    def local_of(self, orig: int) -> int:
-        return self.to_orig.index(orig)
+    __slots__ = ("g", "labels", "local")
 
+    def __init__(self, g: Graph, labels: list[int]):
+        self.g = g
+        self.labels = labels
+        self.local = {label: v for v, label in enumerate(labels)}
 
-def _split_at_edge(g: Graph, to_orig: list[int], u: int, v: int) -> tuple[_Side, _Side]:
-    """Sides of a bridge, each with its map into original indices.
+    def labels_of(self, vertices) -> set[int]:
+        return {self.labels[v] for v in vertices}
 
-    Returns (side containing u, side containing v); ``u``/``v`` are
-    local indices of ``g``.
-    """
-    h = delete_edge(g, (u, v))
-    parts = components(h)
-    if len(parts) != 2:
-        raise _CaseMiss(f"edge ({u}, {v}) is not a bridge")
-    sides = []
-    for comp, new_to_old, _ in parts:
-        sides.append(_Side(comp, [to_orig[x] for x in new_to_old]))
-    if to_orig[u] in sides[0].to_orig:
-        return sides[0], sides[1]
-    return sides[1], sides[0]
+    def induced(self, keep: int) -> _Part:
+        """The sub-instance induced by the local vertex mask ``keep``."""
+        h, new_to_old, _ = _induced(self.g, keep)
+        return _Part(h, [self.labels[v] for v in new_to_old])
+
+    def verifies(self, code: set[int]) -> bool:
+        """Whether the labels in ``code`` form an IO-code of this part."""
+        return is_io_code(self.g, VertexSet(self.g.n, (self.local[x] for x in code))).ok
 
 
 def _leaves_of(g: Graph) -> list[int]:
     return [v for v in range(g.n) if g.degree(v) == 1]
 
 
-def _verify_local(g: Graph, to_orig: list[int], code_orig: set[int]) -> bool:
-    back = {o: i for i, o in enumerate(to_orig)}
-    local = VertexSet(g.n, (back[o] for o in code_orig))
-    return is_io_code(g, local).ok
-
-
-def _fallback_exact(g: Graph, to_orig: list[int], trace: ConstructionTrace, reason: str) -> set[int]:
-    trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
-    result = solve(g)
-    code = {to_orig[v] for v in result.code}
-    trace.add("exhaustive_fallback", {"reason": reason, "order": g.n}, code)
+def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> set[int]:
+    trace.warn(f"exhaustive fallback on {part.g.n}-vertex sub-instance: {reason}")
+    code = part.labels_of(solve(part.g).code)
+    trace.add("exhaustive_fallback", {"reason": reason, "order": part.g.n}, code)
     return code
 
 
 _PAW_DEGREES = [1, 2, 2, 3]
+
+
+def _check_delta(delta: int | None) -> None:
+    """Reject a degree bound below 3; ``None`` (the audits' per-instance
+    bound) passes."""
+    if delta is not None and delta < 3:
+        raise BadParam(f"delta must be at least 3, got {delta}")
 
 
 def _validate(g: Graph, delta: int, *, tree: bool) -> None:
@@ -185,8 +182,7 @@ def _validate(g: Graph, delta: int, *, tree: bool) -> None:
     input of order 4 or more has no isolated vertex, so
     ``require_admissible`` can only report twins.
     """
-    if delta < 3:
-        raise BadParam(f"delta must be at least 3, got {delta}")
+    _check_delta(delta)
     paw = not tree and g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES
     if g.n < 5 and not paw:
         raise TooSmall(f"need order >= 5, got {g.n}")
@@ -215,7 +211,7 @@ def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrac
     star = as_subdivided_star(g)
     trace = ConstructionTrace(exceptional_star=star is not None and star[1] == delta)
     try:
-        code = build(g, list(range(g.n)), delta, trace)
+        code = build(_Part(g, list(range(g.n))), delta, trace)
     except RecursionError:
         raise ConstructionError(
             f"decomposition of the {g.n}-vertex input nests deeper than "
@@ -232,17 +228,18 @@ def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrac
 # Tree constructor
 
 
-def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace) -> set[int]:
+def _build_tree(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
+    g = part.g
     if g.n < 5:
-        return _fallback_exact(g, to_orig, trace, "sub-instance below order 5")
+        return _fallback_exact(part, trace, "sub-instance below order 5")
 
     spec = recognize_family(g)
     if spec is not None:
-        code = {to_orig[v] for v in canonical_set(spec)}
+        code = part.labels_of(canonical_set(spec))
         trace.add(
             "family_canonical",
             {
-                "root": to_orig[spec.distinguished["root"]],
+                "root": part.labels[spec.distinguished["root"]],
                 "vector": list(spec.params["vector"]),
                 "order": g.n,
             },
@@ -254,7 +251,7 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
         mark = trace.mark()
         try:
             return _split(
-                g, to_orig, delta, trace, "star_component_split", center, other,
+                part, delta, trace, "star_component_split", center, other,
                 partial(_star_near, k), star_patterns=True,
             )
         except _CaseMiss:
@@ -263,11 +260,11 @@ def _build_tree(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTra
     for path in diametral_paths(g):
         mark = trace.mark()
         try:
-            return _split(g, to_orig, delta, trace, *_path_rule(g, to_orig, delta, trace, path))
+            return _split(part, delta, trace, *_path_rule(part, delta, trace, path))
         except _CaseMiss:
             trace.rollback(mark)
 
-    return _fallback_exact(g, to_orig, trace, "no decomposition case applied")
+    return _fallback_exact(part, trace, "no decomposition case applied")
 
 
 def _star_component_candidates(g: Graph, delta: int):
@@ -287,8 +284,7 @@ def _star_component_candidates(g: Graph, delta: int):
 
 
 def _split(
-    g: Graph,
-    to_orig: list[int],
+    part: _Part,
     delta: int,
     trace: ConstructionTrace,
     case: str,
@@ -298,71 +294,76 @@ def _split(
     *,
     star_patterns: bool = False,
 ) -> set[int]:
-    """Code of ``g`` from its split at the bridge ``uv`` (local indices).
+    """Code of a tree part from its split at the edge ``uv`` (local indices).
 
-    The side of ``u`` is the near side and the side of ``v`` the far side,
-    which needs at least 5 vertices.  ``near_rule(near, far)`` returns the
+    In a tree every edge is a bridge: one walk from ``u`` without the edge
+    finds the near side, and the far side, the side of ``v``, is the rest;
+    it needs at least 5 vertices.  ``near_rule(near, far)`` returns the
     near code and the case's own trace detail; the far side is coded by
     ``_far_side_code``, which may prune a twin leaf at ``v`` only when the
-    near code holds ``u``.  The merged code is verified on ``g`` and
+    near code holds ``u``.  The merged code is verified on the part and
     recorded as one ``case`` step with the split edge, the far order and
     whether a twin leaf was pruned.  Any failure raises ``_CaseMiss``.
     """
-    near, far = _split_at_edge(g, to_orig, u, v)
-    if far.g.n < 5:
+    near_mask = _reach(delete_edge(part.g, (u, v)), u)
+    far_mask = ((1 << part.g.n) - 1) ^ near_mask
+    if far_mask.bit_count() < 5:
         raise _CaseMiss("far side too small")
+    near, far = part.induced(near_mask), part.induced(far_mask)
     near_code, detail = near_rule(near, far)
+    edge = (part.labels[u], part.labels[v])
     far_code, twin_pruned = _far_side_code(
-        far, to_orig[v], delta, trace,
-        star_patterns=star_patterns, require_near_anchor=to_orig[u] in near_code,
+        far, edge[1], delta, trace,
+        star_patterns=star_patterns, require_near_anchor=edge[0] in near_code,
     )
     code = near_code | far_code
-    if not _verify_local(g, to_orig, code):
+    if not part.verifies(code):
         raise _CaseMiss("merged code failed verification")
     trace.add(
         case,
-        {"edge": (to_orig[u], to_orig[v]), **detail, "far_order": far.g.n, "twin_pruned": twin_pruned},
+        {"edge": edge, **detail, "far_order": far.g.n, "twin_pruned": twin_pruned},
         near_code,
     )
     return code
 
 
-def _star_near(k: int, near: _Side, far: _Side) -> tuple[set[int], dict]:
-    """A split-off subdivided star: all of it except its lowest-index far leaf."""
-    leaf = min(near.to_orig[x] for x in _leaves_of(near.g))
-    return set(near.to_orig) - {leaf}, {"star_legs": k, "near_order": near.g.n}
+def _star_near(k: int, near: _Part, far: _Part) -> tuple[set[int], dict]:
+    """A split-off subdivided star: all of it except its lowest-label far leaf."""
+    leaf = min(near.labels_of(_leaves_of(near.g)))
+    return set(near.labels) - {leaf}, {"star_legs": k, "near_order": near.g.n}
 
 
-def _absorbed_star_code(side: _Side, cut_orig: int) -> set[int]:
+def _absorbed_star_code(side: _Part, cut: int) -> set[int]:
     """All of a full-degree star component except one or two leaves.
 
     When the cut endpoint is a support we drop its leaf plus the lowest
     other leaf; when it is a leaf we drop the lowest other leaf.
     """
-    local = side.local_of(cut_orig)
+    local = side.local[cut]
     leaves = _leaves_of(side.g)
     if side.g.degree(local) == 2:  # support inside the star
         leaf_of_cut = next(v for v in side.g.neighbors(local) if side.g.degree(v) == 1)
-        others = sorted(side.to_orig[v] for v in leaves if v != leaf_of_cut)
-        dropped = {side.to_orig[leaf_of_cut], others[0]}
+        others = sorted(side.labels[v] for v in leaves if v != leaf_of_cut)
+        dropped = {side.labels[leaf_of_cut], others[0]}
     elif side.g.degree(local) == 1:
-        others = sorted(side.to_orig[v] for v in leaves if v != local)
+        others = sorted(side.labels[v] for v in leaves if v != local)
         dropped = {others[0]}
     else:
         raise _CaseMiss("cut endpoint cannot be the star center")
-    return set(side.to_orig) - dropped
+    return set(side.labels) - dropped
 
 
 def _far_side_code(
-    side: _Side,
-    cut_orig: int,
+    side: _Part,
+    cut: int,
     delta: int,
     trace: ConstructionTrace,
     *,
     star_patterns: bool,
     require_near_anchor: bool,
 ) -> tuple[set[int], bool]:
-    """Code for the component on the far side of a split.
+    """Code for the component on the far side of a split; ``cut`` is the
+    label of the cut endpoint.
 
     If the far side acquired open twins, the cut endpoint must be the
     twin leaf; it is deleted first and the caller's near-side code has to
@@ -372,37 +373,36 @@ def _far_side_code(
     ``star_patterns`` is set, else by ``_build_tree``.  Returns (code,
     twin_pruned).
     """
-    g2, to_orig = side.g, side.to_orig
-    twins = find_open_twins(g2)
+    rest = side
+    twins = find_open_twins(side.g)
     if twins:
-        local = side.local_of(cut_orig)
+        local = side.local[cut]
         pair = next((p for p in twins if local in p), None)
-        if pair is None or g2.degree(local) != 1:
+        if pair is None or side.g.degree(local) != 1:
             raise _CaseMiss("far-side twins do not involve the cut endpoint")
         if not require_near_anchor:
             raise _CaseMiss("twin repair needs the near endpoint in the near code")
-        g2, new_to_old, _ = delete_vertex(g2, local)
-        if g2.n < 5:
+        rest = side.induced(((1 << side.g.n) - 1) ^ (1 << local))
+        if rest.g.n < 5:
             raise _CaseMiss("twin-pruned far side too small")
-        if find_open_twins(g2):
+        if find_open_twins(rest.g):
             raise _CaseMiss("twin-pruned far side still has twins")
-        to_orig = [side.to_orig[x] for x in new_to_old]
-    star = as_subdivided_star(g2)
+    star = as_subdivided_star(rest.g)
     if star_patterns and star is not None and star[1] == delta:
         if twins:  # the pruned leaf's twin partner is the one leaf left out
-            partner = side.to_orig[pair[0] if pair[1] == local else pair[1]]
-            code, cut_key = set(to_orig) - {partner}, "pruned_leaf"
+            partner = side.labels[pair[0] if pair[1] == local else pair[1]]
+            code, cut_key = set(rest.labels) - {partner}, "pruned_leaf"
         else:
-            code, cut_key = _absorbed_star_code(side, cut_orig), "cut_vertex"
-        trace.add("absorbed_star_pattern", {"legs": star[1], "order": g2.n, cut_key: cut_orig}, code)
+            code, cut_key = _absorbed_star_code(side, cut), "cut_vertex"
+        trace.add("absorbed_star_pattern", {"legs": star[1], "order": rest.g.n, cut_key: cut}, code)
     else:
-        code = _build_tree(g2, to_orig, delta, trace)
+        code = _build_tree(rest, delta, trace)
     if twins:
-        trace.add("twin_leaf_pruned", {"leaf": cut_orig, "far_order": side.g.n})
+        trace.add("twin_leaf_pruned", {"leaf": cut, "far_order": side.g.n})
     return code, bool(twins)
 
 
-def _path_rule(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace, path: list[int]):
+def _path_rule(part: _Part, delta: int, trace: ConstructionTrace, path: list[int]):
     """The longest-path case along ``path``: ``_split``'s case, edge and near rule.
 
     Needs diameter at least 5 and a degree-2 support at the path's end.
@@ -410,42 +410,43 @@ def _path_rule(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrac
     the first of degree at least 4, 3 and 3 respectively; failing all
     three, the tail hanging at the fourth is peeled.
     """
+    g = part.g
     if len(path) < 6:
         raise _CaseMiss("diameter below 5 must be family-recognized")
     if g.degree(path[1]) != 2:
         raise _CaseMiss("support on the path has extra leaves")
     for position, min_degree in ((2, 4), (3, 3), (4, 3)):
         if g.degree(path[position]) >= min_degree:
-            rule = partial(_branch_near, position, to_orig[path[position]], delta, trace)
+            rule = partial(_branch_near, position, part.labels[path[position]], delta, trace)
             return "deep_branch_split", path[position], path[position + 1], rule
-    return "path_tail_split", path[4], path[5], partial(_tail_near, [to_orig[x] for x in path[:5]])
+    return "path_tail_split", path[4], path[5], partial(_tail_near, [part.labels[x] for x in path[:5]])
 
 
 def _branch_near(
-    position: int, root: int, delta: int, trace: ConstructionTrace, near: _Side, far: _Side
+    position: int, root: int, delta: int, trace: ConstructionTrace, near: _Part, far: _Part
 ) -> tuple[set[int], dict]:
     """A deep branch rooted at path vertex ``root``: its canonical set if it
     is a family tree there, else a code built for it on its own."""
-    spec = recognize_family_rooted(near.g, near.local_of(root))
+    spec = recognize_family_rooted(near.g, near.local[root])
     detail = {"position": position, "near_order": near.g.n, "recognized_branch": spec is not None}
     if spec is not None:
-        return {near.to_orig[x] for x in canonical_set(spec)}, detail
+        return near.labels_of(canonical_set(spec)), detail
     if find_open_twins(far.g):
         raise _CaseMiss("branch outside family while far side has twins")
     # valid because any two one-sided IO-codes merge across a bridge
-    return _build_tree(near.g, near.to_orig, delta, trace), detail
+    return _build_tree(near, delta, trace), detail
 
 
-def _tail_near(path_origs: list[int], near: _Side, far: _Side) -> tuple[set[int], dict]:
+def _tail_near(path_labels: list[int], near: _Part, far: _Part) -> tuple[set[int], dict]:
     """The tail at the fourth path vertex, which holds the first five path
     vertices: without the path end if that is all, without the extra leaf
     if there is one more vertex and it is a leaf."""
     detail = {"tail_order": near.g.n}
-    extra = set(near.to_orig).difference(path_origs)
+    extra = set(near.labels).difference(path_labels)
     if not extra:
-        return set(path_origs[1:]), detail
-    if len(extra) == 1 and near.g.degree(near.local_of(*extra)) == 1:
-        return set(path_origs), detail
+        return set(path_labels[1:]), detail
+    if len(extra) == 1 and near.g.degree(near.local[extra.pop()]) == 1:
+        return set(path_labels), detail
     raise _CaseMiss("unexpected tail shape")
 
 
@@ -466,12 +467,13 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 # Graph constructor
 
 
-def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTrace) -> set[int]:
+def _build_graph(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
+    g = part.g
     if g.edge_count == g.n - 1:
         trace.add("tree_reduction", {"order": g.n})
-        return _build_tree(g, to_orig, delta, trace)
+        return _build_tree(part, delta, trace)
     if g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES:
-        code = {to_orig[v] for v in range(4) if g.degree(v) >= 2}
+        code = part.labels_of(v for v in range(4) if g.degree(v) >= 2)
         trace.add("paw_base", {}, code)
         return code
 
@@ -487,15 +489,15 @@ def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTr
             if star is not None:
                 mark = trace.mark()
                 try:
-                    return _star_plus_edge_code(g, h, to_orig, star, (a, b), trace)
+                    return _star_plus_edge_code(part, h, star, (a, b), trace)
                 except _CaseMiss:
                     trace.rollback(mark)
 
     for a, b in cyc_edges:
         h = delete_edge(g, (a, b))
         if not find_open_twins(h):
-            trace.add("cycle_edge_removed", {"edge": (to_orig[a], to_orig[b])})
-            return _build_graph(h, to_orig, delta, trace)
+            trace.add("cycle_edge_removed", {"edge": (part.labels[a], part.labels[b])})
+            return _build_graph(_Part(h, part.labels), delta, trace)
 
     # every cycle-edge deletion creates twins: the cycle alternates
     # support vertices and degree-2 vertices; delete one of the latter
@@ -509,24 +511,24 @@ def _build_graph(g: Graph, to_orig: list[int], delta: int, trace: ConstructionTr
         if len(nbrs_on_cycle) == 2 and all(x in supports for x in nbrs_on_cycle):
             candidates.append(c)
     if not candidates:
-        return _fallback_exact(g, to_orig, trace, "cycle without removable structure")
-    v0 = min(candidates, key=lambda c: to_orig[c])
-    g0, new_to_old, _ = delete_vertex(g, v0)
-    if not is_connected(g0) or find_open_twins(g0):
-        return _fallback_exact(g, to_orig, trace, "vertex deletion left a bad remainder")
-    trace.add("cycle_vertex_removed", {"vertex": to_orig[v0]})
-    return _build_graph(g0, [to_orig[x] for x in new_to_old], delta, trace)
+        return _fallback_exact(part, trace, "cycle without removable structure")
+    v0 = min(candidates, key=part.labels.__getitem__)
+    rest = part.induced(((1 << g.n) - 1) ^ (1 << v0))
+    if not is_connected(rest.g) or find_open_twins(rest.g):
+        return _fallback_exact(part, trace, "vertex deletion left a bad remainder")
+    trace.add("cycle_vertex_removed", {"vertex": part.labels[v0]})
+    return _build_graph(rest, delta, trace)
 
 
 def _star_plus_edge_code(
-    g: Graph,
+    part: _Part,
     tree: Graph,
-    to_orig: list[int],
     star: tuple[int, int],
     edge: tuple[int, int],
     trace: ConstructionTrace,
 ) -> set[int]:
-    """Stored patterns for a subdivided star plus one edge."""
+    """Stored patterns for a subdivided star plus one edge; ``tree`` is the
+    part without ``edge``."""
     center, k = star
     supports = set(tree.neighbors(center))
     a, b = edge
@@ -540,10 +542,10 @@ def _star_plus_edge_code(
     elif center in (a, b):
         y = b if a == center else a
         other_leaves = [x for x in range(tree.n) if tree.degree(x) == 1 and x != y]
-        dropped = {min(other_leaves, key=lambda x: to_orig[x])}
+        dropped = {min(other_leaves, key=part.labels.__getitem__)}
         variant = "center_to_leaf"
     else:
-        x = min(a, b, key=lambda t: to_orig[t])
+        x = min(a, b, key=part.labels.__getitem__)
         if k == 2:
             dropped = {x}
         else:
@@ -551,12 +553,12 @@ def _star_plus_edge_code(
             dropped = {x, support_of_x}
         variant = "leaves_joined"
 
-    code = {to_orig[v] for v in range(g.n) if v not in dropped}
-    if not _verify_local(g, to_orig, code):
+    code = part.labels_of(v for v in range(tree.n) if v not in dropped)
+    if not part.verifies(code):
         raise _CaseMiss("pattern failed verification")
     trace.add(
         "star_plus_edge_pattern",
-        {"variant": variant, "legs": k, "edge": (to_orig[edge[0]], to_orig[edge[1]])},
+        {"variant": variant, "legs": k, "edge": (part.labels[a], part.labels[b])},
         code,
     )
     return code

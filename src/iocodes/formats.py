@@ -35,6 +35,8 @@ def parse_edge_list(text: str) -> Graph:
                 declared_n = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno)
+            if declared_n < 0:
+                raise ParseError(f"negative vertex count {declared_n}", line=lineno)
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
@@ -51,7 +53,7 @@ def parse_edge_list(text: str) -> Graph:
     n = declared_n if declared_n is not None else max_seen + 1
     if n < max_seen + 1:
         raise ParseError(f"declared n={n} smaller than largest index {max_seen}")
-    return Graph(max(n, 0), edges)
+    return Graph(n, edges)
 
 
 def emit_edge_list(g: Graph) -> str:

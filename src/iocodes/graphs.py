@@ -352,19 +352,6 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def tree_path(g: Graph, a: int, b: int) -> list[int]:
-    """The unique path from ``a`` to ``b`` in a tree."""
-    _, parent = _bfs_order(g, a)
-    path = [b]
-    while path[-1] != a:
-        p = parent[path[-1]]
-        if p < 0:
-            raise Disconnected(f"no path {a}..{b}")
-        path.append(p)
-    path.reverse()
-    return path
-
-
 def longest_path_in_tree(g: Graph) -> list[int]:
     """A diameter-realizing path, endpoints tie-broken to lowest indices."""
     if g.n == 0:
@@ -383,7 +370,8 @@ def diametral_paths(g: Graph) -> Iterator[list[int]]:
     constructive algorithms, which root a tree at either end of a longest
     path.  Path ends come from three BFS runs: in a tree, every vertex's
     eccentricity is its larger distance to the two ends of any one
-    diametral pair.
+    diametral pair.  One more BFS from each start gives its far ends, and
+    each path is read off that BFS's parents.
     """
     if g.n <= 1:
         if g.n == 1:
@@ -396,10 +384,13 @@ def diametral_paths(g: Graph) -> Iterator[list[int]]:
     dist_y, _ = _bfs_order(g, dist_x.index(diam))
     for a in range(g.n):
         if max(dist_x[a], dist_y[a]) == diam:
-            dist, _ = _bfs_order(g, a)
+            dist, parent = _bfs_order(g, a)
             for b in range(g.n):
                 if dist[b] == diam:
-                    yield tree_path(g, a, b)
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(parent[path[-1]])
+                    yield path[::-1]
 
 
 def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:

@@ -13,12 +13,15 @@ resolve, and prunes with a greedy disjoint-requirement lower bound.
 On trees an exact linear-time dynamic program (``_tree_dp``) supplies
 the minimum as a target: once the search has explored as many nodes as
 the tree has vertices, it stops as soon as its incumbent reaches the
-minimum, and a budget below the minimum is refused without searching.  The
-search still produces every returned code, so codes are the ones an
-unbounded search returns.  The program rests on a local rule for
-4-cycle-free graphs, where two vertices share at most one neighbour: S
-is an IO-code iff every vertex has a neighbour in S and no s in S has
-two neighbours whose only S-neighbour is s.
+minimum, and a budget below the minimum is refused without searching.
+The same call gives the program's own minimum code, and a tree search
+that has explored ``TREE_NODE_FACTOR`` nodes per vertex stops and
+returns that code with ``method: "tree_dp"``, so every tree search is
+bounded.  Below that bound the search produces the returned code, which
+is then the one an unbounded search returns.  The program rests on a
+local rule for 4-cycle-free graphs, where two vertices share at most one
+neighbour: S is an IO-code iff every vertex has a neighbour in S and no
+s in S has two neighbours whose only S-neighbour is s.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from .verify import is_io_code, require_admissible
 __all__ = ["SolveResult", "solve", "solve_oracle", "solve_with_budget"]
 
 ORACLE_CAP = 24
+# nodes per vertex after which a tree search returns the tree program's code;
+# the audited and benchmarked tree searches stay within one per vertex
+TREE_NODE_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -107,17 +113,20 @@ def _disjoint_bound(open_reqs: list[int]) -> int:
     return count
 
 
-def _search(g: Graph, cap: int | None = None, exact: Callable[[], int] | None = None):
-    """Core branch and bound; returns (best_mask or None, nodes explored).
+def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int]] | None = None):
+    """Core branch and bound; returns (best_mask or None, nodes explored,
+    whether the mask is the witness of ``exact``).
 
     The search stops as soon as the incumbent has size at most its goal:
     ``cap`` itself when a cap is given, so any code within it decides the
-    question, or else the exact minimum from ``exact``.  That callable
-    costs about as much as exploring one node per vertex, so it is asked
-    only once the search has explored ``g.n`` nodes; searches that end
-    sooner, most of them on small trees, never pay for it.  The incumbent
-    is replaced only on strict improvement, so stopping at the minimum
-    returns the code the unbounded search returns.
+    question, or else the exact minimum from ``exact``, which returns a
+    minimum and a code of that size.  That callable costs about as much
+    as exploring one node per vertex, so it is asked only once the search
+    has explored ``g.n`` nodes; searches that end sooner, most of them on
+    small trees, never pay for it.  The incumbent is replaced only on
+    strict improvement, so stopping at the minimum returns the code the
+    unbounded search returns.  With ``exact`` given, the search stops at
+    ``TREE_NODE_FACTOR * g.n`` nodes with its witness as the incumbent.
     """
     reqs = _requirements(g)
     root_chosen, root_open = _propagate_units(reqs, 0)
@@ -128,12 +137,19 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], int] | None = 
         best_mask, best_size = greedy, greedy.bit_count()
     goal = cap if cap is not None else 0  # every code has size >= 1
     nodes = 0
+    witness = None
+    from_exact = False
 
     def recurse(chosen: int, size: int, open_reqs: list[int]) -> None:
-        nonlocal best_mask, best_size, nodes, goal
+        nonlocal best_mask, best_size, nodes, goal, witness, from_exact
         nodes += 1
         if nodes == g.n and exact is not None:
-            goal = exact()
+            gamma, witness = exact()
+            goal = max(goal, gamma)  # a cap, never below the minimum, stays the goal
+        if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
+            # the incumbent is above the goal here, which the witness meets
+            best_mask, best_size, from_exact = witness, witness.bit_count(), True
+            return
         if not open_reqs:
             if size < best_size:
                 best_mask, best_size = chosen, size
@@ -153,7 +169,7 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], int] | None = 
 
     if best_size > goal:
         recurse(root_chosen, root_chosen.bit_count(), root_open)
-    return best_mask, nodes
+    return best_mask, nodes, from_exact
 
 
 def _tree_dp(g: Graph) -> tuple[int, int]:
@@ -235,20 +251,21 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 
 
 def solve(g: Graph) -> SolveResult:
-    """Exact minimum IO-code via branch and bound (targeted on trees)."""
+    """Exact minimum IO-code via branch and bound (targeted and bounded on trees)."""
     require_admissible(g)
-    exact = (lambda: _tree_dp(g)[0]) if is_tree(g) else None
-    best_mask, nodes = _search(g, exact=exact)
+    exact = (lambda: _tree_dp(g)) if is_tree(g) else None
+    best_mask, nodes, from_exact = _search(g, exact=exact)
     code = _verified(g, best_mask)
-    return SolveResult(len(code), code, nodes, "branch_and_bound")
+    return SolveResult(len(code), code, nodes, "tree_dp" if from_exact else "branch_and_bound")
 
 
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     """Some IO-code of size <= max_size, or None (exact decision)."""
     require_admissible(g)
-    if max_size < 0 or (is_tree(g) and max_size < _tree_dp(g)[0]):
+    dp = _tree_dp(g) if is_tree(g) else None
+    if max_size < (0 if dp is None else dp[0]):
         return None
-    best_mask, _ = _search(g, cap=max_size)
+    best_mask, _, _ = _search(g, cap=max_size, exact=None if dp is None else lambda: dp)
     return None if best_mask is None else _verified(g, best_mask)
 
 

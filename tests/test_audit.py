@@ -91,6 +91,21 @@ class TestTightFamilies:
         assert 4 not in report["gadget_cycles"]
 
 
+class TestDeltaCheck:
+    def test_delta_is_checked_before_any_instance_is_built(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("instances built before the delta check")
+
+        for name in ("enumerate_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
+            monkeypatch.setattr(audit, name, fail)
+        with pytest.raises(BadParam, match="delta must be at least 3, got 2"):
+            audit_trees(12, 2)
+        with pytest.raises(BadParam, match="delta must be at least 3, got 2"):
+            audit_graphs(7, 2)
+        with pytest.raises(BadParam, match="delta must be at least 3, got 2"):
+            audit.audit_graphs_sampled(4, 8, 11, seed=0, delta=2)
+
+
 class TestSampledAudit:
     def test_seeded_and_clean(self):
         from iocodes.audit import audit_graphs_sampled

@@ -80,6 +80,14 @@ class TestSolve:
         assert out == ""
         assert "negative vertex" in err and "line 1" in err
 
+    def test_negative_declared_count_is_named(self, capsys, tmp_path):
+        f = tmp_path / "neg.edges"
+        f.write_text("# header below\nn -5\n0 1\n")
+        status, out, err = run(capsys, "solve", str(f))
+        assert status == 2
+        assert out == ""
+        assert err == "input error: negative vertex count -5 (line 2)\n"
+
     def test_edge_list_may_open_with_a_comment(self, capsys, tmp_path):
         f = tmp_path / "p5.edges"
         f.write_text("# the path on 5 vertices\n0 1\n1 2\n2 3\n3 4\n")
@@ -154,6 +162,18 @@ class TestGenerate:
     def test_unknown_family(self, capsys):
         status, _, err = run(capsys, "generate", "klein-bottle", "3")
         assert status == 2
+
+    def test_missing_parameter_is_an_input_error(self, capsys):
+        status, out, err = run(capsys, "generate", "star-plus-edge", "g1")
+        assert status == 2
+        assert out == ""
+        assert err == "input error: family star-plus-edge takes g1|g2|g3 K, got g1\n"
+
+    def test_non_integer_parameter_is_an_input_error(self, capsys):
+        status, out, err = run(capsys, "generate", "subdivided-star", "x")
+        assert status == 2
+        assert out == ""
+        assert err == "input error: family subdivided-star takes D, got x\n"
 
     def test_bad_params(self, capsys):
         status, _, err = run(capsys, "generate", "gadget-cycle", "4")

@@ -35,7 +35,6 @@ from iocodes import (
     min_degree,
     open_neighborhood,
 )
-from iocodes.graphs import tree_path
 
 
 def path(n):
@@ -246,9 +245,6 @@ class TestDiameterAndLongestPath:
     def test_cyclic_raises(self):
         with pytest.raises(NotATree):
             longest_path_in_tree(cycle(4))
-
-    def test_tree_path(self):
-        assert tree_path(path(5), 4, 1) == [4, 3, 2, 1]
 
 
 class TestDeletion:

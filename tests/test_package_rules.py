@@ -46,8 +46,33 @@ def test_package_imports_only_itself_and_the_standard_library():
     assert outside == []
 
 
+def test_package_reads_the_environment_only_for_the_worker_count():
+    # IOCODES_WORKERS is the package's one environment switch; a second
+    # would be an option that no parameter or flag shows
+    readers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    scopes.setdefault(inner, node.name)  # the outermost function
+        for node in ast.walk(tree):
+            reads = (
+                isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.environ", "os.getenv")
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in ("environ", "getenv") for alias in node.names)
+            )
+            if reads:
+                readers.append(f"{path.relative_to(PACKAGE)} {scopes.get(node, '<module>')}")
+    assert readers == ["audit.py _worker_count"]
+
+
 def test_cli_import_leaves_networkx_unloaded():
-    # only tree enumeration needs networkx; every other command starts without it
+    # the package imports no networkx, which serves the tests only; a CLI
+    # start that loaded it would pay its import time
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(

@@ -24,7 +24,14 @@ from iocodes import (
     solve_oracle,
     solve_with_budget,
 )
-from iocodes.solver import _greedy_cover, _propagate_units, _requirements, _search, _tree_dp
+from iocodes.solver import (
+    TREE_NODE_FACTOR,
+    _greedy_cover,
+    _propagate_units,
+    _requirements,
+    _search,
+    _tree_dp,
+)
 
 
 def twin_free_trees(n_max):
@@ -62,7 +69,7 @@ class TestExhaustive:
         count = 0
         for t in twin_free_trees(13):
             gamma, code = dp_code(t)
-            unbounded, _ = _search(t)
+            unbounded, _, _ = _search(t)
             assert gamma == unbounded.bit_count(), t.edges()
             assert len(code) == gamma and is_io_code(t, code).ok
             result = solve(t)
@@ -87,7 +94,7 @@ class TestSeeded:
         for key in ((41, 1), (43, 2), (47, 1), (49, 1)):
             g = trees[key]
             result = solve(g)
-            unbounded, unbounded_nodes = _search(g)
+            unbounded, unbounded_nodes, _ = _search(g)
             assert result.code.mask == unbounded, key
             assert result.gamma == _tree_dp(g)[0]
             # the target cut the search short
@@ -102,6 +109,18 @@ class TestSeeded:
             gamma, _ = _tree_dp(g)
             found = solve_with_budget(g, gamma)
             assert found is not None and len(found) == gamma
+
+    def test_hard_tree_search_stops_at_the_node_bound(self):
+        # the unbounded search explores 764,465 nodes on this 81-vertex tree
+        g = subdivided_random_tree(41, random.Random(0))
+        gamma, witness = _tree_dp(g)
+        result = solve(g)
+        assert result.method == "tree_dp" and result.code.mask == witness
+        assert result.gamma == gamma and result.nodes_explored == TREE_NODE_FACTOR * g.n
+        _, nodes, from_exact = _search(g, cap=gamma, exact=lambda: (gamma, witness))
+        assert from_exact and nodes == TREE_NODE_FACTOR * g.n
+        found = solve_with_budget(g, gamma)
+        assert found is not None and len(found) == gamma and is_io_code(g, found).ok
 
     def test_long_path_needs_no_recursion(self):
         g = Graph(2000, [(i, i + 1) for i in range(1999)])
@@ -156,5 +175,5 @@ class TestProperties:
 
     @given(random_twin_free_trees(16))
     def test_dp_equals_search(self, g):
-        unbounded, _ = _search(g)
+        unbounded, _, _ = _search(g)
         assert _tree_dp(g)[0] == unbounded.bit_count()
