@@ -16,6 +16,7 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 from .canon import canonical_graph
 from .construct import BoundStatus, _check_delta, check_bound, construct_code
@@ -72,24 +73,22 @@ def _worker_count() -> int:
         return 1
 
 
-def _audit_task(edges_and_delta) -> tuple[AuditRecord, int]:
-    n, edges, delta = edges_and_delta
-    return _audit_instance(Graph(n, edges), delta)
+def _map_instances(graphs: list[Graph], delta: int | None) -> list[tuple[AuditRecord, int]]:
+    """Certify each graph at ``delta``, optionally on a process pool.
 
-
-def _map_instances(task, items):
-    """Run audit tasks, optionally on a process pool.
-
-    Results always come back in enumeration order, so summaries and CSV
-    output do not depend on scheduling.
+    One ``functools.partial`` of ``_audit_instance`` is mapped over the
+    graphs, which pickle as they are.  Results always come back in
+    enumeration order, so summaries and CSV output do not depend on
+    scheduling.
     """
+    task = partial(_audit_instance, delta=delta)
     workers = _worker_count()
     if workers == 1:
-        return [task(item) for item in items]
+        return [task(g) for g in graphs]
     import multiprocessing
 
     with multiprocessing.Pool(workers) as pool:
-        return list(pool.imap(task, items, chunksize=8))
+        return list(pool.imap(task, graphs, chunksize=8))
 
 
 def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
@@ -161,15 +160,15 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
         raise BadParam(f"tree audit supports 5 <= n_max <= {TREE_CAP}, got {n_max}")
     _check_delta(delta)
     started = time.monotonic()
-    tasks = []
+    trees = []
     for n in range(5, n_max + 1):
         for t in enumerate_trees(n):
             if len(set(t.adj)) < t.n:  # open twins
                 continue
             if delta is not None and max_degree(t) > delta:
                 continue
-            tasks.append((t.n, t.edges(), delta))
-    results = _map_instances(_audit_task, tasks)
+            trees.append(t)
+    results = _map_instances(trees, delta)
     return _summarize(results, started, n_max=n_max, delta=delta)
 
 
@@ -177,26 +176,22 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
     """Certify the bound over connected twin-free 4-cycle-free graphs.
 
     Exhaustive for n <= 7, one record per isomorphism class.  The
-    classes come from ``enumerate_graph_classes``, which grows them
-    vertex by vertex instead of visiting labeled graphs, and arrive in
-    the order in which a labeled edge-subset sweep would first meet
-    them.  ``labeled_instances`` is the sum of the classes' labeled
-    counts ``n!/|Aut|``, that is, the number of labeled graphs covered.
+    classes come from one call to ``enumerate_graph_classes``, which
+    grows them vertex by vertex up to ``n_max`` instead of visiting
+    labeled graphs; the orders from 5 up are kept, and each order's
+    classes arrive in the order in which a labeled edge-subset sweep
+    would first meet them.  ``labeled_instances`` is the sum of the
+    classes' labeled counts ``n!/|Aut|``, that is, the number of labeled
+    graphs covered.
     With ``delta`` given, classes of larger maximum degree are skipped.
     """
     if not 5 <= n_max <= 7:
         raise BadParam(f"graph audit supports 5 <= n_max <= 7, got {n_max}")
     _check_delta(delta)
     started = time.monotonic()
-    tasks = []
-    labeled = 0
-    for n in range(5, n_max + 1):
-        for g, count in enumerate_graph_classes(
-            n, connected=True, twin_free=True, c4_free=True, max_deg=delta
-        ):
-            labeled += count
-            tasks.append((g.n, g.edges(), delta))
-    results = _map_instances(_audit_task, tasks)
+    classes = [(g, count) for g, count in enumerate_graph_classes(n_max, delta) if g.n >= 5]
+    labeled = sum(count for _, count in classes)
+    results = _map_instances([g for g, _ in classes], delta)
     return _summarize(results, started, n_max=n_max, delta=delta, labeled_instances=labeled)
 
 
@@ -218,9 +213,9 @@ def audit_graphs_sampled(
     _check_delta(delta)
     started = time.monotonic()
     rng = random.Random(seed)
-    tasks = []
+    graphs: list[Graph] = []
     seen: set[str] = set()
-    while len(tasks) < count:
+    while len(graphs) < count:
         g = _random_twin_free_graph(rng, n_low, n_high, 0.1, 0.35)
         if has_four_cycle(g):
             continue
@@ -230,8 +225,8 @@ def audit_graphs_sampled(
         if key in seen:
             continue
         seen.add(key)
-        tasks.append((g.n, g.edges(), delta))
-    results = _map_instances(_audit_task, tasks)
+        graphs.append(g)
+    results = _map_instances(graphs, delta)
     return _summarize(results, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 

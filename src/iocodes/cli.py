@@ -21,7 +21,7 @@ from .audit import (
     verify_tight_families,
 )
 from .construct import check_bound, construct_code
-from .errors import GraphError, ParseError
+from .errors import BadParam, GraphError, ParseError
 from .families import (
     GRAPH_CAP,
     TREE_CAP,
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, BadParam, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except GraphError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
@@ -548,58 +548,48 @@ def enumerate_small_graphs(
             yield g
 
 
-def enumerate_graph_classes(
-    n: int,
-    connected: bool = False,
-    twin_free: bool = False,
-    c4_free: bool = False,
-    max_deg: int | None = None,
-) -> Iterator[tuple[Graph, int]]:
-    """One canonical graph per isomorphism class on ``n`` vertices, with
-    the number of labeled graphs in that class.
+def enumerate_graph_classes(n_max: int, max_deg: int | None = None) -> Iterator[tuple[Graph, int]]:
+    """One canonical graph per isomorphism class of connected twin-free
+    4-cycle-free graphs on 1 to ``n_max`` vertices, in increasing order,
+    with the number of labeled graphs in that class.
 
-    Classes are grown one vertex at a time: deleting a vertex from a
-    graph on ``k + 1`` vertices leaves a graph on ``k`` vertices, which
-    is 4-cycle-free if the larger one was, so every class on ``k + 1``
-    vertices is a class on ``k`` vertices plus a new vertex joined to
-    some neighbour set.  With ``c4_free`` only neighbour sets in which
-    no two vertices already share a neighbour are tried; these are
-    exactly the ones that create no 4-cycle.  Each level is
-    deduplicated by canonical form.  Connectivity, twin-freeness and the
-    degree cap are checked on level ``n`` only, before canonical
-    labeling (they do not depend on the labels); the first two do not
-    survive every deletion.
+    The 4-cycle-free classes are grown once, one vertex at a time:
+    deleting a vertex from a 4-cycle-free graph on ``k + 1`` vertices
+    leaves one on ``k`` vertices, so every class on ``k + 1`` vertices is
+    a class on ``k`` vertices plus a new vertex joined to some neighbour
+    set.  Only neighbour sets in which no two vertices already share a
+    neighbour are tried; these are exactly the ones that create no
+    4-cycle.  Each level is deduplicated by canonical form.
+    Connectivity, twin-freeness and the degree cap, which do not survive
+    every deletion, select the classes each level yields; on level
+    ``n_max``, which grows nothing, they are checked before canonical
+    labeling.
 
-    Each surviving class is then relabeled in all ``n!`` ways.  The
-    distinct edge sets give its labeled count ``n!/|Aut|`` and the first
-    step at which the Gray-code sweep of ``enumerate_small_graphs``
-    visits it; classes are yielded in that order, so the output matches
-    a deduplicated labeled sweep without running one.
+    Each yielded class is relabeled in all ``n!`` ways.  The distinct
+    edge sets give its labeled count ``n!/|Aut|`` and the first step at
+    which the Gray-code sweep of ``enumerate_small_graphs`` visits it; a
+    level's classes are yielded in that order, so each order matches a
+    deduplicated labeled sweep without running one.
     """
-    if not 1 <= n <= GRAPH_CAP:
-        raise BadParam(f"exhaustive enumeration supports 1 <= n <= {GRAPH_CAP}, got {n}")
+    if not 1 <= n_max <= GRAPH_CAP:
+        raise BadParam(f"exhaustive enumeration supports 1 <= n_max <= {GRAPH_CAP}, got {n_max}")
     level = [()]
-    for k in range(n):
+    for k in range(n_max):
         grown: dict[tuple[int, ...], None] = {}
         for adj in level:
             for nb in range(1 << k):
-                if c4_free and any((a & nb).bit_count() > 1 for a in adj):
+                if any((a & nb).bit_count() > 1 for a in adj):
                     continue
                 grown_adj = [a | (nb >> v & 1) << k for v, a in enumerate(adj)] + [nb]
-                if k < n - 1:
+                if k < n_max - 1:
                     g = Graph._from_adj(tuple(grown_adj))
-                elif (g := _filtered(grown_adj, connected, twin_free, False, max_deg)) is None:
+                elif (g := _filtered(grown_adj, True, True, False, max_deg)) is None:
                     continue
                 grown[canonical_graph(g).adj] = None
         level = list(grown)
-    found = []
-    for adj in level:
-        g = Graph._from_adj(adj)
-        first_step, labeled = _gray_orbit(g)
-        found.append((first_step, g, labeled))
-    found.sort(key=lambda item: item[0])
-    for _, g, labeled in found:
-        yield g, labeled
+        classes = [g for adj in level if (g := _filtered(adj, True, True, False, max_deg)) is not None]
+        for (_, labeled), g in sorted(zip(map(_gray_orbit, classes), classes), key=lambda item: item[0]):
+            yield g, labeled
 
 
 def _gray_orbit(g: Graph) -> tuple[int, int]:
@@ -632,7 +622,7 @@ def _gray_step(code: int) -> int:
     return step
 
 
-def _filtered(adj: list[int], connected, twin_free, c4_free, max_deg) -> Graph | None:
+def _filtered(adj: Sequence[int], connected, twin_free, c4_free, max_deg) -> Graph | None:
     """The graph of the adjacency list if it passes the filters, else None.
 
     The degree cap and twins are read off the list before a ``Graph`` is

@@ -127,6 +127,8 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
     strict improvement, so stopping at the minimum returns the code the
     unbounded search returns.  With ``exact`` given, the search stops at
     ``TREE_NODE_FACTOR * g.n`` nodes with its witness as the incumbent.
+    The search runs depth first on an explicit stack of lazy child
+    generators, so its depth is not bounded by the recursion limit.
     """
     reqs = _requirements(g)
     root_chosen, root_open = _propagate_units(reqs, 0)
@@ -140,7 +142,8 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
     witness = None
     from_exact = False
 
-    def recurse(chosen: int, size: int, open_reqs: list[int]) -> None:
+    def expand(chosen: int, open_reqs: list[int]):
+        """Explore one node: its children as a lazy generator, or None."""
         nonlocal best_mask, best_size, nodes, goal, witness, from_exact
         nodes += 1
         if nodes == g.n and exact is not None:
@@ -149,26 +152,29 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
         if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
             # the incumbent is above the goal here, which the witness meets
             best_mask, best_size, from_exact = witness, witness.bit_count(), True
-            return
+            return None
+        size = chosen.bit_count()
         if not open_reqs:
             if size < best_size:
                 best_mask, best_size = chosen, size
-            return
+            return None
         if size + _disjoint_bound(open_reqs) >= best_size:
-            return
+            return None
         branch_req = min(open_reqs, key=lambda m: (m.bit_count(), m))
         candidates = sorted(
             graphs._bits(branch_req),
             key=lambda v: (-sum(1 for r in open_reqs if r >> v & 1), v),
         )
-        for v in candidates:
-            if best_size <= goal:
-                return
-            nxt, nxt_open = _propagate_units(open_reqs, chosen | 1 << v)
-            recurse(nxt, nxt.bit_count(), nxt_open)
+        return (_propagate_units(open_reqs, chosen | 1 << v) for v in candidates)
 
-    if best_size > goal:
-        recurse(root_chosen, root_chosen.bit_count(), root_open)
+    # one entry per node on the current path: its children not yet explored
+    stack = [iter([(root_chosen, root_open)])]
+    while stack and best_size > goal:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif (grandchildren := expand(*child)) is not None:
+            stack.append(grandchildren)
     return best_mask, nodes, from_exact
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -40,6 +41,15 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     if n == 2:
         return Graph(2, [(0, 1)])
     return prufer_tree([rng.randrange(n) for _ in range(n - 2)])
+
+
+@cache
+def atlas_graphs(n: int) -> tuple[Graph, ...]:
+    """Every graph on ``n <= 7`` vertices, one per isomorphism class, read
+    from networkx's graph atlas rather than the package's generator."""
+    import networkx as nx
+
+    return tuple(Graph(n, g.edges()) for g in nx.graph_atlas_g() if g.number_of_nodes() == n)
 
 
 def brute_open_twins(g: Graph) -> list[tuple[int, int]]:

@@ -246,8 +246,8 @@ def test_criterion_09_oracle_equivalence():
             compared += 1
     from iocodes import enumerate_graph_classes
 
-    for n in range(5, 8):
-        for g, _ in enumerate_graph_classes(n, connected=True, twin_free=True, c4_free=True):
+    for g, _ in enumerate_graph_classes(7):
+        if g.n >= 5:
             assert solve(g).gamma == solve_oracle(g).gamma
             compared += 1
     for g in sample_twin_free_graphs(500, 11, 14, seed=424242):

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from iocodes import BadParam, CodeRejected, Graph, audit, audit_graphs, audit_trees, verify_tight_families
+from iocodes import BadParam, CodeRejected, Graph, audit, audit_graphs, audit_trees, families, verify_tight_families
 from iocodes.audit import _audit_instance, records_to_csv, sample_twin_free_graphs, summary_to_json
 from iocodes.families import TREE_CAP
 from iocodes.formats import parse_graph6
@@ -76,6 +77,26 @@ class TestGraphAudit:
         c5_rows = [r for r in records if r.m == 5 and r.max_degree == 2]
         assert len(c5_rows) == 1 and c5_rows[0].gamma == 4
 
+    def test_audit_to_7_is_pinned(self):
+        records, summary = audit_graphs(7)
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "fe63a193abe5c55169d7b5c7122fdc79d90771989922c9d8b53728de2e15311b"
+        assert summary["labeled_instances"] == 87222
+
+    def test_levels_are_grown_once(self, monkeypatch):
+        calls = 0
+        canonical_graph = families.canonical_graph
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return canonical_graph(g)
+
+        monkeypatch.setattr(families, "canonical_graph", counted)
+        audit_graphs(7)
+        # one growth per order, of levels 1-5, 1-6 and 1-7, took 1,077
+        assert calls <= 792
+
 
 class TestTightFamilies:
     def test_report(self):
@@ -121,12 +142,15 @@ class TestSampledAudit:
 
 class TestWorkers:
     def test_pool_output_matches_serial(self, monkeypatch):
-        from iocodes.audit import WORKERS_ENV
+        from iocodes.audit import WORKERS_ENV, audit_graphs_sampled
 
-        serial, _ = audit_trees(9, 3)
+        def audits():
+            return [audit_trees(9, 3)[0], audit_graphs(7)[0], audit_graphs_sampled(8, 8, 11, seed=5)[0]]
+
+        serial = audits()
         monkeypatch.setenv(WORKERS_ENV, "3")
-        parallel, _ = audit_trees(9, 3)
-        assert records_to_csv(serial) == records_to_csv(parallel)
+        for a, b in zip(serial, audits(), strict=True):
+            assert records_to_csv(a) == records_to_csv(b)
 
     def test_graph_audits_on_a_pool_match_serial(self, monkeypatch):
         from iocodes.audit import WORKERS_ENV, audit_graphs_sampled

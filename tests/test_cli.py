@@ -175,9 +175,17 @@ class TestGenerate:
         assert out == ""
         assert err == "input error: family subdivided-star takes D, got x\n"
 
-    def test_bad_params(self, capsys):
-        status, _, err = run(capsys, "generate", "gadget-cycle", "4")
-        assert status == 1
+    def test_bad_params(self, capsys, p5_file):
+        # a parameter value out of range is malformed input, in every command
+        for argv in (
+            ("generate", "gadget-cycle", "4"),
+            ("generate", "subdivided-star", "1"),
+            ("generate", "star-plus-edge", "g9", "3"),
+            ("audit", "trees", "--n-max", "4"),
+            ("construct", p5_file, "--delta", "2"),
+        ):
+            status, _, err = run(capsys, *argv)
+            assert status == 2 and err.startswith("input error:"), argv
 
 
 class TestSignature:

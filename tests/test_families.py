@@ -302,8 +302,12 @@ class TestSmallGraphEnumeration:
         assert sum(1 for _ in enumerate_small_graphs(4)) == 64
 
     def test_connected_classes_n3(self):
-        classes = list(enumerate_graph_classes(3, connected=True))
-        assert len(classes) == 2  # the path and the triangle
+        # to order 4: K1, K2, the triangle, the path P4 and the paw
+        classes = [g for g, _ in enumerate_graph_classes(4)]
+        expected = [Graph(1), Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                    Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])]
+        assert [g.n for g in classes] == [1, 2, 3, 4, 4]
+        assert sorted(canonical_graph6(g) for g in classes) == sorted(map(canonical_graph6, expected))
 
     def test_filters_sound(self, rng):
         for g in enumerate_small_graphs(5, connected=True, twin_free=True, c4_free=True):
@@ -317,7 +321,7 @@ class TestSmallGraphEnumeration:
         c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         keys = {
             canonical_graph6(g)
-            for g, _ in enumerate_graph_classes(5, connected=True, twin_free=True, c4_free=True)
+            for g, _ in enumerate_graph_classes(5)
         }
         assert canonical_graph6(c5) in keys
 

@@ -1,15 +1,15 @@
 """The isomorphism-class generator against the labeled Gray-code sweep.
 
 ``enumerate_small_graphs`` visits every labeled graph and stays the
-independent oracle: canonically labeling each swept graph
-must give the generator's classes, in the generator's order, with its
-labeled counts.  At n = 7 the sweep is matched by orbit membership
-instead of per-graph canonical labeling.
+independent oracle: canonically labeling each swept connected twin-free
+4-cycle-free graph must give the generator's classes of that order, in
+the generator's order, with its labeled counts.  At n = 7 the sweep is
+matched by orbit membership instead of per-graph canonical labeling.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,10 +17,6 @@ from iocodes import BadParam, canonical_graph, enumerate_graph_classes, enumerat
 from iocodes import families
 from iocodes.families import GRAPH_CAP
 
-FILTERS = [
-    dict(connected=c, twin_free=t, c4_free=f, max_deg=m)
-    for c, t, f, m in product((False, True), (False, True), (False, True), (None, 2, 3))
-]
 AUDIT_FILTERS = dict(connected=True, twin_free=True, c4_free=True)
 
 
@@ -35,21 +31,25 @@ def swept_classes(n: int, canon: dict, **filters) -> list[tuple[tuple[int, ...],
     return list(counts.items())
 
 
-def generated_classes(n: int, **filters) -> list[tuple[tuple[int, ...], int]]:
-    return [(g.adj, labeled) for g, labeled in enumerate_graph_classes(n, **filters)]
+def generated_classes(n: int, max_deg: int | None = None) -> list[tuple[tuple[int, ...], int]]:
+    """The generator's classes of order ``n``, grown up to ``n``."""
+    classes = list(enumerate_graph_classes(n, max_deg))
+    orders = [g.n for g, _ in classes]
+    assert orders == sorted(orders) and set(orders) <= set(range(1, n + 1))
+    return [(g.adj, labeled) for g, labeled in classes if g.n == n]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_every_filter_combination_to_5(n):
     canon: dict = {}
-    for filters in FILTERS:
-        swept = swept_classes(n, canon, **filters)
-        assert generated_classes(n, **filters) == swept, filters
+    for max_deg in (None, 2, 3):
+        swept = swept_classes(n, canon, **AUDIT_FILTERS, max_deg=max_deg)
+        assert generated_classes(n, max_deg) == swept, max_deg
 
 
 def test_audit_filters_at_6():
     swept = swept_classes(6, {}, **AUDIT_FILTERS)
-    assert generated_classes(6, **AUDIT_FILTERS) == swept
+    assert generated_classes(6) == swept
     assert sum(labeled for _, labeled in swept) == 3600
 
 
@@ -58,7 +58,7 @@ def test_orbits_partition_the_sweep_at_7():
     bit = [[0] * n for _ in range(n)]
     for k, (u, v) in enumerate(combinations(range(n), 2)):
         bit[u][v] = bit[v][u] = 1 << k
-    classes = list(enumerate_graph_classes(n, **AUDIT_FILTERS))
+    classes = [(g, labeled) for g, labeled in enumerate_graph_classes(n) if g.n == n]
     owner: dict[int, int] = {}
     for i, (g, labeled) in enumerate(classes):
         edges = g.edges()
@@ -91,12 +91,13 @@ def test_level_n_is_filtered_before_canonical_labeling(monkeypatch):
         return canonical_graph(g)
 
     monkeypatch.setattr(families, "canonical_graph", counted)
-    assert len(list(enumerate_graph_classes(7, **AUDIT_FILTERS))) == 36
+    assert sum(g.n == 7 for g, _ in enumerate_graph_classes(7)) == 36
     # labeling every 4-cycle-free extension on level 7, filtered out or
     # not, would take 1,547 calls
     assert len(calls) <= 792
 
 
 def test_cap():
-    with pytest.raises(BadParam):
-        next(enumerate_graph_classes(GRAPH_CAP + 1))
+    for n_max in (0, GRAPH_CAP + 1):
+        with pytest.raises(BadParam):
+            next(enumerate_graph_classes(n_max))

@@ -6,11 +6,17 @@ against the literal predicates; and ``solve``'s codes against the codes
 an unbounded search returns.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iocodes
 from iocodes import (
     Graph,
     VertexSet,
@@ -121,6 +127,30 @@ class TestSeeded:
         assert from_exact and nodes == TREE_NODE_FACTOR * g.n
         found = solve_with_budget(g, gamma)
         assert found is not None and len(found) == gamma and is_io_code(g, found).ok
+
+    def test_deep_search_needs_no_recursion(self):
+        # a recursive search on this 401-vertex tree needs about 155 frames
+        script = textwrap.dedent(
+            """
+            import random, sys
+            from test_tree_dp import subdivided_random_tree
+            from iocodes import solve
+            from iocodes.solver import _tree_dp
+
+            g = subdivided_random_tree(201, random.Random(0))
+            sys.setrecursionlimit(100)
+            result = solve(g)
+            print(g.n, result.gamma, _tree_dp(g)[0], result.method)
+            """
+        )
+        paths = [str(Path(__file__).parent), str(Path(iocodes.__file__).parents[1])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        n, gamma, dp_gamma, method = done.stdout.split()
+        assert n == "401" and gamma == dp_gamma and method == "tree_dp"
 
     def test_long_path_needs_no_recursion(self):
         g = Graph(2000, [(i, i + 1) for i in range(1999)])
