@@ -67,14 +67,21 @@ WORKERS_ENV = "IOCODES_WORKERS"
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
+    """Pool size from ``IOCODES_WORKERS``: 1 when unset, else a positive integer."""
+    value = os.environ.get(WORKERS_ENV)
+    if value is None:
         return 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise BadParam(f"{WORKERS_ENV} must be a positive integer, got {value!r}")
+    return workers
 
 
-def _map_instances(graphs: list[Graph], delta: int | None) -> list[tuple[AuditRecord, int]]:
-    """Certify each graph at ``delta``, optionally on a process pool.
+def _map_instances(graphs: list[Graph], delta: int | None, workers: int) -> list[tuple[AuditRecord, int]]:
+    """Certify each graph at ``delta``, on a pool of ``workers`` processes when above 1.
 
     One ``functools.partial`` of ``_audit_instance`` is mapped over the
     graphs, which pickle as they are.  Results always come back in
@@ -82,7 +89,6 @@ def _map_instances(graphs: list[Graph], delta: int | None) -> list[tuple[AuditRe
     scheduling.
     """
     task = partial(_audit_instance, delta=delta)
-    workers = _worker_count()
     if workers == 1:
         return [task(g) for g in graphs]
     import multiprocessing
@@ -159,6 +165,7 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
     if not 5 <= n_max <= TREE_CAP:
         raise BadParam(f"tree audit supports 5 <= n_max <= {TREE_CAP}, got {n_max}")
     _check_delta(delta)
+    workers = _worker_count()
     started = time.monotonic()
     trees = []
     for n in range(5, n_max + 1):
@@ -168,7 +175,7 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
             if delta is not None and max_degree(t) > delta:
                 continue
             trees.append(t)
-    results = _map_instances(trees, delta)
+    results = _map_instances(trees, delta, workers)
     return _summarize(results, started, n_max=n_max, delta=delta)
 
 
@@ -188,10 +195,11 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
     if not 5 <= n_max <= 7:
         raise BadParam(f"graph audit supports 5 <= n_max <= 7, got {n_max}")
     _check_delta(delta)
+    workers = _worker_count()
     started = time.monotonic()
     classes = [(g, count) for g, count in enumerate_graph_classes(n_max, delta) if g.n >= 5]
     labeled = sum(count for _, count in classes)
-    results = _map_instances([g for g, _ in classes], delta)
+    results = _map_instances([g for g, _ in classes], delta, workers)
     return _summarize(results, started, n_max=n_max, delta=delta, labeled_instances=labeled)
 
 
@@ -211,6 +219,7 @@ def audit_graphs_sampled(
     if count < 1 or n_low < 5 or n_high < n_low:
         raise BadParam("need count >= 1 and 5 <= n_low <= n_high")
     _check_delta(delta)
+    workers = _worker_count()
     started = time.monotonic()
     rng = random.Random(seed)
     graphs: list[Graph] = []
@@ -226,7 +235,7 @@ def audit_graphs_sampled(
             continue
         seen.add(key)
         graphs.append(g)
-    results = _map_instances(graphs, delta)
+    results = _map_instances(graphs, delta, workers)
     return _summarize(results, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 

@@ -57,9 +57,12 @@ def _read_code(path: str, n: int) -> VertexSet:
     for lineno, line in enumerate(text.splitlines(), start=1):
         for token in line.split():
             try:
-                members.append(int(token))
+                v = int(token)
             except ValueError:
                 raise ParseError(f"bad vertex index {token!r}", line=lineno) from None
+            if not 0 <= v < n:
+                raise ParseError(f"vertex {v} outside a graph on {n} vertices", line=lineno)
+            members.append(v)
     return VertexSet(n, members)
 
 

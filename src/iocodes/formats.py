@@ -92,6 +92,10 @@ def emit_graph6(g: Graph) -> str:
     return out.decode("ascii")
 
 
+# graph6 body byte -> its 6 bits, most significant first
+_G6_GROUP = {c: format(c - 63, "06b") for c in range(63, 127)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (optional ``>>graph6<<`` header)."""
     s = text.strip()
@@ -124,21 +128,21 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 body length {len(data) - pos}, expected {need}", position=pos
         )
-    bits = []
-    for i in range(pos, len(data)):
-        c = data[i] - 63
-        if not 0 <= c <= 63:
-            raise ParseError(f"invalid graph6 byte {data[i]}", position=i)
-        for shift in range(5, -1, -1):
-            bits.append((c >> shift) & 1)
+    groups = [_G6_GROUP.get(c) for c in data[pos:]]
+    if None in groups:
+        i = pos + groups.index(None)
+        raise ParseError(f"invalid graph6 byte {data[i]}", position=i)
+    bits = "".join(groups)
     edges = []
-    idx = 0
+    start = 0
     for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                edges.append((row, col))
-            idx += 1
-    if any(bits[nbits:]):
+        end = start + col
+        row = bits.find("1", start, end)
+        while row >= 0:
+            edges.append((row - start, col))
+            row = bits.find("1", row + 1, end)
+        start = end
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 body", position=pos)
     return Graph(n, edges)
 

@@ -10,6 +10,12 @@ every support vertex immediately), branches on a smallest open
 requirement with candidates ordered by how many open requirements they
 resolve, and prunes with a greedy disjoint-requirement lower bound.
 
+The requirements form one list in ``(size, mask)`` order, and every open
+list is an order-preserving filter of it.  So the bound reads an open
+list in order, the branch requirement is its first entry, and a child's
+open list is one filter: the root forces every unit, and choosing a
+vertex only closes requirements, so no unit is open below the root.
+
 On trees an exact linear-time dynamic program (``_tree_dp``) supplies
 the minimum as a target: once the search has explored as many nodes as
 the tree has vertices, it stops as soon as its incumbent reaches the
@@ -27,6 +33,7 @@ s in S has two neighbours whose only S-neighbour is s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Callable
 
@@ -54,59 +61,94 @@ class SolveResult:
 
 
 def _requirements(g: Graph) -> list[int]:
-    """Deduplicated, dominance-reduced requirement masks.
+    """Deduplicated, dominance-reduced requirement masks in ``(size, mask)`` order.
 
     Any requirement that contains another as a subset is redundant for a
     hitting set and dropped.  So only pairs with a common neighbour are
     formed: for disjoint N(u) and N(v) the separation requirement is
-    N(u) | N(v), which contains the domination requirement N(u).
+    N(u) | N(v), which contains the domination requirement N(u).  A kept
+    requirement inside ``r`` has its lowest bit in ``r``, so ``r`` is
+    tested only against the kept requirements filed under its own bits.
+    The graph must admit a code, so no requirement is empty.
     """
     adj = g.adj
     reqs = set(adj)
     for w in range(g.n):
         for u, v in combinations(graphs._bits(adj[w]), 2):
             reqs.add(adj[u] ^ adj[v])
-    ordered = sorted(reqs, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
-    for r in ordered:
-        if not any(k & r == k for k in kept):
+    by_low: dict[int, list[int]] = {}  # lowest bit -> kept requirements with that lowest bit
+    for r in sorted(reqs, key=lambda m: (m.bit_count(), m)):
+        dominated = False
+        rest = r
+        while rest and not dominated:
+            low = rest & -rest
+            rest ^= low
+            for k in by_low.get(low, ()):
+                if k & r == k:
+                    dominated = True
+                    break
+        if not dominated:
             kept.append(r)
+            by_low.setdefault(r & -r, []).append(r)
     return kept
 
 
 def _propagate_units(reqs: list[int], chosen: int) -> tuple[int, list[int]]:
-    """Force the sole candidate of every 1-element open requirement."""
+    """Force the sole candidate of every 1-element open requirement.
+
+    Choosing vertices only closes requirements, so one pass finds every
+    unit, and once the root has forced them no open list holds a unit.
+    """
     open_reqs = [r for r in reqs if r & chosen == 0]
-    while True:
-        units = 0
-        for r in open_reqs:
-            if r.bit_count() == 1:
-                units |= r
-        if not units:
-            return chosen, open_reqs
-        chosen |= units
-        open_reqs = [r for r in open_reqs if r & chosen == 0]
+    units = 0
+    for r in open_reqs:
+        if r.bit_count() == 1:
+            units |= r
+    if not units:
+        return chosen, open_reqs
+    return chosen | units, [r for r in open_reqs if r & units == 0]
 
 
 def _greedy_cover(reqs: list[int], chosen: int) -> int:
-    """Any hitting set extending ``chosen``; initial incumbent."""
-    open_reqs = [r for r in reqs if r & chosen == 0]
-    while open_reqs:
-        counts: dict[int, int] = {}
-        for r in open_reqs:
-            for v in graphs._bits(r):
-                counts[v] = counts.get(v, 0) + 1
-        best_v = min(counts, key=lambda v: (-counts[v], v))
-        chosen |= 1 << best_v
-        open_reqs = [r for r in open_reqs if r & chosen == 0]
+    """Any hitting set extending ``chosen``; initial incumbent.
+
+    Each pick is a vertex in the most open requirements, the lowest on
+    ties.  The counts and each vertex's requirements are built once; a
+    closed requirement decrements its vertices' counts, and a heap whose
+    stale entries are skipped yields the next pick.
+    """
+    members = [list(graphs._bits(r)) for r in reqs if r & chosen == 0]
+    holding: dict[int, list[int]] = {}
+    for i, vertices in enumerate(members):
+        for v in vertices:
+            holding.setdefault(v, []).append(i)
+    counts = {v: len(held) for v, held in holding.items()}
+    heap = [(-count, v) for v, count in counts.items()]
+    heapify(heap)
+    closed = [False] * len(members)
+    while heap:
+        count, v = heappop(heap)
+        if counts[v] != -count:
+            continue  # stale: the count has dropped since this entry
+        chosen |= 1 << v
+        for i in holding[v]:
+            if closed[i]:
+                continue
+            closed[i] = True
+            for u in members[i]:
+                counts[u] -= 1
+                if counts[u]:
+                    heappush(heap, (-counts[u], u))
     return chosen
 
 
 def _disjoint_bound(open_reqs: list[int]) -> int:
-    """Greedy count of pairwise disjoint requirements; each costs >= 1."""
+    """Greedy count of pairwise disjoint requirements, taken in list order,
+    which is ``(size, mask)`` order; each costs >= 1."""
     used = 0
     count = 0
-    for r in sorted(open_reqs, key=lambda m: (m.bit_count(), m)):
+    for r in open_reqs:
         if r & used == 0:
             count += 1
             used |= r
@@ -160,12 +202,17 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
             return None
         if size + _disjoint_bound(open_reqs) >= best_size:
             return None
-        branch_req = min(open_reqs, key=lambda m: (m.bit_count(), m))
-        candidates = sorted(
-            graphs._bits(branch_req),
-            key=lambda v: (-sum(1 for r in open_reqs if r >> v & 1), v),
-        )
-        return (_propagate_units(open_reqs, chosen | 1 << v) for v in candidates)
+        # branch on a smallest requirement; its vertices in most open requirements first
+        branch_req = open_reqs[0]
+        hits = dict.fromkeys(graphs._bits(branch_req), 0)
+        for r in open_reqs:
+            common = r & branch_req
+            while common:
+                low = common & -common
+                hits[low.bit_length() - 1] += 1
+                common ^= low
+        candidates = sorted(hits, key=lambda v: (-hits[v], v))
+        return ((chosen | 1 << v, [r for r in open_reqs if not r >> v & 1]) for v in candidates)
 
     # one entry per node on the current path: its children not yet explored
     stack = [iter([(root_chosen, root_open)])]
@@ -176,6 +223,33 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
         elif (grandchildren := expand(*child)) is not None:
             stack.append(grandchildren)
     return best_mask, nodes, from_exact
+
+
+# _tree_dp's fold state (S-children capped at 2, private-child count of the
+# unique S-child, own private children) is coded sc*4 + uq*2 + pc, and a
+# child's key (in S, no S-child, private-child count) x*4 + lone*2 + q.
+_FOLD_STATES = [(sc, uq, pc) for sc in range(3) for uq in (0, 1) for pc in (0, 1)]
+# state code -> key code -> next state code, or -1 when v would get two private children
+_FOLD = [
+    [
+        -1 if pc + lone > 1
+        else min(sc + x, 2) * 4 + (q if x and sc == 0 else (0 if x else uq)) * 2 + pc + lone
+        for x in (0, 1) for lone in (0, 1) for q in (0, 1)
+    ]
+    for sc, uq, pc in _FOLD_STATES
+]
+# [xp][xv]: state code -> the key v exports, or -1 when v is undominated or is
+# private to its only S-neighbour, a child that has a private child itself
+_EXPORT = [
+    [
+        [
+            -1 if sc + xp == 0 or (sc == 1 and not xp and uq) else xv * 4 + (sc == 0) * 2 + pc
+            for sc, uq, pc in _FOLD_STATES
+        ]
+        for xv in (0, 1)
+    ]
+    for xp in (0, 1)
+]
 
 
 def _tree_dp(g: Graph) -> tuple[int, int]:
@@ -189,7 +263,10 @@ def _tree_dp(g: Graph) -> tuple[int, int]:
     private-child count of the unique S-child, own private children),
     which is all the local rule needs: v is dominated, v has at most one
     private child, and if v's only S-neighbour is a child c, then c has
-    no private child.  The fold keeps back-pointers for the witness.
+    no private child.  States and keys are small integers, and the fold
+    and the export read the tables ``_FOLD`` and ``_EXPORT``.  Ties keep
+    the first candidate in insertion order.  The fold keeps
+    back-pointers for the witness.
     """
     dist, parent = _bfs_order(g, 0)
     order = sorted(range(g.n), key=dist.__getitem__)
@@ -202,22 +279,21 @@ def _tree_dp(g: Graph) -> tuple[int, int]:
     for v in reversed(order):
         finals, trails = [], []
         for xv in (0, 1):
-            states = {(0, 0, 0): xv}
+            states = {0: xv}
             trail = []
             for c in children[v]:
                 nxt: dict = {}
                 back: dict = {}
-                for (sc, uq, pc), cost in states.items():
+                for s, cost in states.items():
+                    row = _FOLD[s]
                     for key, (c_cost, _) in export[c][xv].items():
-                        x, lone, q = key
-                        npc = pc + lone
-                        if npc > 1:
+                        t = row[key]
+                        if t < 0:
                             continue
-                        state = (min(sc + x, 2), q if x and sc == 0 else (0 if x else uq), npc)
                         total = cost + c_cost
-                        if state not in nxt or total < nxt[state]:
-                            nxt[state] = total
-                            back[state] = ((sc, uq, pc), key)
+                        if t not in nxt or total < nxt[t]:
+                            nxt[t] = total
+                            back[t] = (s, key)
                 states = nxt
                 trail.append(back)
             finals.append(states)
@@ -227,23 +303,22 @@ def _tree_dp(g: Graph) -> tuple[int, int]:
         for xp in (0, 1):
             table: dict = {}
             for xv in (0, 1):
-                for (sc, uq, pc), cost in finals[xv].items():
-                    if sc + xp == 0 or (sc == 1 and not xp and uq):
-                        continue  # v undominated, or v private to a child that has one
-                    key = (xv, int(sc == 0), pc)
-                    if key not in table or cost < table[key][0]:
-                        table[key] = (cost, (sc, uq, pc))
+                keys = _EXPORT[xp][xv]
+                for s, cost in finals[xv].items():
+                    key = keys[s]
+                    if key >= 0 and (key not in table or cost < table[key][0]):
+                        table[key] = (cost, s)
             export[v].append(table)
     root = order[0]
-    (xr, _, _), (gamma, state) = min(export[root][0].items(), key=lambda item: item[1][0])
+    key, (gamma, state) = min(export[root][0].items(), key=lambda item: item[1][0])
     mask = 0
-    stack = [(root, xr, state)]
+    stack = [(root, key >> 2, state)]
     while stack:
         v, xv, state = stack.pop()
         mask |= xv << v
         for c, back in zip(reversed(children[v]), reversed(folds[v][xv])):
             state, key = back[state]
-            stack.append((c, key[0], export[c][xv][key][1]))
+            stack.append((c, key >> 2, export[c][xv][key][1]))
     return gamma, mask
 
 

@@ -64,6 +64,12 @@ class TestTreeAudit:
         for r in records3:
             assert gamma4[r.graph6] == r.gamma  # gamma does not depend on delta
 
+    def test_tree_audit_to_16_is_pinned(self):
+        records, summary = audit_trees(16)
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "b2fe93ecc1365b943f95653847495ef872ee4b23aa1f7d5ae7287e2b05f34e33"
+        assert summary["instances"] == 3149 and summary["fallbacks"] == 3
+
 
 class TestGraphAudit:
     def test_n5_clean(self):
@@ -151,6 +157,25 @@ class TestWorkers:
         monkeypatch.setenv(WORKERS_ENV, "3")
         for a, b in zip(serial, audits(), strict=True):
             assert records_to_csv(a) == records_to_csv(b)
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", ""])
+    def test_malformed_worker_count_is_an_input_error(self, monkeypatch, capsys, value):
+        from iocodes.audit import WORKERS_ENV
+        from iocodes.cli import main
+
+        def fail(*args, **kwargs):
+            raise AssertionError("instances built before the worker count was read")
+
+        monkeypatch.setenv(WORKERS_ENV, value)
+        with monkeypatch.context() as stubbed:
+            for name in ("enumerate_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
+                stubbed.setattr(audit, name, fail)
+            for run in (lambda: audit_trees(6), lambda: audit_graphs(5), lambda: audit.audit_graphs_sampled(2, 8, 9, seed=0)):
+                with pytest.raises(BadParam, match=f"{WORKERS_ENV} must be a positive integer, got {value!r}"):
+                    run()
+        assert main(["audit", "trees", "--n-max", "6"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("input error: ") and repr(value) in out.err
 
     def test_graph_audits_on_a_pool_match_serial(self, monkeypatch):
         from iocodes.audit import WORKERS_ENV, audit_graphs_sampled

@@ -47,9 +47,18 @@ class TestVerify:
     def test_negative_vertex_is_an_error_not_a_traceback(self, capsys, p5_file, code_file):
         for command in ("verify", "signature"):
             status, out, err = run(capsys, command, p5_file, code_file("c.txt", [1, -1]))
-            assert status == 1
+            assert status == 2
             assert out == ""
-            assert err.startswith("error: ") and "Traceback" not in err
+            assert err.startswith("input error: ") and "Traceback" not in err
+
+    def test_vertex_outside_the_graph_is_an_input_error(self, capsys, p5_file, tmp_path):
+        f = tmp_path / "c.txt"
+        for text, bad, line in (("1 2 9\n", 9, 1), ("1\n2 -2\n", -2, 2), ("0 5\n", 5, 1)):
+            f.write_text(text)
+            for command in ("verify", "signature"):
+                status, out, err = run(capsys, command, p5_file, str(f))
+                assert status == 2 and out == ""
+                assert err == f"input error: vertex {bad} outside a graph on 5 vertices (line {line})\n"
 
     def test_bad_token_reports_its_line(self, capsys, p5_file, tmp_path):
         f = tmp_path / "c.txt"

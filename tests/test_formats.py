@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -114,3 +116,97 @@ class TestLoadGraph:
             with pytest.raises(ParseError, match=fault) as caught:
                 load_graph(text)
             assert caught.value.line == 1
+
+
+# graph6 decoding as it was before it went a whole group at a time, kept
+# verbatim as the reference: every graph and every error must be the same.
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Decode one graph6 string (optional ``>>graph6<<`` header)."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise ParseError("empty graph6 string")
+    data = s.encode("ascii", errors="replace")
+    pos = 0
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise ParseError("graph6 orders above 258047 unsupported", position=0)
+        if len(data) < 4:
+            raise ParseError("truncated graph6 order", position=0)
+        n = 0
+        for i in range(1, 4):
+            c = data[i] - 63
+            if not 0 <= c <= 63:
+                raise ParseError(f"invalid graph6 byte {data[i]}", position=i)
+            n = (n << 6) | c
+        pos = 4
+    else:
+        n = data[0] - 63
+        if not 0 <= n <= 62:
+            raise ParseError(f"invalid graph6 order byte {data[0]}", position=0)
+        pos = 1
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - pos != need:
+        raise ParseError(
+            f"graph6 body length {len(data) - pos}, expected {need}", position=pos
+        )
+    bits = []
+    for i in range(pos, len(data)):
+        c = data[i] - 63
+        if not 0 <= c <= 63:
+            raise ParseError(f"invalid graph6 byte {data[i]}", position=i)
+        for shift in range(5, -1, -1):
+            bits.append((c >> shift) & 1)
+    edges = []
+    idx = 0
+    for col in range(1, n):
+        for row in range(col):
+            if bits[idx]:
+                edges.append((row, col))
+            idx += 1
+    if any(bits[nbits:]):
+        raise ParseError("nonzero padding bits in graph6 body", position=pos)
+    return Graph(n, edges)
+
+
+def decoded(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line, err.position
+
+
+class TestGraph6AgainstReference:
+    def test_valid_strings(self, rng):
+        for _ in range(200):
+            g = random_graph(rng.choice([rng.randint(0, 20), rng.randint(60, 90)]), rng.random(), rng)
+            text = emit_graph6(g)
+            assert parse_graph6(text) == reference_parse_graph6(text) == g
+
+    def test_corrupted_strings_give_the_same_error(self):
+        rng = random.Random(6)
+        alphabet = [chr(c) for c in range(33, 128)] + ["\x00", " ", "\u00e9", "\u2603"]
+        fixed = ["", ">>graph6<<", "~", "~~", "~?", "~??", "~~??", "@", "A", "A_", "Ao", "B?", "C}", "D??", "D?@"]
+        texts = []
+        for _ in range(1500):
+            text = emit_graph6(random_graph(rng.choice([rng.randint(0, 15), rng.randint(60, 70)]), rng.random(), rng))
+            i = rng.randrange(len(text))
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1 :]
+            elif edit == 1:
+                text = text[:i] + text[i + 1 :]
+            elif edit == 2:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            else:
+                text = text[:-1] + chr(ord(text[-1]) | rng.choice([1, 2, 4, 8, 16, 32]))
+            texts.append(text)
+        errors = 0
+        for text in fixed + texts:
+            ours = decoded(parse_graph6, text)
+            assert ours == decoded(reference_parse_graph6, text), text
+            errors += isinstance(ours, tuple)
+        assert errors >= 800

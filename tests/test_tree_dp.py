@@ -6,6 +6,7 @@ against the literal predicates; and ``solve``'s codes against the codes
 an unbounded search returns.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -127,6 +128,14 @@ class TestSeeded:
         assert from_exact and nodes == TREE_NODE_FACTOR * g.n
         found = solve_with_budget(g, gamma)
         assert found is not None and len(found) == gamma and is_io_code(g, found).ok
+
+    def test_2001_vertex_tree_is_pinned(self):
+        # gamma, node count, method and code as the quadratic solver gave them
+        g = subdivided_random_tree(1001, random.Random(0))
+        result = solve(g)
+        assert (g.n, result.gamma, result.nodes_explored, result.method) == (2001, 1370, 32016, "tree_dp")
+        digest = hashlib.sha256(" ".join(map(str, sorted(result.code))).encode()).hexdigest()
+        assert digest == "d95c66061c6ad40ab4aa09d98e069e8a9d410b6e151bb9004cbe8705ed55f531"
 
     def test_deep_search_needs_no_recursion(self):
         # a recursive search on this 401-vertex tree needs about 155 frames
