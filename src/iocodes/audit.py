@@ -22,6 +22,7 @@ from .canon import canonical_graph
 from .construct import BoundStatus, _check_delta, check_bound, construct_code
 from .errors import BadParam, CodeRejected
 from .families import (
+    GRAPH_CAP,
     TREE_CAP,
     enumerate_graph_classes,
     enumerate_trees,
@@ -192,8 +193,8 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
     graphs covered.
     With ``delta`` given, classes of larger maximum degree are skipped.
     """
-    if not 5 <= n_max <= 7:
-        raise BadParam(f"graph audit supports 5 <= n_max <= 7, got {n_max}")
+    if not 5 <= n_max <= GRAPH_CAP:
+        raise BadParam(f"graph audit supports 5 <= n_max <= {GRAPH_CAP}, got {n_max}")
     _check_delta(delta)
     workers = _worker_count()
     started = time.monotonic()
@@ -239,20 +240,14 @@ def audit_graphs_sampled(
     return _summarize(results, started, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 
-def verify_tight_families(
-    delta_max: int,
-    p_max: int,
-    exact_ps: tuple[int, ...] = (3,),
-    decision_ps: tuple[int, ...] = (5,),
-) -> dict:
+def verify_tight_families(delta_max: int, p_max: int) -> dict:
     """Solver-certified values for the named extremal families.
 
     For each delta up to ``delta_max``: the subdivided star, its reduced
     variant and the bridged pair have minima 2*delta, 2*delta - 1 and
     4*delta - 2.  For each gadget cycle size p: the all-but-pendants set
-    verifies at 5p; for p in ``exact_ps`` the solver confirms 5p exactly,
-    and for p in ``decision_ps`` a budgeted search certifies that 5p - 1
-    is infeasible.
+    verifies at 5p; at p = 3 the solver confirms 5p exactly, and at
+    p = 5 a budgeted search certifies that 5p - 1 is infeasible.
     """
     if delta_max < 3 or p_max < 3:
         raise BadParam("need delta_max >= 3 and p_max >= 3")
@@ -285,21 +280,17 @@ def verify_tight_families(
             continue
         g, spec = gen_subcubic_gp(p)
         ref = spec.reference_code
+        gamma = solve(g).gamma if p == 3 else None
+        certified = solve_with_budget(g, 5 * p - 1) is None if p == 5 else None
         entry = {
             "order": g.n,
             "reference_size": len(ref),
             "reference_ok": is_io_code(g, ref).ok,
-            "gamma": None,
-            "lower_bound_certified": None,
+            "gamma": gamma,
+            "lower_bound_certified": certified,
         }
-        if p in exact_ps:
-            entry["gamma"] = solve(g).gamma
-            entry["ok"] = entry["reference_ok"] and entry["gamma"] == 5 * p
-        else:
-            entry["ok"] = entry["reference_ok"] and len(ref) == 5 * p
-        if p in decision_ps:
-            entry["lower_bound_certified"] = solve_with_budget(g, 5 * p - 1) is None
-            entry["ok"] &= entry["lower_bound_certified"]
+        size = len(ref) if gamma is None else gamma
+        entry["ok"] = entry["reference_ok"] and size == 5 * p and certified is not False
         report["gadget_cycles"][p] = entry
         report["ok"] &= entry["ok"]
     return report

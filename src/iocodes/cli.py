@@ -222,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact minimum IO-code")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, help="decision variant: find any code of this size")
-    p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
+    method = p.add_mutually_exclusive_group()
+    method.add_argument("--budget", type=int, default=None, help="decision variant: find any code of this size")
+    method.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("construct", help="bound-certified code with trace")

@@ -37,6 +37,7 @@ from .errors import (
     TooSmall,
 )
 from .families import (
+    _star_plus_edge_leave_out,
     as_subdivided_star,
     canonical_set,
     legs_end_in_leaves,
@@ -527,38 +528,17 @@ def _star_plus_edge_code(
     edge: tuple[int, int],
     trace: ConstructionTrace,
 ) -> set[int]:
-    """Stored patterns for a subdivided star plus one edge; ``tree`` is the
-    part without ``edge``."""
+    """The stored pattern for a subdivided star plus one edge, as
+    ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the part
+    without ``edge``."""
     center, k = star
-    supports = set(tree.neighbors(center))
-    a, b = edge
-
-    def leaf_of(s: int) -> int:
-        return next(x for x in tree.neighbors(s) if x != center)
-
-    if a in supports and b in supports:
-        dropped = {leaf_of(a), leaf_of(b)}
-        variant = "supports_joined"
-    elif center in (a, b):
-        y = b if a == center else a
-        other_leaves = [x for x in range(tree.n) if tree.degree(x) == 1 and x != y]
-        dropped = {min(other_leaves, key=part.labels.__getitem__)}
-        variant = "center_to_leaf"
-    else:
-        x = min(a, b, key=part.labels.__getitem__)
-        if k == 2:
-            dropped = {x}
-        else:
-            support_of_x = next(s for s in tree.neighbors(x))
-            dropped = {x, support_of_x}
-        variant = "leaves_joined"
-
-    code = part.labels_of(v for v in range(tree.n) if v not in dropped)
+    variant, left_out = _star_plus_edge_leave_out(tree, center, edge, key=part.labels.__getitem__)
+    code = part.labels_of(v for v in range(tree.n) if v not in left_out)
     if not part.verifies(code):
         raise _CaseMiss("pattern failed verification")
     trace.add(
         "star_plus_edge_pattern",
-        {"variant": variant, "legs": k, "edge": (part.labels[a], part.labels[b])},
+        {"variant": variant, "legs": k, "edge": (part.labels[edge[0]], part.labels[edge[1]])},
         code,
     )
     return code

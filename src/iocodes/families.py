@@ -309,13 +309,14 @@ def gen_tight_tree_pair(delta: int) -> tuple[Graph, FamilySpec]:
     """Two reduced subdivided stars bridged between their pendant leaves."""
     if delta < 3:
         raise BadParam(f"tight tree pair needs delta >= 3, got {delta}")
-    half, _ = gen_reduced_subdivided_star(delta)
+    half, half_spec = gen_reduced_subdivided_star(delta)
+    center, bridge, leaves = (half_spec.distinguished[key] for key in ("center", "center_leaf", "leaves"))
     off = half.n
     edges = half.edges() + [(u + off, v + off) for u, v in half.edges()]
-    edges.append((1, off + 1))
+    edges.append((bridge, off + bridge))
     g = Graph(2 * off, edges)
     # drop the first full-leg leaf of each copy; attains the extremal size
-    excluded = (3, off + 3)
+    excluded = (leaves[0], off + leaves[0])
     mask = (1 << g.n) - 1
     for v in excluded:
         mask ^= 1 << v
@@ -323,8 +324,8 @@ def gen_tight_tree_pair(delta: int) -> tuple[Graph, FamilySpec]:
         kind="bridged_star_pair",
         params={"delta": delta, "order": g.n},
         distinguished={
-            "centers": [0, off],
-            "bridge_leaves": [1, off + 1],
+            "centers": [center, off + center],
+            "bridge_leaves": [bridge, off + bridge],
             "excluded": list(excluded),
         },
         reference_code=VertexSet(g.n, mask=mask),
@@ -368,38 +369,51 @@ def gen_star_plus_edge(variant: str, k: int) -> tuple[Graph, FamilySpec]:
     """Subdivided star on k legs plus one extra edge.
 
     g1 joins two support vertices, g2 joins two leaves, g3 joins the
-    center to a leaf.  Reference codes follow the known verifying sets;
-    g2 with k=2 is the 5-cycle, where any four vertices verify.
+    center to a leaf.  The reference code leaves out the vertices of
+    ``_star_plus_edge_leave_out``, the rule the graph constructor
+    applies; g2 with k=2 is the 5-cycle, where any four vertices verify.
     """
     variant = variant.lower()
     if variant not in ("g1", "g2", "g3"):
         raise BadParam(f"variant must be g1, g2 or g3, got {variant!r}")
     if k < 2:
         raise BadParam(f"star-plus-edge needs k >= 2, got {k}")
-    base, _ = gen_subdivided_star(k)
-    supports = [1 + 2 * j for j in range(k)]
-    leaves = [2 + 2 * j for j in range(k)]
-    full = (1 << base.n) - 1
-    if variant == "g1":
-        extra = (supports[0], supports[1])
-        ref = full ^ (1 << leaves[0]) ^ (1 << leaves[1])
-    elif variant == "g2":
-        extra = (leaves[0], leaves[1])
-        if k == 2:
-            ref = full ^ (1 << leaves[0])
-        else:
-            ref = full ^ (1 << supports[0]) ^ (1 << leaves[0])
-    else:
-        extra = (0, leaves[-1])
-        ref = full ^ (1 << leaves[0])
+    base, base_spec = gen_subdivided_star(k)
+    center, supports, leaves = (base_spec.distinguished[key] for key in ("center", "supports", "leaves"))
+    extra = {
+        "g1": (supports[0], supports[1]),
+        "g2": (leaves[0], leaves[1]),
+        "g3": (center, leaves[-1]),
+    }[variant]
+    _, left_out = _star_plus_edge_leave_out(base, center, extra)
     g = Graph(base.n, base.edges() + [extra])
     spec = FamilySpec(
         kind="star_plus_edge",
         params={"variant": variant, "k": k, "order": g.n},
-        distinguished={"center": 0, "supports": supports, "leaves": leaves, "extra_edge": list(extra)},
-        reference_code=VertexSet(g.n, mask=ref),
+        distinguished={"center": center, "supports": supports, "leaves": leaves, "extra_edge": list(extra)},
+        reference_code=VertexSet(g.n, (v for v in range(g.n) if v not in left_out)),
     )
     return g, spec
+
+
+def _star_plus_edge_leave_out(
+    tree: Graph, center: int, edge: tuple[int, int], key=None
+) -> tuple[str, set[int]]:
+    """The pattern of the subdivided star ``tree`` plus ``edge``, and the
+    vertices its code leaves out; ties go to the least ``key``.
+
+    Two supports joined: both of their leaves.  The center joined to a
+    leaf: the least other leaf.  Two leaves joined: the lesser one, plus
+    its support when the star has more than two legs.
+    """
+    a, b = edge
+    if tree.has_edge(center, a) and tree.has_edge(center, b):
+        return "supports_joined", {next(x for x in tree.neighbors(s) if x != center) for s in edge}
+    if center in edge:
+        other_leaves = (x for x in range(tree.n) if tree.degree(x) == 1 and x not in edge)
+        return "center_to_leaf", {min(other_leaves, key=key)}
+    x = min(edge, key=key)
+    return "leaves_joined", {x} if tree.degree(center) == 2 else {x, *tree.neighbors(x)}
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,11 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ParseError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as err:
+        char = s[err.start]
+        raise ParseError(f"non-ASCII character {char!r} in graph6 string", position=err.start) from None
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:

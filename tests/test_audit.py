@@ -106,16 +106,27 @@ class TestGraphAudit:
 
 class TestTightFamilies:
     def test_report(self):
-        report = verify_tight_families(3, 3, exact_ps=(3,), decision_ps=())
+        report = verify_tight_families(3, 3)
         assert report["ok"]
         assert report["stars"][3]["expected"] == (6, 5, 10)
         assert report["gadget_cycles"][3]["gamma"] == 15
 
     def test_reference_only_mode(self):
-        report = verify_tight_families(3, 6, exact_ps=(), decision_ps=())
+        report = verify_tight_families(3, 6)
         assert report["ok"]
         assert report["gadget_cycles"][6]["reference_size"] == 30
+        assert report["gadget_cycles"][6]["gamma"] is None
+        assert report["gadget_cycles"][5]["lower_bound_certified"] is True
         assert 4 not in report["gadget_cycles"]
+
+    def test_reports_are_pinned(self):
+        # sha256 over the reports for delta_max 3-7 and p_max 3-8, computed
+        # while the exact and decided cycle sizes were caller options
+        digest = hashlib.sha256()
+        for delta_max in range(3, 8):
+            for p_max in range(3, 9):
+                digest.update(json.dumps(verify_tight_families(delta_max, p_max), sort_keys=True).encode())
+        assert digest.hexdigest() == "ec92fb49b7998ff04107ac6562d1a8e23c714074b0fbee04f08338ff107bca83"
 
 
 class TestDeltaCheck:

@@ -118,6 +118,22 @@ class TestSolve:
         _, out, _ = run(capsys, "solve", p5_file, "--budget", "4")
         assert json.loads(out)["found"] is True
 
+    def test_budget_and_oracle_exclude_each_other(self, capsys, p5_file):
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", p5_file, "--budget", "4", "--oracle"])
+        assert caught.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not allowed with argument" in out.err
+
+    def test_non_ascii_graph6_is_an_input_error(self, capsys, tmp_path):
+        f = tmp_path / "snowman.g6"
+        f.write_text("C\u2603\n", encoding="utf-8")
+        status, out, err = run(capsys, "solve", str(f))
+        assert status == 2
+        assert out == ""
+        assert err == "input error: non-ASCII character '\u2603' in graph6 string (position 1)\n"
+
 
 class TestConstruct:
     def test_tree(self, capsys, p5_file):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from iocodes import (
     max_degree,
     solve,
 )
+from iocodes.formats import parse_graph6
 
 
 def path(n):
@@ -259,6 +262,56 @@ class TestGraphConstructor:
                 code, trace = construct_graph_code(g, d)
                 assert is_io_code(g, code).ok
                 assert check_bound(g.n, len(code), d) is not BoundStatus.VIOLATION
+
+    def test_star_plus_edge_traces_are_pinned(self):
+        # sha256 over (sorted code, trace) at delta = max(3, max degree) and
+        # one more, computed while the constructor kept its own copy of the
+        # patterns that gen_star_plus_edge's reference codes follow
+        digest = hashlib.sha256()
+        variants = set()
+        for variant in ("g1", "g2", "g3"):
+            for k in range(2, 16):
+                g, _ = gen_star_plus_edge(variant, k)
+                d = max(3, max_degree(g))
+                for delta in (d, d + 1):
+                    code, trace = construct_graph_code(g, delta)
+                    steps = [s for s in trace.steps if s.case == "star_plus_edge_pattern"]
+                    variants.update(s.detail["variant"] for s in steps)
+                    digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
+        assert variants == {"supports_joined", "center_to_leaf", "leaves_joined"}
+        assert digest.hexdigest() == "dd947cd2d305ee0bbb46b9e4a84cb49158ab7979f8e44febfc01cf675cf7c89c"
+
+    def test_cycle_vertex_removed(self):
+        # a 6- and an 8-cycle with a pendant leaf on every other vertex:
+        # deleting any cycle edge leaves twins, so a degree-2 cycle vertex goes
+        g6 = parse_graph6("HhEK@?G")
+        code, trace = construct_graph_code(g6, 3)
+        assert sorted(code) == [0, 2, 3, 4, 5] and solve(g6).gamma == 5
+        assert [(s.case, s.detail) for s in trace.steps] == [
+            ("cycle_vertex_removed", {"vertex": 1}),
+            ("tree_reduction", {"order": 8}),
+            ("family_canonical", {"root": 4, "vector": [1, 0, 2, 0, 0, 0], "order": 8}),
+        ]
+        g8 = parse_graph6("KhCGKE?G?O?O")
+        code, trace = construct_graph_code(g8, 3)
+        assert sorted(code) == [0, 2, 3, 4, 6, 7, 9, 11] and solve(g8).gamma == 7
+        assert [s.case for s in trace.steps] == [
+            "cycle_vertex_removed",
+            "tree_reduction",
+            "family_canonical",
+            "twin_leaf_pruned",
+            "deep_branch_split",
+        ]
+        assert trace.steps[0].detail == {"vertex": 1}
+        assert trace.steps[3].detail == {"leaf": 5, "far_order": 6}
+        assert trace.steps[4].detail == {
+            "edge": (6, 5),
+            "position": 3,
+            "near_order": 5,
+            "recognized_branch": True,
+            "far_order": 6,
+            "twin_pruned": True,
+        }
 
     def test_validation_errors(self):
         # twin-free 6-cycle with one chord still contains a 4-cycle

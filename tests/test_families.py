@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -29,6 +31,7 @@ from iocodes import (
 )
 from iocodes.canon import canonical_graph6, isomorphic
 from iocodes.families import TREE_CAP
+from iocodes.formats import emit_graph6
 
 # known counts of free trees by order
 FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -236,6 +239,23 @@ class TestNamedGenerators:
                 assert not has_four_cycle(g)
         g3, _ = gen_star_plus_edge("g3", 4)
         assert g3.degree(0) == 5  # center degree k + 1
+
+    def test_generators_are_pinned(self):
+        # sha256 over each instance's graph6 and sidecar fields, computed
+        # before the star-plus-edge rule and the bridged pair's layout were
+        # read off their base stars' specs
+        calls = [(gen, d) for d in range(2, 31) for gen in (gen_subdivided_star, gen_reduced_subdivided_star)]
+        calls += [(gen_tight_tree_pair, d) for d in range(3, 31)]
+        calls += [(gen_subcubic_gp, p) for p in (3, *range(5, 31))]
+        calls += [(gen_star_plus_edge, variant, k) for variant in ("g1", "g2", "g3") for k in range(2, 31)]
+        digest = hashlib.sha256()
+        for gen, *params in calls:
+            g, spec = gen(*params)
+            ref = None if spec.reference_code is None else sorted(spec.reference_code)
+            fields = [emit_graph6(g), spec.kind, spec.params, spec.distinguished, ref]
+            digest.update(json.dumps(fields, sort_keys=True).encode())
+        assert len(calls) == 200
+        assert digest.hexdigest() == "373322954b546805b213f7dd21f9ac7d7676445230c5d0286ad94b56378f6709"
 
     def test_bad_params(self):
         for call in (

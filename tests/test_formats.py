@@ -80,6 +80,17 @@ class TestGraph6:
         with pytest.raises(ParseError):
             parse_graph6("D?@")
 
+    def test_non_ascii_character_is_named(self):
+        # a non-ASCII character was read as '?': the first two decoded to
+        # edgeless graphs
+        cases = (("B\u00e9", "\u00e9", 1), ("C\u2603", "\u2603", 1), (">>graph6<<\u00e9?", "\u00e9", 0))
+        for text, char, position in cases:
+            with pytest.raises(ParseError, match=f"non-ASCII character {char!r}") as caught:
+                parse_graph6(text)
+            assert caught.value.position == position
+        with pytest.raises(ParseError, match="non-ASCII"):
+            load_graph("# a snowman\nC\u2603\n")
+
 
 class TestLoadGraph:
     def test_dispatch(self):
@@ -204,9 +215,17 @@ class TestGraph6AgainstReference:
             else:
                 text = text[:-1] + chr(ord(text[-1]) | rng.choice([1, 2, 4, 8, 16, 32]))
             texts.append(text)
-        errors = 0
+        errors = non_ascii = 0
         for text in fixed + texts:
             ours = decoded(parse_graph6, text)
-            assert ours == decoded(reference_parse_graph6, text), text
+            # the reference read a non-ASCII character as '?'; it is an error now
+            if not text.isascii():
+                s = text.strip()
+                i = next(i for i, c in enumerate(s) if not c.isascii())
+                assert ours == (f"non-ASCII character {s[i]!r} in graph6 string (position {i})", None, i)
+                non_ascii += 1
+            else:
+                assert ours == decoded(reference_parse_graph6, text), text
             errors += isinstance(ours, tuple)
+        assert non_ascii == 12
         assert errors >= 800
