@@ -18,6 +18,15 @@ deleting that leaf before recursing.  Every case is validated on the
 spot; if no case applies along any longest path (three of the 3,149
 twin-free trees with n <= 16 reach this), an exact solve finishes the
 sub-instance and the trace carries a warning.  All bound arithmetic is integer-exact.
+
+Each level of the tree decomposition scans the whole remaining tree a
+few times, each scan a single pass: the family roots (one subtree-size
+pass), the star-component candidates (one pass marking leaves and
+degree-2 supports), the diametral paths (BFS layer masks) and the
+sub-instances of a split (one reachability walk, then the two induced
+sides).  The number of levels is not bounded that way: a path loses 5
+vertices per peel, so its cost stays quadratic in its length, and each
+peel nests a few Python frames.
 """
 
 from __future__ import annotations
@@ -27,6 +36,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
+# graphs._bits is reached through its module: the per-layer tracer wraps
+# functions imported by name, and a bit iterator is not a layer call
+from . import graphs
 from .errors import (
     BadParam,
     ConstructionError,
@@ -40,7 +52,6 @@ from .families import (
     _star_plus_edge_leave_out,
     as_subdivided_star,
     canonical_set,
-    legs_end_in_leaves,
     recognize_family,
     recognize_family_rooted,
 )
@@ -272,14 +283,34 @@ def _star_component_candidates(g: Graph, delta: int):
     """Edges whose removal leaves a subdivided star centered at an endpoint.
 
     Ordered by fewest star legs, then lowest edge, matching the preference
-    for the smallest split-off component.
+    for the smallest split-off component.  One pass over the degrees
+    marks the leaves, from which the legs are the degree-2 supports; a
+    center of degree 3 to ``delta`` qualifies when at most one of its
+    neighbours is not a leg, and that neighbour (or, if there is none,
+    any neighbour) is the far side.
     """
+    adj = g.adj
+    leaves = legs = 0
+    twos, centers = [], []
+    for v, nbrs in enumerate(adj):
+        d = nbrs.bit_count()
+        if d == 1:
+            leaves |= 1 << v
+        elif d == 2:
+            twos.append(v)
+        elif 3 <= d <= delta:
+            centers.append(v)
+    for v in twos:
+        if adj[v] & leaves:
+            legs |= 1 << v
     found = []
-    for edge in g.edges():
-        for center, other in (edge, edge[::-1]):
-            k = g.adj[center].bit_count() - 1
-            if 2 <= k <= delta - 1 and legs_end_in_leaves(g, center, skip=other):
-                found.append((k, edge, center, other))
+    for center in centers:
+        rest = adj[center] & ~legs
+        if rest & (rest - 1):
+            continue
+        k = adj[center].bit_count() - 1
+        for other in graphs._bits(rest or adj[center]):
+            found.append((k, (min(center, other), max(center, other)), center, other))
     found.sort()
     return [(center, other, k) for k, _, center, other in found]
 

@@ -27,6 +27,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
+# graphs._bits is reached through its module: the per-layer tracer wraps
+# functions imported by name, and a bit iterator is not a layer call
+from . import graphs
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
 from .graphs import Graph, VertexSet, has_four_cycle, is_connected
@@ -250,11 +253,39 @@ def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
 
 
 def recognize_family(g: Graph) -> FamilySpec | None:
-    """The family match at the lowest root for which the tree has one."""
-    for root in range(g.n):
-        spec = recognize_family_rooted(g, root)
-        if spec is not None:
-            return spec
+    """The family match at the lowest root for which the tree has one.
+
+    A match makes the graph a tree in which the root has degree at least
+    (n - 1) / 5 and leaves no component larger than ``_LARGEST_SHAPE``.
+    So each call, once per level of the tree constructor, reads the
+    largest degree, makes one subtree-size pass from vertex 0 and tries
+    only the roots that pass, in increasing index: the first match is
+    the one every root would give.  For n >= 12 the one such root is the
+    tree's centroid (Jordan 1869).
+    """
+    n = g.n
+    if n < 2 or g.edge_count != n - 1 or n > 1 + _LARGEST_SHAPE * max(map(int.bit_count, g.adj)):
+        return None
+    parent = [-1] * n
+    order = [0]
+    seen = 1
+    for u in order:
+        below = g.adj[u] & ~seen
+        seen |= below
+        for w in graphs._bits(below):
+            parent[w] = u
+            order.append(w)
+    size = [1] * n
+    heaviest = [0] * n  # the largest subtree below each vertex
+    for w in reversed(order[1:]):
+        u = parent[w]
+        size[u] += size[w]
+        heaviest[u] = max(heaviest[u], size[w])
+    for root in range(n):
+        if max(heaviest[root], n - size[root]) <= _LARGEST_SHAPE:
+            spec = recognize_family_rooted(g, root)
+            if spec is not None:
+                return spec
     return None
 
 

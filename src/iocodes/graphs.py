@@ -238,13 +238,26 @@ def find_open_twins(g: Graph) -> list[tuple[int, int]]:
 
 
 def has_four_cycle(g: Graph) -> bool:
-    """True iff some 4-cycle exists, i.e. two vertices share >= 2 neighbors."""
-    for u in range(g.n):
-        au = g.adj[u]
-        for v in range(u + 1, g.n):
-            common = au & g.adj[v] & ~(1 << u) & ~(1 << v)
-            if common.bit_count() >= 2:
+    """True iff some 4-cycle exists, i.e. two vertices share >= 2 neighbors.
+
+    Each vertex records every pair of its neighbours, one partner mask
+    per neighbour, and the first pair met a second time closes a 4-cycle.
+    That is one mask test per incidence, O(sum of deg^2) pairs in all;
+    until a repeat every pair is new, so dense graphs stop within O(n^2).
+    """
+    partners = [0] * g.n
+    for nbrs in g.adj:
+        if nbrs & (nbrs - 1) == 0:  # no pair of neighbours
+            continue
+        rest = nbrs  # bits walked inline: the labeled sweep calls this millions of times
+        while rest:
+            low = rest & -rest
+            others = nbrs ^ low
+            a = low.bit_length() - 1
+            if partners[a] & others:
                 return True
+            partners[a] |= others
+            rest ^= low
     return False
 
 
@@ -264,30 +277,42 @@ def _bfs_order(g: Graph, start: int) -> tuple[list[int], list[int]]:
     return dist, parent
 
 
-def _reach(g: Graph, start: int) -> int:
-    """Mask of the vertices reachable from ``start``, one frontier at a time."""
+def _layers(g: Graph, start: int) -> list[int]:
+    """The BFS layers from ``start`` as vertex masks, nearest first."""
+    adj = g.adj
+    layers = []
     seen = frontier = 1 << start
     while frontier:
+        layers.append(frontier)
         nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adj[u]
+        rest = frontier  # bits walked inline: a path has one layer per vertex
+        while rest:
+            low = rest & -rest
+            nxt |= adj[low.bit_length() - 1]
+            rest ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return seen
+    return layers
+
+
+def _reach(g: Graph, start: int) -> int:
+    """Mask of the vertices reachable from ``start``: its disjoint BFS layers."""
+    return sum(_layers(g, start))
 
 
 def _induced(g: Graph, keep: int) -> tuple[Graph, list[int], dict[int, int]]:
     """The subgraph induced by the mask ``keep``, re-densified in vertex order;
-    returns (graph, new_to_old, old_to_new)."""
+    returns (graph, new_to_old, old_to_new).  The adjacency is remapped bit
+    by bit from a valid graph's, so it needs no edge list and no checks."""
     new_to_old = list(_bits(keep))
     old_to_new = {old: i for i, old in enumerate(new_to_old)}
-    edges = [
-        (old_to_new[u], old_to_new[w])
-        for u in new_to_old
-        for w in _bits(g.adj[u] & keep)
-        if u < w
-    ]
-    return Graph(len(new_to_old), edges), new_to_old, old_to_new
+    adj = []
+    for u in new_to_old:
+        mask = 0
+        for w in _bits(g.adj[u] & keep):
+            mask |= 1 << old_to_new[w]
+        adj.append(mask)
+    return Graph._from_adj(tuple(adj)), new_to_old, old_to_new
 
 
 def is_connected(g: Graph) -> bool:
@@ -368,29 +393,29 @@ def diametral_paths(g: Graph) -> Iterator[list[int]]:
 
     Yielded lazily in (start, end) endpoint order; used by the
     constructive algorithms, which root a tree at either end of a longest
-    path.  Path ends come from three BFS runs: in a tree, every vertex's
-    eccentricity is its larger distance to the two ends of any one
-    diametral pair.  One more BFS from each start gives its far ends, and
-    each path is read off that BFS's parents.
+    path.  Each level of the tree constructor scans the whole remaining
+    tree here: three BFS runs by layer masks find the path ends, since in
+    a tree the ends are the last layer from ``x``, a vertex farthest from
+    0, together with the last layer from ``y``, a vertex farthest from
+    ``x``.  Each start then needs its own layers (those of ``x`` and
+    ``y`` are reused), and each path is walked back from its far end
+    through the one neighbour in the next lower layer.
     """
     if g.n <= 1:
         if g.n == 1:
             yield [0]
         return
-    dist0, _ = _bfs_order(g, 0)
-    x = dist0.index(max(dist0))
-    dist_x, _ = _bfs_order(g, x)
-    diam = max(dist_x)
-    dist_y, _ = _bfs_order(g, dist_x.index(diam))
-    for a in range(g.n):
-        if max(dist_x[a], dist_y[a]) == diam:
-            dist, parent = _bfs_order(g, a)
-            for b in range(g.n):
-                if dist[b] == diam:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    yield path[::-1]
+    x = _layers(g, 0)[-1].bit_length() - 1
+    from_x = _layers(g, x)
+    y = from_x[-1].bit_length() - 1
+    known = {x: from_x, y: _layers(g, y)}
+    for a in _bits(from_x[-1] | known[y][-1]):
+        layers = known.get(a) or _layers(g, a)
+        for b in _bits(layers[-1]):
+            path = [b]
+            for layer in reversed(layers[:-1]):
+                path.append((g.adj[path[-1]] & layer).bit_length() - 1)
+            yield path[::-1]
 
 
 def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:

@@ -9,13 +9,16 @@ shape in turn, and a canonical set written per type over role names.
 import random
 from itertools import product
 
+from conftest import atlas_graphs, random_tree
 from iocodes import (
     AttachmentVector,
+    Graph,
     VertexSet,
     build_family_tree,
     canonical_set,
     enumerate_trees,
     recognize_family,
+    recognize_family_rooted,
 )
 from iocodes.families import _branch_shape
 
@@ -149,3 +152,33 @@ def test_canonical_sets_match_the_roles():
         _, spec = build_family_tree(vec)
         assert canonical_set(spec) == canonical_set_by_roles(spec)
     assert len(vectors) == 373
+
+
+def first_rooted_match(g):
+    """The family match at the lowest root, trying every root."""
+    return next(filter(None, (recognize_family_rooted(g, r) for r in range(g.n))), None)
+
+
+def test_recognition_tries_the_roots_every_root_would():
+    # recognize_family tries only the roots that pass one subtree-size
+    # pass; trying all of them must give the same first match
+    rng = random.Random(14)
+    graphs = [t for n in range(1, 14) for t in enumerate_trees(n)]
+    graphs += [random_tree(rng.randint(13, 80), rng) for _ in range(200)]
+    graphs += [g for n in range(8) for g in atlas_graphs(n)]  # cycles, forests, disconnected
+    # family members, relabeled: one type repeated (type 6 alone fills the
+    # degree limit n = 1 + 5 * degree), then random vectors
+    vectors = [tuple(k * (i == t) for i in range(6)) for t in range(6) for k in range(1, 5)]
+    while len(vectors) < 300:
+        vectors.append((rng.randint(0, 1),) + tuple(rng.randint(0, 3) for _ in range(5)))
+    for vec in vectors:
+        if AttachmentVector.of(vec).is_admissible():
+            tree, _ = build_family_tree(vec)
+            label = rng.sample(range(tree.n), tree.n)
+            graphs.append(Graph(tree.n, [(label[u], label[v]) for u, v in tree.edges()]))
+    matched = 0
+    for g in graphs:
+        spec = recognize_family(g)
+        assert spec == first_rooted_match(g), g.edges()
+        matched += spec is not None
+    assert matched > 300

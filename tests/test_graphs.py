@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from conftest import (
+    atlas_graphs,
     brute_all_distances,
     brute_has_four_cycle,
     brute_open_twins,
@@ -35,6 +36,7 @@ from iocodes import (
     min_degree,
     open_neighborhood,
 )
+from iocodes.graphs import _induced
 
 
 def path(n):
@@ -134,10 +136,37 @@ class TestFourCycle:
         g, _ = gen_subcubic_gp(3)
         assert not has_four_cycle(g)
 
+    def test_earlier_partners_are_kept(self):
+        # both neighbour pairs of the 4-cycle 0-1-7-8 recur only after other
+        # pairs at the same vertices: keeping only the latest partners misses it
+        g = Graph(10, [(0, 1), (0, 3), (0, 8), (1, 3), (1, 7), (5, 7), (5, 8), (7, 8)])
+        assert has_four_cycle(g) and brute_has_four_cycle(g)
+
     def test_agrees_with_literal_search(self, rng):
-        for _ in range(100):
-            g = random_graph(rng.randint(4, 11), rng.uniform(0.1, 0.6), rng)
+        graphs = [random_graph(rng.randint(4, 11), rng.uniform(0.1, 0.6), rng) for _ in range(100)]
+        for g in graphs + [g for n in range(8) for g in atlas_graphs(n)]:
             assert has_four_cycle(g) == brute_has_four_cycle(g)
+
+
+class TestInduced:
+    def test_matches_the_definition(self, rng):
+        # _induced builds its graph through Graph._from_adj, which skips the
+        # constructor's checks, so this test makes them
+        for _ in range(150):
+            g = random_graph(rng.randint(0, 14), rng.random(), rng)
+            keep = rng.getrandbits(g.n)
+            h, new_to_old, old_to_new = _induced(g, keep)
+            assert new_to_old == [v for v in range(g.n) if keep >> v & 1]
+            assert old_to_new == {old: new for new, old in enumerate(new_to_old)}
+            assert h.n == len(new_to_old) and len(h.adj) == h.n
+            for i in range(h.n):
+                assert h.adj[i] >> h.n == 0 and not h.adj[i] >> i & 1
+                for j in range(h.n):
+                    assert (h.adj[i] >> j & 1) == (h.adj[j] >> i & 1)
+                    assert bool(h.adj[i] >> j & 1) == g.has_edge(new_to_old[i], new_to_old[j])
+            expected = [(old_to_new[u], old_to_new[v]) for u, v in g.edges() if keep >> u & keep >> v & 1]
+            assert h.edge_count == len(expected)
+            assert h == Graph(h.n, expected)
 
 
 class TestConnectivity:

@@ -8,6 +8,7 @@ diametral paths come from all pairwise distances.
 
 import hashlib
 import json
+import random
 
 from conftest import brute_all_distances, random_tree
 from iocodes import (
@@ -20,8 +21,10 @@ from iocodes import (
     longest_path_in_tree,
     max_degree,
 )
-from iocodes.construct import _star_component_candidates
+from iocodes.canon import canonical_graph
+from iocodes.construct import _star_component_candidates, construct_code
 from iocodes.graphs import diametral_paths
+from test_tree_dp import subdivided_random_tree
 
 TWIN_FREE_TREES = [
     t for n in range(1, 13) for t in enumerate_trees(n) if not find_open_twins(t)
@@ -31,6 +34,13 @@ TWIN_FREE_TREES = [
 # tree with 5 <= n <= 12, at each delta from max(3, max degree) to max
 # degree + 2, as produced by the edge-deletion constructor it replaced.
 TREE_CODES_AND_TRACES_SHA256 = "7cf74bccb07cbfc7b0b865be748eeeca998825427c2bca32a4f2ba49c59e0df5"
+# the same digest over construct_code at max(3, max degree), as the audit
+# and the CLI call it: on the 3,149 twin-free trees with 5 <= n <= 16 in
+# canonical labels, and on the 32 construct inputs of the benchmark's
+# large_trees workload; both taken before the constructor's per-level
+# scans became single passes
+AUDIT_TREE_CODES_AND_TRACES_SHA256 = "dacea85e87241fc53739b442e0d8e89271cbb07008dca9042fee193915c4b158"
+LARGE_TREE_CODES_AND_TRACES_SHA256 = "c80532554110d8303d23a18fc80e149a6b47ff771bd03eedb4466b42a1b6eca1"
 
 
 def star_candidates_by_edge_deletion(g, delta):
@@ -106,3 +116,35 @@ def test_tree_codes_and_traces_unchanged():
             code, trace = construct_tree_code(t, delta)
             digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
     assert digest.hexdigest() == TREE_CODES_AND_TRACES_SHA256
+
+
+def codes_and_traces_digest(graphs):
+    digest = hashlib.sha256()
+    for g in graphs:
+        code, trace = construct_code(g, max(3, max_degree(g)))
+        digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_audited_tree_codes_and_traces_unchanged():
+    trees = [
+        canonical_graph(t)
+        for n in range(5, 17)
+        for t in enumerate_trees(n)
+        if len(set(t.adj)) == t.n
+    ]
+    assert len(trees) == 3149
+    assert codes_and_traces_digest(trees) == AUDIT_TREE_CODES_AND_TRACES_SHA256
+
+
+def test_large_tree_codes_and_traces_unchanged():
+    # one seed-0 stream, as the workload draws it: three trees per odd
+    # order 41..61 to solve, whose three 61-vertex trees are also
+    # constructed, then the remaining construct inputs by order
+    rng = random.Random(0)
+    solve_set = [subdivided_random_tree((n + 1) // 2, rng) for n in range(41, 62, 2) for _ in range(3)]
+    trees = [t for t in solve_set if t.n == 61]
+    for n, count in {71: 4, 81: 4, 91: 4, 101: 4, 111: 4, 121: 4, 151: 2, 181: 1, 211: 1, 241: 1}.items():
+        trees += [subdivided_random_tree((n + 1) // 2, rng) for _ in range(count)]
+    assert len(trees) == 32
+    assert codes_and_traces_digest(trees) == LARGE_TREE_CODES_AND_TRACES_SHA256
