@@ -32,7 +32,7 @@ from .families import (
     gen_tight_tree_pair,
 )
 from .formats import emit_graph6
-from .graphs import Graph, find_open_twins, has_four_cycle, is_connected, max_degree
+from .graphs import Graph, _twin_free, has_four_cycle, is_connected, max_degree
 from .solver import solve, solve_with_budget
 from .verify import is_io_code
 
@@ -171,7 +171,7 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
     trees = []
     for n in range(5, n_max + 1):
         for t in enumerate_trees(n):
-            if len(set(t.adj)) < t.n:  # open twins
+            if not _twin_free(t.adj):
                 continue
             if delta is not None and max_degree(t) > delta:
                 continue
@@ -302,7 +302,7 @@ def _random_twin_free_graph(rng: random.Random, n_low: int, n_high: int, p_low: 
         n = rng.randint(n_low, n_high)
         p = rng.uniform(p_low, p_high)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        if is_connected(g) and not find_open_twins(g):
+        if is_connected(g) and _twin_free(g.adj):
             return g
 
 

@@ -21,12 +21,14 @@ sub-instance and the trace carries a warning.  All bound arithmetic is integer-e
 
 Each level of the tree decomposition scans the whole remaining tree a
 few times, each scan a single pass: the family roots (one subtree-size
-pass), the star-component candidates (one pass marking leaves and
-degree-2 supports), the diametral paths (BFS layer masks) and the
-sub-instances of a split (one reachability walk, then the two induced
-sides).  The number of levels is not bounded that way: a path loses 5
-vertices per peel, so its cost stays quadratic in its length, and each
-peel nests a few Python frames.
+pass), the star-component candidates (the leaves and legs of
+``families._leaves_and_legs``), the diametral paths (BFS layer masks),
+the sub-instances of a split (one reachability walk, then the two induced
+sides) and their twin tests (``graphs._twin_free``, with one scan for the
+cut leaf's partner when it fails).  Subdivided-star codes leave out what
+``families._subdivided_star_leave_out`` gives.  The number of levels is
+not bounded that way: a path loses 5 vertices per peel, so its cost
+stays quadratic in its length, and each peel nests a few Python frames.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from .errors import (
     TooSmall,
 )
 from .families import (
+    _leaves_and_legs,
     _star_plus_edge_leave_out,
+    _subdivided_star_leave_out,
     as_subdivided_star,
     canonical_set,
     recognize_family,
@@ -60,11 +64,10 @@ from .graphs import (
     VertexSet,
     _induced,
     _reach,
-    classify_vertices,
+    _twin_free,
     delete_edge,
     diametral_paths,
     find_induced_cycle,
-    find_open_twins,
     has_four_cycle,
     is_connected,
     max_degree,
@@ -164,10 +167,6 @@ class _Part:
     def verifies(self, code: set[int]) -> bool:
         """Whether the labels in ``code`` form an IO-code of this part."""
         return is_io_code(self.g, VertexSet(self.g.n, (self.local[x] for x in code))).ok
-
-
-def _leaves_of(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == 1]
 
 
 def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> set[int]:
@@ -283,33 +282,19 @@ def _star_component_candidates(g: Graph, delta: int):
     """Edges whose removal leaves a subdivided star centered at an endpoint.
 
     Ordered by fewest star legs, then lowest edge, matching the preference
-    for the smallest split-off component.  One pass over the degrees
-    marks the leaves, from which the legs are the degree-2 supports; a
-    center of degree 3 to ``delta`` qualifies when at most one of its
-    neighbours is not a leg, and that neighbour (or, if there is none,
-    any neighbour) is the far side.
+    for the smallest split-off component.  The legs come from
+    ``families._leaves_and_legs``; a center of degree 3 to ``delta``
+    qualifies when at most one of its neighbours is not a leg, and that
+    neighbour (or, if there is none, any neighbour) is the far side.
     """
-    adj = g.adj
-    leaves = legs = 0
-    twos, centers = [], []
-    for v, nbrs in enumerate(adj):
-        d = nbrs.bit_count()
-        if d == 1:
-            leaves |= 1 << v
-        elif d == 2:
-            twos.append(v)
-        elif 3 <= d <= delta:
-            centers.append(v)
-    for v in twos:
-        if adj[v] & leaves:
-            legs |= 1 << v
+    _, legs = _leaves_and_legs(g)
     found = []
-    for center in centers:
-        rest = adj[center] & ~legs
-        if rest & (rest - 1):
+    for center, nbrs in enumerate(g.adj):
+        rest = nbrs & ~legs
+        if not 3 <= nbrs.bit_count() <= delta or rest & (rest - 1):
             continue
-        k = adj[center].bit_count() - 1
-        for other in graphs._bits(rest or adj[center]):
+        k = nbrs.bit_count() - 1
+        for other in graphs._bits(rest or nbrs):
             found.append((k, (min(center, other), max(center, other)), center, other))
     found.sort()
     return [(center, other, k) for k, _, center, other in found]
@@ -360,29 +345,10 @@ def _split(
 
 
 def _star_near(k: int, near: _Part, far: _Part) -> tuple[set[int], dict]:
-    """A split-off subdivided star: all of it except its lowest-label far leaf."""
-    leaf = min(near.labels_of(_leaves_of(near.g)))
-    return set(near.labels) - {leaf}, {"star_legs": k, "near_order": near.g.n}
-
-
-def _absorbed_star_code(side: _Part, cut: int) -> set[int]:
-    """All of a full-degree star component except one or two leaves.
-
-    When the cut endpoint is a support we drop its leaf plus the lowest
-    other leaf; when it is a leaf we drop the lowest other leaf.
-    """
-    local = side.local[cut]
-    leaves = _leaves_of(side.g)
-    if side.g.degree(local) == 2:  # support inside the star
-        leaf_of_cut = next(v for v in side.g.neighbors(local) if side.g.degree(v) == 1)
-        others = sorted(side.labels[v] for v in leaves if v != leaf_of_cut)
-        dropped = {side.labels[leaf_of_cut], others[0]}
-    elif side.g.degree(local) == 1:
-        others = sorted(side.labels[v] for v in leaves if v != local)
-        dropped = {others[0]}
-    else:
-        raise _CaseMiss("cut endpoint cannot be the star center")
-    return set(side.labels) - dropped
+    """A split-off subdivided star: all of it except its lowest-label leaf,
+    as ``families._subdivided_star_leave_out`` leaves it out."""
+    left_out = _subdivided_star_leave_out(near.g, key=near.labels.__getitem__)
+    return set(near.labels) - near.labels_of(left_out), {"star_legs": k, "near_order": near.g.n}
 
 
 def _far_side_code(
@@ -406,32 +372,35 @@ def _far_side_code(
     twin_pruned).
     """
     rest = side
-    twins = find_open_twins(side.g)
-    if twins:
-        local = side.local[cut]
-        pair = next((p for p in twins if local in p), None)
-        if pair is None or side.g.degree(local) != 1:
+    adj = side.g.adj
+    local = side.local[cut]
+    pruned = not _twin_free(adj)
+    if pruned:
+        partner = next((v for v in range(side.g.n) if v != local and adj[v] == adj[local]), None)
+        if partner is None or adj[local].bit_count() != 1:
             raise _CaseMiss("far-side twins do not involve the cut endpoint")
         if not require_near_anchor:
             raise _CaseMiss("twin repair needs the near endpoint in the near code")
         rest = side.induced(((1 << side.g.n) - 1) ^ (1 << local))
         if rest.g.n < 5:
             raise _CaseMiss("twin-pruned far side too small")
-        if find_open_twins(rest.g):
+        if not _twin_free(rest.g.adj):
             raise _CaseMiss("twin-pruned far side still has twins")
-    star = as_subdivided_star(rest.g)
-    if star_patterns and star is not None and star[1] == delta:
-        if twins:  # the pruned leaf's twin partner is the one leaf left out
-            partner = side.labels[pair[0] if pair[1] == local else pair[1]]
-            code, cut_key = set(rest.labels) - {partner}, "pruned_leaf"
+    star = as_subdivided_star(rest.g) if star_patterns else None
+    if star is not None and star[1] == delta:
+        if pruned:  # the pruned leaf's twin partner is the one leaf left out
+            code, cut_key = set(rest.labels) - {side.labels[partner]}, "pruned_leaf"
         else:
-            code, cut_key = _absorbed_star_code(side, cut), "cut_vertex"
+            left_out = _subdivided_star_leave_out(side.g, local, key=side.labels.__getitem__)
+            if left_out is None:
+                raise _CaseMiss("cut endpoint cannot be the star center")
+            code, cut_key = set(side.labels) - side.labels_of(left_out), "cut_vertex"
         trace.add("absorbed_star_pattern", {"legs": star[1], "order": rest.g.n, cut_key: cut}, code)
     else:
         code = _build_tree(rest, delta, trace)
-    if twins:
+    if pruned:
         trace.add("twin_leaf_pruned", {"leaf": cut, "far_order": side.g.n})
-    return code, bool(twins)
+    return code, pruned
 
 
 def _path_rule(part: _Part, delta: int, trace: ConstructionTrace, path: list[int]):
@@ -463,7 +432,7 @@ def _branch_near(
     detail = {"position": position, "near_order": near.g.n, "recognized_branch": spec is not None}
     if spec is not None:
         return near.labels_of(canonical_set(spec)), detail
-    if find_open_twins(far.g):
+    if not _twin_free(far.g.adj):
         raise _CaseMiss("branch outside family while far side has twins")
     # valid because any two one-sided IO-codes merge across a bridge
     return _build_tree(near, delta, trace), detail
@@ -527,26 +496,26 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
 
     for a, b in cyc_edges:
         h = delete_edge(g, (a, b))
-        if not find_open_twins(h):
+        if _twin_free(h.adj):
             trace.add("cycle_edge_removed", {"edge": (part.labels[a], part.labels[b])})
             return _build_graph(_Part(h, part.labels), delta, trace)
 
     # every cycle-edge deletion creates twins: the cycle alternates
     # support vertices and degree-2 vertices; delete one of the latter
-    supports = classify_vertices(g)["support"]
+    leaves, _ = _leaves_and_legs(g)
     cyc_set = set(cycle)
     candidates = []
     for c in cycle:
         if g.degree(c) != 2:
             continue
         nbrs_on_cycle = [x for x in g.neighbors(c) if x in cyc_set]
-        if len(nbrs_on_cycle) == 2 and all(x in supports for x in nbrs_on_cycle):
+        if len(nbrs_on_cycle) == 2 and all(g.adj[x] & leaves for x in nbrs_on_cycle):
             candidates.append(c)
     if not candidates:
         return _fallback_exact(part, trace, "cycle without removable structure")
     v0 = min(candidates, key=part.labels.__getitem__)
     rest = part.induced(((1 << g.n) - 1) ^ (1 << v0))
-    if not is_connected(rest.g) or find_open_twins(rest.g):
+    if not is_connected(rest.g) or not _twin_free(rest.g.adj):
         return _fallback_exact(part, trace, "vertex deletion left a bad remainder")
     trace.add("cycle_vertex_removed", {"vertex": part.labels[v0]})
     return _build_graph(rest, delta, trace)

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 from . import graphs
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
-from .graphs import Graph, VertexSet, has_four_cycle, is_connected
+from .graphs import Graph, VertexSet, _bfs_tree, _twin_free, has_four_cycle, is_connected
 
 __all__ = [
     "AttachmentVector",
@@ -47,7 +47,6 @@ __all__ = [
     "gen_subcubic_gp",
     "gen_star_plus_edge",
     "as_subdivided_star",
-    "legs_end_in_leaves",
     "enumerate_trees",
     "enumerate_small_graphs",
     "enumerate_graph_classes",
@@ -266,15 +265,7 @@ def recognize_family(g: Graph) -> FamilySpec | None:
     n = g.n
     if n < 2 or g.edge_count != n - 1 or n > 1 + _LARGEST_SHAPE * max(map(int.bit_count, g.adj)):
         return None
-    parent = [-1] * n
-    order = [0]
-    seen = 1
-    for u in order:
-        below = g.adj[u] & ~seen
-        seen |= below
-        for w in graphs._bits(below):
-            parent[w] = u
-            order.append(w)
+    order, parent = _bfs_tree(g, 0)
     size = [1] * n
     heaviest = [0] * n  # the largest subtree below each vertex
     for w in reversed(order[1:]):
@@ -305,11 +296,12 @@ def gen_subdivided_star(delta: int) -> tuple[Graph, FamilySpec]:
         supports.append(s)
         leaves.append(u)
     g = Graph(2 * delta + 1, edges)
+    left_out = _subdivided_star_leave_out(g)
     spec = FamilySpec(
         kind="subdivided_star",
         params={"delta": delta, "order": g.n},
         distinguished={"center": 0, "supports": supports, "leaves": leaves},
-        reference_code=VertexSet(g.n, mask=(1 << g.n) - 1 - (1 << leaves[0])),
+        reference_code=VertexSet(g.n, (v for v in range(g.n) if v not in left_out)),
     )
     return g, spec
 
@@ -441,35 +433,56 @@ def _star_plus_edge_leave_out(
     if tree.has_edge(center, a) and tree.has_edge(center, b):
         return "supports_joined", {next(x for x in tree.neighbors(s) if x != center) for s in edge}
     if center in edge:
-        other_leaves = (x for x in range(tree.n) if tree.degree(x) == 1 and x not in edge)
-        return "center_to_leaf", {min(other_leaves, key=key)}
+        return "center_to_leaf", _subdivided_star_leave_out(tree, b if a == center else a, key)
     x = min(edge, key=key)
     return "leaves_joined", {x} if tree.degree(center) == 2 else {x, *tree.neighbors(x)}
+
+
+def _subdivided_star_leave_out(tree: Graph, cut: int | None = None, key=None) -> set[int] | None:
+    """The vertices the code of the subdivided star ``tree`` leaves out;
+    ties go to the least ``key``.
+
+    With no ``cut``: the least leaf.  A cut leaf is kept and the least
+    other leaf left out; a cut support loses its leaf and the least other
+    leaf.  A cut center gives None.
+    """
+    leaves, _ = _leaves_and_legs(tree)
+    if cut is not None and not leaves >> cut & 1:  # a support or the center
+        if not tree.adj[cut] & leaves:
+            return None
+        own = (tree.adj[cut] & leaves).bit_length() - 1
+        return {own, min(graphs._bits(leaves ^ 1 << own), key=key)}
+    others = leaves if cut is None else leaves ^ 1 << cut
+    return {min(graphs._bits(others), key=key)}
 
 
 # ---------------------------------------------------------------------------
 # Structural recognizers used by the constructive algorithms
 
 
-def legs_end_in_leaves(g: Graph, center: int, skip: int | None = None) -> bool:
-    """True iff every neighbour of ``center`` except ``skip`` has degree 2
-    and its other neighbour is a leaf: those are the legs of a subdivided
-    star centered there."""
-    adj = g.adj
-    return all(
-        adj[s].bit_count() == 2 and adj[(adj[s] ^ (1 << center)).bit_length() - 1].bit_count() == 1
-        for s in g.neighbors(center)
-        if s != skip
-    )
+def _leaves_and_legs(g: Graph) -> tuple[int, int]:
+    """Masks of the leaves and of the legs, the degree-2 vertices next to
+    a leaf: one pass over the degrees for each."""
+    leaves = legs = 0
+    for v, nbrs in enumerate(g.adj):
+        if nbrs.bit_count() == 1:
+            leaves |= 1 << v
+    for v, nbrs in enumerate(g.adj):
+        if nbrs.bit_count() == 2 and nbrs & leaves:
+            legs |= 1 << v
+    return leaves, legs
 
 
 def as_subdivided_star(g: Graph) -> tuple[int, int] | None:
-    """(center, k) if the graph is a subdivided star with k >= 2 legs."""
+    """(center, k) if the graph is a subdivided star with k >= 2 legs: a
+    tree on 2k + 1 vertices with a degree-k vertex whose neighbours are
+    all legs."""
     if g.n < 5 or g.n % 2 == 0 or g.edge_count != g.n - 1:
         return None
     k = (g.n - 1) // 2
+    _, legs = _leaves_and_legs(g)
     for c in range(g.n):
-        if g.adj[c].bit_count() == k and legs_end_in_leaves(g, c):
+        if g.adj[c].bit_count() == k and g.adj[c] & ~legs == 0:
             return c, k
     return None
 
@@ -675,7 +688,7 @@ def _filtered(adj: Sequence[int], connected, twin_free, c4_free, max_deg) -> Gra
     before the connectivity walk.
     """
     if (max_deg is not None and max(map(int.bit_count, adj)) > max_deg) or (
-        twin_free and len(set(adj)) != len(adj)
+        twin_free and not _twin_free(adj)
     ):
         return None
     g = Graph._from_adj(tuple(adj))

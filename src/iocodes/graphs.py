@@ -9,8 +9,7 @@ vertex deletion, components) are fresh values.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     Disconnected,
@@ -237,6 +236,11 @@ def find_open_twins(g: Graph) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+def _twin_free(adj: Sequence[int]) -> bool:
+    """Whether no two vertices of the adjacency list share an open neighbourhood."""
+    return len(set(adj)) == len(adj)
+
+
 def has_four_cycle(g: Graph) -> bool:
     """True iff some 4-cycle exists, i.e. two vertices share >= 2 neighbors.
 
@@ -261,20 +265,21 @@ def has_four_cycle(g: Graph) -> bool:
     return False
 
 
-def _bfs_order(g: Graph, start: int) -> tuple[list[int], list[int]]:
-    """BFS distances and parents from ``start`` (-1 where unreachable)."""
-    dist = [-1] * g.n
+def _bfs_tree(g: Graph, start: int) -> tuple[list[int], list[int]]:
+    """The vertices reachable from ``start`` in BFS discovery order, and
+    each vertex's parent: its first-discovered neighbour (-1 for ``start``
+    and unreachable vertices).  Neighbours are discovered in increasing
+    index, so the children of each vertex come out in increasing index."""
     parent = [-1] * g.n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in _bits(g.adj[u]):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                queue.append(v)
-    return dist, parent
+    order = [start]
+    seen = 1 << start
+    for u in order:
+        below = g.adj[u] & ~seen
+        seen |= below
+        for w in _bits(below):
+            parent[w] = u
+            order.append(w)
+    return order, parent
 
 
 def _layers(g: Graph, start: int) -> list[int]:
@@ -368,13 +373,9 @@ def diameter(g: Graph) -> int:
     """Maximum pairwise distance; raises on disconnected input."""
     if g.n == 0:
         raise EmptyGraph("diameter of empty graph")
-    best = 0
-    for v in range(g.n):
-        dist, _ = _bfs_order(g, v)
-        if min(dist) < 0:
-            raise Disconnected("diameter of disconnected graph")
-        best = max(best, max(dist))
-    return best
+    if not is_connected(g):
+        raise Disconnected("diameter of disconnected graph")
+    return max(len(_layers(g, v)) - 1 for v in range(g.n))
 
 
 def longest_path_in_tree(g: Graph) -> list[int]:
@@ -439,23 +440,22 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, list[int], dict[int, int]]:
 def _shortest_cycle_through(g: Graph, v: int) -> list[int] | None:
     """Shortest cycle containing ``v`` as a vertex sequence, or None.
 
-    Deterministic: minimal length, then lexicographically smallest
-    sequence starting at ``v``.  Any shortest cycle through a vertex is
-    chordless.
+    For each neighbour ``u`` of ``v``, one candidate: ``v`` followed by
+    its ``_bfs_tree`` parent path to ``u`` in ``G - vu`` (the closing edge
+    ``uv`` is implicit).  The result is the least candidate by length,
+    then by sequence.  It need not be the lexicographically least shortest
+    cycle through ``v``: other shortest paths from ``v`` to ``u`` are never
+    tried.  Any shortest cycle through a vertex is chordless.
     """
     best = None
     for u in g.neighbors(v):
         h = delete_edge(g, (v, u))
-        dist, parent = _bfs_order(h, u)
-        if dist[v] < 0:
+        _, parent = _bfs_tree(h, u)
+        if parent[v] < 0:
             continue
-        # walk the v..u shortest path in G - vu; the closing edge uv is implicit
-        chain = []
-        cur = v
-        while cur != u:
-            cur = parent[cur]
-            chain.append(cur)
-        walk = [v] + chain
+        walk = [v]
+        while walk[-1] != u:
+            walk.append(parent[walk[-1]])
         key = (len(walk), tuple(walk))
         if best is None or key < best:
             best = key

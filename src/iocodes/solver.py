@@ -41,14 +41,18 @@ from typing import Callable
 # functions imported by name, and a bit iterator is not a layer call
 from . import graphs
 from .errors import CodeRejected, NoCode, TooLarge
-from .graphs import Graph, VertexSet, _bfs_order, is_tree
+from .graphs import Graph, VertexSet, _bfs_tree, is_tree
 from .verify import is_io_code, require_admissible
 
 __all__ = ["SolveResult", "solve", "solve_oracle", "solve_with_budget"]
 
 ORACLE_CAP = 24
-# nodes per vertex after which a tree search returns the tree program's code;
-# the audited and benchmarked tree searches stay within one per vertex
+# nodes per vertex after which a tree search returns the tree program's code.
+# Measured: in canonical labels, as the audit solves them, every twin-free
+# tree with n <= 16 and all 36 large_trees benchmark solve inputs stay within
+# one node per vertex, and the worst tree to n = 18 needs 23 nodes (1.28 n).
+# In enumerate_trees' labels one n = 18 tree needs 186 nodes (10.3 n), so a
+# factor below 11 would change its witness.
 TREE_NODE_FACTOR = 16
 
 
@@ -268,8 +272,7 @@ def _tree_dp(g: Graph) -> tuple[int, int]:
     the first candidate in insertion order.  The fold keeps
     back-pointers for the witness.
     """
-    dist, parent = _bfs_order(g, 0)
-    order = sorted(range(g.n), key=dist.__getitem__)
+    order, parent = _bfs_tree(g, 0)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in order[1:]:
         children[parent[v]].append(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoCode, UniverseMismatch
-from .graphs import Graph, VertexSet, find_open_twins
+from .graphs import Graph, VertexSet, _twin_free, find_open_twins
 
 __all__ = [
     "Verdict",
@@ -101,8 +101,8 @@ def require_admissible(g: Graph) -> None:
     if g.n == 0 or 0 in g.adj:
         isolate = g.adj.index(0) if g.n else None
         raise NoCode("graph has an isolated vertex", witness=isolate)
-    twins = find_open_twins(g)
-    if twins:
+    if not _twin_free(g.adj):
+        twins = find_open_twins(g)
         raise NoCode(f"open twins {twins[0]}", witness=twins[0])
 
 

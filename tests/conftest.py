@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import cache
 from itertools import combinations
 
@@ -69,6 +70,25 @@ def brute_has_four_cycle(g: Graph) -> bool:
             if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d) and g.has_edge(d, a):
                 return True
     return False
+
+
+def deque_bfs(g: Graph, start: int) -> tuple[list[int], list[int], list[int]]:
+    """Textbook queue BFS from ``start``: (visit order, distances, parents),
+    with -1 for unreachable vertices and for the parent of ``start``."""
+    dist = [-1] * g.n
+    parent = [-1] * g.n
+    dist[start] = 0
+    order = []
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in g.neighbors(u):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                parent[v] = u
+                queue.append(v)
+    return order, dist, parent
 
 
 def brute_all_distances(g: Graph) -> list[list[int]]:

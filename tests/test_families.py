@@ -30,7 +30,7 @@ from iocodes import (
     recognize_family_rooted,
 )
 from iocodes.canon import canonical_graph6, isomorphic
-from iocodes.families import TREE_CAP
+from iocodes.families import TREE_CAP, _subdivided_star_leave_out, as_subdivided_star
 from iocodes.formats import emit_graph6
 
 # known counts of free trees by order
@@ -266,6 +266,66 @@ class TestNamedGenerators:
         ):
             with pytest.raises(BadParam):
                 call()
+
+
+def relabeled_stars(rng):
+    """Four randomly relabeled subdivided stars on each of 2 to 9 legs."""
+    out = []
+    for k in range(2, 10):
+        g, _ = gen_subdivided_star(k)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    return out
+
+
+class TestSubdividedStar:
+    def test_recognition_matches_the_definition(self):
+        rng = random.Random(13)
+        graphs = [t for n in range(1, 14) for t in enumerate_trees(n)] + relabeled_stars(rng)
+        stars = 0
+        for g in graphs:
+            k = (g.n - 1) // 2
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            is_star = k >= 2 and g.n % 2 == 1
+            is_star = is_star and nx.is_isomorphic(h, nx.Graph(gen_subdivided_star(k)[0].edges()))
+            # the center is the one vertex within distance 2 of every other
+            expected = (nx.center(h)[0], k) if is_star else None
+            assert as_subdivided_star(g) == expected
+            stars += is_star
+        assert stars == 5 + 8 * 4  # k = 2..6 among the trees, then the relabeled stars
+
+    def test_leave_out_matches_the_rules_it_replaced(self):
+        def leaves(g):
+            return [v for v in range(g.n) if g.degree(v) == 1]
+
+        def split_off_star(g, labels):
+            # the split-off star kept all but its lowest-label leaf
+            return {min(labels[v] for v in leaves(g))}
+
+        def absorbed_star(g, labels, cut):
+            # a cut support lost its leaf and the lowest other leaf, a cut
+            # leaf the lowest other leaf; a cut center was a case miss
+            if g.degree(cut) == 2:
+                leaf_of_cut = next(v for v in g.neighbors(cut) if g.degree(v) == 1)
+                others = sorted(labels[v] for v in leaves(g) if v != leaf_of_cut)
+                return {labels[leaf_of_cut], others[0]}
+            if g.degree(cut) == 1:
+                return {sorted(labels[v] for v in leaves(g) if v != cut)[0]}
+            return None
+
+        rng = random.Random(17)
+        for g in relabeled_stars(rng):
+            labels = rng.sample(range(100), g.n)
+            key = labels.__getitem__
+            assert {labels[v] for v in _subdivided_star_leave_out(g, key=key)} == split_off_star(g, labels)
+            if g.n < 7:
+                continue  # absorbed stars have delta >= 3 legs; on 2 the old rule read the center as a support
+            for cut in range(g.n):
+                new = _subdivided_star_leave_out(g, cut, key=key)
+                assert (new if new is None else {labels[v] for v in new}) == absorbed_star(g, labels, cut)
 
 
 class TestTreeEnumeration:

@@ -8,6 +8,7 @@ from conftest import (
     brute_all_distances,
     brute_has_four_cycle,
     brute_open_twins,
+    deque_bfs,
     random_graph,
     random_tree,
 )
@@ -36,7 +37,7 @@ from iocodes import (
     min_degree,
     open_neighborhood,
 )
-from iocodes.graphs import _induced
+from iocodes.graphs import _bfs_tree, _induced, _shortest_cycle_through
 
 
 def path(n):
@@ -340,6 +341,56 @@ class TestInducedCycle:
                     adjacent = g.has_edge(c[i], c[j])
                     consecutive = j - i == 1 or (i == 0 and j == k - 1)
                     assert adjacent == consecutive
+
+
+    def test_petersen_cycle_is_not_the_lexicographic_least(self):
+        g = Graph(10, [e for i in range(5) for e in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))])
+        assert _shortest_cycle_through(g, 8) == [8, 5, 0, 1, 6]
+        assert min(cycles_through(g, 8, 5)) == [8, 3, 2, 1, 6]
+
+    def test_shortest_cycle_through_against_brute_force(self, rng):
+        checked = 0
+        while checked < 60:
+            g = random_graph(rng.randint(5, 11), rng.uniform(0.2, 0.5), rng)
+            if has_four_cycle(g):
+                continue
+            checked += 1
+            for v in range(g.n):
+                found = _shortest_cycle_through(g, v)
+                every = [c for k in range(3, g.n + 1) for c in cycles_through(g, v, k)]
+                if not every:
+                    assert found is None
+                    continue
+                assert found in every and len(found) == min(map(len, every))
+                k = len(found)
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        consecutive = j - i == 1 or (i == 0 and j == k - 1)
+                        assert g.has_edge(found[i], found[j]) == consecutive
+
+
+def cycles_through(g, v, k):
+    """Every cycle on ``k`` vertices through ``v``, as sequences from ``v``
+    in both directions, by extending simple paths."""
+    out = []
+    paths = [[v]]
+    while paths:
+        walk = paths.pop()
+        if len(walk) == k:
+            if k >= 3 and g.has_edge(walk[-1], v):
+                out.append(walk)
+            continue
+        paths += [walk + [w] for w in g.neighbors(walk[-1]) if w not in walk]
+    return out
+
+
+class TestBfsTree:
+    def test_matches_a_queue_bfs(self, rng):
+        for _ in range(120):
+            g = random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.5), rng)
+            for start in range(g.n):
+                order, _, parent = deque_bfs(g, start)
+                assert _bfs_tree(g, start) == (order, parent)
 
 
 class TestVertexSet:

@@ -4,7 +4,7 @@ from typing import Callable
 
 import pytest
 
-from conftest import atlas_graphs, random_graph, random_tree
+from conftest import atlas_graphs, deque_bfs, random_graph, random_tree
 from iocodes import (
     CodeRejected,
     Graph,
@@ -28,7 +28,7 @@ from iocodes import (
     solve_oracle,
     solve_with_budget,
 )
-from iocodes.graphs import _bfs_order, is_tree
+from iocodes.graphs import is_tree
 from iocodes.solver import TREE_NODE_FACTOR, _greedy_cover, _propagate_units, _requirements, _tree_dp
 from test_tree_dp import subdivided_random_tree
 
@@ -327,7 +327,7 @@ def reference_tree_dp(g: Graph) -> tuple[int, int]:
     private child, and if v's only S-neighbour is a child c, then c has
     no private child.  The fold keeps back-pointers for the witness.
     """
-    dist, parent = _bfs_order(g, 0)
+    _, dist, parent = deque_bfs(g, 0)
     order = sorted(range(g.n), key=dist.__getitem__)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in order[1:]:
