@@ -66,7 +66,6 @@ from .formats import emit_edge_list, emit_graph6, load_graph, parse_edge_list, p
 from .graphs import (
     Graph,
     VertexSet,
-    classify_vertices,
     components,
     delete_edge,
     delete_vertex,

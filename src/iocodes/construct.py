@@ -19,24 +19,30 @@ spot; if no case applies along any longest path (three of the 3,149
 twin-free trees with n <= 16 reach this), an exact solve finishes the
 sub-instance and the trace carries a warning.  All bound arithmetic is integer-exact.
 
-Each level of the tree decomposition scans the whole remaining tree a
-few times, each scan a single pass: the family roots (one subtree-size
-pass), the star-component candidates (the leaves and legs of
-``families._leaves_and_legs``), the diametral paths (BFS layer masks),
-the sub-instances of a split (one reachability walk, then the two induced
-sides) and their twin tests (``graphs._twin_free``, with one scan for the
-cut leaf's partner when it fails).  Subdivided-star codes leave out what
-``families._subdivided_star_leave_out`` gives.  The number of levels is
-not bounded that way: a path loses 5 vertices per peel, so its cost
-stays quadratic in its length, and each peel nests a few Python frames.
+Every sub-instance is a vertex mask over the input's adjacency, so its
+vertices keep their input labels and no level copies the remaining tree.
+Each level reads ``adj[v] & mask`` over its own part in single passes:
+the leaves (``families._leaves_and_legs``), then the legs and their
+neighbours for the star-component candidates, the merged code's literal
+IO-code check and the far side's twin test.  The near side of a split is
+one walk from its cut endpoint.  BFS layer masks give the diametral
+paths; they carry over to both sides of a split, since cutting off a
+pendant subtree changes no remaining distance, so BFS runs only from a
+start that no enclosing part had.  A part is relabeled into a ``Graph``
+only for a rule that takes one: family recognition (a part of at most
+``1 + 5*delta`` vertices, or a branch small enough for its root), a
+split-off or absorbed subdivided star, the exact fallback and the graph
+constructor's levels.  The decomposition runs on one explicit stack
+(``_drive``), so its depth costs no interpreter frames.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import itemgetter
+from typing import Sequence
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
 # functions imported by name, and a bit iterator is not a layer call
@@ -51,6 +57,7 @@ from .errors import (
     TooSmall,
 )
 from .families import (
+    _LARGEST_SHAPE,
     _leaves_and_legs,
     _star_plus_edge_leave_out,
     _subdivided_star_leave_out,
@@ -62,11 +69,12 @@ from .families import (
 from .graphs import (
     Graph,
     VertexSet,
+    _diametral_paths,
     _induced,
     _reach,
+    _restrict_layers,
     _twin_free,
     delete_edge,
-    diametral_paths,
     find_induced_cycle,
     has_four_cycle,
     is_connected,
@@ -146,33 +154,53 @@ class _CaseMiss(Exception):
 
 
 class _Part:
-    """A sub-instance: its graph, the input label of each local vertex and,
-    built once, the local vertex of each label."""
+    """A sub-instance: the vertex mask ``mask`` of the graph ``g``, whose
+    vertex indices are the input's labels, and the BFS layers within the
+    mask already known from some of its vertices, by start."""
 
-    __slots__ = ("g", "labels", "local")
+    __slots__ = ("g", "mask", "layers")
 
-    def __init__(self, g: Graph, labels: list[int]):
+    def __init__(self, g: Graph, mask: int, layers: dict[int, list[int]] | None = None):
         self.g = g
-        self.labels = labels
-        self.local = {label: v for v, label in enumerate(labels)}
+        self.mask = mask
+        self.layers = {} if layers is None else layers
 
-    def labels_of(self, vertices) -> set[int]:
-        return {self.labels[v] for v in vertices}
+    def side(self, keep: int) -> _Part:
+        """The sub-tree ``keep`` left when pendant subtrees are cut off this
+        tree part; the known layers from its vertices carry over."""
+        carried = {s: _restrict_layers(layers, keep) for s, layers in self.layers.items() if keep >> s & 1}
+        return _Part(self.g, keep, carried)
 
-    def induced(self, keep: int) -> _Part:
-        """The sub-instance induced by the local vertex mask ``keep``."""
-        h, new_to_old, _ = _induced(self.g, keep)
-        return _Part(h, [self.labels[v] for v in new_to_old])
+    def degree(self, v: int) -> int:
+        return (self.g.adj[v] & self.mask).bit_count()
 
-    def verifies(self, code: set[int]) -> bool:
-        """Whether the labels in ``code`` form an IO-code of this part."""
-        return is_io_code(self.g, VertexSet(self.g.n, (self.local[x] for x in code))).ok
+    def verifies(self, code: int) -> bool:
+        """Whether the label mask ``code`` is an IO-code of this part, by the
+        definition: every trace ``N(v) & code`` is nonempty and no two agree."""
+        traces = [self.g.adj[v] & code for v in graphs._members(self.mask)]
+        return 0 not in traces and len(set(traces)) == len(traces)
 
 
-def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> set[int]:
-    trace.warn(f"exhaustive fallback on {part.g.n}-vertex sub-instance: {reason}")
-    code = part.labels_of(solve(part.g).code)
-    trace.add("exhaustive_fallback", {"reason": reason, "order": part.g.n}, code)
+def _relabel(g: Graph, mask: int) -> tuple[Graph, Sequence[int]]:
+    """The subgraph that ``mask`` induces as a ``Graph`` on ``0..n-1`` in
+    label order, for the rules that take one, and the label of each vertex.
+    Order is kept, so the least local vertex is the least label."""
+    if mask == (1 << g.n) - 1:
+        return g, range(g.n)
+    h, labels, _ = _induced(g, mask)
+    return h, labels
+
+
+def _twin_free_within(adj: Sequence[int], mask: int) -> bool:
+    """Whether no two vertices of ``mask`` share a neighbourhood within it."""
+    return _twin_free([adj[v] & mask for v in graphs._members(mask)])
+
+
+def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> int:
+    g, labels = _relabel(part.g, part.mask)
+    trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
+    code = graphs._mask_of(labels[v] for v in solve(g).code)
+    trace.add("exhaustive_fallback", {"reason": reason, "order": g.n}, graphs._bits(code))
     return code
 
 
@@ -212,84 +240,116 @@ def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrac
     """Code and trace of a validated input, by the decomposition ``build``.
 
     Flags the subdivided star on ``delta`` legs, the one input allowed
-    above the bound, runs ``build`` on the whole graph and verifies the
-    code it returns.  Every step recurses on a smaller tree or a graph
-    with fewer cycles, so the recursion ends on its own, but each split
-    nests a few Python frames: a long enough path (a 5-vertex tail per
-    split) exhausts the interpreter's recursion limit, and that becomes a
-    ``ConstructionError`` carrying the partial trace.
+    above the bound, runs ``build`` on the whole graph through ``_drive``
+    and verifies the code it returns.  Every step works on a smaller tree
+    or a graph with fewer cycles, so the decomposition ends on its own;
+    its depth costs entries of ``_drive``'s stack, not interpreter frames,
+    so no input is too deep.
     """
     star = as_subdivided_star(g)
     trace = ConstructionTrace(exceptional_star=star is not None and star[1] == delta)
-    try:
-        code = build(_Part(g, list(range(g.n))), delta, trace)
-    except RecursionError:
-        raise ConstructionError(
-            f"decomposition of the {g.n}-vertex input nests deeper than "
-            f"the Python recursion limit ({sys.getrecursionlimit()})",
-            trace,
-        ) from None
-    result = VertexSet(g.n, code)
+    result = VertexSet(g.n, mask=_drive(build(_Part(g, (1 << g.n) - 1), delta, trace)))
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)
     return result, trace
+
+
+def _drive(builder) -> int:
+    """The code a builder returns, with every sub-instance it needs built
+    on one explicit stack.
+
+    A builder is a generator over one part: it yields the builder of each
+    sub-instance whose code it needs, is sent that code back, and returns
+    its own code as a label mask.  Its ``try`` / ``_CaseMiss`` /
+    ``trace.rollback`` blocks therefore work as they would around nested
+    calls: an outer split can still be undone after an inner one
+    succeeded.  No builder lets a ``_CaseMiss`` escape, so any error
+    raised in a sub-instance ends the whole construction, as it would
+    through nested calls.
+    """
+    stack = [builder]
+    code = None
+    while stack:
+        try:
+            sub = stack[-1].send(code)
+        except StopIteration as done:
+            stack.pop()
+            code = done.value
+        else:
+            stack.append(sub)
+            code = None
+    return code
 
 
 # ---------------------------------------------------------------------------
 # Tree constructor
 
 
-def _build_tree(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
-    g = part.g
-    if g.n < 5:
+def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
+    n = part.mask.bit_count()
+    if n < 5:
         return _fallback_exact(part, trace, "sub-instance below order 5")
 
-    spec = recognize_family(g)
-    if spec is not None:
-        code = part.labels_of(canonical_set(spec))
-        trace.add(
-            "family_canonical",
-            {
-                "root": part.labels[spec.distinguished["root"]],
-                "vector": list(spec.params["vector"]),
-                "order": g.n,
-            },
-            code,
-        )
-        return code
+    # recognize_family rejects a tree of more than 1 + _LARGEST_SHAPE times
+    # its maximum degree vertices, and no degree exceeds delta
+    if n <= 1 + _LARGEST_SHAPE * delta:
+        g, labels = _relabel(part.g, part.mask)
+        spec = recognize_family(g)
+        if spec is not None:
+            code = graphs._mask_of(labels[v] for v in canonical_set(spec))
+            trace.add(
+                "family_canonical",
+                {
+                    "root": labels[spec.distinguished["root"]],
+                    "vector": list(spec.params["vector"]),
+                    "order": n,
+                },
+                graphs._bits(code),
+            )
+            return code
 
-    for center, other, k in _star_component_candidates(g, delta):
+    for center, other, k in _star_component_candidates(part.g.adj, part.mask, delta):
         mark = trace.mark()
         try:
-            return _split(
-                part, delta, trace, "star_component_split", center, other,
-                partial(_star_near, k), star_patterns=True,
+            return (
+                yield from _split(
+                    part, delta, trace, "star_component_split", center, other,
+                    partial(_star_near, k), star_patterns=True,
+                )
             )
         except _CaseMiss:
             trace.rollback(mark)
 
-    for path in diametral_paths(g):
+    # the path rule reads the first six vertices at most, and a whole path
+    # held by every waiting level would cost memory quadratic in its length
+    for path in map(_PATH_HEAD, _diametral_paths(part.g.adj, part.mask, part.layers)):
         mark = trace.mark()
         try:
-            return _split(part, delta, trace, *_path_rule(part, delta, trace, path))
+            return (yield from _split(part, delta, trace, *_path_rule(part, path)))
         except _CaseMiss:
             trace.rollback(mark)
 
     return _fallback_exact(part, trace, "no decomposition case applied")
 
 
-def _star_component_candidates(g: Graph, delta: int):
-    """Edges whose removal leaves a subdivided star centered at an endpoint.
+def _star_component_candidates(adj: Sequence[int], mask: int, delta: int):
+    """Edges of the tree that ``mask`` induces whose removal leaves a
+    subdivided star centered at an endpoint.
 
     Ordered by fewest star legs, then lowest edge, matching the preference
     for the smallest split-off component.  The legs come from
     ``families._leaves_and_legs``; a center of degree 3 to ``delta``
     qualifies when at most one of its neighbours is not a leg, and that
-    neighbour (or, if there is none, any neighbour) is the far side.
+    neighbour (or, if there is none, any neighbour) is the far side.  So
+    a center has at least two legs, and only the legs' neighbours are read.
     """
-    _, legs = _leaves_and_legs(g)
+    _, legs = _leaves_and_legs(adj, mask)
+    next_to_legs = 0
+    for leg in graphs._members(legs):
+        next_to_legs |= adj[leg]
     found = []
-    for center, nbrs in enumerate(g.adj):
+    for center in graphs._members(next_to_legs & mask):
+        nbrs = adj[center] & mask
         rest = nbrs & ~legs
         if not 3 <= nbrs.bit_count() <= delta or rest & (rest - 1):
             continue
@@ -310,45 +370,57 @@ def _split(
     near_rule,
     *,
     star_patterns: bool = False,
-) -> set[int]:
-    """Code of a tree part from its split at the edge ``uv`` (local indices).
+):
+    """Code of a tree part from its split at the edge ``uv``.
 
-    In a tree every edge is a bridge: one walk from ``u`` without the edge
-    finds the near side, and the far side, the side of ``v``, is the rest;
-    it needs at least 5 vertices.  ``near_rule(near, far)`` returns the
-    near code and the case's own trace detail; the far side is coded by
-    ``_far_side_code``, which may prune a twin leaf at ``v`` only when the
-    near code holds ``u``.  The merged code is verified on the part and
-    recorded as one ``case`` step with the split edge, the far order and
-    whether a twin leaf was pruned.  Any failure raises ``_CaseMiss``.
+    In a tree every edge is a bridge: one walk from ``u`` that avoids
+    ``v`` finds the near side, and the far side, the side of ``v``, is the
+    rest; it needs at least 5 vertices, and its twin test is made once.
+    ``near_rule(part, near, far_twin_free)`` returns the near code, or
+    None when the near side is to be built as a tree of its own, and the
+    case's own trace detail; the far side is coded by ``_far_side_code``,
+    which may prune a twin leaf at ``v`` only when the near code holds
+    ``u``.  The merged code is verified on the
+    part and recorded as one ``case`` step with the split edge, the far
+    order and whether a twin leaf was pruned.  Any failure raises
+    ``_CaseMiss``.
     """
-    near_mask = _reach(delete_edge(part.g, (u, v)), u)
-    far_mask = ((1 << part.g.n) - 1) ^ near_mask
-    if far_mask.bit_count() < 5:
+    near = _reach(part.g.adj, part.mask ^ (1 << v), u)
+    far = part.mask ^ near
+    if far.bit_count() < 5:
         raise _CaseMiss("far side too small")
-    near, far = part.induced(near_mask), part.induced(far_mask)
-    near_code, detail = near_rule(near, far)
-    edge = (part.labels[u], part.labels[v])
-    far_code, twin_pruned = _far_side_code(
-        far, edge[1], delta, trace,
-        star_patterns=star_patterns, require_near_anchor=edge[0] in near_code,
+    far_twin_free = _twin_free_within(part.g.adj, far)
+    near_code, detail = near_rule(part, near, far_twin_free)
+    # valid because any two one-sided IO-codes merge across a bridge
+    near_build = _build_tree(part.side(near), delta, trace) if near_code is None else None
+    far_side = part.side(far)
+    # The sides carry the layers they need.  While they are built the part
+    # holds none, or a path would keep one BFS per level; should this
+    # split fail, the part's next candidate recomputes what it reads.
+    part.layers.clear()
+    if near_build is not None:
+        near_code = yield near_build
+    far_code, twin_pruned = yield from _far_side_code(
+        far_side, v, delta, trace, twin_free=far_twin_free,
+        star_patterns=star_patterns, require_near_anchor=bool(near_code >> u & 1),
     )
     code = near_code | far_code
     if not part.verifies(code):
         raise _CaseMiss("merged code failed verification")
     trace.add(
         case,
-        {"edge": edge, **detail, "far_order": far.g.n, "twin_pruned": twin_pruned},
-        near_code,
+        {"edge": (u, v), **detail, "far_order": far.bit_count(), "twin_pruned": twin_pruned},
+        graphs._bits(near_code),
     )
     return code
 
 
-def _star_near(k: int, near: _Part, far: _Part) -> tuple[set[int], dict]:
+def _star_near(k: int, part: _Part, near: int, far_twin_free: bool) -> tuple[int, dict]:
     """A split-off subdivided star: all of it except its lowest-label leaf,
     as ``families._subdivided_star_leave_out`` leaves it out."""
-    left_out = _subdivided_star_leave_out(near.g, key=near.labels.__getitem__)
-    return set(near.labels) - near.labels_of(left_out), {"star_legs": k, "near_order": near.g.n}
+    g, labels = _relabel(part.g, near)
+    left_out = _subdivided_star_leave_out(g, key=labels.__getitem__)
+    return near ^ graphs._mask_of(labels[v] for v in left_out), {"star_legs": k, "near_order": g.n}
 
 
 def _far_side_code(
@@ -357,53 +429,63 @@ def _far_side_code(
     delta: int,
     trace: ConstructionTrace,
     *,
+    twin_free: bool,
     star_patterns: bool,
     require_near_anchor: bool,
-) -> tuple[set[int], bool]:
+):
     """Code for the component on the far side of a split; ``cut`` is the
-    label of the cut endpoint.
+    cut endpoint.
 
-    If the far side acquired open twins, the cut endpoint must be the
-    twin leaf; it is deleted first and the caller's near-side code has to
-    contain the near endpoint (``require_near_anchor`` is the caller's
-    confirmation that it does).  What remains is then coded by a stored
-    pattern if it is a subdivided star on ``delta`` legs and
-    ``star_patterns`` is set, else by ``_build_tree``.  Returns (code,
-    twin_pruned).
+    If the far side acquired open twins (``twin_free`` is the caller's
+    test of that), the cut endpoint must be the twin leaf; it is deleted
+    first and the caller's near-side code has to contain the near
+    endpoint (``require_near_anchor`` is the caller's confirmation that it
+    does).  What remains is then coded by a stored pattern if it is a
+    subdivided star on ``delta`` legs and ``star_patterns`` is set, else
+    built by ``_build_tree``.  Returns (code, twin_pruned).
     """
+    adj, far = side.g.adj, side.mask
     rest = side
-    adj = side.g.adj
-    local = side.local[cut]
-    pruned = not _twin_free(adj)
+    pruned = not twin_free
     if pruned:
-        partner = next((v for v in range(side.g.n) if v != local and adj[v] == adj[local]), None)
-        if partner is None or adj[local].bit_count() != 1:
+        own = adj[cut] & far
+        partner = None
+        if own.bit_count() == 1:  # a twin of a leaf is another leaf of its one neighbour
+            nbrs = adj[own.bit_length() - 1] & far
+            partner = next((w for w in graphs._bits(nbrs) if w != cut and adj[w] & far == own), None)
+        if partner is None:
             raise _CaseMiss("far-side twins do not involve the cut endpoint")
         if not require_near_anchor:
             raise _CaseMiss("twin repair needs the near endpoint in the near code")
-        rest = side.induced(((1 << side.g.n) - 1) ^ (1 << local))
-        if rest.g.n < 5:
+        rest = side.side(far ^ (1 << cut))
+        if rest.mask.bit_count() < 5:
             raise _CaseMiss("twin-pruned far side too small")
-        if not _twin_free(rest.g.adj):
+        if not _twin_free_within(adj, rest.mask):
             raise _CaseMiss("twin-pruned far side still has twins")
-    star = as_subdivided_star(rest.g) if star_patterns else None
+    star = None
+    if star_patterns and rest.mask.bit_count() == 2 * delta + 1:
+        g, labels = _relabel(rest.g, rest.mask)
+        star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
         if pruned:  # the pruned leaf's twin partner is the one leaf left out
-            code, cut_key = set(rest.labels) - {side.labels[partner]}, "pruned_leaf"
+            code, cut_key = rest.mask ^ (1 << partner), "pruned_leaf"
         else:
-            left_out = _subdivided_star_leave_out(side.g, local, key=side.labels.__getitem__)
+            left_out = _subdivided_star_leave_out(g, labels.index(cut), key=labels.__getitem__)
             if left_out is None:
                 raise _CaseMiss("cut endpoint cannot be the star center")
-            code, cut_key = set(side.labels) - side.labels_of(left_out), "cut_vertex"
-        trace.add("absorbed_star_pattern", {"legs": star[1], "order": rest.g.n, cut_key: cut}, code)
+            code, cut_key = rest.mask ^ graphs._mask_of(labels[v] for v in left_out), "cut_vertex"
+        trace.add("absorbed_star_pattern", {"legs": star[1], "order": g.n, cut_key: cut}, graphs._bits(code))
     else:
-        code = _build_tree(rest, delta, trace)
+        code = yield _build_tree(rest, delta, trace)
     if pruned:
-        trace.add("twin_leaf_pruned", {"leaf": cut, "far_order": side.g.n})
+        trace.add("twin_leaf_pruned", {"leaf": cut, "far_order": far.bit_count()})
     return code, pruned
 
 
-def _path_rule(part: _Part, delta: int, trace: ConstructionTrace, path: list[int]):
+_PATH_HEAD = itemgetter(slice(6))
+
+
+def _path_rule(part: _Part, path: list[int]):
     """The longest-path case along ``path``: ``_split``'s case, edge and near rule.
 
     Needs diameter at least 5 and a degree-2 support at the path's end.
@@ -411,43 +493,48 @@ def _path_rule(part: _Part, delta: int, trace: ConstructionTrace, path: list[int
     the first of degree at least 4, 3 and 3 respectively; failing all
     three, the tail hanging at the fourth is peeled.
     """
-    g = part.g
     if len(path) < 6:
         raise _CaseMiss("diameter below 5 must be family-recognized")
-    if g.degree(path[1]) != 2:
+    if part.degree(path[1]) != 2:
         raise _CaseMiss("support on the path has extra leaves")
     for position, min_degree in ((2, 4), (3, 3), (4, 3)):
-        if g.degree(path[position]) >= min_degree:
-            rule = partial(_branch_near, position, part.labels[path[position]], delta, trace)
+        if part.degree(path[position]) >= min_degree:
+            rule = partial(_branch_near, position, path[position])
             return "deep_branch_split", path[position], path[position + 1], rule
-    return "path_tail_split", path[4], path[5], partial(_tail_near, [part.labels[x] for x in path[:5]])
+    return "path_tail_split", path[4], path[5], partial(_tail_near, path[:5])
 
 
 def _branch_near(
-    position: int, root: int, delta: int, trace: ConstructionTrace, near: _Part, far: _Part
-) -> tuple[set[int], dict]:
+    position: int, root: int, part: _Part, near: int, far_twin_free: bool
+) -> tuple[int | None, dict]:
     """A deep branch rooted at path vertex ``root``: its canonical set if it
-    is a family tree there, else a code built for it on its own."""
-    spec = recognize_family_rooted(near.g, near.local[root])
-    detail = {"position": position, "near_order": near.g.n, "recognized_branch": spec is not None}
+    is a family tree there, else None, for a code built for it on its own."""
+    order = near.bit_count()
+    spec = None
+    # recognize_family_rooted rejects a tree of more than 1 + _LARGEST_SHAPE
+    # times the root's degree vertices
+    if order <= 1 + _LARGEST_SHAPE * (part.g.adj[root] & near).bit_count():
+        g, labels = _relabel(part.g, near)
+        spec = recognize_family_rooted(g, labels.index(root))
+    detail = {"position": position, "near_order": order, "recognized_branch": spec is not None}
     if spec is not None:
-        return near.labels_of(canonical_set(spec)), detail
-    if not _twin_free(far.g.adj):
+        return graphs._mask_of(labels[v] for v in canonical_set(spec)), detail
+    if not far_twin_free:
         raise _CaseMiss("branch outside family while far side has twins")
-    # valid because any two one-sided IO-codes merge across a bridge
-    return _build_tree(near, delta, trace), detail
+    return None, detail
 
 
-def _tail_near(path_labels: list[int], near: _Part, far: _Part) -> tuple[set[int], dict]:
+def _tail_near(path: list[int], part: _Part, near: int, far_twin_free: bool) -> tuple[int, dict]:
     """The tail at the fourth path vertex, which holds the first five path
     vertices: without the path end if that is all, without the extra leaf
     if there is one more vertex and it is a leaf."""
-    detail = {"tail_order": near.g.n}
-    extra = set(near.labels).difference(path_labels)
+    detail = {"tail_order": near.bit_count()}
+    tail = graphs._mask_of(path)
+    extra = near ^ tail
     if not extra:
-        return set(path_labels[1:]), detail
-    if len(extra) == 1 and near.g.degree(near.local[extra.pop()]) == 1:
-        return set(path_labels), detail
+        return tail ^ (1 << path[0]), detail
+    if extra & (extra - 1) == 0 and (part.g.adj[extra.bit_length() - 1] & near).bit_count() == 1:
+        return tail, detail
     raise _CaseMiss("unexpected tail shape")
 
 
@@ -468,14 +555,14 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 # Graph constructor
 
 
-def _build_graph(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
-    g = part.g
+def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
+    g, labels = _relabel(part.g, part.mask)
     if g.edge_count == g.n - 1:
         trace.add("tree_reduction", {"order": g.n})
-        return _build_tree(part, delta, trace)
+        return (yield _build_tree(part, delta, trace))
     if g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES:
-        code = part.labels_of(v for v in range(4) if g.degree(v) >= 2)
-        trace.add("paw_base", {}, code)
+        code = graphs._mask_of(labels[v] for v in range(4) if g.degree(v) >= 2)
+        trace.add("paw_base", {}, graphs._bits(code))
         return code
 
     cycle = find_induced_cycle(g)
@@ -490,19 +577,20 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
             if star is not None:
                 mark = trace.mark()
                 try:
-                    return _star_plus_edge_code(part, h, star, (a, b), trace)
+                    return _star_plus_edge_code(part, labels, h, star, (a, b), trace)
                 except _CaseMiss:
                     trace.rollback(mark)
 
     for a, b in cyc_edges:
-        h = delete_edge(g, (a, b))
-        if _twin_free(h.adj):
-            trace.add("cycle_edge_removed", {"edge": (part.labels[a], part.labels[b])})
-            return _build_graph(_Part(h, part.labels), delta, trace)
+        edge = (labels[a], labels[b])
+        h = delete_edge(part.g, edge)
+        if _twin_free_within(h.adj, part.mask):
+            trace.add("cycle_edge_removed", {"edge": edge})
+            return (yield _build_graph(_Part(h, part.mask), delta, trace))
 
     # every cycle-edge deletion creates twins: the cycle alternates
     # support vertices and degree-2 vertices; delete one of the latter
-    leaves, _ = _leaves_and_legs(g)
+    leaves, _ = _leaves_and_legs(g.adj, (1 << g.n) - 1)
     cyc_set = set(cycle)
     candidates = []
     for c in cycle:
@@ -513,33 +601,35 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace) -> set[int]:
             candidates.append(c)
     if not candidates:
         return _fallback_exact(part, trace, "cycle without removable structure")
-    v0 = min(candidates, key=part.labels.__getitem__)
-    rest = part.induced(((1 << g.n) - 1) ^ (1 << v0))
-    if not is_connected(rest.g) or not _twin_free(rest.g.adj):
+    v0 = labels[min(candidates)]
+    rest = part.mask ^ (1 << v0)
+    connected = _reach(part.g.adj, rest, (rest & -rest).bit_length() - 1) == rest
+    if not connected or not _twin_free_within(part.g.adj, rest):
         return _fallback_exact(part, trace, "vertex deletion left a bad remainder")
-    trace.add("cycle_vertex_removed", {"vertex": part.labels[v0]})
-    return _build_graph(rest, delta, trace)
+    trace.add("cycle_vertex_removed", {"vertex": v0})
+    return (yield _build_graph(_Part(part.g, rest), delta, trace))
 
 
 def _star_plus_edge_code(
     part: _Part,
+    labels: Sequence[int],
     tree: Graph,
     star: tuple[int, int],
     edge: tuple[int, int],
     trace: ConstructionTrace,
-) -> set[int]:
+) -> int:
     """The stored pattern for a subdivided star plus one edge, as
-    ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the part
-    without ``edge``."""
+    ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the part,
+    relabeled as ``labels`` says, without ``edge``."""
     center, k = star
-    variant, left_out = _star_plus_edge_leave_out(tree, center, edge, key=part.labels.__getitem__)
-    code = part.labels_of(v for v in range(tree.n) if v not in left_out)
+    variant, left_out = _star_plus_edge_leave_out(tree, center, edge, key=labels.__getitem__)
+    code = part.mask ^ graphs._mask_of(labels[v] for v in left_out)
     if not part.verifies(code):
         raise _CaseMiss("pattern failed verification")
     trace.add(
         "star_plus_edge_pattern",
-        {"variant": variant, "legs": k, "edge": (part.labels[edge[0]], part.labels[edge[1]])},
-        code,
+        {"variant": variant, "legs": k, "edge": (labels[edge[0]], labels[edge[1]])},
+        graphs._bits(code),
     )
     return code
 

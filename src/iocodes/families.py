@@ -446,7 +446,7 @@ def _subdivided_star_leave_out(tree: Graph, cut: int | None = None, key=None) ->
     other leaf left out; a cut support loses its leaf and the least other
     leaf.  A cut center gives None.
     """
-    leaves, _ = _leaves_and_legs(tree)
+    leaves, _ = _leaves_and_legs(tree.adj, (1 << tree.n) - 1)
     if cut is not None and not leaves >> cut & 1:  # a support or the center
         if not tree.adj[cut] & leaves:
             return None
@@ -460,16 +460,18 @@ def _subdivided_star_leave_out(tree: Graph, cut: int | None = None, key=None) ->
 # Structural recognizers used by the constructive algorithms
 
 
-def _leaves_and_legs(g: Graph) -> tuple[int, int]:
+def _leaves_and_legs(adj: Sequence[int], mask: int) -> tuple[int, int]:
     """Masks of the leaves and of the legs, the degree-2 vertices next to
-    a leaf: one pass over the degrees for each."""
+    a leaf, of the subgraph that ``mask`` induces: one pass over its
+    degrees, then one over its leaves."""
     leaves = legs = 0
-    for v, nbrs in enumerate(g.adj):
-        if nbrs.bit_count() == 1:
+    for v in graphs._members(mask):
+        if (adj[v] & mask).bit_count() == 1:
             leaves |= 1 << v
-    for v, nbrs in enumerate(g.adj):
-        if nbrs.bit_count() == 2 and nbrs & leaves:
-            legs |= 1 << v
+    for leaf in graphs._members(leaves):
+        s = (adj[leaf] & mask).bit_length() - 1
+        if (adj[s] & mask).bit_count() == 2:
+            legs |= 1 << s
     return leaves, legs
 
 
@@ -480,7 +482,7 @@ def as_subdivided_star(g: Graph) -> tuple[int, int] | None:
     if g.n < 5 or g.n % 2 == 0 or g.edge_count != g.n - 1:
         return None
     k = (g.n - 1) // 2
-    _, legs = _leaves_and_legs(g)
+    _, legs = _leaves_and_legs(g.adj, (1 << g.n) - 1)
     for c in range(g.n):
         if g.adj[c].bit_count() == k and g.adj[c] & ~legs == 0:
             return c, k

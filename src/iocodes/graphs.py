@@ -9,6 +9,7 @@ vertex deletion, components) are fresh values.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -30,7 +31,6 @@ __all__ = [
     "has_four_cycle",
     "is_connected",
     "components",
-    "classify_vertices",
     "diameter",
     "longest_path_in_tree",
     "delete_edge",
@@ -45,6 +45,21 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in increasing order, as a list.
+
+    One pass over the binary digits, least significant first, picks the
+    positions of the ones; unlike ``_bits``, no step shifts or masks the
+    whole integer, so scanning a long mask costs linear, not quadratic,
+    time.
+    """
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def _mask_of(vertices: Iterable[int]) -> int:
@@ -282,11 +297,12 @@ def _bfs_tree(g: Graph, start: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _layers(g: Graph, start: int) -> list[int]:
-    """The BFS layers from ``start`` as vertex masks, nearest first."""
-    adj = g.adj
+def _layers(adj: Sequence[int], mask: int, start: int) -> list[int]:
+    """The BFS layers from ``start`` within the vertex mask ``mask`` of the
+    adjacency list ``adj``, as vertex masks, nearest first."""
     layers = []
-    seen = frontier = 1 << start
+    frontier = 1 << start
+    unseen = mask ^ frontier
     while frontier:
         layers.append(frontier)
         nxt = 0
@@ -295,14 +311,31 @@ def _layers(g: Graph, start: int) -> list[int]:
             low = rest & -rest
             nxt |= adj[low.bit_length() - 1]
             rest ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
+        frontier = nxt & unseen
+        unseen ^= frontier
     return layers
 
 
-def _reach(g: Graph, start: int) -> int:
-    """Mask of the vertices reachable from ``start``: its disjoint BFS layers."""
-    return sum(_layers(g, start))
+def _restrict_layers(layers: list[int], keep: int) -> list[int]:
+    """BFS layers from a start in ``keep``, carried to the sub-tree ``keep``.
+
+    Exact when ``keep`` is what is left of a tree once pendant subtrees
+    are cut off: the distances among the remaining vertices do not change,
+    so layer ``i`` within ``keep`` is ``layers[i] & keep``, and the layers
+    left empty come last and are dropped.  Only the new last layer is
+    masked here, so carrying costs no pass over the layers; the earlier
+    ones may keep cut-off vertices, which ``_diametral_paths`` never sees.
+    """
+    depth = len(layers) - 1
+    while not layers[depth] & keep:
+        depth -= 1
+    return layers[:depth] + [layers[depth] & keep]
+
+
+def _reach(adj: Sequence[int], mask: int, start: int) -> int:
+    """Mask of the vertices of ``mask`` reachable from ``start`` inside it:
+    its disjoint BFS layers."""
+    return sum(_layers(adj, mask, start))
 
 
 def _induced(g: Graph, keep: int) -> tuple[Graph, list[int], dict[int, int]]:
@@ -321,7 +354,8 @@ def _induced(g: Graph, keep: int) -> tuple[Graph, list[int], dict[int, int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 0 or _reach(g, 0) == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return g.n == 0 or _reach(g.adj, full, 0) == full
 
 
 def components(g: Graph) -> list[tuple[Graph, list[int], dict[int, int]]]:
@@ -330,7 +364,7 @@ def components(g: Graph) -> list[tuple[Graph, list[int], dict[int, int]]]:
     out = []
     rest = (1 << g.n) - 1
     while rest:
-        comp = _reach(g, (rest & -rest).bit_length() - 1)
+        comp = _reach(g.adj, rest, (rest & -rest).bit_length() - 1)
         rest &= ~comp
         out.append(_induced(g, comp))
     return out
@@ -340,42 +374,14 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count == g.n - 1 and is_connected(g)
 
 
-def classify_vertices(g: Graph) -> dict[str, VertexSet]:
-    """Tag vertices as leaf / support / strong_support / internal.
-
-    A support vertex has at least one leaf neighbor, a strong support at
-    least two.  Tags may overlap (in P_2 both vertices are leaf and
-    support); ``internal`` marks vertices that are neither leaves nor
-    supports.
-    """
-    leaf_mask = 0
-    for v in range(g.n):
-        if g.adj[v].bit_count() == 1:
-            leaf_mask |= 1 << v
-    support = 0
-    strong = 0
-    for v in range(g.n):
-        leaf_nbrs = (g.adj[v] & leaf_mask).bit_count()
-        if leaf_nbrs >= 1:
-            support |= 1 << v
-        if leaf_nbrs >= 2:
-            strong |= 1 << v
-    internal = ((1 << g.n) - 1) & ~leaf_mask & ~support if g.n else 0
-    return {
-        "leaf": VertexSet(g.n, mask=leaf_mask),
-        "support": VertexSet(g.n, mask=support),
-        "strong_support": VertexSet(g.n, mask=strong),
-        "internal": VertexSet(g.n, mask=internal),
-    }
-
-
 def diameter(g: Graph) -> int:
     """Maximum pairwise distance; raises on disconnected input."""
     if g.n == 0:
         raise EmptyGraph("diameter of empty graph")
     if not is_connected(g):
         raise Disconnected("diameter of disconnected graph")
-    return max(len(_layers(g, v)) - 1 for v in range(g.n))
+    full = (1 << g.n) - 1
+    return max(len(_layers(g.adj, full, v)) - 1 for v in range(g.n))
 
 
 def longest_path_in_tree(g: Graph) -> list[int]:
@@ -394,29 +400,50 @@ def diametral_paths(g: Graph) -> Iterator[list[int]]:
 
     Yielded lazily in (start, end) endpoint order; used by the
     constructive algorithms, which root a tree at either end of a longest
-    path.  Each level of the tree constructor scans the whole remaining
-    tree here: three BFS runs by layer masks find the path ends, since in
-    a tree the ends are the last layer from ``x``, a vertex farthest from
-    0, together with the last layer from ``y``, a vertex farthest from
-    ``x``.  Each start then needs its own layers (those of ``x`` and
-    ``y`` are reused), and each path is walked back from its far end
-    through the one neighbour in the next lower layer.
+    path.  The whole tree is the full-mask case of ``_diametral_paths``.
     """
-    if g.n <= 1:
-        if g.n == 1:
-            yield [0]
+    yield from _diametral_paths(g.adj, (1 << g.n) - 1, {})
+
+
+def _diametral_paths(adj: Sequence[int], mask: int, known: dict[int, list[int]]) -> Iterator[list[int]]:
+    """The diametral paths of the tree that ``mask`` induces, as
+    ``diametral_paths`` yields them.
+
+    ``known`` maps starts to their BFS layers within ``mask``, where every
+    layer but the last may also hold vertices outside it
+    (``_restrict_layers``); layers from a start missing there are computed
+    once and added.  In a tree the path ends are the last layer from
+    ``x``, a vertex farthest from the lowest vertex, together with the
+    last layer from ``y``, a vertex farthest from ``x``; ties go to the
+    highest vertex.  Each path is walked back from its far end through
+    the one neighbour in the next lower layer, which lies in ``mask``.
+    No layer list is held while a path is out, so a caller that clears
+    ``known`` meanwhile frees them, and they are recomputed if needed.
+    """
+
+    def layers_from(start: int) -> list[int]:
+        if start not in known:
+            known[start] = _layers(adj, mask, start)
+        return known[start]
+
+    if mask & (mask - 1) == 0:
+        if mask:
+            yield [mask.bit_length() - 1]
         return
-    x = _layers(g, 0)[-1].bit_length() - 1
-    from_x = _layers(g, x)
-    y = from_x[-1].bit_length() - 1
-    known = {x: from_x, y: _layers(g, y)}
-    for a in _bits(from_x[-1] | known[y][-1]):
-        layers = known.get(a) or _layers(g, a)
-        for b in _bits(layers[-1]):
-            path = [b]
-            for layer in reversed(layers[:-1]):
-                path.append((g.adj[path[-1]] & layer).bit_length() - 1)
-            yield path[::-1]
+    x = layers_from((mask & -mask).bit_length() - 1)[-1].bit_length() - 1
+    y = layers_from(x)[-1].bit_length() - 1
+    for a in _bits(layers_from(x)[-1] | layers_from(y)[-1]):
+        for b in _bits(layers_from(a)[-1]):
+            yield _walk_back(adj, layers_from(a), b)
+
+
+def _walk_back(adj: Sequence[int], layers: list[int], end: int) -> list[int]:
+    """The tree path from the start of ``layers`` to ``end``, a vertex of
+    their last layer."""
+    path = [end]
+    for layer in reversed(layers[:-1]):
+        path.append((adj[path[-1]] & layer).bit_length() - 1)
+    return path[::-1]
 
 
 def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:

@@ -151,13 +151,15 @@ class TestConstruct:
         assert status == 0
         assert json.loads(out)["delta"] == 3
 
-    def test_path_beyond_the_recursion_limit_exits_with_an_error(self, capsys, tmp_path):
+    def test_path_beyond_the_recursion_limit_prints_a_code_within_the_bound(self, capsys, tmp_path):
         f = tmp_path / "p2000.edges"
         f.write_text("".join(f"{i} {i + 1}\n" for i in range(1999)))
         status, out, err = run(capsys, "construct", str(f), "--delta", "3")
-        assert status == 1
-        assert out == ""
-        assert err.startswith("error: ") and "recursion limit" in err
+        assert (status, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["bound_status"] == "within_bound"
+        assert payload["size"] == len(payload["code"]) == 1600
+        assert len(payload["trace"]["steps"]) == 400
 
 
 class TestGenerate:

@@ -1,15 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import iocodes
 from conftest import random_tree
 from iocodes import (
     BadParam,
     BoundStatus,
-    ConstructionError,
-    ConstructionTrace,
     DegreeExceeded,
     Disconnected,
     FourCyclePresent,
@@ -177,8 +181,7 @@ class TestTreeConstructor:
 
     def test_deep_decomposition_on_valid_trees(self):
         # deep decompositions of seeded subdivided random trees: every step
-        # recurses on a smaller tree, so nothing but the interpreter's
-        # recursion limit bounds the depth, and these stay well inside it
+        # works on a smaller tree, so the decomposition ends on its own
         for n in (109, 113, 117):
             rng = random.Random(0)
             k = (n + 1) // 2
@@ -190,12 +193,53 @@ class TestTreeConstructor:
             assert is_io_code(t, code).ok
             assert check_bound(t.n, len(code), 8) is BoundStatus.WITHIN_BOUND
 
-    def test_path_beyond_the_recursion_limit_raises_a_typed_error(self):
-        # each 5-vertex tail peeled off a path nests a few Python frames
-        with pytest.raises(ConstructionError) as err:
-            construct_tree_code(path(2000), 3)
-        assert "recursion limit" in str(err.value)
-        assert isinstance(err.value.trace, ConstructionTrace)
+    def test_path_beyond_the_recursion_limit_constructs_within_the_bound(self):
+        # one 5-vertex tail is peeled per level: 400 levels, none of them a
+        # nested Python frame
+        g = path(2000)
+        code, trace = construct_tree_code(g, 3)
+        assert is_io_code(g, code).ok
+        assert check_bound(g.n, len(code), 3) is BoundStatus.WITHIN_BOUND
+        assert [step.case for step in trace.steps].count("path_tail_split") == 399
+        assert not trace.warnings
+
+    def test_deep_decompositions_need_no_recursion(self):
+        # a nested-call decomposition needs several frames per level: about
+        # 120 levels on the path, 250 on the tree, and six cycle-edge steps
+        # before a long path on the cyclic graph
+        script = textwrap.dedent(
+            """
+            import random, sys
+            from test_tree_dp import subdivided_random_tree
+            from iocodes import Graph, check_bound, is_io_code, max_degree
+            from iocodes.construct import construct_code
+
+            spine = [(i, i + 1) for i in range(599)]
+            inputs = [
+                Graph(600, spine),
+                subdivided_random_tree(501, random.Random(0)),
+                Graph(600, spine + [(40 * j + 10, 40 * j + 15) for j in range(6)]),
+            ]
+            sys.setrecursionlimit(100)
+            for g in inputs:
+                delta = max(3, max_degree(g))
+                code, trace = construct_code(g, delta)
+                cases = [step.case for step in trace.steps]
+                print(g.n, is_io_code(g, code).ok, check_bound(g.n, len(code), delta).value,
+                      cases.count("cycle_edge_removed"), len(trace.warnings))
+            """
+        )
+        paths = [str(Path(__file__).parent), str(Path(iocodes.__file__).parents[1])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "600 True within_bound 0 0",
+            "1001 True within_bound 0 0",
+            "600 True within_bound 6 0",
+        ]
 
     def test_trace_union_reconstructs_code(self):
         for n in range(5, 12):

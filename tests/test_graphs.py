@@ -20,7 +20,6 @@ from iocodes import (
     NotATree,
     NotPresent,
     VertexSet,
-    classify_vertices,
     components,
     delete_edge,
     delete_vertex,
@@ -37,7 +36,7 @@ from iocodes import (
     min_degree,
     open_neighborhood,
 )
-from iocodes.graphs import _bfs_tree, _induced, _shortest_cycle_through
+from iocodes.graphs import _bfs_tree, _bits, _induced, _members, _shortest_cycle_through
 
 
 def path(n):
@@ -210,31 +209,6 @@ class TestConnectivity:
                     assert sub.n == len(new_to_old)
 
 
-class TestClassify:
-    def test_p5(self):
-        tags = classify_vertices(path(5))
-        assert sorted(tags["leaf"]) == [0, 4]
-        assert sorted(tags["support"]) == [1, 3]
-        assert sorted(tags["strong_support"]) == []
-        assert sorted(tags["internal"]) == [2]
-
-    def test_reduced_star_center_is_support(self):
-        from iocodes import gen_reduced_subdivided_star
-
-        g, spec = gen_reduced_subdivided_star(4)
-        tags = classify_vertices(g)
-        assert spec.distinguished["center"] in tags["support"]
-
-    def test_claw_center_strong(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert sorted(classify_vertices(g)["strong_support"]) == [0]
-
-    def test_p2_overlap(self):
-        tags = classify_vertices(path(2))
-        assert sorted(tags["leaf"]) == [0, 1]
-        assert sorted(tags["support"]) == [0, 1]
-
-
 class TestDiameterAndLongestPath:
     def test_star_diameter(self):
         g, _ = gen_subdivided_star(4)
@@ -391,6 +365,14 @@ class TestBfsTree:
             for start in range(g.n):
                 order, _, parent = deque_bfs(g, start)
                 assert _bfs_tree(g, start) == (order, parent)
+
+
+class TestMembers:
+    def test_matches_the_bit_loop(self, rng):
+        masks = [0, 1, 2, 1 << 64, (1 << 300) - 1]
+        masks += [rng.getrandbits(rng.choice((8, 64, 65, 241, 3000))) for _ in range(200)]
+        for mask in masks:
+            assert _members(mask) == list(_bits(mask))
 
 
 class TestVertexSet:

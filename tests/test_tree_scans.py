@@ -3,7 +3,9 @@
 The constructor reads its cases off degrees and distances; these tests
 keep the literal definitions as oracles: a subdivided-star component is
 found by deleting the edge and recognizing the component, and the
-diametral paths come from all pairwise distances.
+diametral paths come from all pairwise distances.  The constructor runs
+these scans on vertex masks of its input; on every sub-tree they must
+agree with the same scans of the relabeled sub-tree.
 """
 
 import hashlib
@@ -12,18 +14,21 @@ import random
 
 from conftest import brute_all_distances, random_tree
 from iocodes import (
+    VertexSet,
     as_subdivided_star,
     components,
     construct_tree_code,
     delete_edge,
     enumerate_trees,
     find_open_twins,
+    is_io_code,
     longest_path_in_tree,
     max_degree,
+    solve,
 )
 from iocodes.canon import canonical_graph
-from iocodes.construct import _star_component_candidates, construct_code
-from iocodes.graphs import diametral_paths
+from iocodes.construct import _Part, _star_component_candidates, _twin_free_within, construct_code
+from iocodes.graphs import _bits, _diametral_paths, _induced, _layers, _reach, _twin_free, diametral_paths
 from test_tree_dp import subdivided_random_tree
 
 TWIN_FREE_TREES = [
@@ -80,12 +85,14 @@ class TestStarCandidates:
     def test_twin_free_trees(self):
         for t in TWIN_FREE_TREES:
             for delta in range(3, max(1, max_degree(t)) + 3):
-                assert _star_component_candidates(t, delta) == star_candidates_by_edge_deletion(t, delta)
+                found = _star_component_candidates(t.adj, (1 << t.n) - 1, delta)
+                assert found == star_candidates_by_edge_deletion(t, delta)
 
     def test_random_trees(self, rng):
         for t in _random_trees(60, 13, 60, rng):
             for delta in (3, max(3, max_degree(t))):
-                assert _star_component_candidates(t, delta) == star_candidates_by_edge_deletion(t, delta)
+                found = _star_component_candidates(t.adj, (1 << t.n) - 1, delta)
+                assert found == star_candidates_by_edge_deletion(t, delta)
 
 
 class TestDiametralPaths:
@@ -104,6 +111,55 @@ class TestDiametralPaths:
             a, b = min((a, b) for a in range(t.n) for b in range(a, t.n) if dist[a][b] == diam)
             path = longest_path_in_tree(t)
             assert (path[0], path[-1]) == (a, b) and len(path) == diam + 1
+
+
+def _to_labels(mask, labels):
+    return sum(1 << labels[v] for v in _bits(mask))
+
+
+def _cut_pendant_subtree(t, mask, rng):
+    """What is left of the sub-tree ``mask`` when one side of a random edge
+    is cut off, as the constructor's splits leave their sides."""
+    u = rng.choice(list(_bits(mask)))
+    v = rng.choice(list(_bits(t.adj[u] & mask)))
+    near = _reach(t.adj, mask ^ (1 << v), u)
+    return near if rng.random() < 0.5 else mask ^ near
+
+
+class TestMaskedScans:
+    def test_sub_trees_agree_with_their_relabeled_copies(self, rng):
+        outcomes = set()
+        for _ in range(50):
+            t = random_tree(rng.randint(5, 60), rng)
+            part = _Part(t, (1 << t.n) - 1)
+            while part.mask.bit_count() >= 2:
+                mask = part.mask
+                h, labels, _ = _induced(t, mask)
+                whole = (1 << h.n) - 1
+                paths = [[labels[v] for v in p] for p in diametral_paths(h)]
+                assert list(_diametral_paths(t.adj, mask, {})) == paths
+                # with the layers carried from the larger sub-trees, and then
+                # every start the paths needed
+                assert list(_diametral_paths(t.adj, mask, part.layers)) == paths
+                for start, layers in part.layers.items():
+                    fresh = [_to_labels(layer, labels) for layer in _layers(h.adj, whole, labels.index(start))]
+                    assert [layer & mask for layer in layers] == fresh
+                    assert layers[-1] & ~mask == 0
+                for delta in (3, 4, 6):
+                    relabeled = _star_component_candidates(h.adj, whole, delta)
+                    expected = [(labels[c], labels[o], k) for c, o, k in relabeled]
+                    assert _star_component_candidates(t.adj, mask, delta) == expected
+                twin_free = _twin_free(h.adj)
+                assert _twin_free_within(t.adj, mask) == twin_free
+                codes = [rng.getrandbits(h.n) | rng.getrandbits(h.n) for _ in range(4)]
+                if twin_free and 0 not in h.adj:
+                    codes.append(solve(h).code.mask)
+                for code in codes:
+                    verdict = is_io_code(h, VertexSet(h.n, mask=code)).ok
+                    assert part.verifies(_to_labels(code, labels)) == verdict
+                    outcomes.add((twin_free, verdict))
+                part = part.side(_cut_pendant_subtree(t, mask, rng))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_tree_codes_and_traces_unchanged():
