@@ -24,7 +24,8 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
+from math import factorial
 from typing import Iterator, Sequence
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
@@ -613,23 +614,24 @@ def enumerate_graph_classes(n_max: int, max_deg: int | None = None) -> Iterator[
     4-cycle-free graphs on 1 to ``n_max`` vertices, in increasing order,
     with the number of labeled graphs in that class.
 
-    The 4-cycle-free classes are grown once, one vertex at a time:
-    deleting a vertex from a 4-cycle-free graph on ``k + 1`` vertices
-    leaves one on ``k`` vertices, so every class on ``k + 1`` vertices is
-    a class on ``k`` vertices plus a new vertex joined to some neighbour
-    set.  Only neighbour sets in which no two vertices already share a
-    neighbour are tried; these are exactly the ones that create no
-    4-cycle.  Each level is deduplicated by canonical form.
-    Connectivity, twin-freeness and the degree cap, which do not survive
-    every deletion, select the classes each level yields; on level
-    ``n_max``, which grows nothing, they are checked before canonical
+    The connected 4-cycle-free classes are grown once, one vertex at a
+    time.  Deleting a leaf of a spanning tree leaves a connected graph,
+    deleting any vertex leaves a 4-cycle-free one and raises no degree,
+    so every class on ``k + 1`` vertices, under the degree cap if one is
+    given, is a class on ``k`` vertices plus a new vertex joined to a
+    non-empty neighbour set.  Only neighbour sets in which no two
+    vertices already share a neighbour are tried, exactly the ones that
+    create no 4-cycle; under the cap, only sets of at most ``max_deg``
+    vertices, each of degree below it.  Each level is deduplicated by
+    canonical form.  Twin-freeness, the one property that does not
+    survive every deletion, selects the classes each level yields; on
+    level ``n_max``, which grows nothing, it is checked before canonical
     labeling.
 
-    Each yielded class is relabeled in all ``n!`` ways.  The distinct
-    edge sets give its labeled count ``n!/|Aut|`` and the first step at
-    which the Gray-code sweep of ``enumerate_small_graphs`` visits it; a
-    level's classes are yielded in that order, so each order matches a
-    deduplicated labeled sweep without running one.
+    A level's classes are yielded in the order in which the Gray-code
+    sweep of ``enumerate_small_graphs`` first visits them, each with its
+    labeled count ``n!/|Aut|`` (see ``_gray_orbit``), so each order
+    matches a deduplicated labeled sweep without running one.
     """
     if not 1 <= n_max <= GRAPH_CAP:
         raise BadParam(f"exhaustive enumeration supports 1 <= n_max <= {GRAPH_CAP}, got {n_max}")
@@ -637,19 +639,27 @@ def enumerate_graph_classes(n_max: int, max_deg: int | None = None) -> Iterator[
     for k in range(n_max):
         grown: dict[tuple[int, ...], None] = {}
         for adj in level:
-            for nb in range(1 << k):
+            for nb in _neighbour_sets(adj, max_deg):
                 if any((a & nb).bit_count() > 1 for a in adj):
                     continue
-                grown_adj = [a | (nb >> v & 1) << k for v, a in enumerate(adj)] + [nb]
-                if k < n_max - 1:
-                    g = Graph._from_adj(tuple(grown_adj))
-                elif (g := _filtered(grown_adj, True, True, False, max_deg)) is None:
-                    continue
-                grown[canonical_graph(g).adj] = None
+                grown_adj = tuple([a | (nb >> v & 1) << k for v, a in enumerate(adj)] + [nb])
+                if k < n_max - 1 or _twin_free(grown_adj):
+                    grown[canonical_graph(Graph._from_adj(grown_adj)).adj] = None
         level = list(grown)
-        classes = [g for adj in level if (g := _filtered(adj, True, True, False, max_deg)) is not None]
+        classes = [Graph._from_adj(adj) for adj in level if _twin_free(adj)]
         for (_, labeled), g in sorted(zip(map(_gray_orbit, classes), classes), key=lambda item: item[0]):
             yield g, labeled
+
+
+def _neighbour_sets(adj: Sequence[int], max_deg: int | None) -> Sequence[int]:
+    """Neighbour masks a new vertex may take beside ``adj``: every
+    non-empty one (the first vertex takes the empty one), or under the
+    cap those of at most ``max_deg`` vertices, each of degree below it."""
+    k = len(adj)
+    if max_deg is None:
+        return range(k > 0, 1 << k)
+    free = [1 << v for v, a in enumerate(adj) if a.bit_count() < max_deg]
+    return [sum(c) for r in range(k > 0, max_deg + 1) for c in combinations(free, r)]
 
 
 def _gray_orbit(g: Graph) -> tuple[int, int]:
@@ -657,29 +667,39 @@ def _gray_orbit(g: Graph) -> tuple[int, int]:
 
     Bit ``k`` of an edge mask is the ``k``-th vertex pair in
     lexicographic order, as in the sweep; the sweep reaches mask ``m``
-    at the step whose Gray code is ``m``.
+    at the step ``i`` with ``i ^ (i >> 1) == m``, whose bit ``k`` is the
+    XOR of the bits of ``m`` from ``k`` up.  The labels ``n-1, n-2, ...,
+    0`` are placed one vertex at a time.  Placing label ``a`` fixes the
+    pairs ``(a, n-1), ..., (a, a+1)``, the next mask bits from the top,
+    and so the next step bits, a running XOR.  Only the partial
+    labelings whose step prefix is least are kept.  The survivors all
+    map the graph onto the least step, so they form one coset of its
+    automorphism group, and the labeled count is ``n!`` over their
+    number.  No labeling is tried twice, and none outside the least
+    prefix is extended.
     """
     n = g.n
-    bit = [[0] * n for _ in range(n)]
-    for k, (u, v) in enumerate(combinations(range(n), 2)):
-        bit[u][v] = bit[v][u] = 1 << k
-    edges = g.edges()
-    masks = set()
-    for p in permutations(range(n)):
-        mask = 0
-        for u, v in edges:
-            mask |= bit[p[u]][p[v]]
-        masks.add(mask)
-    return min(_gray_step(m) for m in masks), len(masks)
-
-
-def _gray_step(code: int) -> int:
-    """The step ``i`` with ``i ^ (i >> 1) == code``."""
+    adj = g.adj
     step = 0
-    while code:
-        step ^= code
-        code >>= 1
-    return step
+    labelings = [((), 0)]  # (vertices given labels n-1, n-2, ..., running XOR)
+    for placed in range(n):
+        least = None
+        kept: list[tuple[tuple[int, ...], int]] = []
+        for order, parity in labelings:
+            for v in range(n):
+                if v in order:
+                    continue
+                row, bits, p = adj[v], 0, parity
+                for w in order:
+                    p ^= row >> w & 1
+                    bits = bits << 1 | p
+                if least is None or bits < least:
+                    least, kept = bits, []
+                if bits == least:
+                    kept.append((order + (v,), p))
+        step = step << placed | least
+        labelings = kept
+    return step, factorial(n) // len(labelings)
 
 
 def _filtered(adj: Sequence[int], connected, twin_free, c4_free, max_deg) -> Graph | None:

@@ -89,6 +89,19 @@ class TestGraphAudit:
         assert digest == "fe63a193abe5c55169d7b5c7122fdc79d90771989922c9d8b53728de2e15311b"
         assert summary["labeled_instances"] == 87222
 
+    @pytest.mark.parametrize(
+        "delta, digest, instances, labeled",
+        [
+            (3, "e2a055c73f5d5b60ea90f758a4191f61400258a003ea0898c49916964bebedf4", 35, 57312),
+            (4, "b63ea51667926ab57337650a7e4f27f02c7e644298ce136a4fefcbb7a926e53e", 49, 83877),
+        ],
+    )
+    def test_capped_audits_to_7_are_pinned(self, delta, digest, instances, labeled):
+        # pinned while every level was grown uncapped and filtered afterwards
+        records, summary = audit_graphs(7, delta)
+        assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == digest
+        assert summary["instances"] == instances and summary["labeled_instances"] == labeled
+
     def test_levels_are_grown_once(self, monkeypatch):
         calls = 0
         canonical_graph = families.canonical_graph
@@ -100,8 +113,9 @@ class TestGraphAudit:
 
         monkeypatch.setattr(families, "canonical_graph", counted)
         audit_graphs(7)
-        # one growth per order, of levels 1-5, 1-6 and 1-7, took 1,077
-        assert calls <= 792
+        # one growth per order, of levels 1-5, 1-6 and 1-7, took 1,077;
+        # growing disconnected classes too, 792
+        assert calls <= 287
 
 
 class TestTightFamilies:

@@ -5,17 +5,25 @@ independent oracle: canonically labeling each swept connected twin-free
 4-cycle-free graph must give the generator's classes of that order, in
 the generator's order, with its labeled counts.  At n = 7 the sweep is
 matched by orbit membership instead of per-graph canonical labeling.
+``_gray_orbit``'s least-prefix search is checked against relabeling in
+all ``n!`` ways and against networkx's automorphism count.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
+from math import factorial
 
+import networkx as nx
 import pytest
+from conftest import atlas_graphs, brute_has_four_cycle, random_tree
+from networkx.algorithms.isomorphism import GraphMatcher
 
-from iocodes import BadParam, canonical_graph, enumerate_graph_classes, enumerate_small_graphs
+from iocodes import BadParam, Graph, canonical_graph, enumerate_graph_classes, enumerate_small_graphs
 from iocodes import families
-from iocodes.families import GRAPH_CAP
+from iocodes.families import GRAPH_CAP, _gray_orbit
+from iocodes.graphs import is_connected
 
 AUDIT_FILTERS = dict(connected=True, twin_free=True, c4_free=True)
 
@@ -29,6 +37,38 @@ def swept_classes(n: int, canon: dict, **filters) -> list[tuple[tuple[int, ...],
         key = canon[g.adj]
         counts[key] = counts.get(key, 0) + 1
     return list(counts.items())
+
+
+def relabeled_orbit(g: Graph) -> tuple[int, int]:
+    """(first Gray-code sweep step, labeled count) by relabeling ``g`` in
+    all ``n!`` ways and inverting the Gray code of each distinct mask."""
+    n = g.n
+    bit = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(combinations(range(n), 2)):
+        bit[u][v] = bit[v][u] = 1 << k
+    edges = g.edges()
+    masks = {sum(bit[p[u]][p[v]] for u, v in edges) for p in permutations(range(n))}
+    steps = []
+    for code in masks:
+        step = 0
+        while code:
+            step ^= code
+            code >>= 1
+        steps.append(step)
+    return min(steps), len(masks)
+
+
+def random_audit_graph(n: int, rng: random.Random) -> Graph:
+    """A connected twin-free 4-cycle-free graph: a random tree plus
+    random chords that close no 4-cycle, redrawn until twin-free."""
+    while True:
+        g = random_tree(n, rng)
+        for u, v in rng.sample(list(combinations(range(n), 2)), rng.randrange(4)):
+            grown = Graph(n, g.edges() + [(u, v)])
+            if not g.has_edge(u, v) and not brute_has_four_cycle(grown):
+                g = grown
+        if len(set(g.adj)) == n:
+            return g
 
 
 def generated_classes(n: int, max_deg: int | None = None) -> list[tuple[tuple[int, ...], int]]:
@@ -92,9 +132,70 @@ def test_level_n_is_filtered_before_canonical_labeling(monkeypatch):
 
     monkeypatch.setattr(families, "canonical_graph", counted)
     assert sum(g.n == 7 for g, _ in enumerate_graph_classes(7)) == 36
-    # labeling every 4-cycle-free extension on level 7, filtered out or
-    # not, would take 1,547 calls
-    assert len(calls) <= 792
+    # labeling every connected 4-cycle-free extension on level 7, twins
+    # or not, would take 366 calls; growing disconnected classes too, 792
+    assert len(calls) <= 287
+
+
+@pytest.mark.parametrize("max_deg", [None, 3])
+def test_levels_are_the_connected_4_cycle_free_classes(monkeypatch, max_deg):
+    """Every level grown on the way to 7 holds exactly the connected
+    4-cycle-free classes of its order (within the cap), the last one only
+    its twin-free classes; the atlas of all graphs is the oracle."""
+    levels: dict[int, set] = {}
+
+    def recorded(g):
+        canon = canonical_graph(g)
+        levels.setdefault(g.n, set()).add(canon.adj)
+        return canon
+
+    monkeypatch.setattr(families, "canonical_graph", recorded)
+    list(enumerate_graph_classes(7, max_deg))
+    for n in range(2, 8):
+        expected = {
+            canonical_graph(g).adj
+            for g in atlas_graphs(n)
+            if is_connected(g)
+            and not brute_has_four_cycle(g)
+            and (max_deg is None or max(map(g.degree, range(n))) <= max_deg)
+            and (n < 7 or len(set(g.adj)) == n)
+        }
+        assert levels[n] == expected, n
+
+
+def test_search_matches_relabeling_to_7():
+    for g, labeled in enumerate_graph_classes(7):
+        expected = relabeled_orbit(g)
+        assert _gray_orbit(g) == expected and labeled == expected[1], g.adj
+
+
+def test_search_matches_relabeling_on_random_graphs_at_8():
+    rng = random.Random(17)
+    for _ in range(30):
+        g = random_audit_graph(8, rng)
+        assert _gray_orbit(g) == relabeled_orbit(g), g.adj
+
+
+def test_labeled_count_is_n_factorial_over_automorphisms():
+    for g, labeled in enumerate_graph_classes(7):
+        nx_graph = nx.Graph(g.edges())
+        nx_graph.add_nodes_from(range(g.n))
+        automorphisms = sum(1 for _ in GraphMatcher(nx_graph, nx_graph).isomorphisms_iter())
+        assert factorial(g.n) // labeled == automorphisms and factorial(g.n) % labeled == 0
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (Graph(1), (0, 1)),
+        (Graph(2), (0, 1)),
+        (Graph(2, [(0, 1)]), (1, 1)),
+        (Graph(3, [(0, 1)]), (1, 3)),
+        (Graph(3, [(0, 1), (1, 2), (0, 2)]), (0b101, 1)),
+    ],
+)
+def test_search_edge_cases(g, expected):
+    assert _gray_orbit(g) == relabeled_orbit(g) == expected
 
 
 def test_cap():
