@@ -66,18 +66,13 @@ from .formats import emit_edge_list, emit_graph6, load_graph, parse_edge_list, p
 from .graphs import (
     Graph,
     VertexSet,
-    components,
     delete_edge,
-    delete_vertex,
     diameter,
     find_induced_cycle,
     find_open_twins,
     has_four_cycle,
     is_connected,
-    longest_path_in_tree,
     max_degree,
-    min_degree,
-    open_neighborhood,
 )
 from .solver import SolveResult, solve, solve_oracle, solve_with_budget
 from .verify import Verdict, admits_io_code, is_io_code, is_separating_open_code, is_total_dominating

@@ -181,23 +181,13 @@ class _Part:
         return 0 not in traces and len(set(traces)) == len(traces)
 
 
-def _relabel(g: Graph, mask: int) -> tuple[Graph, Sequence[int]]:
-    """The subgraph that ``mask`` induces as a ``Graph`` on ``0..n-1`` in
-    label order, for the rules that take one, and the label of each vertex.
-    Order is kept, so the least local vertex is the least label."""
-    if mask == (1 << g.n) - 1:
-        return g, range(g.n)
-    h, labels, _ = _induced(g, mask)
-    return h, labels
-
-
 def _twin_free_within(adj: Sequence[int], mask: int) -> bool:
     """Whether no two vertices of ``mask`` share a neighbourhood within it."""
     return _twin_free([adj[v] & mask for v in graphs._members(mask)])
 
 
 def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> int:
-    g, labels = _relabel(part.g, part.mask)
+    g, labels = _induced(part.g, part.mask)
     trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
     code = graphs._mask_of(labels[v] for v in solve(g).code)
     trace.add("exhaustive_fallback", {"reason": reason, "order": g.n}, graphs._bits(code))
@@ -293,7 +283,7 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
     # recognize_family rejects a tree of more than 1 + _LARGEST_SHAPE times
     # its maximum degree vertices, and no degree exceeds delta
     if n <= 1 + _LARGEST_SHAPE * delta:
-        g, labels = _relabel(part.g, part.mask)
+        g, labels = _induced(part.g, part.mask)
         spec = recognize_family(g)
         if spec is not None:
             code = graphs._mask_of(labels[v] for v in canonical_set(spec))
@@ -418,8 +408,8 @@ def _split(
 def _star_near(k: int, part: _Part, near: int, far_twin_free: bool) -> tuple[int, dict]:
     """A split-off subdivided star: all of it except its lowest-label leaf,
     as ``families._subdivided_star_leave_out`` leaves it out."""
-    g, labels = _relabel(part.g, near)
-    left_out = _subdivided_star_leave_out(g, key=labels.__getitem__)
+    g, labels = _induced(part.g, near)
+    left_out = _subdivided_star_leave_out(g)
     return near ^ graphs._mask_of(labels[v] for v in left_out), {"star_legs": k, "near_order": g.n}
 
 
@@ -464,13 +454,13 @@ def _far_side_code(
             raise _CaseMiss("twin-pruned far side still has twins")
     star = None
     if star_patterns and rest.mask.bit_count() == 2 * delta + 1:
-        g, labels = _relabel(rest.g, rest.mask)
+        g, labels = _induced(rest.g, rest.mask)
         star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
         if pruned:  # the pruned leaf's twin partner is the one leaf left out
             code, cut_key = rest.mask ^ (1 << partner), "pruned_leaf"
         else:
-            left_out = _subdivided_star_leave_out(g, labels.index(cut), key=labels.__getitem__)
+            left_out = _subdivided_star_leave_out(g, labels.index(cut))
             if left_out is None:
                 raise _CaseMiss("cut endpoint cannot be the star center")
             code, cut_key = rest.mask ^ graphs._mask_of(labels[v] for v in left_out), "cut_vertex"
@@ -514,7 +504,7 @@ def _branch_near(
     # recognize_family_rooted rejects a tree of more than 1 + _LARGEST_SHAPE
     # times the root's degree vertices
     if order <= 1 + _LARGEST_SHAPE * (part.g.adj[root] & near).bit_count():
-        g, labels = _relabel(part.g, near)
+        g, labels = _induced(part.g, near)
         spec = recognize_family_rooted(g, labels.index(root))
     detail = {"position": position, "near_order": order, "recognized_branch": spec is not None}
     if spec is not None:
@@ -556,7 +546,7 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 
 
 def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
-    g, labels = _relabel(part.g, part.mask)
+    g, labels = _induced(part.g, part.mask)
     if g.edge_count == g.n - 1:
         trace.add("tree_reduction", {"order": g.n})
         return (yield _build_tree(part, delta, trace))
@@ -622,7 +612,7 @@ def _star_plus_edge_code(
     ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the part,
     relabeled as ``labels`` says, without ``edge``."""
     center, k = star
-    variant, left_out = _star_plus_edge_leave_out(tree, center, edge, key=labels.__getitem__)
+    variant, left_out = _star_plus_edge_leave_out(tree, center, edge)
     code = part.mask ^ graphs._mask_of(labels[v] for v in left_out)
     if not part.verifies(code):
         raise _CaseMiss("pattern failed verification")

@@ -421,10 +421,10 @@ def gen_star_plus_edge(variant: str, k: int) -> tuple[Graph, FamilySpec]:
 
 
 def _star_plus_edge_leave_out(
-    tree: Graph, center: int, edge: tuple[int, int], key=None
+    tree: Graph, center: int, edge: tuple[int, int]
 ) -> tuple[str, set[int]]:
     """The pattern of the subdivided star ``tree`` plus ``edge``, and the
-    vertices its code leaves out; ties go to the least ``key``.
+    vertices its code leaves out; ties go to the least vertex.
 
     Two supports joined: both of their leaves.  The center joined to a
     leaf: the least other leaf.  Two leaves joined: the lesser one, plus
@@ -434,14 +434,14 @@ def _star_plus_edge_leave_out(
     if tree.has_edge(center, a) and tree.has_edge(center, b):
         return "supports_joined", {next(x for x in tree.neighbors(s) if x != center) for s in edge}
     if center in edge:
-        return "center_to_leaf", _subdivided_star_leave_out(tree, b if a == center else a, key)
-    x = min(edge, key=key)
+        return "center_to_leaf", _subdivided_star_leave_out(tree, b if a == center else a)
+    x = min(edge)
     return "leaves_joined", {x} if tree.degree(center) == 2 else {x, *tree.neighbors(x)}
 
 
-def _subdivided_star_leave_out(tree: Graph, cut: int | None = None, key=None) -> set[int] | None:
+def _subdivided_star_leave_out(tree: Graph, cut: int | None = None) -> set[int] | None:
     """The vertices the code of the subdivided star ``tree`` leaves out;
-    ties go to the least ``key``.
+    ties go to the least vertex.
 
     With no ``cut``: the least leaf.  A cut leaf is kept and the least
     other leaf left out; a cut support loses its leaf and the least other
@@ -452,9 +452,9 @@ def _subdivided_star_leave_out(tree: Graph, cut: int | None = None, key=None) ->
         if not tree.adj[cut] & leaves:
             return None
         own = (tree.adj[cut] & leaves).bit_length() - 1
-        return {own, min(graphs._bits(leaves ^ 1 << own), key=key)}
+        return {own, min(graphs._bits(leaves ^ 1 << own))}
     others = leaves if cut is None else leaves ^ 1 << cut
-    return {min(graphs._bits(others), key=key)}
+    return {min(graphs._bits(others))}
 
 
 # ---------------------------------------------------------------------------

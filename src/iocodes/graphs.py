@@ -3,8 +3,8 @@
 Vertices are the integers ``0..n-1``.  Every neighborhood is kept as a
 Python integer used as a bitset, which makes the intersection/symmetric
 difference operations at the heart of code verification and the exact
-solver word-parallel.  All operations are pure; derived graphs (edge or
-vertex deletion, components) are fresh values.
+solver word-parallel.  All operations are pure; derived graphs (edge
+deletion, induced subgraphs) are fresh values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import (
     Disconnected,
     EmptyGraph,
     InvalidVertex,
-    NotATree,
     NotPresent,
     UniverseMismatch,
 )
@@ -24,17 +23,12 @@ from .errors import (
 __all__ = [
     "Graph",
     "VertexSet",
-    "open_neighborhood",
     "max_degree",
-    "min_degree",
     "find_open_twins",
     "has_four_cycle",
     "is_connected",
-    "components",
     "diameter",
-    "longest_path_in_tree",
     "delete_edge",
-    "delete_vertex",
     "find_induced_cycle",
 ]
 
@@ -219,22 +213,10 @@ class VertexSet:
 # Structural queries
 
 
-def open_neighborhood(g: Graph, v: int) -> VertexSet:
-    """The set of neighbors of ``v``; never contains ``v`` itself."""
-    g.check_vertex(v)
-    return VertexSet(g.n, mask=g.adj[v])
-
-
 def max_degree(g: Graph) -> int:
     if g.n == 0:
         raise EmptyGraph("max_degree of empty graph")
     return max(m.bit_count() for m in g.adj)
-
-
-def min_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise EmptyGraph("min_degree of empty graph")
-    return min(m.bit_count() for m in g.adj)
 
 
 def find_open_twins(g: Graph) -> list[tuple[int, int]]:
@@ -338,36 +320,30 @@ def _reach(adj: Sequence[int], mask: int, start: int) -> int:
     return sum(_layers(adj, mask, start))
 
 
-def _induced(g: Graph, keep: int) -> tuple[Graph, list[int], dict[int, int]]:
-    """The subgraph induced by the mask ``keep``, re-densified in vertex order;
-    returns (graph, new_to_old, old_to_new).  The adjacency is remapped bit
-    by bit from a valid graph's, so it needs no edge list and no checks."""
-    new_to_old = list(_bits(keep))
-    old_to_new = {old: i for i, old in enumerate(new_to_old)}
+def _induced(g: Graph, keep: int) -> tuple[Graph, Sequence[int]]:
+    """The subgraph induced by the mask ``keep`` as a ``Graph`` on
+    ``0..k-1``, and the label in ``g`` of each of its vertices.
+
+    The labels are kept in increasing order, so the least new vertex is the
+    least label; the full mask gives ``g`` itself.  The adjacency is
+    remapped bit by bit from a valid graph's, so it needs no edge list and
+    no checks."""
+    if keep == (1 << g.n) - 1:
+        return g, range(g.n)
+    labels = list(_bits(keep))
+    position = {old: i for i, old in enumerate(labels)}
     adj = []
-    for u in new_to_old:
+    for u in labels:
         mask = 0
         for w in _bits(g.adj[u] & keep):
-            mask |= 1 << old_to_new[w]
+            mask |= 1 << position[w]
         adj.append(mask)
-    return Graph._from_adj(tuple(adj)), new_to_old, old_to_new
+    return Graph._from_adj(tuple(adj)), labels
 
 
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return g.n == 0 or _reach(g.adj, full, 0) == full
-
-
-def components(g: Graph) -> list[tuple[Graph, list[int], dict[int, int]]]:
-    """Connected components as ``(subgraph, new_to_old, old_to_new)`` triples,
-    ordered by their lowest vertex."""
-    out = []
-    rest = (1 << g.n) - 1
-    while rest:
-        comp = _reach(g.adj, rest, (rest & -rest).bit_length() - 1)
-        rest &= ~comp
-        out.append(_induced(g, comp))
-    return out
 
 
 def is_tree(g: Graph) -> bool:
@@ -384,30 +360,10 @@ def diameter(g: Graph) -> int:
     return max(len(_layers(g.adj, full, v)) - 1 for v in range(g.n))
 
 
-def longest_path_in_tree(g: Graph) -> list[int]:
-    """A diameter-realizing path, endpoints tie-broken to lowest indices."""
-    if g.n == 0:
-        raise EmptyGraph("longest path of empty graph")
-    if not is_connected(g):
-        raise Disconnected("longest path of disconnected graph")
-    if g.edge_count != g.n - 1:
-        raise NotATree("longest_path_in_tree on cyclic input")
-    return next(diametral_paths(g))
-
-
-def diametral_paths(g: Graph) -> Iterator[list[int]]:
-    """All diameter-realizing paths of a tree, in both orientations.
-
-    Yielded lazily in (start, end) endpoint order; used by the
-    constructive algorithms, which root a tree at either end of a longest
-    path.  The whole tree is the full-mask case of ``_diametral_paths``.
-    """
-    yield from _diametral_paths(g.adj, (1 << g.n) - 1, {})
-
-
 def _diametral_paths(adj: Sequence[int], mask: int, known: dict[int, list[int]]) -> Iterator[list[int]]:
-    """The diametral paths of the tree that ``mask`` induces, as
-    ``diametral_paths`` yields them.
+    """All diameter-realizing paths of the tree that ``mask`` induces, in
+    both orientations, yielded lazily in (start, end) endpoint order; the
+    tree constructor roots a part at either end of a longest path.
 
     ``known`` maps starts to their BFS layers within ``mask``, where every
     layer but the last may also hold vertices outside it
@@ -455,13 +411,6 @@ def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
     return Graph._from_adj(tuple(adj))
-
-
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, list[int], dict[int, int]]:
-    """Remove ``v`` and re-densify; returns (graph, new_to_old, old_to_new)."""
-    if not (0 <= v < g.n):
-        raise NotPresent(f"vertex {v} not in graph")
-    return _induced(g, ((1 << g.n) - 1) ^ (1 << v))
 
 
 def _shortest_cycle_through(g: Graph, v: int) -> list[int] | None:

@@ -12,23 +12,23 @@ import hashlib
 import json
 import random
 
+import networkx as nx
+
 from conftest import brute_all_distances, random_tree
 from iocodes import (
     VertexSet,
     as_subdivided_star,
-    components,
     construct_tree_code,
     delete_edge,
     enumerate_trees,
     find_open_twins,
     is_io_code,
-    longest_path_in_tree,
     max_degree,
     solve,
 )
 from iocodes.canon import canonical_graph
 from iocodes.construct import _Part, _star_component_candidates, _twin_free_within, construct_code
-from iocodes.graphs import _bits, _diametral_paths, _induced, _layers, _reach, _twin_free, diametral_paths
+from iocodes.graphs import _bits, _diametral_paths, _induced, _layers, _reach, _twin_free
 from test_tree_dp import subdivided_random_tree
 
 TWIN_FREE_TREES = [
@@ -51,12 +51,15 @@ LARGE_TREE_CODES_AND_TRACES_SHA256 = "c80532554110d8303d23a18fc80e149a6b47ff771b
 def star_candidates_by_edge_deletion(g, delta):
     found = []
     for a, b in g.edges():
-        for comp, new_to_old, old_to_new in components(delete_edge(g, (a, b))):
+        oracle = nx.Graph(delete_edge(g, (a, b)).edges())
+        oracle.add_nodes_from(range(g.n))
+        for side in nx.connected_components(oracle):
+            comp, labels = _induced(g, sum(1 << v for v in side))
             for endpoint in (a, b):
-                if endpoint not in old_to_new:
+                if endpoint not in side:
                     continue
                 star = as_subdivided_star(comp)
-                if star is not None and new_to_old[star[0]] == endpoint and 2 <= star[1] <= delta - 1:
+                if star is not None and labels[star[0]] == endpoint and 2 <= star[1] <= delta - 1:
                     found.append((star[1], (a, b), endpoint, b if endpoint == a else a))
     found.sort()
     return [(center, other, k) for k, _, center, other in found]
@@ -95,21 +98,25 @@ class TestStarCandidates:
                 assert found == star_candidates_by_edge_deletion(t, delta)
 
 
+def diametral_paths(t):
+    return list(_diametral_paths(t.adj, (1 << t.n) - 1, {}))
+
+
 class TestDiametralPaths:
     def test_twin_free_trees(self):
         for t in TWIN_FREE_TREES:
-            assert list(diametral_paths(t)) == diametral_paths_by_all_pairs(t)
+            assert diametral_paths(t) == diametral_paths_by_all_pairs(t)
 
     def test_random_trees(self, rng):
         for t in _random_trees(60, 13, 60, rng):
-            assert list(diametral_paths(t)) == diametral_paths_by_all_pairs(t)
+            assert diametral_paths(t) == diametral_paths_by_all_pairs(t)
 
     def test_longest_path_is_lowest_endpoint_pair(self, rng):
         for t in TWIN_FREE_TREES + _random_trees(40, 13, 40, rng):
             dist = brute_all_distances(t)
             diam = max(max(row) for row in dist)
             a, b = min((a, b) for a in range(t.n) for b in range(a, t.n) if dist[a][b] == diam)
-            path = longest_path_in_tree(t)
+            path = diametral_paths(t)[0]
             assert (path[0], path[-1]) == (a, b) and len(path) == diam + 1
 
 
@@ -134,7 +141,7 @@ class TestMaskedScans:
             part = _Part(t, (1 << t.n) - 1)
             while part.mask.bit_count() >= 2:
                 mask = part.mask
-                h, labels, _ = _induced(t, mask)
+                h, labels = _induced(t, mask)
                 whole = (1 << h.n) - 1
                 paths = [[labels[v] for v in p] for p in diametral_paths(h)]
                 assert list(_diametral_paths(t.adj, mask, {})) == paths
