@@ -66,6 +66,9 @@ class AuditRecord:
 
 WORKERS_ENV = "IOCODES_WORKERS"
 
+# draws in a row without a new class; ranges with enough classes need up to 409
+SAMPLE_STALL_DRAWS = 10_000
+
 
 def _worker_count() -> int:
     """Pool size from ``IOCODES_WORKERS``: 1 when unset, else a positive integer."""
@@ -215,7 +218,9 @@ def audit_graphs_sampled(
 
     Draws connected twin-free random graphs, keeps the 4-cycle-free ones
     up to ``count``, and certifies each; the seed is recorded in the
-    summary so runs are reproducible.
+    summary so runs are reproducible.  Raises ``BadParam`` once
+    ``SAMPLE_STALL_DRAWS`` draws in a row add no new class, as when the
+    range holds fewer than ``count`` classes.
     """
     if count < 1 or n_low < 5 or n_high < n_low:
         raise BadParam("need count >= 1 and 5 <= n_low <= n_high")
@@ -226,14 +231,15 @@ def audit_graphs_sampled(
     graphs: list[Graph] = []
     seen: set[str] = set()
     while len(graphs) < count:
-        g = _random_twin_free_graph(rng, n_low, n_high, 0.1, 0.35)
-        if has_four_cycle(g):
-            continue
-        if delta is not None and max_degree(g) > delta:
-            continue
-        key = emit_graph6(canonical_graph(g))
-        if key in seen:
-            continue
+        for _ in range(SAMPLE_STALL_DRAWS):
+            g = _random_twin_free_graph(rng, n_low, n_high, 0.1, 0.35)
+            if has_four_cycle(g) or delta is not None and max_degree(g) > delta:
+                continue
+            key = emit_graph6(canonical_graph(g))
+            if key not in seen:
+                break
+        else:
+            raise BadParam(f"found {len(graphs)} of {count} instances: {SAMPLE_STALL_DRAWS} draws in a row added none")
         seen.add(key)
         graphs.append(g)
     results = _map_instances(graphs, delta, workers)

@@ -13,22 +13,27 @@ The tree decomposition tries, in order: family recognition with a
 canonical set; splitting off a subdivided-star component hanging at its
 center; rooting at a longest path and splitting off the branch at the
 second, third or fourth path vertex; and peeling a 5- or 6-vertex path
-tail.  Sub-instances whose cut leaf became an open twin are repaired by
-deleting that leaf before recursing.  Every case is validated on the
-spot; if no case applies along any longest path (three of the 3,149
-twin-free trees with n <= 16 reach this), an exact solve finishes the
-sub-instance and the trace carries a warning.  All bound arithmetic is integer-exact.
+tail.  Every case is validated on the spot; if no case applies along
+any longest path (three of the 3,149 twin-free trees with n <= 16 reach
+this), an exact solve finishes the sub-instance and the trace carries a
+warning.  All bound arithmetic is integer-exact.
+
+Every part is twin-free, as the input is.  A tree split changes only its
+cut endpoints' neighbourhoods, a cycle-edge deletion only the edge's
+endpoints' and a cycle-vertex deletion only its neighbours', so twins
+are looked for at those vertices alone (``_twin_of``).  A far side whose
+cut leaf became an open twin is repaired by deleting that leaf.
 
 Every sub-instance is a vertex mask over the input's adjacency, so its
 vertices keep their input labels and no level copies the remaining tree.
 Each level reads ``adj[v] & mask`` over its own part in single passes:
 the leaves (``families._leaves_and_legs``), then the legs and their
-neighbours for the star-component candidates, the merged code's literal
-IO-code check and the far side's twin test.  The near side of a split is
-one walk from its cut endpoint.  BFS layer masks give the diametral
-paths; they carry over to both sides of a split, since cutting off a
-pendant subtree changes no remaining distance, so BFS runs only from a
-start that no enclosing part had.  A part is relabeled into a ``Graph``
+neighbours for the star-component candidates, and the merged code's
+literal IO-code check.  The near side of a split is one walk from its
+cut endpoint.  BFS layer masks give the diametral paths; they carry
+over to both sides of a split, since cutting off a pendant subtree
+changes no remaining distance, so BFS runs only from a start that no
+enclosing part had.  A part is relabeled into a ``Graph``
 only for a rule that takes one: family recognition (a part of at most
 ``1 + 5*delta`` vertices, or a branch small enough for its root), a
 split-off or absorbed subdivided star, the exact fallback and the graph
@@ -73,7 +78,6 @@ from .graphs import (
     _induced,
     _reach,
     _restrict_layers,
-    _twin_free,
     delete_edge,
     find_induced_cycle,
     has_four_cycle,
@@ -181,9 +185,15 @@ class _Part:
         return 0 not in traces and len(set(traces)) == len(traces)
 
 
-def _twin_free_within(adj: Sequence[int], mask: int) -> bool:
-    """Whether no two vertices of ``mask`` share a neighbourhood within it."""
-    return _twin_free([adj[v] & mask for v in graphs._members(mask)])
+def _twin_of(adj: Sequence[int], mask: int, v: int) -> int | None:
+    """The least other vertex of ``mask`` with ``v``'s neighbourhood within
+    it, or None.  Only the neighbours of one neighbour of ``v`` are read, so
+    ``v`` needs a neighbour in ``mask``."""
+    own = adj[v] & mask
+    for w in graphs._members(adj[own.bit_length() - 1] & mask):
+        if w != v and adj[w] & mask == own:
+            return w
+    return None
 
 
 def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> int:
@@ -365,22 +375,23 @@ def _split(
 
     In a tree every edge is a bridge: one walk from ``u`` that avoids
     ``v`` finds the near side, and the far side, the side of ``v``, is the
-    rest; it needs at least 5 vertices, and its twin test is made once.
-    ``near_rule(part, near, far_twin_free)`` returns the near code, or
-    None when the near side is to be built as a tree of its own, and the
-    case's own trace detail; the far side is coded by ``_far_side_code``,
-    which may prune a twin leaf at ``v`` only when the near code holds
-    ``u``.  The merged code is verified on the
-    part and recorded as one ``case`` step with the split edge, the far
-    order and whether a twin leaf was pruned.  Any failure raises
-    ``_CaseMiss``.
+    rest; it needs at least 5 vertices.  Only ``v`` lost a neighbour
+    there, so its partner is the far side's one possible twin.
+    ``near_rule(part, near)`` returns the near code, or None to build the
+    near side as a tree of its own (only beside a twin-free far side),
+    and the case's own trace detail; ``_far_side_code`` codes the far
+    side.  The merged code is verified on the part and recorded as one
+    ``case`` step with the split edge, the far order and whether a twin
+    leaf was pruned.  Any failure raises ``_CaseMiss``.
     """
     near = _reach(part.g.adj, part.mask ^ (1 << v), u)
     far = part.mask ^ near
     if far.bit_count() < 5:
         raise _CaseMiss("far side too small")
-    far_twin_free = _twin_free_within(part.g.adj, far)
-    near_code, detail = near_rule(part, near, far_twin_free)
+    partner = _twin_of(part.g.adj, far, v)
+    near_code, detail = near_rule(part, near)
+    if near_code is None and partner is not None:
+        raise _CaseMiss("branch outside family while far side has twins")
     # valid because any two one-sided IO-codes merge across a bridge
     near_build = _build_tree(part.side(near), delta, trace) if near_code is None else None
     far_side = part.side(far)
@@ -390,22 +401,19 @@ def _split(
     part.layers.clear()
     if near_build is not None:
         near_code = yield near_build
-    far_code, twin_pruned = yield from _far_side_code(
-        far_side, v, delta, trace, twin_free=far_twin_free,
-        star_patterns=star_patterns, require_near_anchor=bool(near_code >> u & 1),
-    )
+    far_code = yield from _far_side_code(far_side, v, partner, delta, trace, star_patterns=star_patterns)
     code = near_code | far_code
     if not part.verifies(code):
         raise _CaseMiss("merged code failed verification")
     trace.add(
         case,
-        {"edge": (u, v), **detail, "far_order": far.bit_count(), "twin_pruned": twin_pruned},
+        {"edge": (u, v), **detail, "far_order": far.bit_count(), "twin_pruned": partner is not None},
         graphs._bits(near_code),
     )
     return code
 
 
-def _star_near(k: int, part: _Part, near: int, far_twin_free: bool) -> tuple[int, dict]:
+def _star_near(k: int, part: _Part, near: int) -> tuple[int, dict]:
     """A split-off subdivided star: all of it except its lowest-label leaf,
     as ``families._subdivided_star_leave_out`` leaves it out."""
     g, labels = _induced(part.g, near)
@@ -416,60 +424,45 @@ def _star_near(k: int, part: _Part, near: int, far_twin_free: bool) -> tuple[int
 def _far_side_code(
     side: _Part,
     cut: int,
+    partner: int | None,
     delta: int,
     trace: ConstructionTrace,
     *,
-    twin_free: bool,
     star_patterns: bool,
-    require_near_anchor: bool,
 ):
     """Code for the component on the far side of a split; ``cut`` is the
-    cut endpoint.
+    cut endpoint and ``partner`` its open twin there, or None.
 
-    If the far side acquired open twins (``twin_free`` is the caller's
-    test of that), the cut endpoint must be the twin leaf; it is deleted
-    first and the caller's near-side code has to contain the near
-    endpoint (``require_near_anchor`` is the caller's confirmation that it
-    does).  What remains is then coded by a stored pattern if it is a
-    subdivided star on ``delta`` legs and ``star_patterns`` is set, else
-    built by ``_build_tree``.  Returns (code, twin_pruned).
+    With a partner, both are leaves of one neighbour, as two vertices of
+    degree 2 or more with one neighbourhood would close a 4-cycle, and
+    ``cut`` is deleted first.  Should the near code then miss the near
+    endpoint, ``cut`` and ``partner`` share a trace and the merged code
+    fails its check.  What remains is coded by a stored pattern if it is
+    a subdivided star on ``delta`` legs and ``star_patterns`` is set, else
+    built by ``_build_tree``.
     """
-    adj, far = side.g.adj, side.mask
     rest = side
-    pruned = not twin_free
-    if pruned:
-        own = adj[cut] & far
-        partner = None
-        if own.bit_count() == 1:  # a twin of a leaf is another leaf of its one neighbour
-            nbrs = adj[own.bit_length() - 1] & far
-            partner = next((w for w in graphs._bits(nbrs) if w != cut and adj[w] & far == own), None)
-        if partner is None:
-            raise _CaseMiss("far-side twins do not involve the cut endpoint")
-        if not require_near_anchor:
-            raise _CaseMiss("twin repair needs the near endpoint in the near code")
-        rest = side.side(far ^ (1 << cut))
+    if partner is not None:
+        rest = side.side(side.mask ^ (1 << cut))
         if rest.mask.bit_count() < 5:
             raise _CaseMiss("twin-pruned far side too small")
-        if not _twin_free_within(adj, rest.mask):
-            raise _CaseMiss("twin-pruned far side still has twins")
+        # so the leaves' neighbour keeps degree 2 or more: the rest is twin-free
     star = None
     if star_patterns and rest.mask.bit_count() == 2 * delta + 1:
         g, labels = _induced(rest.g, rest.mask)
         star = as_subdivided_star(g)
     if star is not None and star[1] == delta:
-        if pruned:  # the pruned leaf's twin partner is the one leaf left out
+        if partner is not None:  # the pruned leaf's twin partner is the one leaf left out
             code, cut_key = rest.mask ^ (1 << partner), "pruned_leaf"
-        else:
+        else:  # ``cut`` lost a neighbour, so its degree here is below the center's delta
             left_out = _subdivided_star_leave_out(g, labels.index(cut))
-            if left_out is None:
-                raise _CaseMiss("cut endpoint cannot be the star center")
             code, cut_key = rest.mask ^ graphs._mask_of(labels[v] for v in left_out), "cut_vertex"
         trace.add("absorbed_star_pattern", {"legs": star[1], "order": g.n, cut_key: cut}, graphs._bits(code))
     else:
         code = yield _build_tree(rest, delta, trace)
-    if pruned:
-        trace.add("twin_leaf_pruned", {"leaf": cut, "far_order": far.bit_count()})
-    return code, pruned
+    if partner is not None:
+        trace.add("twin_leaf_pruned", {"leaf": cut, "far_order": side.mask.bit_count()})
+    return code
 
 
 _PATH_HEAD = itemgetter(slice(6))
@@ -478,15 +471,15 @@ _PATH_HEAD = itemgetter(slice(6))
 def _path_rule(part: _Part, path: list[int]):
     """The longest-path case along ``path``: ``_split``'s case, edge and near rule.
 
-    Needs diameter at least 5 and a degree-2 support at the path's end.
-    The split is at the branch of the second, third or fourth path vertex,
-    the first of degree at least 4, 3 and 3 respectively; failing all
-    three, the tail hanging at the fourth is peeled.
+    Needs diameter at least 5.  The support at the path's end has degree
+    2: a second leaf there would be a twin of the path's end, and any
+    other neighbour would lead past the diameter.  The split is at the
+    branch of the second, third or fourth path vertex, the first of
+    degree at least 4, 3 and 3 respectively; failing all three, the tail
+    hanging at the fourth is peeled.
     """
     if len(path) < 6:
         raise _CaseMiss("diameter below 5 must be family-recognized")
-    if part.degree(path[1]) != 2:
-        raise _CaseMiss("support on the path has extra leaves")
     for position, min_degree in ((2, 4), (3, 3), (4, 3)):
         if part.degree(path[position]) >= min_degree:
             rule = partial(_branch_near, position, path[position])
@@ -494,9 +487,7 @@ def _path_rule(part: _Part, path: list[int]):
     return "path_tail_split", path[4], path[5], partial(_tail_near, path[:5])
 
 
-def _branch_near(
-    position: int, root: int, part: _Part, near: int, far_twin_free: bool
-) -> tuple[int | None, dict]:
+def _branch_near(position: int, root: int, part: _Part, near: int) -> tuple[int | None, dict]:
     """A deep branch rooted at path vertex ``root``: its canonical set if it
     is a family tree there, else None, for a code built for it on its own."""
     order = near.bit_count()
@@ -509,12 +500,10 @@ def _branch_near(
     detail = {"position": position, "near_order": order, "recognized_branch": spec is not None}
     if spec is not None:
         return graphs._mask_of(labels[v] for v in canonical_set(spec)), detail
-    if not far_twin_free:
-        raise _CaseMiss("branch outside family while far side has twins")
     return None, detail
 
 
-def _tail_near(path: list[int], part: _Part, near: int, far_twin_free: bool) -> tuple[int, dict]:
+def _tail_near(path: list[int], part: _Part, near: int) -> tuple[int, dict]:
     """The tail at the fourth path vertex, which holds the first five path
     vertices: without the path end if that is all, without the extra leaf
     if there is one more vertex and it is a leaf."""
@@ -574,7 +563,8 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
     for a, b in cyc_edges:
         edge = (labels[a], labels[b])
         h = delete_edge(part.g, edge)
-        if _twin_free_within(h.adj, part.mask):
+        # only the endpoints changed, and each keeps its other cycle neighbour
+        if all(_twin_of(h.adj, part.mask, x) is None for x in edge):
             trace.add("cycle_edge_removed", {"edge": edge})
             return (yield _build_graph(_Part(h, part.mask), delta, trace))
 
@@ -594,7 +584,9 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
     v0 = labels[min(candidates)]
     rest = part.mask ^ (1 << v0)
     connected = _reach(part.g.adj, rest, (rest & -rest).bit_length() - 1) == rest
-    if not connected or not _twin_free_within(part.g.adj, rest):
+    # only v0's neighbours changed, and in a connected rest each keeps a neighbour
+    changed = graphs._members(part.g.adj[v0] & rest)
+    if not connected or any(_twin_of(part.g.adj, rest, x) is not None for x in changed):
         return _fallback_exact(part, trace, "vertex deletion left a bad remainder")
     trace.add("cycle_vertex_removed", {"vertex": v0})
     return (yield _build_graph(_Part(part.g, rest), delta, trace))

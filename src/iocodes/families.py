@@ -439,18 +439,17 @@ def _star_plus_edge_leave_out(
     return "leaves_joined", {x} if tree.degree(center) == 2 else {x, *tree.neighbors(x)}
 
 
-def _subdivided_star_leave_out(tree: Graph, cut: int | None = None) -> set[int] | None:
+def _subdivided_star_leave_out(tree: Graph, cut: int | None = None) -> set[int]:
     """The vertices the code of the subdivided star ``tree`` leaves out;
     ties go to the least vertex.
 
     With no ``cut``: the least leaf.  A cut leaf is kept and the least
     other leaf left out; a cut support loses its leaf and the least other
-    leaf.  A cut center gives None.
+    leaf.  No caller cuts the center: the constructor's cut endpoint lost
+    a neighbour, so its degree is below the center's.
     """
     leaves, _ = _leaves_and_legs(tree.adj, (1 << tree.n) - 1)
-    if cut is not None and not leaves >> cut & 1:  # a support or the center
-        if not tree.adj[cut] & leaves:
-            return None
+    if cut is not None and not leaves >> cut & 1:  # a support
         own = (tree.adj[cut] & leaves).bit_length() - 1
         return {own, min(graphs._bits(leaves ^ 1 << own))}
     others = leaves if cut is None else leaves ^ 1 << cut

@@ -190,7 +190,7 @@ class VertexSet:
         return 0 <= v < self.universe and bool(self.mask >> v & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return _bits(self.mask)
+        return iter(_members(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -170,6 +170,11 @@ class TestSampledAudit:
         for r in records:
             assert r.c4_free and r.twin_free
 
+    def test_a_range_with_too_few_classes_raises(self):
+        # order 5 holds 5 classes, so a sixth is never drawn
+        with pytest.raises(BadParam, match="found 5 of 6 instances"):
+            audit.audit_graphs_sampled(6, 5, 5, seed=0)
+
 
 class TestWorkers:
     def test_pool_output_matches_serial(self, monkeypatch):

@@ -25,6 +25,7 @@ from iocodes import (
     check_bound,
     construct_graph_code,
     construct_tree_code,
+    delete_edge,
     enumerate_graph_classes,
     enumerate_trees,
     find_open_twins,
@@ -32,11 +33,17 @@ from iocodes import (
     gen_subcubic_gp,
     gen_subdivided_star,
     gen_tight_tree_pair,
+    has_four_cycle,
+    is_connected,
     is_io_code,
     max_degree,
     solve,
 )
+from iocodes import construct
+from iocodes.canon import canonical_graph
+from iocodes.construct import _twin_of, construct_code
 from iocodes.formats import parse_graph6
+from iocodes.graphs import _members, _reach, _twin_free
 
 
 def path(n):
@@ -381,3 +388,86 @@ class TestGraphConstructor:
                 status = check_bound(g.n, len(code), d, is_exceptional_star=trace.exceptional_star)
                 assert status is not BoundStatus.VIOLATION
                 assert len(code) >= solve(g).gamma
+
+
+def sparse_c4_free_graphs(rng, count):
+    """Seeded connected twin-free 4-cycle-free graphs: random trees of
+    order 8 to 14 with up to three chords each."""
+    found = []
+    while len(found) < count:
+        t = random_tree(rng.randint(8, 14), rng)
+        edges = set(t.edges())
+        for _ in range(rng.randint(1, 3)):
+            u, v = sorted(rng.sample(range(t.n), 2))
+            edges.add((u, v))
+        g = Graph(t.n, sorted(edges))
+        if _twin_free(g.adj) and not has_four_cycle(g):
+            found.append(g)
+    return found
+
+
+def local_test_graphs():
+    classes = [g for g, _ in enumerate_graph_classes(7) if g.n >= 5]
+    # two cycles whose every edge deletion leaves twins, then the seeded graphs
+    rings = [parse_graph6("HhEK@?G"), parse_graph6("KhCGKE?G?O?O")]
+    return classes + rings + sparse_c4_free_graphs(random.Random(19), 150)
+
+
+def no_twin_at(adj, mask, changed):
+    """The constructor's local test: no vertex of ``changed`` has an open
+    twin within ``mask``."""
+    return all(_twin_of(adj, mask, x) is None for x in changed)
+
+
+def twin_free_within(adj, mask):
+    return _twin_free([adj[v] & mask for v in _members(mask)])
+
+
+class TestLocalTwinTest:
+    """On a twin-free graph only the vertices a deletion changed can gain
+    a twin, so testing them alone gives the whole remainder's verdict."""
+
+    def test_cycle_edge_deletions(self):
+        verdicts = set()
+        for g in local_test_graphs():
+            whole = (1 << g.n) - 1
+            for edge in g.edges():
+                h = delete_edge(g, edge)
+                if not is_connected(h):
+                    continue  # a bridge lies on no cycle
+                verdict = twin_free_within(h.adj, whole)
+                assert no_twin_at(h.adj, whole, edge) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_connected_vertex_deletions(self):
+        verdicts = set()
+        for g in local_test_graphs():
+            for v in range(g.n):
+                rest = (1 << g.n) - 1 ^ 1 << v
+                if _reach(g.adj, rest, (rest & -rest).bit_length() - 1) != rest:
+                    continue
+                verdict = twin_free_within(g.adj, rest)
+                assert no_twin_at(g.adj, rest, _members(g.adj[v] & rest)) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_every_part_built_is_twin_free(self, monkeypatch):
+        parts = {"_build_tree": [], "_build_graph": []}
+        for name, seen in parts.items():
+            def spy(part, delta, trace, build=getattr(construct, name), seen=seen):
+                seen.append(part)
+                return build(part, delta, trace)
+
+            monkeypatch.setattr(construct, name, spy)
+        trees = [
+            canonical_graph(t)
+            for n in range(5, 13)
+            for t in enumerate_trees(n)
+            if _twin_free(t.adj)
+        ]
+        for g in trees + local_test_graphs():
+            construct_code(g, max(3, max_degree(g)))
+        for seen in parts.values():
+            assert len(seen) > len(trees)
+            assert all(twin_free_within(part.g.adj, part.mask) for part in seen)

@@ -386,3 +386,9 @@ class TestVertexSet:
     def test_negative_member_is_an_invalid_vertex(self):
         with pytest.raises(InvalidVertex):
             VertexSet(5, [-1])
+
+    def test_iteration_lists_the_members_in_order(self, rng):
+        # a 10,000-bit mask, as a code on a large input: iteration walks the
+        # digits once rather than shifting the whole mask per member
+        for mask in (0, (1 << 10_000) - 1, rng.getrandbits(10_000), 1 << 9_999):
+            assert list(VertexSet(10_000, mask=mask)) == _members(mask)

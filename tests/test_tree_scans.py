@@ -3,7 +3,8 @@
 The constructor reads its cases off degrees and distances; these tests
 keep the literal definitions as oracles: a subdivided-star component is
 found by deleting the edge and recognizing the component, and the
-diametral paths come from all pairwise distances.  The constructor runs
+diametral paths come from all pairwise distances, and a vertex's open
+twin from all pairs of twins.  The constructor runs
 these scans on vertex masks of its input; on every sub-tree they must
 agree with the same scans of the relabeled sub-tree.
 """
@@ -27,7 +28,7 @@ from iocodes import (
     solve,
 )
 from iocodes.canon import canonical_graph
-from iocodes.construct import _Part, _star_component_candidates, _twin_free_within, construct_code
+from iocodes.construct import _Part, _star_component_candidates, _twin_of, construct_code
 from iocodes.graphs import _bits, _diametral_paths, _induced, _layers, _reach, _twin_free
 from test_tree_dp import subdivided_random_tree
 
@@ -156,8 +157,13 @@ class TestMaskedScans:
                     relabeled = _star_component_candidates(h.adj, whole, delta)
                     expected = [(labels[c], labels[o], k) for c, o, k in relabeled]
                     assert _star_component_candidates(t.adj, mask, delta) == expected
+                # the least partner of each vertex, from all pairs of twins
+                pairs = find_open_twins(h)
+                for v in range(h.n):
+                    partners = [b if a == v else a for a, b in pairs if v in (a, b)]
+                    expected = labels[min(partners)] if partners else None
+                    assert _twin_of(t.adj, mask, labels[v]) == expected
                 twin_free = _twin_free(h.adj)
-                assert _twin_free_within(t.adj, mask) == twin_free
                 codes = [rng.getrandbits(h.n) | rng.getrandbits(h.n) for _ in range(4)]
                 if twin_free and 0 not in h.adj:
                     codes.append(solve(h).code.mask)
