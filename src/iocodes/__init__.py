@@ -54,6 +54,7 @@ from .families import (
     enumerate_graph_classes,
     enumerate_small_graphs,
     enumerate_trees,
+    enumerate_twin_free_trees,
     gen_reduced_subdivided_star,
     gen_star_plus_edge,
     gen_subcubic_gp,

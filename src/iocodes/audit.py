@@ -15,8 +15,9 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 
 from .canon import canonical_graph
 from .construct import BoundStatus, _check_delta, check_bound, construct_code
@@ -25,7 +26,7 @@ from .families import (
     GRAPH_CAP,
     TREE_CAP,
     enumerate_graph_classes,
-    enumerate_trees,
+    enumerate_twin_free_trees,
     gen_reduced_subdivided_star,
     gen_subcubic_gp,
     gen_subdivided_star,
@@ -171,14 +172,12 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
     _check_delta(delta)
     workers = _worker_count()
     started = time.monotonic()
-    trees = []
-    for n in range(5, n_max + 1):
-        for t in enumerate_trees(n):
-            if not _twin_free(t.adj):
-                continue
-            if delta is not None and max_degree(t) > delta:
-                continue
-            trees.append(t)
+    trees = [
+        t
+        for n in range(5, n_max + 1)
+        for t in enumerate_twin_free_trees(n)
+        if delta is None or max_degree(t) <= delta
+    ]
     results = _map_instances(trees, delta, workers)
     return _summarize(results, started, n_max=n_max, delta=delta)
 
@@ -319,13 +318,15 @@ def sample_twin_free_graphs(count: int, n_low: int, n_high: int, seed: int) -> l
 
 
 def records_to_csv(records: list[AuditRecord]) -> str:
+    """One header row of the field names, then one row per record, its
+    witness code space-separated."""
+    names = [f.name for f in fields(AuditRecord)]
+    # witness_code is the last field, the one that is not written as is
+    leading = attrgetter(*names[:-1])
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(AuditRecord)], lineterminator="\n")
-    writer.writeheader()
-    for r in records:
-        row = asdict(r)
-        row["witness_code"] = " ".join(str(v) for v in r.witness_code)
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows([*leading(r), " ".join(map(str, r.witness_code))] for r in records)
     return buf.getvalue()
 
 

@@ -33,7 +33,7 @@ from .families import (
     gen_tight_tree_pair,
 )
 from .formats import emit_edge_list, emit_graph6, load_graph
-from .graphs import Graph, VertexSet, max_degree
+from .graphs import Graph, VertexSet
 from .solver import solve, solve_oracle, solve_with_budget
 from .verify import is_io_code, signatures
 
@@ -124,7 +124,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_construct(args) -> int:
     g = _read_graph(args.graph)
-    delta = args.delta if args.delta is not None else max(3, max_degree(g))
+    # max(3, maximum degree); on the empty graph 3, for construct_code to reject as too small
+    delta = args.delta if args.delta is not None else max([3, *map(int.bit_count, g.adj)])
     code, trace = construct_code(g, delta)
     status = check_bound(g.n, len(code), delta, is_exceptional_star=trace.exceptional_star)
     _emit(

@@ -32,7 +32,8 @@ class UniverseMismatch(GraphError):
 class NoCode(GraphError):
     """The graph admits no identifying open code.
 
-    Carries a witness: either an isolated vertex or a pair of open twins.
+    Carries a witness: an isolated vertex, a pair of open twins, or None
+    on the empty graph.
     """
 
     def __init__(self, message, witness=None):

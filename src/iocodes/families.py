@@ -49,6 +49,7 @@ __all__ = [
     "gen_star_plus_edge",
     "as_subdivided_star",
     "enumerate_trees",
+    "enumerate_twin_free_trees",
     "enumerate_small_graphs",
     "enumerate_graph_classes",
 ]
@@ -202,17 +203,21 @@ def canonical_set(spec: FamilySpec) -> VertexSet:
 def _branch_shape(g: Graph, root: int, link: int) -> tuple[int, tuple[int, ...]] | None:
     """The branch at ``link`` as ``(type, block)``, if it is an attachment.
 
-    Stops walking once the branch outgrows the largest attachment, lists
-    the branch breadth-first with smaller subtrees first (ties by index),
-    and looks its parent positions up in ``_SHAPES``.
+    One breadth-first walk on adjacency masks lists each vertex's
+    children in increasing index and stops once the branch outgrows the
+    largest attachment.  The block lists the branch breadth-first with
+    smaller subtrees first (ties by index), and its parent positions are
+    looked up in ``_SHAPES``.
     """
+    adj = g.adj
     parent = {link: root}
+    children: dict[int, list[int]] = {}
     walked = [link]
     for u in walked:
-        for w in g.neighbors(u):
-            if w != parent[u]:
-                parent[w] = u
-                walked.append(w)
+        below = children[u] = list(graphs._bits(adj[u] & ~(1 << parent[u])))
+        for w in below:
+            parent[w] = u
+        walked += below
         if len(walked) > _LARGEST_SHAPE:
             return None
     size = dict.fromkeys(walked, 1)
@@ -220,7 +225,7 @@ def _branch_shape(g: Graph, root: int, link: int) -> tuple[int, tuple[int, ...]]
         size[parent[w]] += size[w]
     block = [link]
     for u in block:
-        block += sorted((w for w in g.neighbors(u) if w != parent[u]), key=lambda w: (size[w], w))
+        block += sorted(children[u], key=size.__getitem__)
     position = {v: i for i, v in enumerate(block)}
     t = _TYPE_OF_PARENTS.get(tuple(position.get(parent[v], -1) for v in block))
     return None if t is None else (t, tuple(block))
@@ -507,26 +512,56 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     in the order of ``networkx.nonisomorphic_trees``, which implements
     the same algorithm.
     """
-    if not 1 <= n <= TREE_CAP:
-        raise BadParam(f"tree enumeration supports 1 <= n <= {TREE_CAP}, got {n}")
-    if n == 1:
-        yield Graph(1)
-        return
     for levels in _free_tree_levels(n):
-        adj = [0] * n
-        last = [0] * n  # the latest vertex at each level so far
-        for v in range(1, n):
-            level = levels[v]
-            u = last[level - 1]
-            adj[u] |= 1 << v
-            adj[v] = 1 << u
-            last[level] = v
-        yield Graph._from_adj(tuple(adj))
+        yield _tree_of_levels(levels)
+
+
+def enumerate_twin_free_trees(n: int) -> Iterator[Graph]:
+    """The trees of ``enumerate_trees(n)`` without open twins, in its
+    order and labels.
+
+    On three or more vertices the open twins of a tree are two leaves
+    with a common neighbour.  A canonical level sequence lists a
+    vertex's leaf children last and next to each other (Beyer and
+    Hedetniemi, "Constant time generation of rooted trees", SIAM J.
+    Comput. 9, 1980), so the twins show in the sequence itself
+    (``_twin_leaves``) and a ``Graph`` is built only for the trees kept.
+    """
+    for levels in _free_tree_levels(n):
+        if not _twin_leaves(levels):
+            yield _tree_of_levels(levels)
+
+
+def _tree_of_levels(levels: list[int]) -> Graph:
+    """The tree of a level sequence: vertex ``i`` is joined to the last
+    vertex before it one level up."""
+    n = len(levels)
+    adj = [0] * n
+    last = [0] * n  # the latest vertex at each level so far
+    for v in range(1, n):
+        level = levels[v]
+        u = last[level - 1]
+        adj[u] |= 1 << v
+        adj[v] = 1 << u
+        last[level] = v
+    return Graph._from_adj(tuple(adj))
+
+
+def _twin_leaves(levels: list[int]) -> bool:
+    """Whether the level sequence has two sibling leaves: positions
+    ``i`` and ``i + 1`` on one level (so ``i`` is a leaf and they share
+    a parent) with nothing deeper after ``i + 1``."""
+    return any(a == b >= c for a, b, c in zip(levels[1:], levels[2:], [*levels[3:], 0]))
 
 
 def _free_tree_levels(n: int) -> Iterator[list[int]]:
-    """The WROM level sequences on ``n >= 2`` vertices, starting from the
-    path rooted at its center."""
+    """The WROM level sequences on ``n`` vertices, starting from the path
+    rooted at its center."""
+    if not 1 <= n <= TREE_CAP:
+        raise BadParam(f"tree enumeration supports 1 <= n <= {TREE_CAP}, got {n}")
+    if n == 1:
+        yield [0]
+        return
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         # the root's first subtree is vertices 1..m-1; the sequence roots a

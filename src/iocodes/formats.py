@@ -74,26 +74,19 @@ def _g6_order_bytes(n: int) -> bytes:
     raise BadParam(f"order {n} too large for this graph6 writer")
 
 
+# graph6 body byte -> its 6 bits, most significant first, and back
+_G6_GROUP = {c: format(c - 63, "06b") for c in range(63, 127)}
+_G6_BYTE = {bits: c for c, bits in _G6_GROUP.items()}
+
+
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no header)."""
-    out = bytearray(_g6_order_bytes(g.n))
-    bits = []
-    for col in range(1, g.n):
-        column = g.adj[col]
-        for row in range(col):
-            bits.append((column >> row) & 1)
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        out.append(value + 63)
-    return out.decode("ascii")
-
-
-# graph6 body byte -> its 6 bits, most significant first
-_G6_GROUP = {c: format(c - 63, "06b") for c in range(63, 127)}
+    adj = g.adj
+    # column j is rows 0..j-1 of adj[j], lowest row first
+    bits = "".join([format(adj[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    body = bytes([_G6_BYTE[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+    return (_g6_order_bytes(g.n) + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -95,12 +95,13 @@ def require_admissible(g: Graph) -> None:
     """Raise ``NoCode`` unless the graph is nonempty, isolate-free and open
     twin-free, the three conditions for an IO-code to exist.
 
-    The witness is the lowest isolated vertex (None on the empty graph),
-    else the first pair of open twins.
+    The witness is None on the empty graph, else the lowest isolated
+    vertex, else the first pair of open twins.
     """
-    if g.n == 0 or 0 in g.adj:
-        isolate = g.adj.index(0) if g.n else None
-        raise NoCode("graph has an isolated vertex", witness=isolate)
+    if g.n == 0:
+        raise NoCode("graph is empty", witness=None)
+    if 0 in g.adj:
+        raise NoCode("graph has an isolated vertex", witness=g.adj.index(0))
     if not _twin_free(g.adj):
         twins = find_open_twins(g)
         raise NoCode(f"open twins {twins[0]}", witness=twins[0])

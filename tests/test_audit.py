@@ -28,7 +28,7 @@ class TestTreeAudit:
         # the cap is accepted and every order up to it is asked for; the
         # counts at each order are checked in test_families.py
         orders = []
-        monkeypatch.setattr(audit, "enumerate_trees", lambda n: orders.append(n) or iter(()))
+        monkeypatch.setattr(audit, "enumerate_twin_free_trees", lambda n: orders.append(n) or iter(()))
         _, summary = audit_trees(TREE_CAP)
         assert orders == list(range(5, TREE_CAP + 1))
         assert summary["n_max"] == TREE_CAP
@@ -69,6 +69,13 @@ class TestTreeAudit:
         digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
         assert digest == "b2fe93ecc1365b943f95653847495ef872ee4b23aa1f7d5ae7287e2b05f34e33"
         assert summary["instances"] == 3149 and summary["fallbacks"] == 3
+
+    def test_capped_tree_audit_to_14_is_pinned(self):
+        # pinned while the audit built every tree and filtered out those with twins
+        records, summary = audit_trees(14, 3)
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "6aca61ed118dcfa2548ee24c70010811bcd05a44705c98e51399d070c091eb04"
+        assert summary["instances"] == 411
 
 
 class TestGraphAudit:
@@ -148,7 +155,7 @@ class TestDeltaCheck:
         def fail(*args, **kwargs):
             raise AssertionError("instances built before the delta check")
 
-        for name in ("enumerate_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
+        for name in ("enumerate_twin_free_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
             monkeypatch.setattr(audit, name, fail)
         with pytest.raises(BadParam, match="delta must be at least 3, got 2"):
             audit_trees(12, 2)
@@ -198,7 +205,7 @@ class TestWorkers:
 
         monkeypatch.setenv(WORKERS_ENV, value)
         with monkeypatch.context() as stubbed:
-            for name in ("enumerate_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
+            for name in ("enumerate_twin_free_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
                 stubbed.setattr(audit, name, fail)
             for run in (lambda: audit_trees(6), lambda: audit_graphs(5), lambda: audit.audit_graphs_sampled(2, 8, 9, seed=0)):
                 with pytest.raises(BadParam, match=f"{WORKERS_ENV} must be a positive integer, got {value!r}"):

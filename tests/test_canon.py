@@ -4,7 +4,7 @@ import pytest
 from conftest import atlas_graphs, random_graph, random_tree
 from iocodes import Graph, canon
 from iocodes.canon import canonical_graph, canonical_graph6, canonical_order, isomorphic
-from iocodes.families import enumerate_trees, gen_subdivided_star
+from iocodes.families import enumerate_trees, enumerate_twin_free_trees, gen_subdivided_star
 from iocodes.formats import emit_graph6
 from iocodes.graphs import find_open_twins
 
@@ -194,5 +194,39 @@ class TestOrbitPruning:
 
         monkeypatch.setattr(canon, "_refine", counted)
         g, _ = gen_subdivided_star(9)
-        canonical_graph(g)
+        # a tree, so canonical_order would take the dive; this counts the search
+        canon._search(g)
         assert calls <= 150
+
+
+class TestTreeDive:
+    """On a tree the first leaf of the refinement tree carries the
+    minimum code, so the dive must return the pruned search's order."""
+
+    def test_every_tree_to_14(self):
+        trees = [t for n in range(1, 15) for t in enumerate_trees(n)]
+        assert len(trees) == 5447
+        for t in trees:
+            assert canonical_order(t) == canon._search(t), emit_graph6(t)
+
+    def test_every_twin_free_tree_to_16(self):
+        for n in range(15, 17):
+            for t in enumerate_twin_free_trees(n):
+                assert canonical_order(t) == canon._search(t), emit_graph6(t)
+
+    def test_seeded_random_trees_to_200(self, rng):
+        for _ in range(40):
+            t = random_tree(rng.randint(2, 200), rng)
+            assert canonical_order(t) == canon._search(t), emit_graph6(t)
+
+    def test_trees_take_the_dive_and_other_graphs_the_search(self, monkeypatch):
+        taken = []
+        dive, search = canon._dive, canon._search
+        monkeypatch.setattr(canon, "_dive", lambda g: taken.append("dive") or dive(g))
+        monkeypatch.setattr(canon, "_search", lambda g: taken.append("search") or search(g))
+        cycle = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        # four edges on five vertices, but a triangle beside an edge
+        not_a_tree = Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        for g in (gen_subdivided_star(3)[0], cycle, not_a_tree):
+            canonical_order(g)
+        assert taken == ["dive", "search", "search"]

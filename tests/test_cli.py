@@ -151,6 +151,14 @@ class TestConstruct:
         assert status == 0
         assert json.loads(out)["delta"] == 3
 
+    @pytest.mark.parametrize("text, n", [("n 0\n", 0), ("?\n", 0), ("n 1\n", 1)])
+    def test_too_small_input_reports_its_order(self, capsys, tmp_path, text, n):
+        # the empty graph has no maximum degree, so the default delta must
+        # not be read from it before the order is checked
+        f = tmp_path / "small.txt"
+        f.write_text(text)
+        assert run(capsys, "construct", str(f)) == (1, "", f"error: need order >= 5, got {n}\n")
+
     def test_path_beyond_the_recursion_limit_prints_a_code_within_the_bound(self, capsys, tmp_path):
         f = tmp_path / "p2000.edges"
         f.write_text("".join(f"{i} {i + 1}\n" for i in range(1999)))

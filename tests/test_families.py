@@ -17,6 +17,7 @@ from iocodes import (
     enumerate_graph_classes,
     enumerate_small_graphs,
     enumerate_trees,
+    enumerate_twin_free_trees,
     find_open_twins,
     gen_reduced_subdivided_star,
     gen_star_plus_edge,
@@ -30,8 +31,16 @@ from iocodes import (
     recognize_family_rooted,
 )
 from iocodes.canon import canonical_graph6, isomorphic
-from iocodes.families import TREE_CAP, _subdivided_star_leave_out, as_subdivided_star
+from iocodes.families import (
+    TREE_CAP,
+    _free_tree_levels,
+    _subdivided_star_leave_out,
+    _tree_of_levels,
+    _twin_leaves,
+    as_subdivided_star,
+)
 from iocodes.formats import emit_graph6
+from iocodes.graphs import _twin_free
 
 # known counts of free trees by order
 FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -375,6 +384,25 @@ class TestTreeEnumeration:
                 leaves = sum(1 << v for v in range(n) if t.adj[v].bit_count() == 1)
                 found += all((a & leaves).bit_count() < 2 for a in t.adj)
             assert (total, found) == (nx.number_of_nonisomorphic_trees(n), twin_free)
+
+    def test_twin_rule_matches_the_filter_to_the_cap(self):
+        # every level sequence up to the cap, about 205,000 of them
+        sequences = 0
+        for n in range(1, TREE_CAP + 1):
+            for levels in _free_tree_levels(n):
+                sequences += 1
+                assert _twin_leaves(levels) == (not _twin_free(_tree_of_levels(levels).adj)), levels
+        assert sequences == sum(nx.number_of_nonisomorphic_trees(n) for n in range(1, TREE_CAP + 1))
+
+    @pytest.mark.parametrize("n", range(1, TREE_CAP + 1))
+    def test_twin_free_trees_are_the_filtered_trees_in_order(self, n):
+        expected = [t for t in enumerate_trees(n) if _twin_free(t.adj)]
+        assert list(enumerate_twin_free_trees(n)) == expected
+
+    @pytest.mark.parametrize("n", [0, TREE_CAP + 1])
+    def test_twin_free_cap(self, n):
+        with pytest.raises(BadParam, match=f"1 <= n <= {TREE_CAP}, got {n}"):
+            next(enumerate_twin_free_trees(n))
 
 
 class TestSmallGraphEnumeration:

@@ -63,6 +63,19 @@ class TestGraph6:
             back = nx.from_graph6_bytes(emit_graph6(g).encode())
             assert sorted(map(tuple, map(sorted, back.edges()))) == g.edges()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64])
+    def test_round_trip_at_the_edges_of_the_forms(self, rng, n):
+        # 62 is the largest one-byte order; each column's bits run across
+        # the six-bit groups
+        for p in (0.0, 0.3, 1.0):
+            g = random_graph(n, p, rng)
+            text = emit_graph6(g)
+            assert len(text) == (1 if n <= 62 else 4) + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(text) == g
+            h = nx.empty_graph(n)
+            h.add_edges_from(g.edges())
+            assert text == nx.to_graph6_bytes(h, header=False).decode().strip()
+
     def test_header_accepted(self):
         g = parse_graph6(">>graph6<<C~")
         assert g.edge_count == 6

@@ -16,7 +16,7 @@ from iocodes import (
     is_total_dominating,
     solve,
 )
-from iocodes.verify import NOT_SEPARATED, NOT_TOTALLY_DOMINATED, signatures
+from iocodes.verify import NOT_SEPARATED, NOT_TOTALLY_DOMINATED, require_admissible, signatures
 
 
 def path(n):
@@ -107,6 +107,14 @@ class TestAdmits:
 
     def test_isolate_blocks(self):
         assert not admits_io_code(Graph(3, [(0, 1)]))
+
+    def test_empty_graph_is_named(self):
+        with pytest.raises(NoCode, match="^graph is empty$") as caught:
+            require_admissible(Graph(0))
+        assert caught.value.witness is None
+        with pytest.raises(NoCode, match="^graph has an isolated vertex$") as caught:
+            require_admissible(Graph(3, [(0, 2)]))
+        assert caught.value.witness == 1
 
     def test_agrees_with_solve_and_its_witness(self):
         # every labeled graph on at most 5 vertices, the empty one included
