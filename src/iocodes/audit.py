@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, fields
 from functools import partial
 from operator import attrgetter
+from typing import Iterable
 
 from .canon import canonical_graph
 from .construct import BoundStatus, _check_delta, check_bound, construct_code
@@ -85,13 +86,13 @@ def _worker_count() -> int:
     return workers
 
 
-def _map_instances(graphs: list[Graph], delta: int | None, workers: int) -> list[tuple[AuditRecord, int]]:
+def _map_instances(graphs: Iterable[Graph], delta: int | None, workers: int) -> list[tuple[AuditRecord, int]]:
     """Certify each graph at ``delta``, on a pool of ``workers`` processes when above 1.
 
     One ``functools.partial`` of ``_audit_instance`` is mapped over the
-    graphs, which pickle as they are.  Results always come back in
-    enumeration order, so summaries and CSV output do not depend on
-    scheduling.
+    graphs, which pickle as they are and may come from a generator, so
+    no list of them is held.  Results always come back in enumeration
+    order, so summaries and CSV output do not depend on scheduling.
     """
     task = partial(_audit_instance, delta=delta)
     if workers == 1:
@@ -172,12 +173,12 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
     _check_delta(delta)
     workers = _worker_count()
     started = time.monotonic()
-    trees = [
+    trees = (
         t
         for n in range(5, n_max + 1)
         for t in enumerate_twin_free_trees(n)
         if delta is None or max_degree(t) <= delta
-    ]
+    )
     results = _map_instances(trees, delta, workers)
     return _summarize(results, started, n_max=n_max, delta=delta)
 

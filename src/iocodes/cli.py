@@ -67,8 +67,8 @@ def _read_code(path: str, n: int) -> VertexSet:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write: json.dump would stream the document in hundreds of chunks
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_verify(args) -> int:

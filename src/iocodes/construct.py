@@ -25,20 +25,24 @@ are looked for at those vertices alone (``_twin_of``).  A far side whose
 cut leaf became an open twin is repaired by deleting that leaf.
 
 Every sub-instance is a vertex mask over the input's adjacency, so its
-vertices keep their input labels and no level copies the remaining tree.
-Each level reads ``adj[v] & mask`` over its own part in single passes:
-the leaves (``families._leaves_and_legs``), then the legs and their
-neighbours for the star-component candidates, and the merged code's
-literal IO-code check.  The near side of a split is one walk from its
-cut endpoint.  BFS layer masks give the diametral paths; they carry
-over to both sides of a split, since cutting off a pendant subtree
-changes no remaining distance, so BFS runs only from a start that no
-enclosing part had.  A part is relabeled into a ``Graph``
-only for a rule that takes one: family recognition (a part of at most
-``1 + 5*delta`` vertices, or a branch small enough for its root), a
-split-off or absorbed subdivided star, the exact fallback and the graph
-constructor's levels.  The decomposition runs on one explicit stack
-(``_drive``), so its depth costs no interpreter frames.
+vertices keep their input labels and no level copies the remaining tree;
+the family and subdivided-star rules read the mask in those labels.  A
+tree split changes the degrees of its cut endpoints alone, so a part
+carries what it found to both sides (``_Part.side``): its leaf and leg
+masks and its sorted star-component candidates, with only the cut
+endpoint, its neighbours and the centers next to a changed leg tested
+again.  Its BFS layers carry over too, as shared lists with the range
+of each side (``graphs._carry_layers``): cutting off a pendant subtree
+changes no remaining distance, and the near side's walk from its cut
+endpoint gives the far side's layers from the other one.  So the path
+heads of a part whose longest-path ends are known cost no BFS, and a
+level otherwise costs its near side, a few neighbourhoods, one BFS from
+each new path end and the merged code's literal IO-code check over the
+whole part.  Only a part built without a parent scans itself: the input
+and the graph constructor's tree.  A part is relabeled into a ``Graph``
+only for the exact fallback and the graph constructor's levels.  The
+decomposition runs on one explicit stack (``_drive``), so its depth
+costs no interpreter frames.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from operator import itemgetter
 from typing import Sequence
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
@@ -63,21 +66,23 @@ from .errors import (
 )
 from .families import (
     _LARGEST_SHAPE,
+    _canonical_code,
+    _family_match,
+    _family_match_rooted,
     _leaves_and_legs,
     _star_plus_edge_leave_out,
+    _subdivided_star,
     _subdivided_star_leave_out,
     as_subdivided_star,
-    canonical_set,
-    recognize_family,
-    recognize_family_rooted,
 )
 from .graphs import (
     Graph,
     VertexSet,
+    _carry_layers,
     _diametral_paths,
     _induced,
+    _layers,
     _reach,
-    _restrict_layers,
     delete_edge,
     find_induced_cycle,
     has_four_cycle,
@@ -159,21 +164,57 @@ class _CaseMiss(Exception):
 
 class _Part:
     """A sub-instance: the vertex mask ``mask`` of the graph ``g``, whose
-    vertex indices are the input's labels, and the BFS layers within the
-    mask already known from some of its vertices, by start."""
+    vertex indices are the input's labels; the BFS layer records within
+    the mask already known, by start (``graphs._restrict_layers``); and,
+    once ``scan`` has run or a parent carried them, the masks of its
+    leaves and legs and its star-component candidates."""
 
-    __slots__ = ("g", "mask", "layers")
+    __slots__ = ("g", "mask", "layers", "leaves", "legs", "stars")
 
-    def __init__(self, g: Graph, mask: int, layers: dict[int, list[int]] | None = None):
+    def __init__(self, g: Graph, mask: int, layers: dict | None = None):
         self.g = g
         self.mask = mask
         self.layers = {} if layers is None else layers
+        self.stars = None
 
-    def side(self, keep: int) -> _Part:
-        """The sub-tree ``keep`` left when pendant subtrees are cut off this
-        tree part; the known layers from its vertices carry over."""
-        carried = {s: _restrict_layers(layers, keep) for s, layers in self.layers.items() if keep >> s & 1}
-        return _Part(self.g, keep, carried)
+    def scan(self, delta: int) -> list[tuple]:
+        """The star-component candidates as ``(k, edge, center, other)``, in
+        ``_star_component_candidates``' order; scanned on the first call
+        unless carried."""
+        if self.stars is None:
+            self.leaves, self.legs, self.stars = _scan(self.g.adj, self.mask, delta)
+        return self.stars
+
+    def side(self, keep: int, end: int, delta: int, layers: dict) -> _Part:
+        """The sub-tree ``keep`` left when the pendant subtree hanging at
+        ``end`` is cut off this tree part, with the layer records ``layers``.
+
+        Only ``end`` lost a neighbour.  So only it can become or stop
+        being a leaf; only it, and its neighbours if it did, a leg; and
+        only ``end`` and the neighbours of a vertex that became or stopped
+        being a leg a star center.  The scan carries over with those
+        vertices tested again: at most ``delta**2`` reads and one filter of
+        the candidate list.
+        """
+        stars = self.scan(delta)
+        adj = self.g.adj
+        side = _Part(self.g, keep, layers)
+        bit = 1 << end
+        nbrs = adj[end] & keep
+        leaves = side.leaves = self.leaves & keep & ~bit | (nbrs.bit_count() == 1) << end
+        legs = self.legs & keep
+        for x in [end, *graphs._bits(nbrs)] if (leaves ^ self.leaves) & bit else [end]:
+            around = adj[x] & keep
+            legs = legs & ~(1 << x) | (around.bit_count() == 2 and around & leaves != 0) << x
+        retest = bit
+        for x in graphs._bits(legs ^ self.legs & keep):
+            retest |= adj[x] & keep
+        side.legs = legs
+        stay = keep & ~retest
+        side.stars = [entry for entry in stars if stay >> entry[2] & 1]
+        side.stars += _star_entries(adj, keep, legs, retest, delta)
+        side.stars.sort()
+        return side
 
     def degree(self, v: int) -> int:
         return (self.g.adj[v] & self.mask).bit_count()
@@ -181,7 +222,8 @@ class _Part:
     def verifies(self, code: int) -> bool:
         """Whether the label mask ``code`` is an IO-code of this part, by the
         definition: every trace ``N(v) & code`` is nonempty and no two agree."""
-        traces = [self.g.adj[v] & code for v in graphs._members(self.mask)]
+        adj = self.g.adj
+        traces = [adj[v] & code for v in graphs._members(self.mask)]
         return 0 not in traces and len(set(traces)) == len(traces)
 
 
@@ -290,25 +332,20 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
     if n < 5:
         return _fallback_exact(part, trace, "sub-instance below order 5")
 
-    # recognize_family rejects a tree of more than 1 + _LARGEST_SHAPE times
+    # the family match rejects a tree of more than 1 + _LARGEST_SHAPE times
     # its maximum degree vertices, and no degree exceeds delta
     if n <= 1 + _LARGEST_SHAPE * delta:
-        g, labels = _induced(part.g, part.mask)
-        spec = recognize_family(g)
+        spec = _family_match(part.g.adj, part.mask)
         if spec is not None:
-            code = graphs._mask_of(labels[v] for v in canonical_set(spec))
+            code = _canonical_code(spec, part.mask)
             trace.add(
                 "family_canonical",
-                {
-                    "root": labels[spec.distinguished["root"]],
-                    "vector": list(spec.params["vector"]),
-                    "order": n,
-                },
+                {"root": spec.distinguished["root"], "vector": list(spec.params["vector"]), "order": n},
                 graphs._bits(code),
             )
             return code
 
-    for center, other, k in _star_component_candidates(part.g.adj, part.mask, delta):
+    for k, _, center, other in part.scan(delta):
         mark = trace.mark()
         try:
             return (
@@ -320,9 +357,7 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
         except _CaseMiss:
             trace.rollback(mark)
 
-    # the path rule reads the first six vertices at most, and a whole path
-    # held by every waiting level would cost memory quadratic in its length
-    for path in map(_PATH_HEAD, _diametral_paths(part.g.adj, part.mask, part.layers)):
+    for path in _diametral_paths(part.g.adj, part.mask, part.layers, _PATH_HEAD):
         mark = trace.mark()
         try:
             return (yield from _split(part, delta, trace, *_path_rule(part, path)))
@@ -332,23 +367,28 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
     return _fallback_exact(part, trace, "no decomposition case applied")
 
 
-def _star_component_candidates(adj: Sequence[int], mask: int, delta: int):
-    """Edges of the tree that ``mask`` induces whose removal leaves a
-    subdivided star centered at an endpoint.
-
-    Ordered by fewest star legs, then lowest edge, matching the preference
-    for the smallest split-off component.  The legs come from
-    ``families._leaves_and_legs``; a center of degree 3 to ``delta``
-    qualifies when at most one of its neighbours is not a leg, and that
-    neighbour (or, if there is none, any neighbour) is the far side.  So
-    a center has at least two legs, and only the legs' neighbours are read.
-    """
-    _, legs = _leaves_and_legs(adj, mask)
+def _scan(adj: Sequence[int], mask: int, delta: int) -> tuple[int, int, list[tuple]]:
+    """The leaves, the legs and the sorted star-component candidates of the
+    tree that ``mask`` induces, in one pass each: the legs come from
+    ``families._leaves_and_legs``, and only the legs' neighbours can be
+    centers."""
+    leaves, legs = _leaves_and_legs(adj, mask)
     next_to_legs = 0
     for leg in graphs._members(legs):
         next_to_legs |= adj[leg]
+    return leaves, legs, sorted(_star_entries(adj, mask, legs, next_to_legs & mask, delta))
+
+
+def _star_entries(adj: Sequence[int], mask: int, legs: int, centers: int, delta: int) -> list[tuple]:
+    """The star-component candidates ``(k, edge, center, other)`` centered
+    in ``centers``, given the tree's legs.
+
+    A center of degree 3 to ``delta`` qualifies when at most one of its
+    neighbours is not a leg, and that neighbour (or, if there is none, any
+    neighbour) is the far side.  So a center has ``k >= 2`` legs.
+    """
     found = []
-    for center in graphs._members(next_to_legs & mask):
+    for center in graphs._bits(centers):
         nbrs = adj[center] & mask
         rest = nbrs & ~legs
         if not 3 <= nbrs.bit_count() <= delta or rest & (rest - 1):
@@ -356,8 +396,18 @@ def _star_component_candidates(adj: Sequence[int], mask: int, delta: int):
         k = nbrs.bit_count() - 1
         for other in graphs._bits(rest or nbrs):
             found.append((k, (min(center, other), max(center, other)), center, other))
-    found.sort()
-    return [(center, other, k) for k, _, center, other in found]
+    return found
+
+
+def _star_component_candidates(adj: Sequence[int], mask: int, delta: int) -> list[tuple[int, int, int]]:
+    """Edges of the tree that ``mask`` induces whose removal leaves a
+    subdivided star centered at an endpoint, as ``(center, other, k)``.
+
+    Ordered by fewest star legs, then lowest edge, matching the preference
+    for the smallest split-off component.  Computed afresh, as a part with
+    nothing carried scans itself (``_scan``).
+    """
+    return [(center, other, k) for k, _, center, other in _scan(adj, mask, delta)[2]]
 
 
 def _split(
@@ -380,11 +430,14 @@ def _split(
     ``near_rule(part, near)`` returns the near code, or None to build the
     near side as a tree of its own (only beside a twin-free far side),
     and the case's own trace detail; ``_far_side_code`` codes the far
-    side.  The merged code is verified on the part and recorded as one
-    ``case`` step with the split edge, the far order and whether a twin
-    leaf was pruned.  Any failure raises ``_CaseMiss``.
+    side.  The walk's BFS layers are the near side's from ``u``, and give
+    the far side its layers from ``v`` (``graphs._carry_layers``).  The
+    merged code is verified on the part and recorded as one ``case`` step
+    with the split edge, the far order and whether a twin leaf was pruned.
+    Any failure raises ``_CaseMiss``.
     """
-    near = _reach(part.g.adj, part.mask ^ (1 << v), u)
+    near_layers = _layers(part.g.adj, part.mask ^ (1 << v), u)
+    near = sum(near_layers)
     far = part.mask ^ near
     if far.bit_count() < 5:
         raise _CaseMiss("far side too small")
@@ -393,12 +446,17 @@ def _split(
     if near_code is None and partner is not None:
         raise _CaseMiss("branch outside family while far side has twins")
     # valid because any two one-sided IO-codes merge across a bridge
-    near_build = _build_tree(part.side(near), delta, trace) if near_code is None else None
-    far_side = part.side(far)
-    # The sides carry the layers they need.  While they are built the part
-    # holds none, or a path would keep one BFS per level; should this
-    # split fail, the part's next candidate recomputes what it reads.
+    near_build = None
+    if near_code is None:
+        own = part.side(near, u, delta, {u: (near_layers, 0, len(near_layers) - 1)})
+        near_build = _build_tree(own, delta, trace)
+    far_side = part.side(far, v, delta, _carry_layers(part.layers, far, v, near_layers))
+    # The sides carry the layers they need.  While they are built this
+    # level holds none, or every waiting level would keep BFS layers of
+    # its own; should this split fail, the part's next candidate
+    # recomputes what it reads.
     part.layers.clear()
+    own = near_layers = None  # nor the near side's, which only its builder holds now
     if near_build is not None:
         near_code = yield near_build
     far_code = yield from _far_side_code(far_side, v, partner, delta, trace, star_patterns=star_patterns)
@@ -416,9 +474,8 @@ def _split(
 def _star_near(k: int, part: _Part, near: int) -> tuple[int, dict]:
     """A split-off subdivided star: all of it except its lowest-label leaf,
     as ``families._subdivided_star_leave_out`` leaves it out."""
-    g, labels = _induced(part.g, near)
-    left_out = _subdivided_star_leave_out(g)
-    return near ^ graphs._mask_of(labels[v] for v in left_out), {"star_legs": k, "near_order": g.n}
+    left_out = _subdivided_star_leave_out(part.g.adj, near)
+    return near ^ graphs._mask_of(left_out), {"star_legs": k, "near_order": near.bit_count()}
 
 
 def _far_side_code(
@@ -443,21 +500,23 @@ def _far_side_code(
     """
     rest = side
     if partner is not None:
-        rest = side.side(side.mask ^ (1 << cut))
-        if rest.mask.bit_count() < 5:
+        keep = side.mask ^ (1 << cut)
+        if keep.bit_count() < 5:
             raise _CaseMiss("twin-pruned far side too small")
+        support = (side.g.adj[cut] & keep).bit_length() - 1
+        rest = side.side(keep, support, delta, _carry_layers(side.layers, keep, support, [1 << cut]))
+        side.layers.clear()  # the rest carries them, as in ``_split``
         # so the leaves' neighbour keeps degree 2 or more: the rest is twin-free
-    star = None
-    if star_patterns and rest.mask.bit_count() == 2 * delta + 1:
-        g, labels = _induced(rest.g, rest.mask)
-        star = as_subdivided_star(g)
+    adj, order = rest.g.adj, rest.mask.bit_count()
+    star = _subdivided_star(adj, rest.mask) if star_patterns and order == 2 * delta + 1 else None
     if star is not None and star[1] == delta:
         if partner is not None:  # the pruned leaf's twin partner is the one leaf left out
             code, cut_key = rest.mask ^ (1 << partner), "pruned_leaf"
         else:  # ``cut`` lost a neighbour, so its degree here is below the center's delta
-            left_out = _subdivided_star_leave_out(g, labels.index(cut))
-            code, cut_key = rest.mask ^ graphs._mask_of(labels[v] for v in left_out), "cut_vertex"
-        trace.add("absorbed_star_pattern", {"legs": star[1], "order": g.n, cut_key: cut}, graphs._bits(code))
+            left_out = _subdivided_star_leave_out(adj, rest.mask, cut)
+            code, cut_key = rest.mask ^ graphs._mask_of(left_out), "cut_vertex"
+        detail = {"legs": star[1], "order": order, cut_key: cut}
+        trace.add("absorbed_star_pattern", detail, graphs._bits(code))
     else:
         code = yield _build_tree(rest, delta, trace)
     if partner is not None:
@@ -465,11 +524,13 @@ def _far_side_code(
     return code
 
 
-_PATH_HEAD = itemgetter(slice(6))
+# the path rule reads the first six vertices of a longest path at most
+_PATH_HEAD = 6
 
 
 def _path_rule(part: _Part, path: list[int]):
-    """The longest-path case along ``path``: ``_split``'s case, edge and near rule.
+    """The longest-path case along ``path``, the first ``_PATH_HEAD``
+    vertices of a longest path: ``_split``'s case, edge and near rule.
 
     Needs diameter at least 5.  The support at the path's end has degree
     2: a second leaf there would be a twin of the path's end, and any
@@ -490,17 +551,9 @@ def _path_rule(part: _Part, path: list[int]):
 def _branch_near(position: int, root: int, part: _Part, near: int) -> tuple[int | None, dict]:
     """A deep branch rooted at path vertex ``root``: its canonical set if it
     is a family tree there, else None, for a code built for it on its own."""
-    order = near.bit_count()
-    spec = None
-    # recognize_family_rooted rejects a tree of more than 1 + _LARGEST_SHAPE
-    # times the root's degree vertices
-    if order <= 1 + _LARGEST_SHAPE * (part.g.adj[root] & near).bit_count():
-        g, labels = _induced(part.g, near)
-        spec = recognize_family_rooted(g, labels.index(root))
-    detail = {"position": position, "near_order": order, "recognized_branch": spec is not None}
-    if spec is not None:
-        return graphs._mask_of(labels[v] for v in canonical_set(spec)), detail
-    return None, detail
+    spec = _family_match_rooted(part.g.adj, near, root)
+    detail = {"position": position, "near_order": near.bit_count(), "recognized_branch": spec is not None}
+    return (None if spec is None else _canonical_code(spec, near)), detail
 
 
 def _tail_near(path: list[int], part: _Part, near: int) -> tuple[int, dict]:

@@ -24,7 +24,7 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 from . import graphs
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
-from .graphs import Graph, VertexSet, _bfs_tree, _twin_free, has_four_cycle, is_connected
+from .graphs import Graph, VertexSet, _twin_free, has_four_cycle, is_connected
 
 __all__ = [
     "AttachmentVector",
@@ -73,8 +73,27 @@ _SHAPES = {
     5: ((-1, 0, 0, 2), (1,)),
     6: ((-1, 0, 1, 1, 3), (2,)),
 }
-_TYPE_OF_PARENTS = {parents: t for t, (parents, _) in _SHAPES.items()}
 _LARGEST_SHAPE = max(len(parents) for parents, _ in _SHAPES.values())
+
+
+def _walk_types() -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+    """Each breadth-first listing of an attachment, siblings in any order,
+    by its parent positions: the type, and the listing position of each
+    block position.  No type has two siblings alike, so each listing
+    reads back one way."""
+    table = {}
+    for t, (parents, _) in _SHAPES.items():
+        children = [[i for i, p in enumerate(parents) if p == u] for u in range(len(parents))]
+        for orders in product(*map(permutations, children)):
+            walk = [0]
+            for u in walk:
+                walk += orders[u]
+            listing = tuple(walk.index(parents[v]) if parents[v] >= 0 else -1 for v in walk)
+            table[listing] = t, tuple(map(walk.index, range(len(parents))))
+    return table
+
+
+_TYPE_OF_WALK = _walk_types()
 
 
 @dataclass(frozen=True)
@@ -185,9 +204,14 @@ def canonical_set(spec: FamilySpec) -> VertexSet:
     """
     if spec.kind != "attachment_tree":
         raise NotInFamily(f"canonical set undefined for kind {spec.kind!r}")
-    vec = tuple(spec.params["vector"])
     n = spec.params["order"]
-    mask = (1 << n) - 1
+    return VertexSet(n, mask=_canonical_code(spec, (1 << n) - 1))
+
+
+def _canonical_code(spec: FamilySpec, mask: int) -> int:
+    """The canonical set of the attachment tree ``spec`` on the vertices
+    ``mask``, as a mask: ``mask`` without the vertices it leaves out."""
+    vec = tuple(spec.params["vector"])
     drop_type2_leaf = vec[0] == 0
     for t, block in spec.attachments:
         left_out = _SHAPES[t][1]
@@ -197,90 +221,115 @@ def canonical_set(spec: FamilySpec) -> VertexSet:
             left_out, drop_type2_leaf = (1,), False
         for i in left_out:
             mask ^= 1 << block[i]
-    return VertexSet(n, mask=mask)
+    return mask
 
 
-def _branch_shape(g: Graph, root: int, link: int) -> tuple[int, tuple[int, ...]] | None:
-    """The branch at ``link`` as ``(type, block)``, if it is an attachment.
+def _branch_shape(adj: Sequence[int], mask: int, root: int, link: int) -> tuple[int, tuple[int, ...]] | None:
+    """The branch at ``link`` of the tree that ``mask`` induces, as
+    ``(type, block)``, if it is an attachment.
 
     One breadth-first walk on adjacency masks lists each vertex's
     children in increasing index and stops once the branch outgrows the
-    largest attachment.  The block lists the branch breadth-first with
-    smaller subtrees first (ties by index), and its parent positions are
-    looked up in ``_SHAPES``.
+    largest attachment; its parent positions are looked up in
+    ``_TYPE_OF_WALK``, which reorders the walk into the block: the branch
+    breadth-first, smaller subtrees first.
     """
-    adj = g.adj
     parent = {link: root}
-    children: dict[int, list[int]] = {}
     walked = [link]
-    for u in walked:
-        below = children[u] = list(graphs._bits(adj[u] & ~(1 << parent[u])))
-        for w in below:
-            parent[w] = u
-        walked += below
-        if len(walked) > _LARGEST_SHAPE:
-            return None
-    size = dict.fromkeys(walked, 1)
-    for w in reversed(walked[1:]):
-        size[parent[w]] += size[w]
-    block = [link]
-    for u in block:
-        block += sorted(children[u], key=size.__getitem__)
-    position = {v: i for i, v in enumerate(block)}
-    t = _TYPE_OF_PARENTS.get(tuple(position.get(parent[v], -1) for v in block))
-    return None if t is None else (t, tuple(block))
+    listing = [-1]
+    for i, u in enumerate(walked):
+        below = adj[u] & mask ^ 1 << parent[u]
+        if below:
+            for w in graphs._bits(below):
+                parent[w] = u
+                walked.append(w)
+                listing.append(i)
+            if len(walked) > _LARGEST_SHAPE:
+                return None
+    found = _TYPE_OF_WALK.get(tuple(listing))
+    return None if found is None else (found[0], tuple([walked[i] for i in found[1]]))
 
 
 def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
-    """Match the tree against the family with the given root, or None.
+    """Match the tree against the family with the given root, or None."""
+    g.check_vertex(root)
+    return _family_match_rooted(g.adj, (1 << g.n) - 1, root)
+
+
+def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> FamilySpec | None:
+    """``recognize_family_rooted`` on the tree that ``mask`` induces, in
+    its labels.
 
     No attachment has more than 5 vertices, so a root of degree below
     (n - 1) / 5 is rejected without walking its branches.
     """
-    if g.n < 2 or g.n > 1 + _LARGEST_SHAPE * g.degree(root):
+    n = mask.bit_count()
+    links = adj[root] & mask
+    if n < 2 or n > 1 + _LARGEST_SHAPE * links.bit_count():
         return None
     branches = []
-    for link in g.neighbors(root):
-        shape = _branch_shape(g, root, link)
+    for link in graphs._bits(links):
+        shape = _branch_shape(adj, mask, root, link)
         if shape is None:
             return None
         branches.append(shape)
-    vec = AttachmentVector.of([sum(t == k for t, _ in branches) for k in _SHAPES])
-    if not vec.is_admissible() or vec.order() != g.n:
+    types = [t for t, _ in branches]
+    vec = AttachmentVector(*map(types.count, _SHAPES))
+    if not vec.is_admissible() or vec.order() != n:
         return None
     branches.sort()
     return FamilySpec(
         kind="attachment_tree",
-        params={"vector": vec.as_tuple(), "order": g.n},
+        params={"vector": vec.as_tuple(), "order": n},
         distinguished={"root": root},
         attachments=tuple(branches),
     )
 
 
 def recognize_family(g: Graph) -> FamilySpec | None:
-    """The family match at the lowest root for which the tree has one.
+    """The family match at the lowest root for which the tree has one."""
+    return _family_match(g.adj, (1 << g.n) - 1)
+
+
+def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
+    """``recognize_family`` on the graph that ``mask`` induces, in its
+    labels: the match at the lowest label for which it has one.
 
     A match makes the graph a tree in which the root has degree at least
     (n - 1) / 5 and leaves no component larger than ``_LARGEST_SHAPE``.
     So each call, once per level of the tree constructor, reads the
-    largest degree, makes one subtree-size pass from vertex 0 and tries
-    only the roots that pass, in increasing index: the first match is
+    degrees, makes one subtree-size pass from the lowest vertex and tries
+    only the roots that pass, in increasing label: the first match is
     the one every root would give.  For n >= 12 the one such root is the
     tree's centroid (Jordan 1869).
     """
-    n = g.n
-    if n < 2 or g.edge_count != n - 1 or n > 1 + _LARGEST_SHAPE * max(map(int.bit_count, g.adj)):
+    n = mask.bit_count()
+    if n < 2:
         return None
-    order, parent = _bfs_tree(g, 0)
-    size = [1] * n
-    heaviest = [0] * n  # the largest subtree below each vertex
+    members = graphs._members(mask)
+    degrees = [(adj[v] & mask).bit_count() for v in members]
+    if sum(degrees) != 2 * (n - 1) or n > 1 + _LARGEST_SHAPE * max(degrees):
+        return None
+    order = members[:1]
+    parent = {}
+    unseen = mask ^ 1 << order[0]
+    for u in order:
+        below = adj[u] & unseen
+        if below:
+            unseen ^= below
+            for w in graphs._bits(below):
+                parent[w] = u
+                order.append(w)
+    size = dict.fromkeys(members, 1)
+    heaviest = dict.fromkeys(members, 0)  # the largest subtree below each vertex
     for w in reversed(order[1:]):
-        u = parent[w]
-        size[u] += size[w]
-        heaviest[u] = max(heaviest[u], size[w])
-    for root in range(n):
-        if max(heaviest[root], n - size[root]) <= _LARGEST_SHAPE:
-            spec = recognize_family_rooted(g, root)
+        u, below = parent[w], size[w]
+        size[u] += below
+        if below > heaviest[u]:
+            heaviest[u] = below
+    for root in members:
+        if heaviest[root] <= _LARGEST_SHAPE and n - size[root] <= _LARGEST_SHAPE:
+            spec = _family_match_rooted(adj, mask, root)
             if spec is not None:
                 return spec
     return None
@@ -302,7 +351,7 @@ def gen_subdivided_star(delta: int) -> tuple[Graph, FamilySpec]:
         supports.append(s)
         leaves.append(u)
     g = Graph(2 * delta + 1, edges)
-    left_out = _subdivided_star_leave_out(g)
+    left_out = _subdivided_star_leave_out(g.adj, (1 << g.n) - 1)
     spec = FamilySpec(
         kind="subdivided_star",
         params={"delta": delta, "order": g.n},
@@ -439,23 +488,24 @@ def _star_plus_edge_leave_out(
     if tree.has_edge(center, a) and tree.has_edge(center, b):
         return "supports_joined", {next(x for x in tree.neighbors(s) if x != center) for s in edge}
     if center in edge:
-        return "center_to_leaf", _subdivided_star_leave_out(tree, b if a == center else a)
+        cut = b if a == center else a
+        return "center_to_leaf", _subdivided_star_leave_out(tree.adj, (1 << tree.n) - 1, cut)
     x = min(edge)
     return "leaves_joined", {x} if tree.degree(center) == 2 else {x, *tree.neighbors(x)}
 
 
-def _subdivided_star_leave_out(tree: Graph, cut: int | None = None) -> set[int]:
-    """The vertices the code of the subdivided star ``tree`` leaves out;
-    ties go to the least vertex.
+def _subdivided_star_leave_out(adj: Sequence[int], mask: int, cut: int | None = None) -> set[int]:
+    """The vertices the code of the subdivided star that ``mask`` induces
+    leaves out; ties go to the least label.
 
     With no ``cut``: the least leaf.  A cut leaf is kept and the least
     other leaf left out; a cut support loses its leaf and the least other
     leaf.  No caller cuts the center: the constructor's cut endpoint lost
     a neighbour, so its degree is below the center's.
     """
-    leaves, _ = _leaves_and_legs(tree.adj, (1 << tree.n) - 1)
+    leaves, _ = _leaves_and_legs(adj, mask)
     if cut is not None and not leaves >> cut & 1:  # a support
-        own = (tree.adj[cut] & leaves).bit_length() - 1
+        own = (adj[cut] & leaves).bit_length() - 1
         return {own, min(graphs._bits(leaves ^ 1 << own))}
     others = leaves if cut is None else leaves ^ 1 << cut
     return {min(graphs._bits(others))}
@@ -481,15 +531,25 @@ def _leaves_and_legs(adj: Sequence[int], mask: int) -> tuple[int, int]:
 
 
 def as_subdivided_star(g: Graph) -> tuple[int, int] | None:
-    """(center, k) if the graph is a subdivided star with k >= 2 legs: a
-    tree on 2k + 1 vertices with a degree-k vertex whose neighbours are
-    all legs."""
-    if g.n < 5 or g.n % 2 == 0 or g.edge_count != g.n - 1:
+    """(center, k) if the graph is a subdivided star with k >= 2 legs."""
+    return _subdivided_star(g.adj, (1 << g.n) - 1)
+
+
+def _subdivided_star(adj: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """(center, k) if the graph that ``mask`` induces is a subdivided star
+    with k >= 2 legs: a tree on 2k + 1 vertices with a degree-k vertex
+    whose neighbours are all legs."""
+    n = mask.bit_count()
+    if n < 5 or n % 2 == 0:
         return None
-    k = (g.n - 1) // 2
-    _, legs = _leaves_and_legs(g.adj, (1 << g.n) - 1)
-    for c in range(g.n):
-        if g.adj[c].bit_count() == k and g.adj[c] & ~legs == 0:
+    k = (n - 1) // 2
+    members = graphs._members(mask)
+    degrees = [(adj[v] & mask).bit_count() for v in members]
+    if sum(degrees) != 2 * (n - 1) or k not in degrees:
+        return None
+    _, legs = _leaves_and_legs(adj, mask)
+    for c, degree in zip(members, degrees):
+        if degree == k and adj[c] & mask & ~legs == 0:
             return c, k
     return None
 

@@ -288,30 +288,61 @@ def _layers(adj: Sequence[int], mask: int, start: int) -> list[int]:
     while frontier:
         layers.append(frontier)
         nxt = 0
-        rest = frontier  # bits walked inline: a path has one layer per vertex
+        rest = frontier  # bits walked inline, highest first: a path has one layer per vertex
         while rest:
-            low = rest & -rest
-            nxt |= adj[low.bit_length() - 1]
-            rest ^= low
+            v = rest.bit_length() - 1
+            nxt |= adj[v]
+            rest ^= 1 << v
         frontier = nxt & unseen
         unseen ^= frontier
     return layers
 
 
-def _restrict_layers(layers: list[int], keep: int) -> list[int]:
+def _restrict_layers(layers: tuple[list[int], int, int], keep: int) -> tuple[list[int], int, int]:
     """BFS layers from a start in ``keep``, carried to the sub-tree ``keep``.
 
-    Exact when ``keep`` is what is left of a tree once pendant subtrees
-    are cut off: the distances among the remaining vertices do not change,
-    so layer ``i`` within ``keep`` is ``layers[i] & keep``, and the layers
-    left empty come last and are dropped.  Only the new last layer is
-    masked here, so carrying costs no pass over the layers; the earlier
-    ones may keep cut-off vertices, which ``_diametral_paths`` never sees.
+    A layer record ``(masks, lo, hi)`` gives the layer at distance ``i``
+    as ``masks[lo + i]`` for ``i <= hi - lo``, within the record's part;
+    the masks may also hold vertices outside it, so the last layer is
+    ``masks[hi] & mask``.  Exact when ``keep`` is what is left of a tree
+    once pendant subtrees are cut off: the distances among the remaining
+    vertices do not change, so only the trailing layers left empty are
+    dropped.  The mask list is shared, not copied, and every layer dropped
+    held a cut-off vertex, so carrying costs at most one step per vertex
+    cut off.
     """
-    depth = len(layers) - 1
-    while not layers[depth] & keep:
-        depth -= 1
-    return layers[:depth] + [layers[depth] & keep]
+    masks, lo, hi = layers
+    while not masks[hi] & keep:
+        hi -= 1
+    return masks, lo, hi
+
+
+def _carry_layers(
+    known: dict[int, tuple[list[int], int, int]], keep: int, end: int, cut_layers: list[int]
+) -> dict[int, tuple[list[int], int, int]]:
+    """The layer records of ``known`` carried to the sub-tree ``keep``: what
+    is left when the pendant subtree hanging at ``end`` is cut off, whose
+    BFS layers from ``end``'s neighbour there are ``cut_layers``.
+
+    Starts in ``keep`` keep their layers (``_restrict_layers``).  Every
+    path from the cut-off subtree into ``keep`` enters at ``end``, so a
+    known start there at distance ``d`` from ``end`` has ``end``'s layers
+    as its own from distance ``d`` on: the nearest such start gives them.
+    """
+    carried = {}
+    cut_starts = 0
+    for s, layers in known.items():
+        if keep >> s & 1:
+            carried[s] = _restrict_layers(layers, keep)
+        else:
+            cut_starts |= 1 << s
+    if end not in carried and cut_starts:
+        for d, layer in enumerate(cut_layers, 1):
+            if layer & cut_starts:
+                masks, lo, hi = known[(layer & cut_starts).bit_length() - 1]
+                carried[end] = _restrict_layers((masks, lo + d, hi), keep)
+                break
+    return carried
 
 
 def _reach(adj: Sequence[int], mask: int, start: int) -> int:
@@ -360,46 +391,72 @@ def diameter(g: Graph) -> int:
     return max(len(_layers(g.adj, full, v)) - 1 for v in range(g.n))
 
 
-def _diametral_paths(adj: Sequence[int], mask: int, known: dict[int, list[int]]) -> Iterator[list[int]]:
+def _diametral_paths(
+    adj: Sequence[int], mask: int, known: dict[int, tuple[list[int], int, int]], head: int | None = None
+) -> Iterator[list[int]]:
     """All diameter-realizing paths of the tree that ``mask`` induces, in
-    both orientations, yielded lazily in (start, end) endpoint order; the
-    tree constructor roots a part at either end of a longest path.
+    both orientations, yielded lazily in (start, end) endpoint order, or
+    with ``head`` given only the first ``head`` vertices of each; the tree
+    constructor roots a part at either end of a longest path.
 
-    ``known`` maps starts to their BFS layers within ``mask``, where every
-    layer but the last may also hold vertices outside it
+    ``known`` maps starts to layer records within ``mask``
     (``_restrict_layers``); layers from a start missing there are computed
-    once and added.  In a tree the path ends are the last layer from
-    ``x``, a vertex farthest from the lowest vertex, together with the
-    last layer from ``y``, a vertex farthest from ``x``; ties go to the
-    highest vertex.  Each path is walked back from its far end through
-    the one neighbour in the next lower layer, which lies in ``mask``.
-    No layer list is held while a path is out, so a caller that clears
-    ``known`` meanwhile frees them, and they are recomputed if needed.
+    once and added.
+    In a tree every vertex farthest from some vertex ends a longest path,
+    and all longest paths meet in the center: the path ends fall into
+    groups, one per branch at the center (one per side of a central
+    edge), and the ends farthest from any vertex are those outside its
+    branch.  So for any ``s`` and any ``x`` farthest from it, the path
+    ends are the last layers from ``s`` and ``x`` together, and an end
+    outside the last layer from ``x`` (or from ``s``) is in that vertex's
+    branch and has that last layer too.  ``s`` is the start known last
+    (the lowest vertex when none is), usually the one a split just
+    carried in, and ``x`` a known start where one is farthest, so a part
+    whose ends are known runs no BFS.  The starts that end no longest
+    path are then dropped, but ``s``, which lies by the last cut, is kept
+    for the next split to carry.  A path is walked forward from its
+    start through the far end's layers, so a head costs ``head`` steps,
+    not the diameter.  No layer list is held while a path is out, so a
+    caller that clears ``known`` meanwhile frees them, and they are
+    recomputed if needed.
     """
 
-    def layers_from(start: int) -> list[int]:
+    def layers_from(start: int) -> tuple[list[int], int, int]:
         if start not in known:
-            known[start] = _layers(adj, mask, start)
+            masks = _layers(adj, mask, start)
+            known[start] = (masks, 0, len(masks) - 1)
         return known[start]
+
+    def last(start: int) -> int:
+        masks, _, hi = layers_from(start)
+        return masks[hi] & mask
 
     if mask & (mask - 1) == 0:
         if mask:
             yield [mask.bit_length() - 1]
         return
-    x = layers_from((mask & -mask).bit_length() - 1)[-1].bit_length() - 1
-    y = layers_from(x)[-1].bit_length() - 1
-    for a in _bits(layers_from(x)[-1] | layers_from(y)[-1]):
-        for b in _bits(layers_from(a)[-1]):
-            yield _walk_back(adj, layers_from(a), b)
+    s = next(reversed(known), (mask & -mask).bit_length() - 1)
+    from_s = last(s)
+    from_x = last(next((t for t in known if from_s >> t & 1), from_s.bit_length() - 1))
+    ends = from_s | from_x
+    for start in [t for t in known if not ends >> t & 1 and t != s]:
+        del known[start]
+    for a in _bits(ends):
+        for b in _bits(from_x if not from_x >> a & 1 else from_s if not from_s >> a & 1 else last(a)):
+            yield _walk_forward(adj, layers_from(b), a, head)
 
 
-def _walk_back(adj: Sequence[int], layers: list[int], end: int) -> list[int]:
-    """The tree path from the start of ``layers`` to ``end``, a vertex of
-    their last layer."""
-    path = [end]
-    for layer in reversed(layers[:-1]):
-        path.append((adj[path[-1]] & layer).bit_length() - 1)
-    return path[::-1]
+def _walk_forward(adj: Sequence[int], layers: tuple[list[int], int, int], start: int, head: int | None) -> list[int]:
+    """The tree path from ``start``, a vertex of the last layer of the
+    record ``layers``, to that record's start, or its first ``head``
+    vertices.  Each step takes the one neighbour in the next lower layer,
+    which lies in the record's part."""
+    masks, lo, hi = layers
+    stop = lo if head is None else max(lo, hi - head + 1)
+    path = [start]
+    for i in range(hi - 1, stop - 1, -1):
+        path.append((adj[path[-1]] & masks[i]).bit_length() - 1)
+    return path
 
 
 def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:

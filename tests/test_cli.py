@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import pytest
@@ -168,6 +170,33 @@ class TestConstruct:
         assert payload["bound_status"] == "within_bound"
         assert payload["size"] == len(payload["code"]) == 1600
         assert len(payload["trace"]["steps"]) == 400
+
+
+class TestOutputBytes:
+    """Each JSON document is written in one piece, byte for byte as
+    ``json.dump`` streams it."""
+
+    # construct's stdout on the tree below, as written by json.dump
+    CONSTRUCT_SHA256 = "0f6256ea6d6f8781ed67d86e7a775764604fef649cc96182f291d376e5706d73"
+
+    @pytest.fixture
+    def tree_file(self, tmp_path):
+        # vertex i of 1..15 joined to (i - 1) // 2, every edge subdivided: 31 vertices
+        f = tmp_path / "t31.edges"
+        f.write_text("".join(f"{(i - 1) // 2} {15 + i}\n{15 + i} {i}\n" for i in range(1, 16)))
+        return str(f)
+
+    @pytest.mark.parametrize("command", ["solve", "construct"])
+    def test_one_write_is_the_streamed_document(self, capsys, tree_file, command):
+        status, out, _ = run(capsys, command, tree_file)
+        assert status == 0
+        streamed = io.StringIO()
+        json.dump(json.loads(out), streamed, indent=2, sort_keys=True)
+        assert out == streamed.getvalue() + "\n"
+
+    def test_construct_output_is_unchanged(self, capsys, tree_file):
+        _, out, _ = run(capsys, "construct", tree_file)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CONSTRUCT_SHA256
 
 
 class TestGenerate:

@@ -327,13 +327,14 @@ class TestSubdividedStar:
         for g in relabeled_stars(rng):
             # increasing, as the labels of every part the constructor relabels
             labels = sorted(rng.sample(range(100), g.n))
-            assert {labels[v] for v in _subdivided_star_leave_out(g)} == split_off_star(g, labels)
+            full = (1 << g.n) - 1
+            assert {labels[v] for v in _subdivided_star_leave_out(g.adj, full)} == split_off_star(g, labels)
             if g.n < 7:
                 continue  # absorbed stars have delta >= 3 legs; on 2 the old rule read the center as a support
             # every leaf and support; the cut endpoint is never the center,
             # whose degree exceeds it
             for cut in (v for v in range(g.n) if g.degree(v) <= 2):
-                new = _subdivided_star_leave_out(g, cut)
+                new = _subdivided_star_leave_out(g.adj, full, cut)
                 assert {labels[v] for v in new} == absorbed_star(g, labels, cut)
 
 

@@ -123,7 +123,7 @@ def test_branch_shapes_match_the_cases_on_every_small_tree():
             for root in range(n):
                 for link in t.neighbors(root):
                     expected = branch_shape_by_cases(t, root, link)
-                    shape = _branch_shape(t, root, link)
+                    shape = _branch_shape(t.adj, (1 << n) - 1, root, link)
                     if expected is None:
                         assert shape is None
                     else:

@@ -17,19 +17,34 @@ import networkx as nx
 
 from conftest import brute_all_distances, random_tree
 from iocodes import (
+    Graph,
     VertexSet,
     as_subdivided_star,
+    build_family_tree,
+    canonical_set,
     construct_tree_code,
     delete_edge,
     enumerate_trees,
     find_open_twins,
+    gen_subdivided_star,
     is_io_code,
     max_degree,
+    recognize_family,
+    recognize_family_rooted,
     solve,
 )
+from iocodes import construct
 from iocodes.canon import canonical_graph
-from iocodes.construct import _Part, _star_component_candidates, _twin_of, construct_code
-from iocodes.graphs import _bits, _diametral_paths, _induced, _layers, _reach, _twin_free
+from iocodes.construct import _PATH_HEAD, _Part, _star_component_candidates, _twin_of, construct_code
+from iocodes.families import (
+    _canonical_code,
+    _family_match,
+    _family_match_rooted,
+    _leaves_and_legs,
+    _subdivided_star,
+    _subdivided_star_leave_out,
+)
+from iocodes.graphs import _bits, _carry_layers, _diametral_paths, _induced, _layers, _twin_free
 from test_tree_dp import subdivided_random_tree
 
 TWIN_FREE_TREES = [
@@ -127,11 +142,15 @@ def _to_labels(mask, labels):
 
 def _cut_pendant_subtree(t, mask, rng):
     """What is left of the sub-tree ``mask`` when one side of a random edge
-    is cut off, as the constructor's splits leave their sides."""
+    is cut off, as the constructor's splits leave their sides: the kept
+    mask, its cut endpoint and the cut-off side's BFS layers from the
+    other endpoint."""
     u = rng.choice(list(_bits(mask)))
     v = rng.choice(list(_bits(t.adj[u] & mask)))
-    near = _reach(t.adj, mask ^ (1 << v), u)
-    return near if rng.random() < 0.5 else mask ^ near
+    if rng.random() < 0.5:
+        u, v = v, u
+    cut_layers = _layers(t.adj, mask ^ (1 << u), v)
+    return mask ^ sum(cut_layers), u, cut_layers
 
 
 class TestMaskedScans:
@@ -149,10 +168,12 @@ class TestMaskedScans:
                 # with the layers carried from the larger sub-trees, and then
                 # every start the paths needed
                 assert list(_diametral_paths(t.adj, mask, part.layers)) == paths
-                for start, layers in part.layers.items():
+                for start, (masks, lo, hi) in part.layers.items():
                     fresh = [_to_labels(layer, labels) for layer in _layers(h.adj, whole, labels.index(start))]
-                    assert [layer & mask for layer in layers] == fresh
-                    assert layers[-1] & ~mask == 0
+                    assert [masks[i] & mask for i in range(lo, hi + 1)] == fresh
+                if part.stars is not None:  # carried by side() at delta 4
+                    assert (part.leaves, part.legs) == _leaves_and_legs(t.adj, mask)
+                    assert [(c, o, k) for k, _, c, o in part.stars] == _star_component_candidates(t.adj, mask, 4)
                 for delta in (3, 4, 6):
                     relabeled = _star_component_candidates(h.adj, whole, delta)
                     expected = [(labels[c], labels[o], k) for c, o, k in relabeled]
@@ -171,8 +192,104 @@ class TestMaskedScans:
                     verdict = is_io_code(h, VertexSet(h.n, mask=code)).ok
                     assert part.verifies(_to_labels(code, labels)) == verdict
                     outcomes.add((twin_free, verdict))
-                part = part.side(_cut_pendant_subtree(t, mask, rng))
+                keep, end, cut_layers = _cut_pendant_subtree(t, mask, rng)
+                part = part.side(keep, end, 4, _carry_layers(part.layers, keep, end, cut_layers))
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+class TestCarriedState:
+    """Every part the tree constructor builds carries what a fresh scan of
+    it finds: its leaves and legs, its star candidates in order, its BFS
+    layers, and the heads of its longest paths."""
+
+    @staticmethod
+    def check_every_part(monkeypatch, graphs):
+        carried = []
+        build = construct._build_tree
+
+        def spy(part, delta, trace):
+            adj, mask = part.g.adj, part.mask
+            if part.stars is not None:
+                assert (part.leaves, part.legs) == _leaves_and_legs(adj, mask)
+                assert [(c, o, k) for k, _, c, o in part.stars] == _star_component_candidates(adj, mask, delta)
+                carried.append(mask)
+            known = dict(part.layers)
+            for start, (masks, lo, hi) in known.items():
+                assert [masks[i] & mask for i in range(lo, hi + 1)] == _layers(adj, mask, start)
+            heads = [path[:_PATH_HEAD] for path in _diametral_paths(adj, mask, {})]
+            assert list(_diametral_paths(adj, mask, known, _PATH_HEAD)) == heads
+            return build(part, delta, trace)
+
+        monkeypatch.setattr(construct, "_build_tree", spy)
+        for g in graphs:
+            construct_code(g, max(3, max_degree(g)))
+        return carried
+
+    def test_twin_free_trees(self, monkeypatch):
+        trees = [t for t in TWIN_FREE_TREES if t.n >= 5]
+        assert len(self.check_every_part(monkeypatch, trees)) > 50
+
+    def test_seeded_random_trees(self, monkeypatch):
+        trees = [subdivided_random_tree(k, random.Random(k)) for k in range(21, 101, 4)]
+        assert len(self.check_every_part(monkeypatch, trees)) > 10 * len(trees)
+
+    def test_long_path(self, monkeypatch):
+        assert len(self.check_every_part(monkeypatch, [Graph(60, [(i, i + 1) for i in range(59)])])) >= 10
+
+
+def _embedded(g, labels):
+    """The adjacency of ``g`` with vertex ``v`` relabeled ``labels[v]``,
+    over ``0..max(labels)``, and the mask of its labels."""
+    adj = [0] * (max(labels) + 1)
+    for u, v in g.edges():
+        adj[labels[u]] |= 1 << labels[v]
+        adj[labels[v]] |= 1 << labels[u]
+    return adj, sum(1 << v for v in labels)
+
+
+def _relabeled_spec(spec, labels):
+    return (
+        spec.params,
+        labels[spec.distinguished["root"]],
+        tuple((t, tuple(labels[v] for v in block)) for t, block in spec.attachments),
+    )
+
+
+class TestMaskCores:
+    """The family and star rules on a vertex mask, in its labels, give what
+    their ``Graph`` forms give on the relabeled copy."""
+
+    @staticmethod
+    def check(g, labels):
+        adj, mask = _embedded(g, labels)
+        h, order = _induced(Graph._from_adj(tuple(adj)), mask)
+        assert h == g and list(order) == labels
+        spec = recognize_family(g)
+        found = _family_match(adj, mask)
+        assert (found is None) == (spec is None)
+        if spec is not None:
+            assert (found.params, found.distinguished["root"], found.attachments) == _relabeled_spec(spec, labels)
+            assert _canonical_code(found, mask) == sum(1 << labels[v] for v in canonical_set(spec))
+        for root in range(g.n):
+            spec = recognize_family_rooted(g, root)
+            found = _family_match_rooted(adj, mask, labels[root])
+            assert (found is None) == (spec is None)
+            if spec is not None:
+                assert (found.params, found.distinguished["root"], found.attachments) == _relabeled_spec(spec, labels)
+        star = as_subdivided_star(g)
+        assert _subdivided_star(adj, mask) == (None if star is None else (labels[star[0]], star[1]))
+        if star is not None:
+            for cut in [None, *(v for v in range(g.n) if v != star[0])]:
+                left_out = _subdivided_star_leave_out(g.adj, (1 << g.n) - 1, cut)
+                found = _subdivided_star_leave_out(adj, mask, None if cut is None else labels[cut])
+                assert found == {labels[v] for v in left_out}
+
+    def test_small_trees_and_stars(self, rng):
+        graphs = [t for n in range(2, 11) for t in enumerate_trees(n)]
+        graphs += [gen_subdivided_star(k)[0] for k in range(2, 7)]
+        graphs += [build_family_tree(v)[0] for v in [(1, 2, 0, 1, 0, 0), (0, 1, 1, 1, 1, 1), (1, 0, 0, 0, 1, 0)]]
+        for g in graphs:
+            self.check(g, sorted(rng.sample(range(3 * g.n + 5), g.n)))
 
 
 def test_tree_codes_and_traces_unchanged():
