@@ -24,25 +24,25 @@ endpoints' and a cycle-vertex deletion only its neighbours', so twins
 are looked for at those vertices alone (``_twin_of``).  A far side whose
 cut leaf became an open twin is repaired by deleting that leaf.
 
-Every sub-instance is a vertex mask over the input's adjacency, so its
-vertices keep their input labels and no level copies the remaining tree;
-the family and subdivided-star rules read the mask in those labels.  A
-tree split changes the degrees of its cut endpoints alone, so a part
-carries what it found to both sides (``_Part.side``): its leaf and leg
-masks and its sorted star-component candidates, with only the cut
-endpoint, its neighbours and the centers next to a changed leg tested
-again.  Its BFS layers carry over too, as shared lists with the range
-of each side (``graphs._carry_layers``): cutting off a pendant subtree
-changes no remaining distance, and the near side's walk from its cut
-endpoint gives the far side's layers from the other one.  So the path
-heads of a part whose longest-path ends are known cost no BFS, and a
-level otherwise costs its near side, a few neighbourhoods, one BFS from
-each new path end and the merged code's literal IO-code check over the
-whole part.  Only a part built without a parent scans itself: the input
-and the graph constructor's tree.  A part is relabeled into a ``Graph``
-only for the exact fallback and the graph constructor's levels.  The
-decomposition runs on one explicit stack (``_drive``), so its depth
-costs no interpreter frames.
+Every sub-instance of either constructor is a vertex mask over the
+input's adjacency, so its vertices keep their input labels and no level
+copies the remaining tree or graph; the family, subdivided-star,
+star-plus-edge and cycle rules read the mask in those labels.  A tree
+split changes the degrees of its cut endpoints alone, so a part carries
+what it found to both sides (``_Part.side``): its leaf and leg masks and
+its sorted star-component candidates, with only the cut endpoint, its
+neighbours and the centers next to a changed leg tested again.  Its BFS
+layers carry over too, as shared lists with the range of each side
+(``graphs._carry_layers``): cutting off a pendant subtree changes no
+remaining distance, and the near side's walk from its cut endpoint gives
+the far side's layers from the other one.  So the path heads of a part
+whose longest-path ends are known cost no BFS, and a level otherwise
+costs its near side, a few neighbourhoods, one BFS from each new path
+end and the merged code's literal IO-code check over the whole part.
+Only a part built without a parent scans itself: the input and the graph
+constructor's tree.  A part is relabeled into a ``Graph`` only for the
+exact fallback.  The decomposition runs on one explicit stack
+(``_drive``), so its depth costs no interpreter frames.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ from .graphs import (
     _carry_layers,
     _diametral_paths,
     _induced,
+    _induced_cycle,
     _layers,
     _reach,
     delete_edge,
-    find_induced_cycle,
     has_four_cycle,
     is_connected,
     max_degree,
@@ -179,8 +179,7 @@ class _Part:
 
     def scan(self, delta: int) -> list[tuple]:
         """The star-component candidates as ``(k, edge, center, other)``, in
-        ``_star_component_candidates``' order; scanned on the first call
-        unless carried."""
+        ``_scan``'s order; scanned on the first call unless carried."""
         if self.stars is None:
             self.leaves, self.legs, self.stars = _scan(self.g.adj, self.mask, delta)
         return self.stars
@@ -371,7 +370,8 @@ def _scan(adj: Sequence[int], mask: int, delta: int) -> tuple[int, int, list[tup
     """The leaves, the legs and the sorted star-component candidates of the
     tree that ``mask`` induces, in one pass each: the legs come from
     ``families._leaves_and_legs``, and only the legs' neighbours can be
-    centers."""
+    centers.  The candidates come fewest star legs first, then lowest
+    edge, so the smallest split-off component is tried first."""
     leaves, legs = _leaves_and_legs(adj, mask)
     next_to_legs = 0
     for leg in graphs._members(legs):
@@ -397,17 +397,6 @@ def _star_entries(adj: Sequence[int], mask: int, legs: int, centers: int, delta:
         for other in graphs._bits(rest or nbrs):
             found.append((k, (min(center, other), max(center, other)), center, other))
     return found
-
-
-def _star_component_candidates(adj: Sequence[int], mask: int, delta: int) -> list[tuple[int, int, int]]:
-    """Edges of the tree that ``mask`` induces whose removal leaves a
-    subdivided star centered at an endpoint, as ``(center, other, k)``.
-
-    Ordered by fewest star legs, then lowest edge, matching the preference
-    for the smallest split-off component.  Computed afresh, as a part with
-    nothing carried scans itself (``_scan``).
-    """
-    return [(center, other, k) for k, _, center, other in _scan(adj, mask, delta)[2]]
 
 
 def _split(
@@ -588,58 +577,56 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 
 
 def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
-    g, labels = _induced(part.g, part.mask)
-    if g.edge_count == g.n - 1:
-        trace.add("tree_reduction", {"order": g.n})
+    adj, mask = part.g.adj, part.mask
+    members = graphs._members(mask)
+    degrees = [(adj[v] & mask).bit_count() for v in members]
+    n, edge_count = len(members), sum(degrees) // 2
+    if edge_count == n - 1:
+        trace.add("tree_reduction", {"order": n})
         return (yield _build_tree(part, delta, trace))
-    if g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES:
-        code = graphs._mask_of(labels[v] for v in range(4) if g.degree(v) >= 2)
+    if n == 4 and sorted(degrees) == _PAW_DEGREES:
+        code = graphs._mask_of(v for v, degree in zip(members, degrees) if degree >= 2)
         trace.add("paw_base", {}, graphs._bits(code))
         return code
 
-    cycle = find_induced_cycle(g)
+    cycle = _induced_cycle(adj, mask)
     if cycle is None:
         raise ConstructionError("cyclic graph without a cycle", trace)
     cyc_edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
-    if g.edge_count == g.n:  # unicyclic: check for star-plus-edge patterns
-        for a, b in cyc_edges:
-            h = delete_edge(g, (a, b))
-            star = as_subdivided_star(h)
+    if edge_count == n:  # unicyclic: check for star-plus-edge patterns
+        for edge in cyc_edges:
+            h = delete_edge(part.g, edge)
+            star = _subdivided_star(h.adj, mask)
             if star is not None:
                 mark = trace.mark()
                 try:
-                    return _star_plus_edge_code(part, labels, h, star, (a, b), trace)
+                    return _star_plus_edge_code(part, h, star, edge, trace)
                 except _CaseMiss:
                     trace.rollback(mark)
 
-    for a, b in cyc_edges:
-        edge = (labels[a], labels[b])
+    for edge in cyc_edges:
         h = delete_edge(part.g, edge)
         # only the endpoints changed, and each keeps its other cycle neighbour
-        if all(_twin_of(h.adj, part.mask, x) is None for x in edge):
+        if all(_twin_of(h.adj, mask, x) is None for x in edge):
             trace.add("cycle_edge_removed", {"edge": edge})
-            return (yield _build_graph(_Part(h, part.mask), delta, trace))
+            return (yield _build_graph(_Part(h, mask), delta, trace))
 
     # every cycle-edge deletion creates twins: the cycle alternates
-    # support vertices and degree-2 vertices; delete one of the latter
-    leaves, _ = _leaves_and_legs(g.adj, (1 << g.n) - 1)
-    cyc_set = set(cycle)
-    candidates = []
-    for c in cycle:
-        if g.degree(c) != 2:
-            continue
-        nbrs_on_cycle = [x for x in g.neighbors(c) if x in cyc_set]
-        if len(nbrs_on_cycle) == 2 and all(g.adj[x] & leaves for x in nbrs_on_cycle):
-            candidates.append(c)
+    # support vertices and degree-2 vertices; delete one of the latter,
+    # whose two neighbours are both on the cycle
+    leaves, _ = _leaves_and_legs(adj, mask)
+    candidates = [
+        c for c in cycle if part.degree(c) == 2 and all(adj[x] & leaves for x in graphs._bits(adj[c] & mask))
+    ]
     if not candidates:
         return _fallback_exact(part, trace, "cycle without removable structure")
-    v0 = labels[min(candidates)]
-    rest = part.mask ^ (1 << v0)
-    connected = _reach(part.g.adj, rest, (rest & -rest).bit_length() - 1) == rest
+    v0 = min(candidates)
+    rest = mask ^ (1 << v0)
+    connected = _reach(adj, rest, (rest & -rest).bit_length() - 1) == rest
     # only v0's neighbours changed, and in a connected rest each keeps a neighbour
-    changed = graphs._members(part.g.adj[v0] & rest)
-    if not connected or any(_twin_of(part.g.adj, rest, x) is not None for x in changed):
+    changed = graphs._members(adj[v0] & rest)
+    if not connected or any(_twin_of(adj, rest, x) is not None for x in changed):
         return _fallback_exact(part, trace, "vertex deletion left a bad remainder")
     trace.add("cycle_vertex_removed", {"vertex": v0})
     return (yield _build_graph(_Part(part.g, rest), delta, trace))
@@ -647,25 +634,20 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
 
 def _star_plus_edge_code(
     part: _Part,
-    labels: Sequence[int],
     tree: Graph,
     star: tuple[int, int],
     edge: tuple[int, int],
     trace: ConstructionTrace,
 ) -> int:
     """The stored pattern for a subdivided star plus one edge, as
-    ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the part,
-    relabeled as ``labels`` says, without ``edge``."""
+    ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the input
+    without ``edge``, and ``part.mask`` induces the star in it."""
     center, k = star
-    variant, left_out = _star_plus_edge_leave_out(tree, center, edge)
-    code = part.mask ^ graphs._mask_of(labels[v] for v in left_out)
+    variant, left_out = _star_plus_edge_leave_out(tree.adj, part.mask, center, edge)
+    code = part.mask ^ graphs._mask_of(left_out)
     if not part.verifies(code):
         raise _CaseMiss("pattern failed verification")
-    trace.add(
-        "star_plus_edge_pattern",
-        {"variant": variant, "legs": k, "edge": (labels[edge[0]], labels[edge[1]])},
-        graphs._bits(code),
-    )
+    trace.add("star_plus_edge_pattern", {"variant": variant, "legs": k, "edge": edge}, graphs._bits(code))
     return code
 
 

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 from . import graphs
 from .canon import canonical_graph
 from .errors import BadParam, NotInFamily
-from .graphs import Graph, VertexSet, _twin_free, has_four_cycle, is_connected
+from .graphs import Graph, VertexSet, _bfs_tree, _twin_free, has_four_cycle, is_connected
 
 __all__ = [
     "AttachmentVector",
@@ -310,16 +310,7 @@ def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
     degrees = [(adj[v] & mask).bit_count() for v in members]
     if sum(degrees) != 2 * (n - 1) or n > 1 + _LARGEST_SHAPE * max(degrees):
         return None
-    order = members[:1]
-    parent = {}
-    unseen = mask ^ 1 << order[0]
-    for u in order:
-        below = adj[u] & unseen
-        if below:
-            unseen ^= below
-            for w in graphs._bits(below):
-                parent[w] = u
-                order.append(w)
+    order, parent = _bfs_tree(adj, mask, members[0])
     size = dict.fromkeys(members, 1)
     heaviest = dict.fromkeys(members, 0)  # the largest subtree below each vertex
     for w in reversed(order[1:]):
@@ -463,7 +454,7 @@ def gen_star_plus_edge(variant: str, k: int) -> tuple[Graph, FamilySpec]:
         "g2": (leaves[0], leaves[1]),
         "g3": (center, leaves[-1]),
     }[variant]
-    _, left_out = _star_plus_edge_leave_out(base, center, extra)
+    _, left_out = _star_plus_edge_leave_out(base.adj, (1 << base.n) - 1, center, extra)
     g = Graph(base.n, base.edges() + [extra])
     spec = FamilySpec(
         kind="star_plus_edge",
@@ -475,23 +466,23 @@ def gen_star_plus_edge(variant: str, k: int) -> tuple[Graph, FamilySpec]:
 
 
 def _star_plus_edge_leave_out(
-    tree: Graph, center: int, edge: tuple[int, int]
+    adj: Sequence[int], mask: int, center: int, edge: tuple[int, int]
 ) -> tuple[str, set[int]]:
-    """The pattern of the subdivided star ``tree`` plus ``edge``, and the
-    vertices its code leaves out; ties go to the least vertex.
+    """The pattern of the subdivided star that ``mask`` induces plus
+    ``edge``, and the vertices its code leaves out; ties go to the least
+    label.
 
     Two supports joined: both of their leaves.  The center joined to a
     leaf: the least other leaf.  Two leaves joined: the lesser one, plus
     its support when the star has more than two legs.
     """
     a, b = edge
-    if tree.has_edge(center, a) and tree.has_edge(center, b):
-        return "supports_joined", {next(x for x in tree.neighbors(s) if x != center) for s in edge}
+    if adj[center] >> a & 1 and adj[center] >> b & 1:
+        return "supports_joined", {(adj[s] & mask ^ 1 << center).bit_length() - 1 for s in edge}
     if center in edge:
-        cut = b if a == center else a
-        return "center_to_leaf", _subdivided_star_leave_out(tree.adj, (1 << tree.n) - 1, cut)
+        return "center_to_leaf", _subdivided_star_leave_out(adj, mask, b if a == center else a)
     x = min(edge)
-    return "leaves_joined", {x} if tree.degree(center) == 2 else {x, *tree.neighbors(x)}
+    return "leaves_joined", {x} if (adj[center] & mask).bit_count() == 2 else {x, *graphs._bits(adj[x] & mask)}
 
 
 def _subdivided_star_leave_out(adj: Sequence[int], mask: int, cut: int | None = None) -> set[int]:

@@ -173,10 +173,6 @@ class VertexSet:
         self._check(other)
         return VertexSet(self.universe, mask=self.mask & ~other.mask)
 
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
     def __or__(self, other):
         return self.union(other)
 
@@ -262,20 +258,23 @@ def has_four_cycle(g: Graph) -> bool:
     return False
 
 
-def _bfs_tree(g: Graph, start: int) -> tuple[list[int], list[int]]:
-    """The vertices reachable from ``start`` in BFS discovery order, and
-    each vertex's parent: its first-discovered neighbour (-1 for ``start``
-    and unreachable vertices).  Neighbours are discovered in increasing
-    index, so the children of each vertex come out in increasing index."""
-    parent = [-1] * g.n
+def _bfs_tree(adj: Sequence[int], mask: int, start: int) -> tuple[list[int], dict[int, int]]:
+    """The vertices of the mask ``mask`` of the adjacency list ``adj``
+    reachable from ``start`` inside it, in BFS discovery order, and the
+    parent of each but ``start``: its first-discovered neighbour.
+    Neighbours are discovered in increasing index, so the children of each
+    vertex come out in increasing index.  The parents are a dict, so a
+    walk costs the vertices it reaches, not the input."""
     order = [start]
-    seen = 1 << start
+    parent = {}
+    unseen = mask & ~(1 << start)
     for u in order:
-        below = g.adj[u] & ~seen
-        seen |= below
-        for w in _bits(below):
-            parent[w] = u
-            order.append(w)
+        below = adj[u] & unseen
+        if below:
+            unseen ^= below
+            for w in _bits(below):
+                parent[w] = u
+                order.append(w)
     return order, parent
 
 
@@ -470,23 +469,28 @@ def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     return Graph._from_adj(tuple(adj))
 
 
-def _shortest_cycle_through(g: Graph, v: int) -> list[int] | None:
-    """Shortest cycle containing ``v`` as a vertex sequence, or None.
+def _shortest_cycle_through(adj: Sequence[int], mask: int, v: int) -> list[int] | None:
+    """Shortest cycle containing ``v`` in the graph that ``mask`` induces,
+    as a vertex sequence, or None.
 
     For each neighbour ``u`` of ``v``, one candidate: ``v`` followed by
     its ``_bfs_tree`` parent path to ``u`` in ``G - vu`` (the closing edge
-    ``uv`` is implicit).  The result is the least candidate by length,
-    then by sequence.  It need not be the lexicographically least shortest
-    cycle through ``v``: other shortest paths from ``v`` to ``u`` are never
+    ``uv`` is implicit).  That walk matches the one from ``u`` in ``G - v``
+    until ``v`` would be expanded, so ``v``'s parent is its first neighbour
+    other than ``u`` in the walk without ``v``, and the rest of the path is
+    read from there.  The result is the least candidate by length, then by
+    sequence.  It need not be the lexicographically least shortest cycle
+    through ``v``: other shortest paths from ``v`` to ``u`` are never
     tried.  Any shortest cycle through a vertex is chordless.
     """
     best = None
-    for u in g.neighbors(v):
-        h = delete_edge(g, (v, u))
-        _, parent = _bfs_tree(h, u)
-        if parent[v] < 0:
+    rest = mask & ~(1 << v)
+    for u in _bits(adj[v] & rest):
+        order, parent = _bfs_tree(adj, rest, u)
+        last = next((w for w in order[1:] if adj[v] >> w & 1), None)
+        if last is None:
             continue
-        walk = [v]
+        walk = [v, last]
         while walk[-1] != u:
             walk.append(parent[walk[-1]])
         key = (len(walk), tuple(walk))
@@ -495,14 +499,20 @@ def _shortest_cycle_through(g: Graph, v: int) -> list[int] | None:
     return list(best[1]) if best else None
 
 
+def _induced_cycle(adj: Sequence[int], mask: int) -> list[int] | None:
+    """``find_induced_cycle`` on the graph that ``mask`` induces, in its
+    labels: the shortest cycle through its least vertex on a cycle."""
+    for v in _members(mask):
+        cycle = _shortest_cycle_through(adj, mask, v)
+        if cycle is not None:
+            return cycle
+    return None
+
+
 def find_induced_cycle(g: Graph) -> list[int] | None:
     """Some chordless cycle, or None for forests.
 
     Returns the shortest cycle through the lowest-index vertex that lies
     on a cycle; the sequence starts at that vertex.
     """
-    for v in range(g.n):
-        cycle = _shortest_cycle_through(g, v)
-        if cycle is not None:
-            return cycle
-    return None
+    return _induced_cycle(g.adj, (1 << g.n) - 1)

@@ -272,7 +272,7 @@ def _tree_dp(g: Graph) -> tuple[int, int]:
     the first candidate in insertion order.  The fold keeps
     back-pointers for the witness.
     """
-    order, parent = _bfs_tree(g, 0)
+    order, parent = _bfs_tree(g.adj, (1 << g.n) - 1, 0)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in order[1:]:
         children[parent[v]].append(v)

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import iocodes
+import iocodes.cli
 from conftest import random_tree
 from iocodes import (
     BadParam,
     BoundStatus,
+    ConstructionError,
     DegreeExceeded,
     Disconnected,
     FourCyclePresent,
@@ -332,6 +334,34 @@ class TestGraphConstructor:
         assert variants == {"supports_joined", "center_to_leaf", "leaves_joined"}
         assert digest.hexdigest() == "dd947cd2d305ee0bbb46b9e4a84cb49158ab7979f8e44febfc01cf675cf7c89c"
 
+    def test_graph_codes_and_traces_are_pinned(self):
+        # sha256 over (sorted code, trace) at delta = max(3, max degree) and
+        # one more, taken while every graph-constructor level still copied
+        # its part into a relabeled Graph
+        graphs = local_test_graphs()
+        graphs += [g for g, _ in enumerate_graph_classes(7, 3) if g.n >= 5]
+        graphs += [gen_subcubic_gp(p)[0] for p in (3, 5, 6, 7, 8, 9, 21)]
+        graphs.append(PAW)
+        graphs += [gen_star_plus_edge(v, k)[0] for v in ("g1", "g2", "g3") for k in range(2, 12)]
+        digest = hashlib.sha256()
+        cases = set()
+        for g in graphs:
+            d = max(3, max_degree(g))
+            for delta in (d, d + 1):
+                code, trace = construct_graph_code(g, delta)
+                cases.update(s.case for s in trace.steps)
+                digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
+        assert len(graphs) == 278
+        assert cases >= {
+            "tree_reduction",
+            "paw_base",
+            "cycle_edge_removed",
+            "cycle_vertex_removed",
+            "star_plus_edge_pattern",
+        }
+        assert "exhaustive_fallback" not in cases
+        assert digest.hexdigest() == "6649affdc50aaf9480d40fd4c37b0d8be6dacfc671ebc758efdead5715434784"
+
     def test_cycle_vertex_removed(self):
         # a 6- and an 8-cycle with a pendant leaf on every other vertex:
         # deleting any cycle edge leaves twins, so a degree-2 cycle vertex goes
@@ -388,6 +418,41 @@ class TestGraphConstructor:
                 status = check_bound(g.n, len(code), d, is_exceptional_star=trace.exceptional_star)
                 assert status is not BoundStatus.VIOLATION
                 assert len(code) >= solve(g).gamma
+
+
+class TestConstructionError:
+    """A code that fails the final check raises ``ConstructionError`` with
+    the trace of the steps that built it, and the CLI reports it."""
+
+    @staticmethod
+    def not_a_code(part, delta, trace):
+        yield from ()  # a builder is a generator that needs no sub-instance here
+        trace.add("family_canonical", {"order": part.mask.bit_count()}, [0])
+        return 1  # {0} dominates only its neighbours
+
+    @pytest.mark.parametrize(
+        "builder, entry, g",
+        [("_build_tree", construct_tree_code, path(7)), ("_build_graph", construct_graph_code, C5)],
+    )
+    def test_final_check_raises_with_the_trace(self, monkeypatch, builder, entry, g):
+        monkeypatch.setattr(construct, builder, self.not_a_code)
+        with pytest.raises(ConstructionError) as caught:
+            entry(g, 3)
+        assert str(caught.value) == "constructed set failed final verification"
+        assert caught.value.trace.as_dict() == {
+            "steps": [{"case": "family_canonical", "detail": {"order": g.n}, "contributed": [0]}],
+            "warnings": [],
+            "exceptional_star": False,
+        }
+
+    def test_cli_exits_with_status_1(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(construct, "_build_tree", self.not_a_code)
+        f = tmp_path / "p7.edges"
+        f.write_text("".join(f"{i} {i + 1}\n" for i in range(6)))
+        assert iocodes.cli.main(["construct", str(f)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: constructed set failed final verification\n"
 
 
 def sparse_c4_free_graphs(rng, count):

@@ -30,7 +30,16 @@ from iocodes import (
     is_connected,
     max_degree,
 )
-from iocodes.graphs import _bfs_tree, _bits, _diametral_paths, _induced, _members, _reach, _shortest_cycle_through
+from iocodes.graphs import (
+    _bfs_tree,
+    _bits,
+    _diametral_paths,
+    _induced,
+    _induced_cycle,
+    _members,
+    _reach,
+    _shortest_cycle_through,
+)
 
 
 def path(n):
@@ -292,6 +301,18 @@ class TestInducedCycle:
             assert sorted(found) == sorted(spec.distinguished["cycle"])
             assert len(found) == p
 
+    def test_within_a_mask_matches_the_relabeled_copy(self, rng):
+        found = set()
+        for _ in range(150):
+            g = random_graph(rng.randint(3, 12), rng.uniform(0.15, 0.5), rng)
+            keep = rng.getrandbits(g.n)
+            h, labels = _induced(g, keep)
+            cycle = find_induced_cycle(h)
+            expected = None if cycle is None else [labels[v] for v in cycle]
+            assert _induced_cycle(g.adj, keep) == expected
+            found.add(expected is None)
+        assert found == {False, True}
+
     def test_returned_cycle_is_chordless(self, rng):
         for _ in range(80):
             g = random_graph(rng.randint(4, 10), rng.uniform(0.2, 0.6), rng)
@@ -309,7 +330,7 @@ class TestInducedCycle:
 
     def test_petersen_cycle_is_not_the_lexicographic_least(self):
         g = Graph(10, [e for i in range(5) for e in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))])
-        assert _shortest_cycle_through(g, 8) == [8, 5, 0, 1, 6]
+        assert _shortest_cycle_through(g.adj, (1 << g.n) - 1, 8) == [8, 5, 0, 1, 6]
         assert min(cycles_through(g, 8, 5)) == [8, 3, 2, 1, 6]
 
     def test_shortest_cycle_through_against_brute_force(self, rng):
@@ -320,7 +341,7 @@ class TestInducedCycle:
                 continue
             checked += 1
             for v in range(g.n):
-                found = _shortest_cycle_through(g, v)
+                found = _shortest_cycle_through(g.adj, (1 << g.n) - 1, v)
                 every = [c for k in range(3, g.n + 1) for c in cycles_through(g, v, k)]
                 if not every:
                     assert found is None
@@ -352,9 +373,17 @@ class TestBfsTree:
     def test_matches_a_queue_bfs(self, rng):
         for _ in range(120):
             g = random_graph(rng.randint(1, 14), rng.uniform(0.05, 0.5), rng)
+            full = (1 << g.n) - 1
             for start in range(g.n):
                 order, _, parent = deque_bfs(g, start)
-                assert _bfs_tree(g, start) == (order, parent)
+                assert _bfs_tree(g.adj, full, start) == (order, {v: parent[v] for v in order[1:]})
+            # within a vertex mask: the walk of its relabeled copy, in labels
+            keep = rng.getrandbits(g.n) | 1
+            h, labels = _induced(g, keep)
+            for start in range(h.n):
+                order, _, parent = deque_bfs(h, start)
+                expected = [labels[v] for v in order], {labels[v]: labels[parent[v]] for v in order[1:]}
+                assert _bfs_tree(g.adj, keep, labels[start]) == expected
 
 
 class TestMembers:

@@ -35,7 +35,7 @@ from iocodes import (
 )
 from iocodes import construct
 from iocodes.canon import canonical_graph
-from iocodes.construct import _PATH_HEAD, _Part, _star_component_candidates, _twin_of, construct_code
+from iocodes.construct import _PATH_HEAD, _Part, _scan, _twin_of, construct_code
 from iocodes.families import (
     _canonical_code,
     _family_match,
@@ -77,8 +77,7 @@ def star_candidates_by_edge_deletion(g, delta):
                 star = as_subdivided_star(comp)
                 if star is not None and labels[star[0]] == endpoint and 2 <= star[1] <= delta - 1:
                     found.append((star[1], (a, b), endpoint, b if endpoint == a else a))
-    found.sort()
-    return [(center, other, k) for k, _, center, other in found]
+    return sorted(found)
 
 
 def diametral_paths_by_all_pairs(g):
@@ -104,13 +103,13 @@ class TestStarCandidates:
     def test_twin_free_trees(self):
         for t in TWIN_FREE_TREES:
             for delta in range(3, max(1, max_degree(t)) + 3):
-                found = _star_component_candidates(t.adj, (1 << t.n) - 1, delta)
+                found = _scan(t.adj, (1 << t.n) - 1, delta)[2]
                 assert found == star_candidates_by_edge_deletion(t, delta)
 
     def test_random_trees(self, rng):
         for t in _random_trees(60, 13, 60, rng):
             for delta in (3, max(3, max_degree(t))):
-                found = _star_component_candidates(t.adj, (1 << t.n) - 1, delta)
+                found = _scan(t.adj, (1 << t.n) - 1, delta)[2]
                 assert found == star_candidates_by_edge_deletion(t, delta)
 
 
@@ -173,11 +172,11 @@ class TestMaskedScans:
                     assert [masks[i] & mask for i in range(lo, hi + 1)] == fresh
                 if part.stars is not None:  # carried by side() at delta 4
                     assert (part.leaves, part.legs) == _leaves_and_legs(t.adj, mask)
-                    assert [(c, o, k) for k, _, c, o in part.stars] == _star_component_candidates(t.adj, mask, 4)
+                    assert part.stars == _scan(t.adj, mask, 4)[2]
                 for delta in (3, 4, 6):
-                    relabeled = _star_component_candidates(h.adj, whole, delta)
-                    expected = [(labels[c], labels[o], k) for c, o, k in relabeled]
-                    assert _star_component_candidates(t.adj, mask, delta) == expected
+                    relabeled = _scan(h.adj, whole, delta)[2]
+                    expected = [(k, (labels[a], labels[b]), labels[c], labels[o]) for k, (a, b), c, o in relabeled]
+                    assert _scan(t.adj, mask, delta)[2] == expected
                 # the least partner of each vertex, from all pairs of twins
                 pairs = find_open_twins(h)
                 for v in range(h.n):
@@ -211,7 +210,7 @@ class TestCarriedState:
             adj, mask = part.g.adj, part.mask
             if part.stars is not None:
                 assert (part.leaves, part.legs) == _leaves_and_legs(adj, mask)
-                assert [(c, o, k) for k, _, c, o in part.stars] == _star_component_candidates(adj, mask, delta)
+                assert part.stars == _scan(adj, mask, delta)[2]
                 carried.append(mask)
             known = dict(part.layers)
             for start, (masks, lo, hi) in known.items():
