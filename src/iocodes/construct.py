@@ -7,7 +7,8 @@ output satisfies ``2*delta*|S| <= (2*delta - 1)*n`` except when the tree
 is the subdivided star on ``delta`` legs, which is flagged.  The graph
 constructor extends this to connected twin-free graphs without 4-cycles
 by deleting cycle edges (or, when every such deletion creates open
-twins, a degree-2 cycle vertex wedged between two supports).
+twins, a degree-2 cycle vertex wedged between two supports); one of the
+two always applies, so it has no fallback.
 
 The tree decomposition tries, in order: family recognition with a
 canonical set; splitting off a subdivided-star component hanging at its
@@ -18,16 +19,19 @@ any longest path (three of the 3,149 twin-free trees with n <= 16 reach
 this), an exact solve finishes the sub-instance and the trace carries a
 warning.  All bound arithmetic is integer-exact.
 
-Every part is twin-free, as the input is.  A tree split changes only its
-cut endpoints' neighbourhoods, a cycle-edge deletion only the edge's
+Every part is connected, twin-free and 4-cycle-free, as the input is,
+and has at least 5 vertices unless it is the paw, the graph
+constructor's one base case.  A tree split changes only its cut
+endpoints' neighbourhoods, a cycle-edge deletion only the edge's
 endpoints' and a cycle-vertex deletion only its neighbours', so twins
 are looked for at those vertices alone (``_twin_of``).  A far side whose
 cut leaf became an open twin is repaired by deleting that leaf.
 
-Every sub-instance of either constructor is a vertex mask over the
-input's adjacency, so its vertices keep their input labels and no level
-copies the remaining tree or graph; the family, subdivided-star,
-star-plus-edge and cycle rules read the mask in those labels.  A tree
+Every sub-instance of either constructor is a vertex mask over an
+adjacency tuple: the input's, or a copy with a deleted cycle edge's two
+entries changed.  So its vertices keep their input labels, no level
+copies a ``Graph``, and the family, subdivided-star, star-plus-edge and
+cycle rules read the mask in those labels.  A tree
 split changes the degrees of its cut endpoints alone, so a part carries
 what it found to both sides (``_Part.side``): its leaf and leg masks and
 its sorted star-component candidates, with only the cut endpoint, its
@@ -41,8 +45,8 @@ costs its near side, a few neighbourhoods, one BFS from each new path
 end and the merged code's literal IO-code check over the whole part.
 Only a part built without a parent scans itself: the input and the graph
 constructor's tree.  A part is relabeled into a ``Graph`` only for the
-exact fallback.  The decomposition runs on one explicit stack
-(``_drive``), so its depth costs no interpreter frames.
+tree constructor's exact fallback.  The decomposition runs on one
+explicit stack (``_drive``), so its depth costs no interpreter frames.
 """
 
 from __future__ import annotations
@@ -83,8 +87,6 @@ from .graphs import (
     _induced,
     _induced_cycle,
     _layers,
-    _reach,
-    delete_edge,
     has_four_cycle,
     is_connected,
     max_degree,
@@ -163,16 +165,16 @@ class _CaseMiss(Exception):
 
 
 class _Part:
-    """A sub-instance: the vertex mask ``mask`` of the graph ``g``, whose
-    vertex indices are the input's labels; the BFS layer records within
+    """A sub-instance: the vertex mask ``mask`` of the adjacency tuple
+    ``adj``, whose indices are the input's labels; the BFS layer records within
     the mask already known, by start (``graphs._restrict_layers``); and,
     once ``scan`` has run or a parent carried them, the masks of its
     leaves and legs and its star-component candidates."""
 
-    __slots__ = ("g", "mask", "layers", "leaves", "legs", "stars")
+    __slots__ = ("adj", "mask", "layers", "leaves", "legs", "stars")
 
-    def __init__(self, g: Graph, mask: int, layers: dict | None = None):
-        self.g = g
+    def __init__(self, adj: tuple[int, ...], mask: int, layers: dict | None = None):
+        self.adj = adj
         self.mask = mask
         self.layers = {} if layers is None else layers
         self.stars = None
@@ -181,7 +183,7 @@ class _Part:
         """The star-component candidates as ``(k, edge, center, other)``, in
         ``_scan``'s order; scanned on the first call unless carried."""
         if self.stars is None:
-            self.leaves, self.legs, self.stars = _scan(self.g.adj, self.mask, delta)
+            self.leaves, self.legs, self.stars = _scan(self.adj, self.mask, delta)
         return self.stars
 
     def side(self, keep: int, end: int, delta: int, layers: dict) -> _Part:
@@ -196,8 +198,8 @@ class _Part:
         the candidate list.
         """
         stars = self.scan(delta)
-        adj = self.g.adj
-        side = _Part(self.g, keep, layers)
+        adj = self.adj
+        side = _Part(adj, keep, layers)
         bit = 1 << end
         nbrs = adj[end] & keep
         leaves = side.leaves = self.leaves & keep & ~bit | (nbrs.bit_count() == 1) << end
@@ -216,12 +218,12 @@ class _Part:
         return side
 
     def degree(self, v: int) -> int:
-        return (self.g.adj[v] & self.mask).bit_count()
+        return (self.adj[v] & self.mask).bit_count()
 
     def verifies(self, code: int) -> bool:
         """Whether the label mask ``code`` is an IO-code of this part, by the
         definition: every trace ``N(v) & code`` is nonempty and no two agree."""
-        adj = self.g.adj
+        adj = self.adj
         traces = [adj[v] & code for v in graphs._members(self.mask)]
         return 0 not in traces and len(set(traces)) == len(traces)
 
@@ -235,14 +237,6 @@ def _twin_of(adj: Sequence[int], mask: int, v: int) -> int | None:
         if w != v and adj[w] & mask == own:
             return w
     return None
-
-
-def _fallback_exact(part: _Part, trace: ConstructionTrace, reason: str) -> int:
-    g, labels = _induced(part.g, part.mask)
-    trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
-    code = graphs._mask_of(labels[v] for v in solve(g).code)
-    trace.add("exhaustive_fallback", {"reason": reason, "order": g.n}, graphs._bits(code))
-    return code
 
 
 _PAW_DEGREES = [1, 2, 2, 3]
@@ -289,7 +283,7 @@ def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrac
     """
     star = as_subdivided_star(g)
     trace = ConstructionTrace(exceptional_star=star is not None and star[1] == delta)
-    result = VertexSet(g.n, mask=_drive(build(_Part(g, (1 << g.n) - 1), delta, trace)))
+    result = VertexSet(g.n, mask=_drive(build(_Part(g.adj, (1 << g.n) - 1), delta, trace)))
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)
     return result, trace
@@ -327,14 +321,15 @@ def _drive(builder) -> int:
 
 
 def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
+    # No part has fewer than 5 vertices: far sides and twin-pruned rests are
+    # checked, a deep branch's near side holds path[:p + 1] and 2, 1 or 1
+    # more branches at p = 2, 3 or 4, star and tail near sides are never
+    # built, and a graph part is the paw or has 5 or more (``_build_graph``).
     n = part.mask.bit_count()
-    if n < 5:
-        return _fallback_exact(part, trace, "sub-instance below order 5")
-
     # the family match rejects a tree of more than 1 + _LARGEST_SHAPE times
     # its maximum degree vertices, and no degree exceeds delta
     if n <= 1 + _LARGEST_SHAPE * delta:
-        spec = _family_match(part.g.adj, part.mask)
+        spec = _family_match(part.adj, part.mask)
         if spec is not None:
             code = _canonical_code(spec, part.mask)
             trace.add(
@@ -356,14 +351,19 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
         except _CaseMiss:
             trace.rollback(mark)
 
-    for path in _diametral_paths(part.g.adj, part.mask, part.layers, _PATH_HEAD):
+    for path in _diametral_paths(part.adj, part.mask, part.layers, _PATH_HEAD):
         mark = trace.mark()
         try:
             return (yield from _split(part, delta, trace, *_path_rule(part, path)))
         except _CaseMiss:
             trace.rollback(mark)
 
-    return _fallback_exact(part, trace, "no decomposition case applied")
+    reason = "no decomposition case applied"
+    g, labels = _induced(part.adj, part.mask)
+    trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
+    code = graphs._mask_of(labels[v] for v in solve(g).code)
+    trace.add("exhaustive_fallback", {"reason": reason, "order": g.n}, graphs._bits(code))
+    return code
 
 
 def _scan(adj: Sequence[int], mask: int, delta: int) -> tuple[int, int, list[tuple]]:
@@ -425,12 +425,12 @@ def _split(
     with the split edge, the far order and whether a twin leaf was pruned.
     Any failure raises ``_CaseMiss``.
     """
-    near_layers = _layers(part.g.adj, part.mask ^ (1 << v), u)
+    near_layers = _layers(part.adj, part.mask ^ (1 << v), u)
     near = sum(near_layers)
     far = part.mask ^ near
     if far.bit_count() < 5:
         raise _CaseMiss("far side too small")
-    partner = _twin_of(part.g.adj, far, v)
+    partner = _twin_of(part.adj, far, v)
     near_code, detail = near_rule(part, near)
     if near_code is None and partner is not None:
         raise _CaseMiss("branch outside family while far side has twins")
@@ -463,7 +463,7 @@ def _split(
 def _star_near(k: int, part: _Part, near: int) -> tuple[int, dict]:
     """A split-off subdivided star: all of it except its lowest-label leaf,
     as ``families._subdivided_star_leave_out`` leaves it out."""
-    left_out = _subdivided_star_leave_out(part.g.adj, near)
+    left_out = _subdivided_star_leave_out(part.adj, near)
     return near ^ graphs._mask_of(left_out), {"star_legs": k, "near_order": near.bit_count()}
 
 
@@ -492,11 +492,11 @@ def _far_side_code(
         keep = side.mask ^ (1 << cut)
         if keep.bit_count() < 5:
             raise _CaseMiss("twin-pruned far side too small")
-        support = (side.g.adj[cut] & keep).bit_length() - 1
+        support = (side.adj[cut] & keep).bit_length() - 1
         rest = side.side(keep, support, delta, _carry_layers(side.layers, keep, support, [1 << cut]))
         side.layers.clear()  # the rest carries them, as in ``_split``
         # so the leaves' neighbour keeps degree 2 or more: the rest is twin-free
-    adj, order = rest.g.adj, rest.mask.bit_count()
+    adj, order = rest.adj, rest.mask.bit_count()
     star = _subdivided_star(adj, rest.mask) if star_patterns and order == 2 * delta + 1 else None
     if star is not None and star[1] == delta:
         if partner is not None:  # the pruned leaf's twin partner is the one leaf left out
@@ -528,8 +528,9 @@ def _path_rule(part: _Part, path: list[int]):
     degree at least 4, 3 and 3 respectively; failing all three, the tail
     hanging at the fourth is peeled.
     """
-    if len(path) < 6:
-        raise _CaseMiss("diameter below 5 must be family-recognized")
+    # ``path`` has six vertices: a twin-free tree of diameter at most 4 and
+    # order 5 or more is a subdivided star with at most one more leaf at its
+    # center, a family tree of at most 1 + 2*delta vertices, already coded.
     for position, min_degree in ((2, 4), (3, 3), (4, 3)):
         if part.degree(path[position]) >= min_degree:
             rule = partial(_branch_near, position, path[position])
@@ -540,7 +541,7 @@ def _path_rule(part: _Part, path: list[int]):
 def _branch_near(position: int, root: int, part: _Part, near: int) -> tuple[int | None, dict]:
     """A deep branch rooted at path vertex ``root``: its canonical set if it
     is a family tree there, else None, for a code built for it on its own."""
-    spec = _family_match_rooted(part.g.adj, near, root)
+    spec = _family_match_rooted(part.adj, near, root)
     detail = {"position": position, "near_order": near.bit_count(), "recognized_branch": spec is not None}
     return (None if spec is None else _canonical_code(spec, near)), detail
 
@@ -548,15 +549,16 @@ def _branch_near(position: int, root: int, part: _Part, near: int) -> tuple[int 
 def _tail_near(path: list[int], part: _Part, near: int) -> tuple[int, dict]:
     """The tail at the fourth path vertex, which holds the first five path
     vertices: without the path end if that is all, without the extra leaf
-    if there is one more vertex and it is a leaf."""
-    detail = {"tail_order": near.bit_count()}
+    if there is one more vertex."""
     tail = graphs._mask_of(path)
-    extra = near ^ tail
-    if not extra:
-        return tail ^ (1 << path[0]), detail
-    if extra & (extra - 1) == 0 and (part.g.adj[extra.bit_length() - 1] & near).bit_count() == 1:
-        return tail, detail
-    raise _CaseMiss("unexpected tail shape")
+    # The one other tail, as path[3] and path[4] have degree 2 and a
+    # twin-free branch of depth 2 or less at path[2] is a leaf or a leg, has
+    # a leg there.  Then path[2] is a star center whose split at path[3] ran
+    # first and failed on a far side below 5: two IO-codes merge across a
+    # bridge, and path[3]'s one possible twin there is path[5] as a leaf, as
+    # path[4] has degree 2.  The tail's far side is smaller still, so
+    # ``_split`` raised before calling this rule.
+    return (tail ^ (1 << path[0]) if near == tail else tail), {"tail_order": near.bit_count()}
 
 
 def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
@@ -577,7 +579,7 @@ def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTr
 
 
 def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
-    adj, mask = part.g.adj, part.mask
+    adj, mask = part.adj, part.mask
     members = graphs._members(mask)
     degrees = [(adj[v] & mask).bit_count() for v in members]
     n, edge_count = len(members), sum(degrees) // 2
@@ -589,66 +591,52 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
         trace.add("paw_base", {}, graphs._bits(code))
         return code
 
+    # The part is connected, as each deletion below keeps it, and has an
+    # edge more than a tree, so it has a cycle: a chordless one.
     cycle = _induced_cycle(adj, mask)
-    if cycle is None:
-        raise ConstructionError("cyclic graph without a cycle", trace)
     cyc_edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
-    if edge_count == n:  # unicyclic: check for star-plus-edge patterns
+    def without(x: int, y: int) -> tuple[int, ...]:
+        cut = list(adj)
+        cut[x] ^= 1 << y
+        cut[y] ^= 1 << x
+        return tuple(cut)
+
+    # unicyclic and of odd order, as a subdivided star is: look for a
+    # star-plus-edge pattern, coded by ``families._star_plus_edge_leave_out``
+    if edge_count == n and n % 2:
         for edge in cyc_edges:
-            h = delete_edge(part.g, edge)
-            star = _subdivided_star(h.adj, mask)
-            if star is not None:
-                mark = trace.mark()
-                try:
-                    return _star_plus_edge_code(part, h, star, edge, trace)
-                except _CaseMiss:
-                    trace.rollback(mark)
+            tree = without(*edge)
+            star = _subdivided_star(tree, mask)
+            if star is None:
+                continue
+            variant, left_out = _star_plus_edge_leave_out(tree, mask, star[0], edge)
+            code = mask ^ graphs._mask_of(left_out)
+            if part.verifies(code):
+                detail = {"variant": variant, "legs": star[1], "edge": edge}
+                trace.add("star_plus_edge_pattern", detail, graphs._bits(code))
+                return code
 
     for edge in cyc_edges:
-        h = delete_edge(part.g, edge)
+        cut = without(*edge)
         # only the endpoints changed, and each keeps its other cycle neighbour
-        if all(_twin_of(h.adj, mask, x) is None for x in edge):
+        if all(_twin_of(cut, mask, x) is None for x in edge):
             trace.add("cycle_edge_removed", {"edge": edge})
-            return (yield _build_graph(_Part(h, mask), delta, trace))
+            return (yield _build_graph(_Part(cut, mask), delta, trace))
 
-    # every cycle-edge deletion creates twins: the cycle alternates
-    # support vertices and degree-2 vertices; delete one of the latter,
-    # whose two neighbours are both on the cycle
-    leaves, _ = _leaves_and_legs(adj, mask)
-    candidates = [
-        c for c in cycle if part.degree(c) == 2 and all(adj[x] & leaves for x in graphs._bits(adj[c] & mask))
-    ]
-    if not candidates:
-        return _fallback_exact(part, trace, "cycle without removable structure")
-    v0 = min(candidates)
-    rest = mask ^ (1 << v0)
-    connected = _reach(adj, rest, (rest & -rest).bit_length() - 1) == rest
-    # only v0's neighbours changed, and in a connected rest each keeps a neighbour
-    changed = graphs._members(adj[v0] & rest)
-    if not connected or any(_twin_of(adj, rest, x) is not None for x in changed):
-        return _fallback_exact(part, trace, "vertex deletion left a bad remainder")
+    # Every deletion left twins.  Deleting the cycle edge xy gives x a twin
+    # only if x has degree 2, or a twin would share 2 neighbours with it.
+    # So a triangle has two vertices of degree 2, and deleting the edge from
+    # one to the third leaves none.  On a longer, chordless cycle x's twin
+    # is a leaf at its other cycle neighbour, a support, whose degree of 3
+    # or more gains it no twin on its edge to x.  So the cycle alternates
+    # supports and degree-2 vertices, and the part has 6 + 3 vertices or
+    # more, 8 or more after the deletion.  Deleting a degree-2 one leaves
+    # its neighbours joined by the rest of the cycle, each with its leaf and
+    # another cycle neighbour: no twin shares both.
+    v0 = min(c for c in cycle if part.degree(c) == 2)
     trace.add("cycle_vertex_removed", {"vertex": v0})
-    return (yield _build_graph(_Part(part.g, rest), delta, trace))
-
-
-def _star_plus_edge_code(
-    part: _Part,
-    tree: Graph,
-    star: tuple[int, int],
-    edge: tuple[int, int],
-    trace: ConstructionTrace,
-) -> int:
-    """The stored pattern for a subdivided star plus one edge, as
-    ``families._star_plus_edge_leave_out`` gives it; ``tree`` is the input
-    without ``edge``, and ``part.mask`` induces the star in it."""
-    center, k = star
-    variant, left_out = _star_plus_edge_leave_out(tree.adj, part.mask, center, edge)
-    code = part.mask ^ graphs._mask_of(left_out)
-    if not part.verifies(code):
-        raise _CaseMiss("pattern failed verification")
-    trace.add("star_plus_edge_pattern", {"variant": variant, "legs": k, "edge": edge}, graphs._bits(code))
-    return code
+    return (yield _build_graph(_Part(adj, mask ^ (1 << v0)), delta, trace))
 
 
 def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:

@@ -350,25 +350,25 @@ def _reach(adj: Sequence[int], mask: int, start: int) -> int:
     return sum(_layers(adj, mask, start))
 
 
-def _induced(g: Graph, keep: int) -> tuple[Graph, Sequence[int]]:
-    """The subgraph induced by the mask ``keep`` as a ``Graph`` on
-    ``0..k-1``, and the label in ``g`` of each of its vertices.
+def _induced(adj: tuple[int, ...], keep: int) -> tuple[Graph, Sequence[int]]:
+    """The subgraph that the mask ``keep`` induces in the adjacency tuple
+    ``adj``, as a ``Graph`` on ``0..k-1``, and the label of each vertex.
 
     The labels are kept in increasing order, so the least new vertex is the
-    least label; the full mask gives ``g`` itself.  The adjacency is
-    remapped bit by bit from a valid graph's, so it needs no edge list and
-    no checks."""
-    if keep == (1 << g.n) - 1:
-        return g, range(g.n)
+    least label; the full mask gives a graph on ``adj`` itself, not a copy.
+    The adjacency is remapped bit by bit from a valid graph's, so it needs
+    no edge list and no checks."""
+    if keep == (1 << len(adj)) - 1:
+        return Graph._from_adj(adj), range(len(adj))
     labels = list(_bits(keep))
     position = {old: i for i, old in enumerate(labels)}
-    adj = []
+    remapped = []
     for u in labels:
         mask = 0
-        for w in _bits(g.adj[u] & keep):
+        for w in _bits(adj[u] & keep):
             mask |= 1 << position[w]
-        adj.append(mask)
-    return Graph._from_adj(tuple(adj)), labels
+        remapped.append(mask)
+    return Graph._from_adj(tuple(remapped)), labels
 
 
 def is_connected(g: Graph) -> bool:
@@ -501,9 +501,18 @@ def _shortest_cycle_through(adj: Sequence[int], mask: int, v: int) -> list[int] 
 
 def _induced_cycle(adj: Sequence[int], mask: int) -> list[int] | None:
     """``find_induced_cycle`` on the graph that ``mask`` induces, in its
-    labels: the shortest cycle through its least vertex on a cycle."""
-    for v in _members(mask):
-        cycle = _shortest_cycle_through(adj, mask, v)
+    labels: the shortest cycle through its least vertex on a cycle.  Only
+    the 2-core holds cycles, and a walk inside it meets its vertices in the
+    order a walk of the whole mask does, so leaves are peeled off first."""
+    core = mask
+    stack = [v for v in _members(mask) if (adj[v] & mask).bit_count() < 2]
+    while stack:
+        v = stack.pop()
+        if core >> v & 1:
+            core ^= 1 << v
+            stack += [w for w in _bits(adj[v] & core) if (adj[w] & core).bit_count() < 2]
+    for v in _members(core):
+        cycle = _shortest_cycle_through(adj, core, v)
         if cycle is not None:
             return cycle
     return None

@@ -41,11 +41,12 @@ from iocodes import (
     max_degree,
     solve,
 )
-from iocodes import construct
+from iocodes import construct, families
 from iocodes.canon import canonical_graph
 from iocodes.construct import _twin_of, construct_code
 from iocodes.formats import parse_graph6
 from iocodes.graphs import _members, _reach, _twin_free
+from test_tree_dp import subdivided_random_tree
 
 
 def path(n):
@@ -518,6 +519,10 @@ class TestLocalTwinTest:
         assert verdicts == {False, True}
 
     def test_every_part_built_is_twin_free(self, monkeypatch):
+        """The invariants the constructors' proofs rest on: every part is
+        twin-free and connected, no tree part has fewer than 5 vertices,
+        and a path tail holds at most one vertex beyond the path's first
+        five, a leaf."""
         parts = {"_build_tree": [], "_build_graph": []}
         for name, seen in parts.items():
             def spy(part, delta, trace, build=getattr(construct, name), seen=seen):
@@ -525,14 +530,40 @@ class TestLocalTwinTest:
                 return build(part, delta, trace)
 
             monkeypatch.setattr(construct, name, spy)
+        extras = []
+
+        def tail_spy(path, part, near, tail_near=construct._tail_near):
+            extras.append((part.adj, near, near ^ sum(1 << v for v in path)))
+            return tail_near(path, part, near)
+
+        monkeypatch.setattr(construct, "_tail_near", tail_spy)
         trees = [
             canonical_graph(t)
-            for n in range(5, 13)
+            for n in range(5, 17)
             for t in enumerate_trees(n)
             if _twin_free(t.adj)
         ]
-        for g in trees + local_test_graphs():
+        trees += [subdivided_random_tree(k, random.Random(k)) for k in range(20, 120, 2)]
+        # every cyclic class to n = 9, past the enumeration's usual cap
+        monkeypatch.setattr(families, "GRAPH_CAP", 9)
+        cyclic = [g for g, _ in enumerate_graph_classes(9) if g.n >= 5 and g.edge_count >= g.n]
+        assert len(cyclic) == 660
+        local = local_test_graphs()
+        for g in trees + local:
             construct_code(g, max(3, max_degree(g)))
-        for seen in parts.values():
-            assert len(seen) > len(trees)
-            assert all(twin_free_within(part.g.adj, part.mask) for part in seen)
+        vertex_deletions = 0
+        for g in cyclic:
+            _, trace = construct_code(g, max(3, max_degree(g)))
+            vertex_deletions += sum(step.case == "cycle_vertex_removed" for step in trace.steps)
+        assert vertex_deletions >= 6
+        for seen, inputs in ((parts["_build_tree"], trees), (parts["_build_graph"], local + cyclic)):
+            assert len(seen) > len(inputs)
+            assert all(twin_free_within(part.adj, part.mask) for part in seen)
+            assert all(_reach(part.adj, part.mask, _members(part.mask)[0]) == part.mask for part in seen)
+        assert min(part.mask.bit_count() for part in parts["_build_tree"]) >= 5
+        shapes = set()
+        for adj, near, extra in extras:
+            assert extra & (extra - 1) == 0
+            assert not extra or (adj[extra.bit_length() - 1] & near).bit_count() == 1
+            shapes.add(extra.bit_count())
+        assert shapes == {0, 1}

@@ -158,10 +158,10 @@ class TestInduced:
         for draw in range(150):
             g = random_graph(rng.randint(0, 14), rng.random(), rng)
             keep = (1 << g.n) - 1 if draw % 10 == 0 else rng.getrandbits(g.n)
-            h, labels = _induced(g, keep)
+            h, labels = _induced(g.adj, keep)
             # strictly increasing, so the least new vertex is the least label
             assert list(labels) == [v for v in range(g.n) if keep >> v & 1]
-            assert (h is g) == (keep == (1 << g.n) - 1)
+            assert (h.adj is g.adj) == (keep == (1 << g.n) - 1)
             assert h.n == len(labels) and len(h.adj) == h.n
             for i in range(h.n):
                 assert h.adj[i] >> h.n == 0 and not h.adj[i] >> i & 1
@@ -208,7 +208,7 @@ class TestConnectivity:
                     rest ^= part
                 assert [list(_bits(part)) for part in parts] == expected
                 for part in parts:
-                    sub, labels = _induced(g, part)
+                    sub, labels = _induced(g.adj, part)
                     induced = nx.relabel_nodes(oracle.subgraph(labels), {old: i for i, old in enumerate(labels)})
                     assert sorted(sub.edges()) == sorted(tuple(sorted(e)) for e in induced.edges())
                     assert sub.n == len(labels)
@@ -262,7 +262,7 @@ class TestDeletion:
         assert diameter(g) == 4
 
     def test_paw_minus_leaf_is_triangle(self):
-        h, labels = _induced(PAW, 0b0111)
+        h, labels = _induced(PAW.adj, 0b0111)
         assert h.n == 3 and h.edge_count == 3
         assert list(labels) == [0, 1, 2]
 
@@ -283,7 +283,7 @@ class TestDeletion:
     def test_original_untouched(self):
         g = path(4)
         delete_edge(g, (1, 2))
-        _induced(g, 0b1110)
+        _induced(g.adj, 0b1110)
         assert g.edge_count == 3 and g.n == 4
 
 
@@ -306,7 +306,7 @@ class TestInducedCycle:
         for _ in range(150):
             g = random_graph(rng.randint(3, 12), rng.uniform(0.15, 0.5), rng)
             keep = rng.getrandbits(g.n)
-            h, labels = _induced(g, keep)
+            h, labels = _induced(g.adj, keep)
             cycle = find_induced_cycle(h)
             expected = None if cycle is None else [labels[v] for v in cycle]
             assert _induced_cycle(g.adj, keep) == expected
@@ -326,6 +326,31 @@ class TestInducedCycle:
                     adjacent = g.has_edge(c[i], c[j])
                     consecutive = j - i == 1 or (i == 0 and j == k - 1)
                     assert adjacent == consecutive
+
+    def test_core_search_matches_the_whole_mask_search(self):
+        # the reference: every vertex of the mask in label order, each
+        # walking the whole mask, pendant trees and all
+        def whole_mask_cycle(adj, mask):
+            for v in _members(mask):
+                cycle = _shortest_cycle_through(adj, mask, v)
+                if cycle is not None:
+                    return cycle
+            return None
+
+        rng = random.Random(2025)
+        found = set()
+        for draw in range(3000):
+            # pendant trees on the lowest labels: vertex i hangs at a higher one
+            k = rng.randint(0, 8)
+            body = random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.5), rng)
+            edges = [(k + u, k + v) for u, v in body.edges()]
+            edges += [(i, rng.randrange(i + 1, k + body.n)) for i in range(k)]
+            g = Graph(k + body.n, edges)
+            keep = (1 << g.n) - 1 if draw % 3 else rng.getrandbits(g.n)
+            expected = whole_mask_cycle(g.adj, keep)
+            assert _induced_cycle(g.adj, keep) == expected
+            found.add((expected is None, k > 0))
+        assert found == {(False, False), (False, True), (True, False), (True, True)}
 
 
     def test_petersen_cycle_is_not_the_lexicographic_least(self):
@@ -379,7 +404,7 @@ class TestBfsTree:
                 assert _bfs_tree(g.adj, full, start) == (order, {v: parent[v] for v in order[1:]})
             # within a vertex mask: the walk of its relabeled copy, in labels
             keep = rng.getrandbits(g.n) | 1
-            h, labels = _induced(g, keep)
+            h, labels = _induced(g.adj, keep)
             for start in range(h.n):
                 order, _, parent = deque_bfs(h, start)
                 expected = [labels[v] for v in order], {labels[v]: labels[parent[v]] for v in order[1:]}

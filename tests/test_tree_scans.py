@@ -70,7 +70,7 @@ def star_candidates_by_edge_deletion(g, delta):
         oracle = nx.Graph(delete_edge(g, (a, b)).edges())
         oracle.add_nodes_from(range(g.n))
         for side in nx.connected_components(oracle):
-            comp, labels = _induced(g, sum(1 << v for v in side))
+            comp, labels = _induced(g.adj, sum(1 << v for v in side))
             for endpoint in (a, b):
                 if endpoint not in side:
                     continue
@@ -157,10 +157,10 @@ class TestMaskedScans:
         outcomes = set()
         for _ in range(50):
             t = random_tree(rng.randint(5, 60), rng)
-            part = _Part(t, (1 << t.n) - 1)
+            part = _Part(t.adj, (1 << t.n) - 1)
             while part.mask.bit_count() >= 2:
                 mask = part.mask
-                h, labels = _induced(t, mask)
+                h, labels = _induced(t.adj, mask)
                 whole = (1 << h.n) - 1
                 paths = [[labels[v] for v in p] for p in diametral_paths(h)]
                 assert list(_diametral_paths(t.adj, mask, {})) == paths
@@ -207,7 +207,7 @@ class TestCarriedState:
         build = construct._build_tree
 
         def spy(part, delta, trace):
-            adj, mask = part.g.adj, part.mask
+            adj, mask = part.adj, part.mask
             if part.stars is not None:
                 assert (part.leaves, part.legs) == _leaves_and_legs(adj, mask)
                 assert part.stars == _scan(adj, mask, delta)[2]
@@ -261,7 +261,7 @@ class TestMaskCores:
     @staticmethod
     def check(g, labels):
         adj, mask = _embedded(g, labels)
-        h, order = _induced(Graph._from_adj(tuple(adj)), mask)
+        h, order = _induced(tuple(adj), mask)
         assert h == g and list(order) == labels
         spec = recognize_family(g)
         found = _family_match(adj, mask)
