@@ -14,7 +14,7 @@ The tree decomposition tries, in order: family recognition with a
 canonical set; splitting off a subdivided-star component hanging at its
 center; rooting at a longest path and splitting off the branch at the
 second, third or fourth path vertex; and peeling a 5- or 6-vertex path
-tail.  Every case is validated on the spot; if no case applies along
+tail.  A case that does not apply is passed over; if none applies along
 any longest path (three of the 3,149 twin-free trees with n <= 16 reach
 this), an exact solve finishes the sub-instance and the trace carries a
 warning.  All bound arithmetic is integer-exact.
@@ -41,9 +41,10 @@ layers carry over too, as shared lists with the range of each side
 remaining distance, and the near side's walk from its cut endpoint gives
 the far side's layers from the other one.  So the path heads of a part
 whose longest-path ends are known cost no BFS, and a level otherwise
-costs its near side, a few neighbourhoods, one BFS from each new path
-end and the merged code's literal IO-code check over the whole part.
-Only a part built without a parent scans itself: the input and the graph
+costs its near side, a few neighbourhoods and one BFS from each new
+path end.  A split is decided before it builds anything, so nothing is
+rolled back, and the merged code needs no check (``_split``).  Only a
+part built without a parent scans itself: the input and the graph
 constructor's tree.  A part is relabeled into a ``Graph`` only for the
 tree constructor's exact fallback.  The decomposition runs on one
 explicit stack (``_drive``), so its depth costs no interpreter frames.
@@ -141,14 +142,6 @@ class ConstructionTrace:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
-    def mark(self) -> tuple[int, int]:
-        return len(self.steps), len(self.warnings)
-
-    def rollback(self, mark: tuple[int, int]) -> None:
-        """Discard steps recorded by an abandoned decomposition attempt."""
-        del self.steps[mark[0] :]
-        del self.warnings[mark[1] :]
-
     def as_dict(self) -> dict:
         return {
             "steps": [
@@ -158,10 +151,6 @@ class ConstructionTrace:
             "warnings": list(self.warnings),
             "exceptional_star": self.exceptional_star,
         }
-
-
-class _CaseMiss(Exception):
-    """A decomposition case did not apply; try the next candidate."""
 
 
 class _Part:
@@ -233,7 +222,7 @@ def _twin_of(adj: Sequence[int], mask: int, v: int) -> int | None:
     it, or None.  Only the neighbours of one neighbour of ``v`` are read, so
     ``v`` needs a neighbour in ``mask``."""
     own = adj[v] & mask
-    for w in graphs._members(adj[own.bit_length() - 1] & mask):
+    for w in graphs._bits(adj[own.bit_length() - 1] & mask):
         if w != v and adj[w] & mask == own:
             return w
     return None
@@ -295,12 +284,8 @@ def _drive(builder) -> int:
 
     A builder is a generator over one part: it yields the builder of each
     sub-instance whose code it needs, is sent that code back, and returns
-    its own code as a label mask.  Its ``try`` / ``_CaseMiss`` /
-    ``trace.rollback`` blocks therefore work as they would around nested
-    calls: an outer split can still be undone after an inner one
-    succeeded.  No builder lets a ``_CaseMiss`` escape, so any error
-    raised in a sub-instance ends the whole construction, as it would
-    through nested calls.
+    its own code as a label mask.  Any error raised in a sub-instance ends
+    the whole construction, as it would through nested calls.
     """
     stack = [builder]
     code = None
@@ -340,23 +325,17 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
             return code
 
     for k, _, center, other in part.scan(delta):
-        mark = trace.mark()
-        try:
-            return (
-                yield from _split(
-                    part, delta, trace, "star_component_split", center, other,
-                    partial(_star_near, k), star_patterns=True,
-                )
-            )
-        except _CaseMiss:
-            trace.rollback(mark)
+        code = yield from _split(
+            part, delta, trace, "star_component_split", center, other,
+            partial(_star_near, k), star_patterns=True,
+        )
+        if code is not None:
+            return code
 
     for path in _diametral_paths(part.adj, part.mask, part.layers, _PATH_HEAD):
-        mark = trace.mark()
-        try:
-            return (yield from _split(part, delta, trace, *_path_rule(part, path)))
-        except _CaseMiss:
-            trace.rollback(mark)
+        code = yield from _split(part, delta, trace, *_path_rule(part, path))
+        if code is not None:
+            return code
 
     reason = "no decomposition case applied"
     g, labels = _induced(part.adj, part.mask)
@@ -410,7 +389,9 @@ def _split(
     *,
     star_patterns: bool = False,
 ):
-    """Code of a tree part from its split at the edge ``uv``.
+    """Code of a tree part from its split at the edge ``uv``, or None if
+    the split does not apply.  That is decided before the split yields a
+    sub-builder or records a step, so a miss leaves nothing to undo.
 
     In a tree every edge is a bridge: one walk from ``u`` that avoids
     ``v`` finds the near side, and the far side, the side of ``v``, is the
@@ -421,20 +402,20 @@ def _split(
     and the case's own trace detail; ``_far_side_code`` codes the far
     side.  The walk's BFS layers are the near side's from ``u``, and give
     the far side its layers from ``v`` (``graphs._carry_layers``).  The
-    merged code is verified on the part and recorded as one ``case`` step
-    with the split edge, the far order and whether a twin leaf was pruned.
-    Any failure raises ``_CaseMiss``.
+    merged code is recorded as one ``case`` step with the split edge, the
+    far order and whether a twin leaf was pruned.
     """
     near_layers = _layers(part.adj, part.mask ^ (1 << v), u)
     near = sum(near_layers)
     far = part.mask ^ near
     if far.bit_count() < 5:
-        raise _CaseMiss("far side too small")
+        return None  # far side too small
     partner = _twin_of(part.adj, far, v)
+    if partner is not None and far.bit_count() < 6:
+        return None  # pruning the twin leaf ``v`` would leave a far side below 5
     near_code, detail = near_rule(part, near)
     if near_code is None and partner is not None:
-        raise _CaseMiss("branch outside family while far side has twins")
-    # valid because any two one-sided IO-codes merge across a bridge
+        return None  # a pruned far side needs ``u`` in the near code, which a near rule keeps
     near_build = None
     if near_code is None:
         own = part.side(near, u, delta, {u: (near_layers, 0, len(near_layers) - 1)})
@@ -442,22 +423,30 @@ def _split(
     far_side = part.side(far, v, delta, _carry_layers(part.layers, far, v, near_layers))
     # The sides carry the layers they need.  While they are built this
     # level holds none, or every waiting level would keep BFS layers of
-    # its own; should this split fail, the part's next candidate
-    # recomputes what it reads.
+    # its own.
     part.layers.clear()
     own = near_layers = None  # nor the near side's, which only its builder holds now
     if near_build is not None:
         near_code = yield near_build
     far_code = yield from _far_side_code(far_side, v, partner, delta, trace, star_patterns=star_patterns)
-    code = near_code | far_code
-    if not part.verifies(code):
-        raise _CaseMiss("merged code failed verification")
+    # No check: the merged code is an IO-code of the part.  Of two IO-codes
+    # of the sides, a near trace other than ``u``'s lies in the near side, a
+    # far one other than ``v``'s in the far side, and ``u``'s and ``v``'s
+    # keep a vertex of their own side, so gaining ``v`` or ``u`` keeps all
+    # traces distinct.  The far code falls short of an IO-code of its side
+    # only where ``_far_side_code`` pruned ``v``'s twin leaf or cut an
+    # absorbed star at a support, both beside a near rule's code (a partner
+    # needs one; star patterns come with ``_star_near``).  Every near rule
+    # keeps ``u``: ``_star_near`` the center, ``_branch_near`` the family
+    # root, ``_tail_near`` path[4].  So ``v``'s trace gains ``u``, seen by no
+    # other vertex but ``u``'s near neighbours, and keeps a far vertex theirs
+    # lack: the star's center, or the support the partner's trace needs.
     trace.add(
         case,
         {"edge": (u, v), **detail, "far_order": far.bit_count(), "twin_pruned": partner is not None},
         graphs._bits(near_code),
     )
-    return code
+    return near_code | far_code
 
 
 def _star_near(k: int, part: _Part, near: int) -> tuple[int, dict]:
@@ -481,17 +470,15 @@ def _far_side_code(
 
     With a partner, both are leaves of one neighbour, as two vertices of
     degree 2 or more with one neighbourhood would close a 4-cycle, and
-    ``cut`` is deleted first.  Should the near code then miss the near
-    endpoint, ``cut`` and ``partner`` share a trace and the merged code
-    fails its check.  What remains is coded by a stored pattern if it is
-    a subdivided star on ``delta`` legs and ``star_patterns`` is set, else
+    ``cut`` is deleted first; ``_split`` leaves 5 or more vertices after
+    that, and the near endpoint in the near code to tell ``cut`` from
+    ``partner``.  What remains is coded by a stored pattern if it is a
+    subdivided star on ``delta`` legs and ``star_patterns`` is set, else
     built by ``_build_tree``.
     """
     rest = side
     if partner is not None:
         keep = side.mask ^ (1 << cut)
-        if keep.bit_count() < 5:
-            raise _CaseMiss("twin-pruned far side too small")
         support = (side.adj[cut] & keep).bit_length() - 1
         rest = side.side(keep, support, delta, _carry_layers(side.layers, keep, support, [1 << cut]))
         side.layers.clear()  # the rest carries them, as in ``_split``
@@ -554,10 +541,10 @@ def _tail_near(path: list[int], part: _Part, near: int) -> tuple[int, dict]:
     # The one other tail, as path[3] and path[4] have degree 2 and a
     # twin-free branch of depth 2 or less at path[2] is a leaf or a leg, has
     # a leg there.  Then path[2] is a star center whose split at path[3] ran
-    # first and failed on a far side below 5: two IO-codes merge across a
+    # first and missed on a far side below 5: two IO-codes merge across a
     # bridge, and path[3]'s one possible twin there is path[5] as a leaf, as
     # path[4] has degree 2.  The tail's far side is smaller still, so
-    # ``_split`` raised before calling this rule.
+    # ``_split`` returned before calling this rule.
     return (tail ^ (1 << path[0]) if near == tail else tail), {"tail_order": near.bit_count()}
 
 

@@ -489,6 +489,14 @@ def twin_free_within(adj, mask):
     return _twin_free([adj[v] & mask for v in _members(mask)])
 
 
+def is_code_within(adj, mask, code):
+    """The IO-code definition, literally: within ``mask`` every vertex has
+    a nonempty trace in ``code`` and no two traces agree."""
+    members = [v for v in range(mask.bit_length()) if mask >> v & 1]
+    traces = [frozenset(w for w in members if adj[v] >> w & 1 and code >> w & 1) for v in members]
+    return code & ~mask == 0 and all(traces) and len(set(traces)) == len(traces)
+
+
 class TestLocalTwinTest:
     """On a twin-free graph only the vertices a deletion changed can gain
     a twin, so testing them alone gives the whole remainder's verdict."""
@@ -521,8 +529,11 @@ class TestLocalTwinTest:
     def test_every_part_built_is_twin_free(self, monkeypatch):
         """The invariants the constructors' proofs rest on: every part is
         twin-free and connected, no tree part has fewer than 5 vertices,
-        and a path tail holds at most one vertex beyond the path's first
-        five, a leaf."""
+        a path tail holds at most one vertex beyond the path's first five,
+        a leaf, and a split's merged code, which is not checked, is an
+        IO-code of its part.  A split that does not apply yields nothing
+        and records nothing, and a twin-pruned split's near code holds the
+        near endpoint."""
         parts = {"_build_tree": [], "_build_graph": []}
         for name, seen in parts.items():
             def spy(part, delta, trace, build=getattr(construct, name), seen=seen):
@@ -537,6 +548,27 @@ class TestLocalTwinTest:
             return tail_near(path, part, near)
 
         monkeypatch.setattr(construct, "_tail_near", tail_spy)
+        splits = {"built": 0, "missed": 0}
+
+        def split_spy(part, delta, trace, *args, split=construct._split, **kwargs):
+            recorded = len(trace.steps), len(trace.warnings)
+            inner, code, yielded = split(part, delta, trace, *args, **kwargs), None, 0
+            try:
+                while True:
+                    sub = inner.send(code)
+                    yielded += 1
+                    code = yield sub
+            except StopIteration as done:
+                code = done.value
+            if code is None:
+                assert yielded == 0 and (len(trace.steps), len(trace.warnings)) == recorded
+                splits["missed"] += 1
+            else:
+                assert is_code_within(part.adj, part.mask, code)
+                splits["built"] += 1
+            return code
+
+        monkeypatch.setattr(construct, "_split", split_spy)
         trees = [
             canonical_graph(t)
             for n in range(5, 17)
@@ -549,13 +581,12 @@ class TestLocalTwinTest:
         cyclic = [g for g, _ in enumerate_graph_classes(9) if g.n >= 5 and g.edge_count >= g.n]
         assert len(cyclic) == 660
         local = local_test_graphs()
-        for g in trees + local:
-            construct_code(g, max(3, max_degree(g)))
-        vertex_deletions = 0
-        for g in cyclic:
-            _, trace = construct_code(g, max(3, max_degree(g)))
-            vertex_deletions += sum(step.case == "cycle_vertex_removed" for step in trace.steps)
-        assert vertex_deletions >= 6
+        traces = [construct_code(g, max(3, max_degree(g)))[1] for g in trees + local + cyclic]
+        cyclic_steps = [step for t in traces[-len(cyclic):] for step in t.steps]
+        assert sum(step.case == "cycle_vertex_removed" for step in cyclic_steps) >= 6
+        assert splits["built"] > 0 and splits["missed"] > 0
+        pruned = [step for t in traces for step in t.steps if step.detail.get("twin_pruned")]
+        assert pruned and all(step.detail["edge"][0] in step.contributed for step in pruned)
         for seen, inputs in ((parts["_build_tree"], trees), (parts["_build_graph"], local + cyclic)):
             assert len(seen) > len(inputs)
             assert all(twin_free_within(part.adj, part.mask) for part in seen)
