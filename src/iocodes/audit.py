@@ -106,7 +106,8 @@ def _map_instances(graphs: Iterable[Graph], delta: int | None, workers: int) -> 
 def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
     """The instance's record and its count of exhaustive constructor fallbacks."""
     g = canonical_graph(g)
-    d = delta if delta is not None else max(3, max_degree(g))
+    degree = max_degree(g)
+    d = delta if delta is not None else max(3, degree)
     result = solve(g)
     verdict = is_io_code(g, result.code)
     if not verdict.ok:
@@ -120,7 +121,7 @@ def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
         graph6=emit_graph6(g),
         n=g.n,
         m=g.edge_count,
-        max_degree=max_degree(g),
+        max_degree=degree,
         twin_free=True,
         c4_free=not has_four_cycle(g),
         delta=d,

@@ -44,10 +44,20 @@ def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
 
     ``colors`` are dense ranks; so are the returned ones.  A vertex alone
     in its cell keeps the signature ``(c,)``: no other signature starts
-    with ``c``, so its neighbors' colors cannot move any rank.
+    with ``c``, so its neighbors' colors cannot move any rank.  From a
+    uniform coloring the first round ranks the vertices by degree, and
+    it is read straight off the degrees.
     """
     n = len(colors)
     count = len(set(colors))
+    if count == 1 and n > 1:
+        degrees = list(map(len, nbrs))
+        ranked = sorted(set(degrees))
+        if len(ranked) == 1:
+            return colors
+        rank = {d: i for i, d in enumerate(ranked)}
+        colors = [rank[d] for d in degrees]
+        count = len(ranked)
     while count < n:
         size = [0] * n
         for c in colors:

@@ -187,13 +187,26 @@ def _cmd_generate(args) -> int:
     return OK
 
 
+# the audit options each space does not read; giving one is an input error
+_FOREIGN_AUDIT_OPTIONS = {
+    "trees": ("delta_max", "p_max"),
+    "graphs": ("delta_max", "p_max"),
+    "families": ("n_max", "delta", "csv"),
+}
+
+
 def _cmd_audit(args) -> int:
+    for name in _FOREIGN_AUDIT_OPTIONS[args.space]:
+        if getattr(args, name) is not None:
+            raise BadParam(f"--{name.replace('_', '-')} does not apply to audit {args.space}")
     if args.space == "trees":
         records, summary = audit_trees(10 if args.n_max is None else args.n_max, args.delta)
     elif args.space == "graphs":
         records, summary = audit_graphs(GRAPH_CAP if args.n_max is None else args.n_max, args.delta)
     else:
-        report = verify_tight_families(args.delta_max, args.p_max)
+        report = verify_tight_families(
+            5 if args.delta_max is None else args.delta_max, 6 if args.p_max is None else args.p_max
+        )
         _emit(report)
         return OK if report["ok"] else PROPERTY_FAILURE
     if args.csv:
@@ -248,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"largest order: 5..{TREE_CAP} for trees (default 10), 5..{GRAPH_CAP} for graphs (default {GRAPH_CAP})",
     )
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--delta-max", type=int, default=5)
-    p.add_argument("--p-max", type=int, default=6)
-    p.add_argument("--csv", default=None, help="write per-instance records here")
+    p.add_argument("--delta", type=int, default=None, help="trees and graphs: degree bound; larger degrees skipped")
+    p.add_argument("--delta-max", type=int, default=None, help="families: largest star degree (default 5)")
+    p.add_argument("--p-max", type=int, default=None, help="families: largest gadget cycle size (default 6)")
+    p.add_argument("--csv", default=None, help="trees and graphs: write per-instance records here")
     p.set_defaults(func=_cmd_audit)
     return parser
 

@@ -70,19 +70,22 @@ def _requirements(g: Graph) -> list[int]:
     Any requirement that contains another as a subset is redundant for a
     hitting set and dropped.  So only pairs with a common neighbour are
     formed: for disjoint N(u) and N(v) the separation requirement is
-    N(u) | N(v), which contains the domination requirement N(u).  A kept
-    requirement inside ``r`` has its lowest bit in ``r``, so ``r`` is
-    tested only against the kept requirements filed under its own bits.
-    The graph must admit a code, so no requirement is empty.
+    N(u) | N(v), which contains the domination requirement N(u).  The
+    unit requirements are collected first and drop every other
+    requirement holding their vertices.  A kept requirement inside ``r``
+    has its lowest bit in ``r``, so each remaining ``r`` is tested only
+    against the kept requirements filed under its own bits.  The graph
+    must admit a code, so no requirement is empty.
     """
     adj = g.adj
     reqs = set(adj)
     for w in range(g.n):
         for u, v in combinations(graphs._bits(adj[w]), 2):
             reqs.add(adj[u] ^ adj[v])
-    kept: list[int] = []
+    kept = sorted(r for r in reqs if r & (r - 1) == 0)
+    units = sum(kept)
     by_low: dict[int, list[int]] = {}  # lowest bit -> kept requirements with that lowest bit
-    for r in sorted(reqs, key=lambda m: (m.bit_count(), m)):
+    for r in sorted((r for r in reqs if r & units == 0), key=lambda m: (m.bit_count(), m)):
         dominated = False
         rest = r
         while rest and not dominated:

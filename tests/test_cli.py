@@ -282,3 +282,25 @@ class TestAudit:
         status, out, _ = run(capsys, "audit", "families", "--delta-max", "3", "--p-max", "3")
         assert status == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "space, option, value",
+        [
+            ("families", "--csv", "out.csv"),
+            ("families", "--n-max", "8"),
+            ("families", "--delta", "3"),
+            ("trees", "--delta-max", "3"),
+            ("trees", "--p-max", "3"),
+            ("graphs", "--delta-max", "3"),
+            ("graphs", "--p-max", "3"),
+        ],
+    )
+    def test_an_option_the_space_does_not_read_is_an_input_error(
+        self, capsys, tmp_path, monkeypatch, space, option, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        status, out, err = run(capsys, "audit", space, option, value)
+        assert status == 2
+        assert out == ""
+        assert err == f"input error: {option} does not apply to audit {space}\n"
+        assert list(tmp_path.iterdir()) == []

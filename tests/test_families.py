@@ -18,6 +18,7 @@ from iocodes import (
     enumerate_small_graphs,
     enumerate_trees,
     enumerate_twin_free_trees,
+    families,
     find_open_twins,
     gen_reduced_subdivided_star,
     gen_star_plus_edge,
@@ -387,13 +388,35 @@ class TestTreeEnumeration:
             assert (total, found) == (nx.number_of_nonisomorphic_trees(n), twin_free)
 
     def test_twin_rule_matches_the_filter_to_the_cap(self):
-        # every level sequence up to the cap, about 205,000 of them
+        # every level sequence up to the cap, about 205,000 of them: the
+        # rule names the first vertex of the first pair of consecutive
+        # leaves with one neighbour, and there is one exactly when the tree
+        # has open twins
         sequences = 0
         for n in range(1, TREE_CAP + 1):
-            for levels in _free_tree_levels(n):
+            for levels in _free_tree_levels(n, skip_twins=False):
                 sequences += 1
-                assert _twin_leaves(levels) == (not _twin_free(_tree_of_levels(levels).adj)), levels
+                adj = _tree_of_levels(levels).adj
+                first = next((v for v in range(n - 1) if adj[v] == adj[v + 1] and adj[v].bit_count() == 1), None)
+                assert _twin_leaves(levels) == first, levels
+                assert (first is None) == _twin_free(adj), levels
         assert sequences == sum(nx.number_of_nonisomorphic_trees(n) for n in range(1, TREE_CAP + 1))
+
+    def test_twin_free_walk_jumps_past_twin_prefixes(self, monkeypatch):
+        # the unfiltered walk takes 34,920 rooted steps for n = 5..16; the
+        # jumps leave one step per tree kept and one per block skipped
+        steps = 0
+        step = families._next_rooted_levels
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(families, "_next_rooted_levels", counted)
+        trees = sum(1 for n in range(5, 17) for _ in enumerate_twin_free_trees(n))
+        assert trees == 3149
+        assert steps <= 6386
 
     @pytest.mark.parametrize("n", range(1, TREE_CAP + 1))
     def test_twin_free_trees_are_the_filtered_trees_in_order(self, n):
