@@ -6,9 +6,9 @@ which decomposition case fired at each step and what it contributed.
 """
 
 from iocodes import (
+    Graph,
     check_bound,
     construct_tree_code,
-    delete_edge,
     gen_subcubic_gp,
     is_io_code,
     solve,
@@ -18,7 +18,8 @@ from iocodes import (
 def main():
     ring, spec = gen_subcubic_gp(5)
     u = spec.distinguished["cycle"]
-    tree = delete_edge(ring, (u[0], u[-1]))
+    ring_edge = (u[0], u[-1])
+    tree = Graph(ring.n, [e for e in ring.edges() if e != ring_edge])
     print(f"input: tree on n={tree.n} vertices, max degree 3\n")
 
     code, trace = construct_tree_code(tree, 3)

@@ -18,7 +18,7 @@ from .audit import (
     audit_trees,
     verify_tight_families,
 )
-from .canon import canonical_graph, canonical_graph6, isomorphic
+from .canon import canonical_graph
 from .construct import (
     BoundStatus,
     ConstructionTrace,
@@ -38,19 +38,14 @@ from .errors import (
     InvalidVertex,
     NoCode,
     NotATree,
-    NotInFamily,
-    NotPresent,
     ParseError,
     TooLarge,
     TooSmall,
     UniverseMismatch,
 )
 from .families import (
-    AttachmentVector,
     FamilySpec,
-    as_subdivided_star,
     build_family_tree,
-    canonical_set,
     enumerate_graph_classes,
     enumerate_small_graphs,
     enumerate_trees,
@@ -60,16 +55,12 @@ from .families import (
     gen_subcubic_gp,
     gen_subdivided_star,
     gen_tight_tree_pair,
-    recognize_family,
-    recognize_family_rooted,
+    is_admissible,
 )
 from .formats import emit_edge_list, emit_graph6, load_graph, parse_edge_list, parse_graph6
 from .graphs import (
     Graph,
     VertexSet,
-    delete_edge,
-    diameter,
-    find_induced_cycle,
     find_open_twins,
     has_four_cycle,
     is_connected,

@@ -33,10 +33,9 @@ from __future__ import annotations
 # graphs._bits is reached through its module: the per-layer tracer wraps
 # functions imported by name, and a bit iterator is not a layer call
 from . import graphs
-from .formats import emit_graph6
 from .graphs import Graph, is_tree
 
-__all__ = ["canonical_order", "canonical_graph", "canonical_graph6", "isomorphic"]
+__all__ = ["canonical_order", "canonical_graph"]
 
 
 def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
@@ -183,13 +182,3 @@ def canonical_graph(g: Graph) -> Graph:
     order = canonical_order(g)
     pos = {old: i for i, old in enumerate(order)}
     return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
-
-
-def canonical_graph6(g: Graph) -> str:
-    return emit_graph6(canonical_graph(g))
-
-
-def isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    return canonical_graph(a).adj == canonical_graph(b).adj

@@ -43,11 +43,13 @@ the far side's layers from the other one.  So the path heads of a part
 whose longest-path ends are known cost no BFS, and a level otherwise
 costs its near side, a few neighbourhoods and one BFS from each new
 path end.  A split is decided before it builds anything, so nothing is
-rolled back, and the merged code needs no check (``_split``).  Only a
-part built without a parent scans itself: the input and the graph
-constructor's tree.  A part is relabeled into a ``Graph`` only for the
-tree constructor's exact fallback.  The decomposition runs on one
-explicit stack (``_drive``), so its depth costs no interpreter frames.
+rolled back, and the merged code needs no check (``_split``), nor does a
+star-plus-edge code (``_build_graph``): ``_decompose`` checks the whole
+input's code alone.  Only a part built without a parent scans itself:
+the input and the graph constructor's tree.  A part is relabeled into a
+``Graph`` only for the tree constructor's exact fallback.  The
+decomposition runs on one explicit stack (``_drive``), so its depth
+costs no interpreter frames.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .families import (
     _star_plus_edge_leave_out,
     _subdivided_star,
     _subdivided_star_leave_out,
-    as_subdivided_star,
 )
 from .graphs import (
     Graph,
@@ -209,13 +210,6 @@ class _Part:
     def degree(self, v: int) -> int:
         return (self.adj[v] & self.mask).bit_count()
 
-    def verifies(self, code: int) -> bool:
-        """Whether the label mask ``code`` is an IO-code of this part, by the
-        definition: every trace ``N(v) & code`` is nonempty and no two agree."""
-        adj = self.adj
-        traces = [adj[v] & code for v in graphs._members(self.mask)]
-        return 0 not in traces and len(set(traces)) == len(traces)
-
 
 def _twin_of(adj: Sequence[int], mask: int, v: int) -> int | None:
     """The least other vertex of ``mask`` with ``v``'s neighbourhood within
@@ -270,9 +264,10 @@ def _decompose(build, g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrac
     its depth costs entries of ``_drive``'s stack, not interpreter frames,
     so no input is too deep.
     """
-    star = as_subdivided_star(g)
+    full = (1 << g.n) - 1
+    star = _subdivided_star(g.adj, full)
     trace = ConstructionTrace(exceptional_star=star is not None and star[1] == delta)
-    result = VertexSet(g.n, mask=_drive(build(_Part(g.adj, (1 << g.n) - 1), delta, trace)))
+    result = VertexSet(g.n, mask=_drive(build(_Part(g.adj, full), delta, trace)))
     if not is_io_code(g, result).ok:
         raise ConstructionError("constructed set failed final verification", trace)
     return result, trace
@@ -597,12 +592,32 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
             star = _subdivided_star(tree, mask)
             if star is None:
                 continue
+            # No check: the code is an IO-code of the part.  Say the star has
+            # center c and k >= 2 legs c-s_i-l_i, and e is the extra edge.  An
+            # edge s_i-l_j (i != j) would close the 4-cycle c s_i l_j s_j, so
+            # e joins two supports, the center and a leaf, or two leaves.  The
+            # traces N(v) & code, none empty, are pairwise distinct:
+            # - supports s_a, s_b joined; l_a, l_b left out.  Each l_i sees
+            #   {s_i}; s_a sees {c, s_b}, s_b {c, s_a}, another s_i {c, l_i};
+            #   c sees all k supports.  Distinct singletons, distinct pairs
+            #   holding c, and c's trace, of k >= 2 vertices without c.
+            # - c joined to l_b; the least other leaf l_a left out.  s_a sees
+            #   {c} and each l_i other than l_b {s_i}; s_b sees {c, l_b},
+            #   another s_i {c, l_i}, l_b {c, s_b}; c sees all supports and
+            #   l_b, k + 1 >= 3 vertices.
+            # - leaves l_a < l_b joined; l_a left out, and s_a too if k >= 3.
+            #   At k = 2 the part is the 5-cycle c s_a l_a l_b s_b, with the
+            #   traces {s_a, s_b}, {c}, {s_a, l_b}, {s_b} and {c, l_b}.  At
+            #   k >= 3 the singletons are s_a's {c}, l_a's {l_b}, l_b's {s_b}
+            #   and {s_i} for each other l_i; the pairs holding c are s_b's
+            #   {c, l_b} and {c, l_i} for each other s_i; c sees the k - 1 >= 2
+            #   supports but s_a.  (At k = 2, leaving s_a out would give c and
+            #   l_b the one trace {s_b}.)
             variant, left_out = _star_plus_edge_leave_out(tree, mask, star[0], edge)
             code = mask ^ graphs._mask_of(left_out)
-            if part.verifies(code):
-                detail = {"variant": variant, "legs": star[1], "edge": edge}
-                trace.add("star_plus_edge_pattern", detail, graphs._bits(code))
-                return code
+            detail = {"variant": variant, "legs": star[1], "edge": edge}
+            trace.add("star_plus_edge_pattern", detail, graphs._bits(code))
+            return code
 
     for edge in cyc_edges:
         cut = without(*edge)

@@ -21,10 +21,6 @@ class NotATree(GraphError):
     pass
 
 
-class NotPresent(GraphError):
-    """An edge or vertex required by an operation does not exist."""
-
-
 class UniverseMismatch(GraphError):
     """A vertex set was built against a different vertex count."""
 
@@ -58,10 +54,6 @@ class TooSmall(GraphError):
 
 
 class BadParam(GraphError, ValueError):
-    pass
-
-
-class NotInFamily(GraphError):
     pass
 
 

@@ -32,22 +32,18 @@ from typing import Iterator, Sequence
 # functions imported by name, and a bit iterator is not a layer call
 from . import graphs
 from .canon import canonical_graph
-from .errors import BadParam, NotInFamily
+from .errors import BadParam
 from .graphs import Graph, VertexSet, _bfs_tree, _twin_free, has_four_cycle, is_connected
 
 __all__ = [
-    "AttachmentVector",
     "FamilySpec",
+    "is_admissible",
     "build_family_tree",
-    "canonical_set",
-    "recognize_family",
-    "recognize_family_rooted",
     "gen_subdivided_star",
     "gen_reduced_subdivided_star",
     "gen_tight_tree_pair",
     "gen_subcubic_gp",
     "gen_star_plus_edge",
-    "as_subdivided_star",
     "enumerate_trees",
     "enumerate_twin_free_trees",
     "enumerate_small_graphs",
@@ -97,45 +93,6 @@ _TYPE_OF_WALK = _walk_types()
 
 
 @dataclass(frozen=True)
-class AttachmentVector:
-    """Counts of attachments of types 1..6 at the root."""
-
-    k1: int
-    k2: int
-    k3: int
-    k4: int
-    k5: int
-    k6: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.k1, self.k2, self.k3, self.k4, self.k5, self.k6)
-
-    @property
-    def total(self) -> int:
-        return sum(self.as_tuple())
-
-    def is_admissible(self) -> bool:
-        t = self.as_tuple()
-        if any(k < 0 for k in t):
-            return False
-        if self.k1 not in (0, 1):
-            return False
-        if t in _EXCLUDED_VECTORS:
-            return False
-        return self.total >= 1
-
-    def order(self) -> int:
-        return 1 + sum(k * len(_SHAPES[t][0]) for t, k in enumerate(self.as_tuple(), 1))
-
-    @classmethod
-    def of(cls, values) -> "AttachmentVector":
-        values = tuple(int(v) for v in values)
-        if len(values) != 6:
-            raise BadParam(f"attachment vector needs 6 entries, got {len(values)}")
-        return cls(*values)
-
-
-@dataclass(frozen=True)
 class FamilySpec:
     """Descriptor of a generated instance: parameters, distinguished
     vertices, optionally a reference code known to verify.
@@ -157,19 +114,35 @@ class FamilySpec:
 # The attachment-tree family
 
 
-def build_family_tree(vector) -> tuple[Graph, FamilySpec]:
-    """Grow the tree for an admissible attachment vector.
+def is_admissible(vector: Sequence[int]) -> bool:
+    """Whether the attachment vector, the counts of types 1..6, grows a
+    family tree: six counts, none negative, at least one attachment and at
+    most one of type 1, and none of the four vectors of a path on fewer
+    than five vertices."""
+    vector = tuple(vector)
+    return (
+        len(vector) == 6
+        and min(vector) >= 0
+        and vector[0] <= 1
+        and sum(vector) >= 1
+        and vector not in _EXCLUDED_VECTORS
+    )
+
+
+def build_family_tree(vector: Sequence[int]) -> tuple[Graph, FamilySpec]:
+    """Grow the tree for an admissible attachment vector; any other vector
+    is a bad parameter.
 
     The root is vertex 0; attachments are laid out in type order, then
     creation order, each contributing a contiguous vertex block.
     """
-    vec = vector if isinstance(vector, AttachmentVector) else AttachmentVector.of(vector)
-    if not vec.is_admissible():
-        raise NotInFamily(f"vector {vec.as_tuple()} not admissible")
+    vector = tuple(vector)
+    if not is_admissible(vector):
+        raise BadParam(f"attachment vector {vector} is not admissible")
     edges: list[tuple[int, int]] = []
     attachments: list[tuple[int, tuple[int, ...]]] = []
     nxt = 1
-    for t, count in enumerate(vec.as_tuple(), 1):
+    for t, count in enumerate(vector, 1):
         parents = _SHAPES[t][0]
         for _ in range(count):
             block = tuple(range(nxt, nxt + len(parents)))
@@ -180,7 +153,7 @@ def build_family_tree(vector) -> tuple[Graph, FamilySpec]:
     g = Graph(nxt, edges)
     spec = FamilySpec(
         kind="attachment_tree",
-        params={"vector": vec.as_tuple(), "order": nxt},
+        params={"vector": vector, "order": nxt},
         distinguished={"root": 0},
         attachments=tuple(attachments),
     )
@@ -192,26 +165,19 @@ def build_family_tree(vector) -> tuple[Graph, FamilySpec]:
 _KEEPS_TYPE1_LINK = {(1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0)}
 
 
-def canonical_set(spec: FamilySpec) -> VertexSet:
-    """The always-verifying code of an attachment tree.
-
-    Every vertex except the positions ``_SHAPES`` leaves out of each
-    attachment: the type-1 link, the far leaf of types 3 and 4, the
-    distance-2 leaf of type 5 and the distance-3 leaf of type 6.  Two
-    exceptions: with no type-1 attachment the distance-2 leaf of the
-    first type-2 attachment is left out too, and the two trees in
-    ``_KEEPS_TYPE1_LINK`` keep their type-1 link.
-    """
-    if spec.kind != "attachment_tree":
-        raise NotInFamily(f"canonical set undefined for kind {spec.kind!r}")
-    n = spec.params["order"]
-    return VertexSet(n, mask=_canonical_code(spec, (1 << n) - 1))
-
-
 def _canonical_code(spec: FamilySpec, mask: int) -> int:
     """The canonical set of the attachment tree ``spec`` on the vertices
-    ``mask``, as a mask: ``mask`` without the vertices it leaves out."""
-    vec = tuple(spec.params["vector"])
+    ``mask``, its always-verifying code, as a mask: ``mask`` without the
+    vertices it leaves out.
+
+    Those are the positions ``_SHAPES`` leaves out of each attachment: the
+    type-1 link, the far leaf of types 3 and 4, the distance-2 leaf of
+    type 5 and the distance-3 leaf of type 6.  Two exceptions: with no
+    type-1 attachment the distance-2 leaf of the first type-2 attachment
+    is left out too, and the two trees in ``_KEEPS_TYPE1_LINK`` keep their
+    type-1 link.
+    """
+    vec = spec.params["vector"]
     drop_type2_leaf = vec[0] == 0
     for t, block in spec.attachments:
         left_out = _SHAPES[t][1]
@@ -250,15 +216,9 @@ def _branch_shape(adj: Sequence[int], mask: int, root: int, link: int) -> tuple[
     return None if found is None else (found[0], tuple([walked[i] for i in found[1]]))
 
 
-def recognize_family_rooted(g: Graph, root: int) -> FamilySpec | None:
-    """Match the tree against the family with the given root, or None."""
-    g.check_vertex(root)
-    return _family_match_rooted(g.adj, (1 << g.n) - 1, root)
-
-
 def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> FamilySpec | None:
-    """``recognize_family_rooted`` on the tree that ``mask`` induces, in
-    its labels.
+    """The family match of the tree that ``mask`` induces, in its labels,
+    with the root ``root``, or None.
 
     No attachment has more than 5 vertices, so a root of degree below
     (n - 1) / 5 is rejected without walking its branches.
@@ -274,26 +234,21 @@ def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> FamilySpec
             return None
         branches.append(shape)
     types = [t for t, _ in branches]
-    vec = AttachmentVector(*map(types.count, _SHAPES))
-    if not vec.is_admissible() or vec.order() != n:
+    vector = tuple(map(types.count, _SHAPES))
+    if not is_admissible(vector) or 1 + sum(len(block) for _, block in branches) != n:
         return None
     branches.sort()
     return FamilySpec(
         kind="attachment_tree",
-        params={"vector": vec.as_tuple(), "order": n},
+        params={"vector": vector, "order": n},
         distinguished={"root": root},
         attachments=tuple(branches),
     )
 
 
-def recognize_family(g: Graph) -> FamilySpec | None:
-    """The family match at the lowest root for which the tree has one."""
-    return _family_match(g.adj, (1 << g.n) - 1)
-
-
 def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
-    """``recognize_family`` on the graph that ``mask`` induces, in its
-    labels: the match at the lowest label for which it has one.
+    """The family match of the graph that ``mask`` induces, in its labels,
+    at the lowest label for which it has one, or None.
 
     A match makes the graph a tree in which the root has degree at least
     (n - 1) / 5 and leaves no component larger than ``_LARGEST_SHAPE``.
@@ -521,11 +476,6 @@ def _leaves_and_legs(adj: Sequence[int], mask: int) -> tuple[int, int]:
         if (adj[s] & mask).bit_count() == 2:
             legs |= 1 << s
     return leaves, legs
-
-
-def as_subdivided_star(g: Graph) -> tuple[int, int] | None:
-    """(center, k) if the graph is a subdivided star with k >= 2 legs."""
-    return _subdivided_star(g.adj, (1 << g.n) - 1)
 
 
 def _subdivided_star(adj: Sequence[int], mask: int) -> tuple[int, int] | None:

@@ -34,7 +34,7 @@ def parse_edge_list(text: str) -> Graph:
             try:
                 declared_n = int(parts[1])
             except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno)
+                raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno) from None
             if declared_n < 0:
                 raise ParseError(f"negative vertex count {declared_n}", line=lineno)
             continue
@@ -43,7 +43,7 @@ def parse_edge_list(text: str) -> Graph:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line=lineno)
+            raise ParseError(f"non-integer endpoint in {line!r}", line=lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative vertex in {line!r}", line=lineno)
         if u == v:

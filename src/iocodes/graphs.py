@@ -3,8 +3,8 @@
 Vertices are the integers ``0..n-1``.  Every neighborhood is kept as a
 Python integer used as a bitset, which makes the intersection/symmetric
 difference operations at the heart of code verification and the exact
-solver word-parallel.  All operations are pure; derived graphs (edge
-deletion, induced subgraphs) are fresh values.
+solver word-parallel.  All operations are pure; an induced subgraph is
+a fresh value.
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    Disconnected,
-    EmptyGraph,
-    InvalidVertex,
-    NotPresent,
-    UniverseMismatch,
-)
+from .errors import EmptyGraph, InvalidVertex
 
 __all__ = [
     "Graph",
@@ -27,9 +21,6 @@ __all__ = [
     "find_open_twins",
     "has_four_cycle",
     "is_connected",
-    "diameter",
-    "delete_edge",
-    "find_induced_cycle",
 ]
 
 
@@ -122,9 +113,6 @@ class Graph:
                 out.append((u, v))
         return out
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree_sequence(self) -> list[int]:
         return [m.bit_count() for m in self.adj]
 
@@ -150,37 +138,6 @@ class VertexSet:
         if mask < 0 or mask >> universe:
             raise InvalidVertex(f"members outside universe 0..{universe - 1}")
         self.mask = mask
-
-    @classmethod
-    def full(cls, universe: int) -> "VertexSet":
-        return cls(universe, mask=(1 << universe) - 1)
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatch(
-                f"universes differ: {self.universe} vs {other.universe}"
-            )
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.universe, mask=self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.universe, mask=self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.universe, mask=self.mask & ~other.mask)
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.universe and bool(self.mask >> v & 1)
@@ -380,16 +337,6 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count == g.n - 1 and is_connected(g)
 
 
-def diameter(g: Graph) -> int:
-    """Maximum pairwise distance; raises on disconnected input."""
-    if g.n == 0:
-        raise EmptyGraph("diameter of empty graph")
-    if not is_connected(g):
-        raise Disconnected("diameter of disconnected graph")
-    full = (1 << g.n) - 1
-    return max(len(_layers(g.adj, full, v)) - 1 for v in range(g.n))
-
-
 def _diametral_paths(
     adj: Sequence[int], mask: int, known: dict[int, tuple[list[int], int, int]], head: int | None = None
 ) -> Iterator[list[int]]:
@@ -458,17 +405,6 @@ def _walk_forward(adj: Sequence[int], layers: tuple[list[int], int, int], start:
     return path
 
 
-def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
-    """A fresh graph with one edge removed."""
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise NotPresent(f"edge ({u}, {v}) not in graph")
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return Graph._from_adj(tuple(adj))
-
-
 def _shortest_cycle_through(adj: Sequence[int], mask: int, v: int) -> list[int] | None:
     """Shortest cycle containing ``v`` in the graph that ``mask`` induces,
     as a vertex sequence, or None.
@@ -500,10 +436,11 @@ def _shortest_cycle_through(adj: Sequence[int], mask: int, v: int) -> list[int] 
 
 
 def _induced_cycle(adj: Sequence[int], mask: int) -> list[int] | None:
-    """``find_induced_cycle`` on the graph that ``mask`` induces, in its
-    labels: the shortest cycle through its least vertex on a cycle.  Only
-    the 2-core holds cycles, and a walk inside it meets its vertices in the
-    order a walk of the whole mask does, so leaves are peeled off first."""
+    """A chordless cycle of the graph that ``mask`` induces, in its labels,
+    or None if it is a forest: the shortest cycle through its least vertex
+    on a cycle, starting there.  Only the 2-core holds cycles, and a walk
+    inside it meets its vertices in the order a walk of the whole mask
+    does, so leaves are peeled off first."""
     core = mask
     stack = [v for v in _members(mask) if (adj[v] & mask).bit_count() < 2]
     while stack:
@@ -516,12 +453,3 @@ def _induced_cycle(adj: Sequence[int], mask: int) -> list[int] | None:
         if cycle is not None:
             return cycle
     return None
-
-
-def find_induced_cycle(g: Graph) -> list[int] | None:
-    """Some chordless cycle, or None for forests.
-
-    Returns the shortest cycle through the lowest-index vertex that lies
-    on a cycle; the sequence starts at that vertex.
-    """
-    return _induced_cycle(g.adj, (1 << g.n) - 1)

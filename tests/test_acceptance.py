@@ -10,7 +10,6 @@ from itertools import product
 
 from conftest import brute_has_four_cycle, brute_open_twins, prufer_tree, random_graph
 from iocodes import (
-    AttachmentVector,
     BoundStatus,
     Graph,
     VertexSet,
@@ -18,10 +17,8 @@ from iocodes import (
     audit_graphs,
     audit_trees,
     build_family_tree,
-    canonical_set,
     check_bound,
-    construct_graph_code,
-    construct_tree_code,
+    emit_graph6,
     enumerate_trees,
     find_open_twins,
     gen_star_plus_edge,
@@ -30,6 +27,7 @@ from iocodes import (
     gen_tight_tree_pair,
     gen_reduced_subdivided_star,
     has_four_cycle,
+    is_admissible,
     is_io_code,
     max_degree,
     solve,
@@ -37,7 +35,8 @@ from iocodes import (
     solve_with_budget,
 )
 from iocodes.audit import _audit_instance, sample_twin_free_graphs
-from iocodes.canon import canonical_graph6
+from iocodes.canon import canonical_graph
+from iocodes.families import _canonical_code
 
 
 def _report(number: int, started: float, message: str) -> None:
@@ -67,13 +66,13 @@ def test_criterion_02_star_minima_and_optimal_canonical_sets():
         g, _ = gen_subdivided_star(delta)
         assert solve(g).gamma == 2 * delta
         tree, spec = build_family_tree((0, delta, 0, 0, 0, 0))
-        c = canonical_set(spec)
+        c = VertexSet(tree.n, mask=_canonical_code(spec, (1 << tree.n) - 1))
         assert len(c) == 2 * delta and is_io_code(tree, c).ok
     for delta in range(3, 7):
         g, _ = gen_reduced_subdivided_star(delta)
         assert solve(g).gamma == 2 * delta - 1
         tree, spec = build_family_tree((1, delta - 1, 0, 0, 0, 0))
-        c = canonical_set(spec)
+        c = VertexSet(tree.n, mask=_canonical_code(spec, (1 << tree.n) - 1))
         assert len(c) == 2 * delta - 1 and is_io_code(tree, c).ok
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
@@ -88,24 +87,22 @@ def test_criterion_03_canonical_sets_always_verify():
     degenerate = (0, 0, 0, 0, 1, 0)
     checked = 0
     for vec in product(range(2), range(6), range(6), range(6), range(6), range(6)):
-        av = AttachmentVector.of(vec)
-        if not av.is_admissible() or av.total > 5:
+        if not is_admissible(vec) or sum(vec) > 5:
             continue
-        g, spec = build_family_tree(av)
+        g, spec = build_family_tree(vec)
         if vec == degenerate:
             assert find_open_twins(g) == [(0, 2)]
             continue
-        assert is_io_code(g, canonical_set(spec)).ok, vec
+        assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok, vec
         checked += 1
     rng = random.Random(1202)
     sampled = 0
     while sampled < 200:
         vec = tuple([rng.randint(0, 1)] + [rng.randint(0, 4) for _ in range(5)])
-        av = AttachmentVector.of(vec)
-        if not av.is_admissible() or av.total > 12 or vec == degenerate:
+        if not is_admissible(vec) or sum(vec) > 12 or vec == degenerate:
             continue
-        g, spec = build_family_tree(av)
-        assert is_io_code(g, canonical_set(spec)).ok, vec
+        g, spec = build_family_tree(vec)
+        assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok, vec
         sampled += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
@@ -192,7 +189,7 @@ def test_criterion_07_tightness_at_every_delta():
         assert record.is_extremal
     records, _ = audit_trees(12, 3)
     pair3, _ = gen_tight_tree_pair(3)
-    key = canonical_graph6(pair3)
+    key = emit_graph6(canonical_graph(pair3))
     rows = [r for r in records if r.graph6 == key]
     assert len(rows) == 1 and rows[0].is_extremal
     elapsed = time.monotonic() - started
@@ -268,7 +265,7 @@ def test_criterion_10_property_suites():
         s = VertexSet(g.n, [v for v in range(g.n) if rng.random() < 0.6])
         if not is_io_code(g, s).ok:
             continue
-        bigger = s | VertexSet(g.n, [v for v in range(g.n) if rng.random() < 0.4])
+        bigger = VertexSet(g.n, [*s, *(v for v in range(g.n) if rng.random() < 0.4)])
         assert is_io_code(g, bigger).ok
         closed += 1
 
@@ -278,7 +275,7 @@ def test_criterion_10_property_suites():
         g = random_graph(rng.randint(3, 9), rng.uniform(0.2, 0.6), rng)
         if not admits_io_code(g):
             continue
-        supports = {v for v in g.vertices() if any(g.degree(w) == 1 for w in g.neighbors(v))}
+        supports = {v for v in range(g.n) if any(g.degree(w) == 1 for w in g.neighbors(v))}
         assert supports <= set(solve(g).code)
         forced += 1
 
@@ -298,7 +295,7 @@ def test_criterion_10_property_suites():
         assert sum(1 for _ in enumerate_trees(n)) == count
     # and against an independent labeled-code generator for small n
     for n in range(3, 8):
-        classes = {canonical_graph6(prufer_tree(list(seq))) for seq in product(range(n), repeat=n - 2)}
-        assert {canonical_graph6(t) for t in enumerate_trees(n)} == classes
+        classes = {canonical_graph(prufer_tree(list(seq))) for seq in product(range(n), repeat=n - 2)}
+        assert {canonical_graph(t) for t in enumerate_trees(n)} == classes
 
     _report(10, started, "closure, forced supports, twin/4-cycle oracles, tree counts")

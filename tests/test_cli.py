@@ -239,6 +239,13 @@ class TestGenerate:
         assert out == ""
         assert err == "input error: family subdivided-star takes D, got x\n"
 
+    @pytest.mark.parametrize("counts", ["2 0 0 0 0 0", "0 0 0 0 0 0", "0 2 -1 0 0 0", "1 1 0 0 0 0"])
+    def test_non_admissible_vector_is_an_input_error(self, capsys, counts):
+        status, out, err = run(capsys, "generate", "attachment-tree", *counts.split())
+        assert status == 2
+        assert out == ""
+        assert err == f"input error: attachment vector ({', '.join(counts.split())}) is not admissible\n"
+
     def test_bad_params(self, capsys, p5_file):
         # a parameter value out of range is malformed input, in every command
         for argv in (

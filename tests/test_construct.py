@@ -24,10 +24,10 @@ from iocodes import (
     NoCode,
     NotATree,
     TooSmall,
+    VertexSet,
     check_bound,
     construct_graph_code,
     construct_tree_code,
-    delete_edge,
     enumerate_graph_classes,
     enumerate_trees,
     find_open_twins,
@@ -45,7 +45,8 @@ from iocodes import construct, families
 from iocodes.canon import canonical_graph
 from iocodes.construct import _twin_of, construct_code
 from iocodes.formats import parse_graph6
-from iocodes.graphs import _members, _reach, _twin_free
+from iocodes.families import _subdivided_star
+from iocodes.graphs import _induced_cycle, _members, _reach, _twin_free
 from test_tree_dp import subdivided_random_tree
 
 
@@ -167,11 +168,9 @@ class TestTreeConstructor:
 
     def test_gadget_tree_tight(self):
         # ring with one cycle edge deleted: a tree needing exactly 5/6 n
-        from iocodes import delete_edge
-
         g, spec = gen_subcubic_gp(3)
         ring = spec.distinguished["cycle"]
-        t = delete_edge(g, (ring[0], ring[-1]))
+        t = Graph(g.n, [e for e in g.edges() if e != (ring[0], ring[-1])])
         code, trace = construct_tree_code(t, 3)
         assert is_io_code(t, code).ok
         assert 6 * len(code) == 5 * t.n
@@ -334,6 +333,32 @@ class TestGraphConstructor:
                     digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
         assert variants == {"supports_joined", "center_to_leaf", "leaves_joined"}
         assert digest.hexdigest() == "dd947cd2d305ee0bbb46b9e4a84cb49158ab7979f8e44febfc01cf675cf7c89c"
+
+    def test_every_star_plus_edge_leave_out_is_a_code(self):
+        # what the proof in ``_build_graph`` states in place of a check: on
+        # each star-plus-edge graph, every cycle edge whose deletion leaves a
+        # subdivided star gives a pattern whose leave-out code verifies
+        patterns = set()
+        for variant in ("g1", "g2", "g3"):
+            for k in range(2, 41):
+                g, _ = gen_star_plus_edge(variant, k)
+                full = (1 << g.n) - 1
+                cycle = _induced_cycle(g.adj, full)
+                found = 0
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    tree = list(g.adj)
+                    tree[x] ^= 1 << y
+                    tree[y] ^= 1 << x
+                    star = _subdivided_star(tree, full)
+                    if star is None:
+                        continue
+                    pattern, left_out = families._star_plus_edge_leave_out(tree, full, star[0], (x, y))
+                    code = VertexSet(g.n, [v for v in range(g.n) if v not in left_out])
+                    assert is_io_code(g, code).ok, (variant, k, (x, y))
+                    patterns.add(pattern)
+                    found += 1
+                assert found, (variant, k)
+        assert patterns == {"supports_joined", "center_to_leaf", "leaves_joined"}
 
     def test_graph_codes_and_traces_are_pinned(self):
         # sha256 over (sorted code, trace) at delta = max(3, max degree) and
@@ -506,7 +531,7 @@ class TestLocalTwinTest:
         for g in local_test_graphs():
             whole = (1 << g.n) - 1
             for edge in g.edges():
-                h = delete_edge(g, edge)
+                h = Graph(g.n, [e for e in g.edges() if e != edge])
                 if not is_connected(h):
                     continue  # a bridge lies on no cycle
                 verdict = twin_free_within(h.adj, whole)

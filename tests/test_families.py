@@ -8,12 +8,10 @@ import pytest
 
 from conftest import prufer_tree
 from iocodes import (
-    AttachmentVector,
     BadParam,
     Graph,
-    NotInFamily,
+    VertexSet,
     build_family_tree,
-    canonical_set,
     enumerate_graph_classes,
     enumerate_small_graphs,
     enumerate_trees,
@@ -26,22 +24,24 @@ from iocodes import (
     gen_subdivided_star,
     gen_tight_tree_pair,
     has_four_cycle,
+    is_admissible,
     is_io_code,
     max_degree,
-    recognize_family,
-    recognize_family_rooted,
 )
-from iocodes.canon import canonical_graph6, isomorphic
+from iocodes.canon import canonical_graph
 from iocodes.families import (
     TREE_CAP,
+    _canonical_code,
+    _family_match,
+    _family_match_rooted,
     _free_tree_levels,
+    _subdivided_star,
     _subdivided_star_leave_out,
     _tree_of_levels,
     _twin_leaves,
-    as_subdivided_star,
 )
 from iocodes.formats import emit_graph6
-from iocodes.graphs import _twin_free
+from iocodes.graphs import _induced_cycle, _twin_free
 
 # known counts of free trees by order
 FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
@@ -49,21 +49,24 @@ FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 
 
 class TestAttachmentVector:
     def test_admissibility(self):
-        assert AttachmentVector.of((0, 2, 0, 0, 0, 0)).is_admissible()
-        assert AttachmentVector.of((0, 0, 0, 1, 0, 0)).is_admissible()
+        assert is_admissible((0, 2, 0, 0, 0, 0))
+        assert is_admissible([0, 0, 0, 1, 0, 0])
         for bad in ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0)):
-            assert not AttachmentVector.of(bad).is_admissible()
-        assert not AttachmentVector.of((2, 1, 0, 0, 0, 0)).is_admissible()
-        assert not AttachmentVector.of((0, 0, 0, 0, 0, 0)).is_admissible()
+            assert not is_admissible(bad)
+        assert not is_admissible((2, 1, 0, 0, 0, 0))
+        assert not is_admissible((0, 0, 0, 0, 0, 0))
+        assert not is_admissible((0, 2, -1, 0, 0, 0))
+        assert not is_admissible((0, 2, 0, 0, 0)) and not is_admissible((0, 2, 0, 0, 0, 0, 0))
 
     def test_order_formula(self):
-        vec = AttachmentVector.of((1, 3, 2, 3, 2, 2))
-        g, _ = build_family_tree(vec)
-        assert g.n == vec.order() == 1 + 1 + 6 + 6 + 12 + 8 + 10
+        g, spec = build_family_tree([1, 3, 2, 3, 2, 2])
+        assert g.n == spec.params["order"] == 1 + 1 + 6 + 6 + 12 + 8 + 10
+        assert spec.params["vector"] == (1, 3, 2, 3, 2, 2)
 
     def test_rejected_vector(self):
-        with pytest.raises(NotInFamily):
-            build_family_tree((1, 0, 0, 0, 0, 0))
+        for vector in ((1, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, 2, -1, 0, 0, 0), (0, 2, 0)):
+            with pytest.raises(BadParam, match="not admissible"):
+                build_family_tree(vector)
 
 
 class TestFamilyTrees:
@@ -71,31 +74,30 @@ class TestFamilyTrees:
         g, spec = build_family_tree((1, 3, 2, 3, 2, 2))
         assert g.degree(0) == 13
         assert g.n == 44
-        c = canonical_set(spec)
-        assert is_io_code(g, c).ok
+        assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok
 
     def test_plain_star_is_family_member(self):
         g, spec = build_family_tree((0, 4, 0, 0, 0, 0))
         star, star_spec = gen_subdivided_star(4)
-        assert isomorphic(g, star)
-        assert len(canonical_set(spec)) == 8
+        assert canonical_graph(g) == canonical_graph(star)
+        assert _canonical_code(spec, (1 << g.n) - 1).bit_count() == 8
 
     def test_reduced_star_is_family_member(self):
         g, _ = build_family_tree((1, 3, 0, 0, 0, 0))
         star, _ = gen_reduced_subdivided_star(4)
-        assert isomorphic(g, star)
+        assert canonical_graph(g) == canonical_graph(star)
 
     def test_special_case_small_trees(self):
         g, spec = build_family_tree((1, 0, 1, 0, 0, 0))
         p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert isomorphic(g, p5)
-        c = canonical_set(spec)
+        assert canonical_graph(g) == canonical_graph(p5)
+        c = VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))
         assert len(c) == 4 and is_io_code(g, c).ok
 
         g2, spec2 = build_family_tree((1, 0, 0, 0, 1, 0))
         red, _ = gen_reduced_subdivided_star(3)
-        assert isomorphic(g2, red)
-        c2 = canonical_set(spec2)
+        assert canonical_graph(g2) == canonical_graph(red)
+        c2 = VertexSet(g2.n, mask=_canonical_code(spec2, (1 << g2.n) - 1))
         assert len(c2) == 5 and is_io_code(g2, c2).ok
 
     def test_canonical_sets_verify_exhaustively(self):
@@ -105,39 +107,35 @@ class TestFamilyTrees:
         # there at all, so it is asserted separately.
         count = 0
         for vec in product(range(2), range(5), range(5), range(5), range(5), range(5)):
-            av = AttachmentVector.of(vec)
-            if not av.is_admissible() or av.total > 4:
+            if not is_admissible(vec) or sum(vec) > 4:
                 continue
-            g, spec = build_family_tree(av)
+            g, spec = build_family_tree(vec)
             if vec == (0, 0, 0, 0, 1, 0):
                 assert find_open_twins(g) == [(0, 2)]
                 continue
             assert find_open_twins(g) == []
             count += 1
-            assert is_io_code(g, canonical_set(spec)).ok
+            assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok
         assert count > 100
 
     def test_canonical_size_within_degree_bound(self):
         # at root degree >= 2, the canonical set respects the
         # (2*delta - 1)/(2*delta) fraction unless the tree is the full
         # subdivided star for that delta
-        from iocodes import max_degree
-        from iocodes.families import as_subdivided_star
-
         rng = random.Random(31)
         checked = 0
         while checked < 120:
             vec = tuple([rng.randint(0, 1)] + [rng.randint(0, 3) for _ in range(5)])
-            av = AttachmentVector.of(vec)
-            if not av.is_admissible() or av.total < 2 or av.total > 9:
+            if not is_admissible(vec) or sum(vec) < 2 or sum(vec) > 9:
                 continue
-            g, spec = build_family_tree(av)
+            g, spec = build_family_tree(vec)
             delta = max(3, max_degree(g))
-            star = as_subdivided_star(g)
+            full = (1 << g.n) - 1
+            star = _subdivided_star(g.adj, full)
             if star is not None and star[1] == delta:
                 continue
-            c = canonical_set(spec)
-            assert 2 * delta * len(c) <= (2 * delta - 1) * g.n, vec
+            size = _canonical_code(spec, full).bit_count()
+            assert 2 * delta * size <= (2 * delta - 1) * g.n, vec
             checked += 1
 
     def test_canonical_sets_verify_random_large(self):
@@ -145,49 +143,48 @@ class TestFamilyTrees:
         for _ in range(60):
             while True:
                 vec = tuple([rng.randint(0, 1)] + [rng.randint(0, 3) for _ in range(5)])
-                av = AttachmentVector.of(vec)
-                if av.is_admissible() and av.total <= 10 and vec != (0, 0, 0, 0, 1, 0):
+                if is_admissible(vec) and sum(vec) <= 10 and vec != (0, 0, 0, 0, 1, 0):
                     break
-            g, spec = build_family_tree(av)
-            assert is_io_code(g, canonical_set(spec)).ok
+            g, spec = build_family_tree(vec)
+            assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok
 
 
 class TestRecognition:
     def test_p5_from_end(self):
         p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        spec = recognize_family(p5)
+        spec = _family_match(p5.adj, 0b11111)
         assert spec.distinguished["root"] == 0 and spec.params["vector"] == (0, 0, 0, 1, 0, 0)
 
     def test_reduced_star(self):
         g, _ = gen_reduced_subdivided_star(4)
-        spec = recognize_family(g)
+        spec = _family_match(g.adj, (1 << g.n) - 1)
         assert spec.distinguished["root"] == 0 and spec.params["vector"] == (1, 3, 0, 0, 0, 0)
 
     def test_small_paths_rejected(self):
         for n in (2, 3, 4):
             g = Graph(n, [(i, i + 1) for i in range(n - 1)])
-            assert recognize_family(g) is None
+            assert _family_match(g.adj, (1 << n) - 1) is None
 
     def test_round_trip_isomorphic(self):
         rng = random.Random(13)
         for _ in range(40):
             while True:
                 vec = [rng.randint(0, 1)] + [rng.randint(0, 2) for _ in range(5)]
-                av = AttachmentVector.of(vec)
-                if av.is_admissible() and 1 <= av.total <= 6:
+                if is_admissible(vec) and 1 <= sum(vec) <= 6:
                     break
-            g, _ = build_family_tree(av)
-            spec = recognize_family(g)
+            g, _ = build_family_tree(vec)
+            spec = _family_match(g.adj, (1 << g.n) - 1)
             assert spec is not None
             rebuilt, _ = build_family_tree(spec.params["vector"])
-            assert isomorphic(g, rebuilt)
+            assert canonical_graph(g) == canonical_graph(rebuilt)
 
     def test_rooted_variant(self):
         g, _ = build_family_tree((0, 2, 1, 0, 0, 0))
-        spec = recognize_family_rooted(g, 0)
+        full = (1 << g.n) - 1
+        spec = _family_match_rooted(g.adj, full, 0)
         assert spec is not None
         assert spec.params["vector"] == (0, 2, 1, 0, 0, 0)
-        assert recognize_family_rooted(g, 1) is None
+        assert _family_match_rooted(g.adj, full, 1) is None
 
 
 class TestNamedGenerators:
@@ -204,7 +201,7 @@ class TestNamedGenerators:
             assert g.n == 2 * d
         g2, _ = gen_reduced_subdivided_star(2)
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert isomorphic(g2, p4)
+        assert canonical_graph(g2) == canonical_graph(p4)
 
     def test_tight_pair(self):
         for d in (3, 4, 5):
@@ -227,9 +224,7 @@ class TestNamedGenerators:
 
     def test_gadget_cycle_triangle_free_for_big_p(self):
         g, _ = gen_subcubic_gp(5)
-        from iocodes import find_induced_cycle
-
-        assert len(find_induced_cycle(g)) == 5
+        assert len(_induced_cycle(g.adj, (1 << g.n) - 1)) == 5
 
     def test_gadget_cycle_rejects_p4(self):
         with pytest.raises(BadParam):
@@ -240,7 +235,7 @@ class TestNamedGenerators:
     def test_star_plus_edge(self):
         g, _ = gen_star_plus_edge("g2", 2)
         c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert isomorphic(g, c5)
+        assert canonical_graph(g) == canonical_graph(c5)
         for variant in ("g1", "g2", "g3"):
             for k in (2, 3, 4):
                 g, spec = gen_star_plus_edge(variant, k)
@@ -303,7 +298,7 @@ class TestSubdividedStar:
             is_star = is_star and nx.is_isomorphic(h, nx.Graph(gen_subdivided_star(k)[0].edges()))
             # the center is the one vertex within distance 2 of every other
             expected = (nx.center(h)[0], k) if is_star else None
-            assert as_subdivided_star(g) == expected
+            assert _subdivided_star(g.adj, (1 << g.n) - 1) == expected
             stars += is_star
         assert stars == 5 + 8 * 4  # k = 2..6 among the trees, then the relabeled stars
 
@@ -348,7 +343,7 @@ class TestTreeEnumeration:
         seen = set()
         for t in enumerate_trees(8):
             assert t.edge_count == t.n - 1
-            key = canonical_graph6(t)
+            key = canonical_graph(t)
             assert key not in seen
             seen.add(key)
 
@@ -358,8 +353,8 @@ class TestTreeEnumeration:
         for n in range(3, 8):
             classes = set()
             for seq in product(range(n), repeat=n - 2):
-                classes.add(canonical_graph6(prufer_tree(list(seq))))
-            enumerated = {canonical_graph6(t) for t in enumerate_trees(n)}
+                classes.add(canonical_graph(prufer_tree(list(seq))))
+            enumerated = {canonical_graph(t) for t in enumerate_trees(n)}
             assert enumerated == classes
 
     def test_cap(self):
@@ -439,7 +434,7 @@ class TestSmallGraphEnumeration:
         expected = [Graph(1), Graph(2, [(0, 1)]), Graph(3, [(0, 1), (1, 2), (0, 2)]),
                     Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])]
         assert [g.n for g in classes] == [1, 2, 3, 4, 4]
-        assert sorted(canonical_graph6(g) for g in classes) == sorted(map(canonical_graph6, expected))
+        assert sorted(canonical_graph(g).adj for g in classes) == sorted(canonical_graph(g).adj for g in expected)
 
     def test_filters_sound(self, rng):
         for g in enumerate_small_graphs(5, connected=True, twin_free=True, c4_free=True):
@@ -451,11 +446,8 @@ class TestSmallGraphEnumeration:
 
     def test_c5_present_at_n5(self):
         c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        keys = {
-            canonical_graph6(g)
-            for g, _ in enumerate_graph_classes(5)
-        }
-        assert canonical_graph6(c5) in keys
+        keys = {canonical_graph(g) for g, _ in enumerate_graph_classes(5)}
+        assert canonical_graph(c5) in keys
 
     def test_cap(self):
         with pytest.raises(BadParam):

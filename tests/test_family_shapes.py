@@ -10,17 +10,8 @@ import random
 from itertools import product
 
 from conftest import atlas_graphs, random_tree
-from iocodes import (
-    AttachmentVector,
-    Graph,
-    VertexSet,
-    build_family_tree,
-    canonical_set,
-    enumerate_trees,
-    recognize_family,
-    recognize_family_rooted,
-)
-from iocodes.families import _branch_shape
+from iocodes import Graph, VertexSet, build_family_tree, enumerate_trees, is_admissible
+from iocodes.families import _branch_shape, _canonical_code, _family_match, _family_match_rooted
 
 # role names of each type's vertices, in block order
 ROLES = {
@@ -130,9 +121,9 @@ def test_branch_shapes_match_the_cases_on_every_small_tree():
                         kind, roles = expected
                         assert shape == (kind, tuple(roles.values()))
                         checked += 1
-            spec = recognize_family(t)
+            spec = _family_match(t.adj, (1 << n) - 1)
             if spec is not None:
-                assert canonical_set(spec) == canonical_set_by_roles(spec)
+                assert _canonical_code(spec, (1 << n) - 1) == canonical_set_by_roles(spec).mask
     assert checked > 1000
 
 
@@ -140,7 +131,7 @@ def test_canonical_sets_match_the_roles():
     vectors = [
         vec
         for vec in product(range(2), range(6), range(6), range(6), range(6), range(6))
-        if AttachmentVector.of(vec).is_admissible() and sum(vec) <= 5
+        if is_admissible(vec) and sum(vec) <= 5
     ]
     rng = random.Random(6)
     larger = []
@@ -149,18 +140,19 @@ def test_canonical_sets_match_the_roles():
         if sum(vec) > 5:
             larger.append(vec)
     for vec in vectors + larger:
-        _, spec = build_family_tree(vec)
-        assert canonical_set(spec) == canonical_set_by_roles(spec)
+        g, spec = build_family_tree(vec)
+        assert _canonical_code(spec, (1 << g.n) - 1) == canonical_set_by_roles(spec).mask
     assert len(vectors) == 373
 
 
 def first_rooted_match(g):
     """The family match at the lowest root, trying every root."""
-    return next(filter(None, (recognize_family_rooted(g, r) for r in range(g.n))), None)
+    full = (1 << g.n) - 1
+    return next(filter(None, (_family_match_rooted(g.adj, full, r) for r in range(g.n))), None)
 
 
 def test_recognition_tries_the_roots_every_root_would():
-    # recognize_family tries only the roots that pass one subtree-size
+    # _family_match tries only the roots that pass one subtree-size
     # pass; trying all of them must give the same first match
     rng = random.Random(14)
     graphs = [t for n in range(1, 14) for t in enumerate_trees(n)]
@@ -172,13 +164,13 @@ def test_recognition_tries_the_roots_every_root_would():
     while len(vectors) < 300:
         vectors.append((rng.randint(0, 1),) + tuple(rng.randint(0, 3) for _ in range(5)))
     for vec in vectors:
-        if AttachmentVector.of(vec).is_admissible():
+        if is_admissible(vec):
             tree, _ = build_family_tree(vec)
             label = rng.sample(range(tree.n), tree.n)
             graphs.append(Graph(tree.n, [(label[u], label[v]) for u, v in tree.edges()]))
     matched = 0
     for g in graphs:
-        spec = recognize_family(g)
+        spec = _family_match(g.adj, (1 << g.n) - 1)
         assert spec == first_rooted_match(g), g.edges()
         matched += spec is not None
     assert matched > 300

@@ -37,6 +37,17 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("2 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("n four\n0 1\n", "bad vertex count 'four' (line 1)"), ("0 1\n1 x\n", "non-integer endpoint in '1 x' (line 2)")],
+    )
+    def test_errors_do_not_chain_the_int_error(self, text, message):
+        # a library caller's traceback ends at the ParseError, as for graph6
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+        assert err.value.__suppress_context__ and err.value.__cause__ is None
+
 
 class TestGraph6:
     def test_known_strings(self):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import iocodes
 
 PACKAGE = Path(iocodes.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_package_holds_no_assert_statements():
@@ -81,3 +84,54 @@ def test_cli_import_leaves_networkx_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _names_read(path: Path) -> set[str]:
+    """The names a module reads, plain or as attributes, outside the
+    definition of a function or class of the same name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.update((id(inner), node.name) for inner in ast.walk(node))
+    read = set()
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and (id(node), name) not in own:
+            read.add(name)
+    return read
+
+
+def test_every_public_name_has_a_user():
+    # a name in the package's or a module's ``__all__`` is read in the
+    # package outside its own definition, or by a demo, or named in code in
+    # README, which names the tests as the users of the reference
+    # implementations; any other public name is API that only tests call
+    public = set(iocodes.__all__)
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            public.update(getattr(importlib.import_module(f"iocodes.{path.stem}"), "__all__", ()))
+    read = set().union(*map(_names_read, [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py")]))
+    readme = (ROOT / "README.md").read_text()
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    unused = sorted(name for name in public - read if not re.search(rf"\b{name}\b", code))
+    assert unused == []
+
+
+def test_package_modules_import_only_names_they_use():
+    # an import that nothing reads is left over from a deleted caller; the
+    # package's ``__init__`` imports to re-export, so it is exempt
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [
+                    f"{path.relative_to(PACKAGE)}:{node.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in read
+                ]
+    assert unused == []

@@ -85,7 +85,7 @@ class TestSolve:
                 continue
             result = solve(g)
             assert is_io_code(g, result.code).ok
-            supports = {v for v in g.vertices() if any(g.degree(w) == 1 for w in g.neighbors(v))}
+            supports = {v for v in range(g.n) if any(g.degree(w) == 1 for w in g.neighbors(v))}
             assert supports <= set(result.code)
 
     def test_deterministic(self):
