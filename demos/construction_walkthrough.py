@@ -8,7 +8,7 @@ which decomposition case fired at each step and what it contributed.
 from iocodes import (
     Graph,
     check_bound,
-    construct_tree_code,
+    construct_code,
     gen_subcubic_gp,
     is_io_code,
     solve,
@@ -22,7 +22,7 @@ def main():
     tree = Graph(ring.n, [e for e in ring.edges() if e != ring_edge])
     print(f"input: tree on n={tree.n} vertices, max degree 3\n")
 
-    code, trace = construct_tree_code(tree, 3)
+    code, trace = construct_code(tree, 3)
     print(f"constructed code of size {len(code)}: {sorted(code)}")
     print(f"verifies: {is_io_code(tree, code).ok}")
     print(f"bound:    {check_bound(tree.n, len(code), 3).value} "

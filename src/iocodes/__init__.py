@@ -23,8 +23,7 @@ from .construct import (
     BoundStatus,
     ConstructionTrace,
     check_bound,
-    construct_graph_code,
-    construct_tree_code,
+    construct_code,
 )
 from .errors import (
     BadParam,
@@ -37,7 +36,6 @@ from .errors import (
     GraphError,
     InvalidVertex,
     NoCode,
-    NotATree,
     ParseError,
     TooLarge,
     TooSmall,

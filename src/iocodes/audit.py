@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .canon import canonical_graph
 from .construct import BoundStatus, _check_delta, check_bound, construct_code
-from .errors import BadParam, CodeRejected
+from .errors import BadParam
 from .families import (
     GRAPH_CAP,
     TREE_CAP,
@@ -108,10 +108,7 @@ def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
     g = canonical_graph(g)
     degree = max_degree(g)
     d = delta if delta is not None else max(3, degree)
-    result = solve(g)
-    verdict = is_io_code(g, result.code)
-    if not verdict.ok:
-        raise CodeRejected(f"{emit_graph6(g)}: solver code rejected: {verdict.describe()}", verdict)
+    result = solve(g)  # its code passed ``is_io_code`` there, or ``CodeRejected`` was raised
     code, trace = construct_code(g, d)
     exceptional = trace.exceptional_star
     gamma_status = check_bound(g.n, result.gamma, d, is_exceptional_star=exceptional)

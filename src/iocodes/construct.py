@@ -1,14 +1,16 @@
 """Bound-certified IO-code construction for trees and 4-cycle-free graphs.
 
-Both constructors emit a code together with a machine-checkable trace of
-the decomposition steps that produced it.  For a twin-free tree of order
-at least 5 with maximum degree at most ``delta`` (``delta >= 3``) the
-output satisfies ``2*delta*|S| <= (2*delta - 1)*n`` except when the tree
-is the subdivided star on ``delta`` legs, which is flagged.  The graph
-constructor extends this to connected twin-free graphs without 4-cycles
+``construct_code`` is the one entry point.  It emits a code together
+with a machine-checkable trace of the decomposition steps that produced
+it.  For a connected twin-free 4-cycle-free graph of order at least 5
+(or the paw) with maximum degree at most ``delta`` (``delta >= 3``) the
+output satisfies ``2*delta*|S| <= (2*delta - 1)*n`` except when the
+graph is the subdivided star on ``delta`` legs, which is flagged.  A
+tree is decomposed by the tree rules (``_build_tree``); any other graph
 by deleting cycle edges (or, when every such deletion creates open
-twins, a degree-2 cycle vertex wedged between two supports); one of the
-two always applies, so it has no fallback.
+twins, a degree-2 cycle vertex wedged between two supports) until a
+tree or the paw is left (``_build_graph``); one of the two deletions
+always applies, so it has no fallback.
 
 The tree decomposition tries, in order: family recognition with a
 canonical set; splitting off a subdivided-star component hanging at its
@@ -21,17 +23,17 @@ warning.  All bound arithmetic is integer-exact.
 
 Every part is connected, twin-free and 4-cycle-free, as the input is,
 and has at least 5 vertices unless it is the paw, the graph
-constructor's one base case.  A tree split changes only its cut
+decomposition's one base case.  A tree split changes only its cut
 endpoints' neighbourhoods, a cycle-edge deletion only the edge's
 endpoints' and a cycle-vertex deletion only its neighbours', so twins
 are looked for at those vertices alone (``_twin_of``).  A far side whose
 cut leaf became an open twin is repaired by deleting that leaf.
 
-Every sub-instance of either constructor is a vertex mask over an
-adjacency tuple: the input's, or a copy with a deleted cycle edge's two
-entries changed.  So its vertices keep their input labels, no level
-copies a ``Graph``, and the family, subdivided-star, star-plus-edge and
-cycle rules read the mask in those labels.  A tree
+Every sub-instance is a vertex mask over an adjacency tuple: the
+input's, or a copy with a deleted cycle edge's two entries changed.  So
+its vertices keep their input labels, no level copies a ``Graph``, and
+the family, subdivided-star, star-plus-edge and cycle rules read the
+mask in those labels.  A tree
 split changes the degrees of its cut endpoints alone, so a part carries
 what it found to both sides (``_Part.side``): its leaf and leg masks and
 its sorted star-component candidates, with only the cut endpoint, its
@@ -46,10 +48,10 @@ path end.  A split is decided before it builds anything, so nothing is
 rolled back, and the merged code needs no check (``_split``), nor does a
 star-plus-edge code (``_build_graph``): ``_decompose`` checks the whole
 input's code alone.  Only a part built without a parent scans itself:
-the input and the graph constructor's tree.  A part is relabeled into a
-``Graph`` only for the tree constructor's exact fallback.  The
-decomposition runs on one explicit stack (``_drive``), so its depth
-costs no interpreter frames.
+the input and the first tree a graph decomposition reaches.  A part is
+relabeled into a ``Graph`` only for the tree decomposition's exact
+fallback.  The decomposition runs on one explicit stack (``_drive``), so
+its depth costs no interpreter frames.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from .errors import (
     DegreeExceeded,
     Disconnected,
     FourCyclePresent,
-    NotATree,
     TooSmall,
 )
 from .families import (
@@ -101,8 +102,6 @@ __all__ = [
     "TraceStep",
     "ConstructionTrace",
     "check_bound",
-    "construct_tree_code",
-    "construct_graph_code",
     "construct_code",
 ]
 
@@ -232,23 +231,22 @@ def _check_delta(delta: int | None) -> None:
         raise BadParam(f"delta must be at least 3, got {delta}")
 
 
-def _validate(g: Graph, delta: int, *, tree: bool) -> None:
+def _validate(g: Graph, delta: int) -> None:
     """Raise the typed error of the first hypothesis the input fails.
 
-    The paw is the graph entry's one input below order 5.  A connected
-    input of order 4 or more has no isolated vertex, so
-    ``require_admissible`` can only report twins.
+    The paw is the one input below order 5.  A connected input of order 4
+    or more has no isolated vertex, so ``require_admissible`` can only
+    report twins, and one with ``n - 1`` edges is a tree, so only an input
+    with ``m >= n`` is searched for a 4-cycle.
     """
     _check_delta(delta)
-    paw = not tree and g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES
+    paw = g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES
     if g.n < 5 and not paw:
         raise TooSmall(f"need order >= 5, got {g.n}")
     if not is_connected(g):
         raise Disconnected("input must be connected")
-    if tree and g.edge_count != g.n - 1:
-        raise NotATree("input has a cycle")
     require_admissible(g)
-    if not tree and has_four_cycle(g):
+    if g.edge_count >= g.n and has_four_cycle(g):
         raise FourCyclePresent("input contains a 4-cycle")
     if max_degree(g) > delta:
         raise DegreeExceeded(f"maximum degree {max_degree(g)} exceeds delta={delta}")
@@ -297,7 +295,7 @@ def _drive(builder) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tree constructor
+# Tree decomposition
 
 
 def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
@@ -479,8 +477,9 @@ def _far_side_code(
         side.layers.clear()  # the rest carries them, as in ``_split``
         # so the leaves' neighbour keeps degree 2 or more: the rest is twin-free
     adj, order = rest.adj, rest.mask.bit_count()
+    # a subdivided star on 2*delta + 1 vertices has delta legs
     star = _subdivided_star(adj, rest.mask) if star_patterns and order == 2 * delta + 1 else None
-    if star is not None and star[1] == delta:
+    if star is not None:
         if partner is not None:  # the pruned leaf's twin partner is the one leaf left out
             code, cut_key = rest.mask ^ (1 << partner), "pruned_leaf"
         else:  # ``cut`` lost a neighbour, so its degree here is below the center's delta
@@ -543,21 +542,8 @@ def _tail_near(path: list[int], part: _Part, near: int) -> tuple[int, dict]:
     return (tail ^ (1 << path[0]) if near == tail else tail), {"tail_order": near.bit_count()}
 
 
-def construct_tree_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
-    """IO-code of a twin-free tree meeting the degree-delta bound.
-
-    The returned code satisfies ``2*delta*|S| <= (2*delta-1)*n`` unless
-    the tree is the subdivided star on ``delta`` legs, in which case
-    ``trace.exceptional_star`` is set and the code has the known optimal
-    size.  An invalid input raises the typed error of the first check it
-    fails; a valid one is finished by ``_decompose``.
-    """
-    _validate(g, delta, tree=True)
-    return _decompose(_build_tree, g, delta)
-
-
 # ---------------------------------------------------------------------------
-# Graph constructor
+# Graph decomposition
 
 
 def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
@@ -641,24 +627,17 @@ def _build_graph(part: _Part, delta: int, trace: ConstructionTrace):
     return (yield _build_graph(_Part(adj, mask ^ (1 << v0)), delta, trace))
 
 
-def construct_graph_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
+def construct_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
     """IO-code of a connected twin-free 4-cycle-free graph within the bound.
 
-    Accepts the one order-4 base case (a triangle with a pendant); all
-    other inputs need order at least 5.  As for trees, an invalid input
-    raises the typed error of the first check it fails, and a valid one
-    is finished by ``_decompose``, which flags the exceptional star.
+    The one constructor.  Accepts the one order-4 base case, the paw (a
+    triangle with a pendant); all other inputs need order at least 5.  An
+    invalid input raises the typed error of the first check it fails.  A
+    tree is decomposed by ``_build_tree``, any other graph by
+    ``_build_graph``, and ``_decompose`` finishes either: it verifies the
+    code and sets ``trace.exceptional_star`` on the subdivided star on
+    ``delta`` legs, whose code then has the known optimal size
+    ``2*delta``, above the bound.
     """
-    _validate(g, delta, tree=False)
-    return _decompose(_build_graph, g, delta)
-
-
-def construct_code(g: Graph, delta: int) -> tuple[VertexSet, ConstructionTrace]:
-    """The tree constructor on trees, the graph constructor otherwise.
-
-    On a tree both give the same code; the graph constructor's trace only
-    adds a ``tree_reduction`` step.
-    """
-    if g.edge_count == g.n - 1:
-        return construct_tree_code(g, delta)
-    return construct_graph_code(g, delta)
+    _validate(g, delta)
+    return _decompose(_build_tree if g.edge_count == g.n - 1 else _build_graph, g, delta)

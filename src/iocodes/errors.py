@@ -17,10 +17,6 @@ class Disconnected(GraphError):
     pass
 
 
-class NotATree(GraphError):
-    pass
-
-
 class UniverseMismatch(GraphError):
     """A vertex set was built against a different vertex count."""
 

@@ -101,31 +101,16 @@ def _requirements(g: Graph) -> list[int]:
     return kept
 
 
-def _propagate_units(reqs: list[int], chosen: int) -> tuple[int, list[int]]:
-    """Force the sole candidate of every 1-element open requirement.
-
-    Choosing vertices only closes requirements, so one pass finds every
-    unit, and once the root has forced them no open list holds a unit.
-    """
-    open_reqs = [r for r in reqs if r & chosen == 0]
-    units = 0
-    for r in open_reqs:
-        if r.bit_count() == 1:
-            units |= r
-    if not units:
-        return chosen, open_reqs
-    return chosen | units, [r for r in open_reqs if r & units == 0]
-
-
-def _greedy_cover(reqs: list[int], chosen: int) -> int:
-    """Any hitting set extending ``chosen``; initial incumbent.
+def _greedy_cover(open_reqs: list[int], chosen: int) -> int:
+    """Any hitting set extending ``chosen`` that hits ``open_reqs``, the
+    requirements ``chosen`` leaves open; initial incumbent.
 
     Each pick is a vertex in the most open requirements, the lowest on
     ties.  The counts and each vertex's requirements are built once; a
     closed requirement decrements its vertices' counts, and a heap whose
     stale entries are skipped yields the next pick.
     """
-    members = [list(graphs._bits(r)) for r in reqs if r & chosen == 0]
+    members = [list(graphs._bits(r)) for r in open_reqs]
     holding: dict[int, list[int]] = {}
     for i, vertices in enumerate(members):
         for v in vertices:
@@ -180,10 +165,16 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
     generators, so its depth is not bounded by the recursion limit.
     """
     reqs = _requirements(g)
-    root_chosen, root_open = _propagate_units(reqs, 0)
+    # The root forces every unit requirement.  ``_requirements`` lists them
+    # first and drops every other requirement holding a unit's vertex, so
+    # the forced set is the units' sum and the open list is the rest.
+    # Choosing vertices only closes requirements, so no open list below
+    # the root holds a unit.
+    units = [r for r in reqs if r & (r - 1) == 0]
+    root_chosen, root_open = sum(units), reqs[len(units):]
     best_mask = None
     best_size = (cap + 1) if cap is not None else (g.n + 1)
-    greedy = _greedy_cover(reqs, root_chosen)
+    greedy = _greedy_cover(root_open, root_chosen)
     if greedy.bit_count() < best_size:
         best_mask, best_size = greedy, greedy.bit_count()
     goal = cap if cap is not None else 0  # every code has size >= 1

@@ -249,7 +249,7 @@ class TestHelpers:
 
     def test_rejected_solver_code_raises(self, monkeypatch):
         verdict = Verdict(False, ("not_totally_dominated", 0))
-        monkeypatch.setattr("iocodes.audit.is_io_code", lambda g, s: verdict)
+        monkeypatch.setattr("iocodes.solver.is_io_code", lambda g, s: verdict)
         with pytest.raises(CodeRejected) as err:
             audit_trees(5)
         assert err.value.verdict is verdict

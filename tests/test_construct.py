@@ -22,12 +22,10 @@ from iocodes import (
     Graph,
     GraphError,
     NoCode,
-    NotATree,
     TooSmall,
     VertexSet,
     check_bound,
-    construct_graph_code,
-    construct_tree_code,
+    construct_code,
     enumerate_graph_classes,
     enumerate_trees,
     find_open_twins,
@@ -43,7 +41,7 @@ from iocodes import (
 )
 from iocodes import construct, families
 from iocodes.canon import canonical_graph
-from iocodes.construct import _twin_of, construct_code
+from iocodes.construct import _twin_of
 from iocodes.formats import parse_graph6
 from iocodes.families import _subdivided_star
 from iocodes.graphs import _induced_cycle, _members, _reach, _twin_free
@@ -71,33 +69,31 @@ CHORDED_C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
 BAD_DELTA = (BadParam, "delta must be at least 3, got 2")
 ORDER_4 = (TooSmall, "need order >= 5, got 4")
 DISCONNECTED = (Disconnected, "input must be connected")
-CYCLE = (NotATree, "input has a cycle")
 C4 = (FourCyclePresent, "input contains a 4-cycle")
 TWINS = (NoCode, "open twins (1, 2)")
 DEGREE = (DegreeExceeded, "maximum degree 5 exceeds delta=4")
 
-# (input, delta, first failing check of the tree entry, of the graph entry);
-# None where the input is valid for that entry
+# (input, delta, first failing check); None where the input is valid
 VALIDATION_TABLE = {
-    "bad delta": (path(6), 2, BAD_DELTA, BAD_DELTA),
-    "too small": (path(4), 3, ORDER_4, ORDER_4),
-    "paw": (PAW, 3, ORDER_4, None),
-    "disconnected": (disjoint(path(5), path(5)), 3, DISCONNECTED, DISCONNECTED),
-    "cycle": (C5, 3, CYCLE, None),
-    "twins": (Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), 3, TWINS, TWINS),
-    "4-cycle": (CHORDED_C6, 3, CYCLE, C4),
-    "degree": (gen_subdivided_star(5)[0], 4, DEGREE, DEGREE),
-    "bad delta, too small": (path(3), 2, BAD_DELTA, BAD_DELTA),
-    "too small, disconnected": (Graph(4, [(0, 1), (2, 3)]), 3, ORDER_4, ORDER_4),
-    "disconnected, cycle": (disjoint(C5, path(5)), 3, DISCONNECTED, DISCONNECTED),
+    "bad delta": (path(6), 2, BAD_DELTA),
+    "too small": (path(4), 3, ORDER_4),
+    "paw": (PAW, 3, None),
+    "disconnected": (disjoint(path(5), path(5)), 3, DISCONNECTED),
+    "cycle": (C5, 3, None),
+    "twins": (Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), 3, TWINS),
+    "4-cycle": (CHORDED_C6, 3, C4),
+    "degree": (gen_subdivided_star(5)[0], 4, DEGREE),
+    "bad delta, too small": (path(3), 2, BAD_DELTA),
+    "too small, disconnected": (Graph(4, [(0, 1), (2, 3)]), 3, ORDER_4),
+    "disconnected, cycle": (disjoint(C5, path(5)), 3, DISCONNECTED),
     "cycle, twins, 4-cycle": (
-        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]), 3, CYCLE, (NoCode, "open twins (0, 2)")
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]), 3, (NoCode, "open twins (0, 2)")
     ),
-    "twins, degree": (Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 3, TWINS, TWINS),
+    "twins, degree": (Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 3, TWINS),
     "disconnected, twins, degree": (
-        disjoint(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), path(5)), 3, DISCONNECTED, DISCONNECTED
+        disjoint(Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), path(5)), 3, DISCONNECTED
     ),
-    "4-cycle, degree": (Graph(7, CHORDED_C6.edges() + [(0, 6)]), 3, CYCLE, C4),
+    "4-cycle, degree": (Graph(7, CHORDED_C6.edges() + [(0, 6)]), 3, C4),
 }
 
 
@@ -122,30 +118,27 @@ class TestCheckBound:
 class TestInputValidation:
     @pytest.mark.parametrize("case", list(VALIDATION_TABLE))
     def test_first_failing_check_raises(self, case):
-        g, delta, tree_error, graph_error = VALIDATION_TABLE[case]
-        for construct, expected in ((construct_tree_code, tree_error), (construct_graph_code, graph_error)):
-            if expected is None:
-                code, _ = construct(g, delta)
-                assert is_io_code(g, code).ok
-                continue
-            cls, message = expected
-            with pytest.raises(GraphError) as caught:
-                construct(g, delta)
-            assert type(caught.value) is cls and str(caught.value) == message, construct.__name__
+        g, delta, expected = VALIDATION_TABLE[case]
+        if expected is None:
+            code, _ = construct_code(g, delta)
+            assert is_io_code(g, code).ok
+            return
+        cls, message = expected
+        with pytest.raises(GraphError) as caught:
+            construct_code(g, delta)
+        assert type(caught.value) is cls and str(caught.value) == message
 
     def test_twin_error_carries_the_pair(self):
-        g = VALIDATION_TABLE["twins"][0]
-        for construct in (construct_tree_code, construct_graph_code):
-            with pytest.raises(NoCode) as caught:
-                construct(g, 3)
-            assert caught.value.witness == (1, 2)
+        with pytest.raises(NoCode) as caught:
+            construct_code(VALIDATION_TABLE["twins"][0], 3)
+        assert caught.value.witness == (1, 2)
 
 
 class TestTreeConstructor:
     def test_exceptional_star(self):
         for delta in (3, 4, 5):
             g, _ = gen_subdivided_star(delta)
-            code, trace = construct_tree_code(g, delta)
+            code, trace = construct_code(g, delta)
             assert trace.exceptional_star
             assert len(code) == 2 * delta
             status = check_bound(g.n, len(code), delta, is_exceptional_star=True)
@@ -153,14 +146,14 @@ class TestTreeConstructor:
 
     def test_star_with_larger_delta_not_exceptional(self):
         g, _ = gen_subdivided_star(3)
-        code, trace = construct_tree_code(g, 4)
+        code, trace = construct_code(g, 4)
         assert not trace.exceptional_star
         assert check_bound(g.n, len(code), 4) is BoundStatus.WITHIN_BOUND
 
     def test_tight_pair_meets_bound_exactly(self):
         for delta in (3, 4):
             g, _ = gen_tight_tree_pair(delta)
-            code, trace = construct_tree_code(g, delta)
+            code, trace = construct_code(g, delta)
             assert is_io_code(g, code).ok
             assert 2 * delta * len(code) <= (2 * delta - 1) * g.n
             # the instance is extremal, so the constructor cannot do better
@@ -171,22 +164,20 @@ class TestTreeConstructor:
         g, spec = gen_subcubic_gp(3)
         ring = spec.distinguished["cycle"]
         t = Graph(g.n, [e for e in g.edges() if e != (ring[0], ring[-1])])
-        code, trace = construct_tree_code(t, 3)
+        code, trace = construct_code(t, 3)
         assert is_io_code(t, code).ok
         assert 6 * len(code) == 5 * t.n
 
     def test_validation_errors(self):
         with pytest.raises(BadParam):
-            construct_tree_code(path(6), 2)
+            construct_code(path(6), 2)
         with pytest.raises(TooSmall):
-            construct_tree_code(path(4), 3)
-        with pytest.raises(NotATree):
-            construct_tree_code(C5, 3)
+            construct_code(path(4), 3)
         with pytest.raises(NoCode):
-            construct_tree_code(Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), 3)
+            construct_code(Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), 3)
         with pytest.raises(DegreeExceeded):
             g, _ = gen_subdivided_star(5)
-            construct_tree_code(g, 4)
+            construct_code(g, 4)
 
     def test_deep_decomposition_on_valid_trees(self):
         # deep decompositions of seeded subdivided random trees: every step
@@ -198,7 +189,7 @@ class TestTreeConstructor:
             for i in range(1, k):
                 edges += [(rng.randrange(i), k + i - 1), (k + i - 1, i)]
             t = Graph(n, edges)
-            code, trace = construct_tree_code(t, 8)
+            code, trace = construct_code(t, 8)
             assert is_io_code(t, code).ok
             assert check_bound(t.n, len(code), 8) is BoundStatus.WITHIN_BOUND
 
@@ -206,7 +197,7 @@ class TestTreeConstructor:
         # one 5-vertex tail is peeled per level: 400 levels, none of them a
         # nested Python frame
         g = path(2000)
-        code, trace = construct_tree_code(g, 3)
+        code, trace = construct_code(g, 3)
         assert is_io_code(g, code).ok
         assert check_bound(g.n, len(code), 3) is BoundStatus.WITHIN_BOUND
         assert [step.case for step in trace.steps].count("path_tail_split") == 399
@@ -256,7 +247,7 @@ class TestTreeConstructor:
                 if find_open_twins(t):
                     continue
                 d = max(3, max_degree(t))
-                code, trace = construct_tree_code(t, d)
+                code, trace = construct_code(t, d)
                 union = set()
                 for step in trace.steps:
                     union |= set(step.contributed)
@@ -268,7 +259,7 @@ class TestTreeConstructor:
                 if find_open_twins(t):
                     continue
                 d = max(3, max_degree(t))
-                code, trace = construct_tree_code(t, d)
+                code, trace = construct_code(t, d)
                 assert is_io_code(t, code).ok
                 status = check_bound(t.n, len(code), d, is_exceptional_star=trace.exceptional_star)
                 assert status is not BoundStatus.VIOLATION
@@ -283,26 +274,26 @@ class TestTreeConstructor:
                 continue
             done += 1
             d = max(3, max_degree(t))
-            code, trace = construct_tree_code(t, d)
+            code, trace = construct_code(t, d)
             assert is_io_code(t, code).ok
             assert check_bound(t.n, len(code), d, is_exceptional_star=trace.exceptional_star) is not BoundStatus.VIOLATION
 
 
 class TestGraphConstructor:
     def test_c5(self):
-        code, trace = construct_graph_code(C5, 3)
+        code, trace = construct_code(C5, 3)
         assert is_io_code(C5, code).ok
         assert 6 * len(code) <= 5 * 5
 
     def test_paw_base(self):
-        code, trace = construct_graph_code(PAW, 3)
+        code, trace = construct_code(PAW, 3)
         assert len(code) == 3
         assert is_io_code(PAW, code).ok
 
     def test_gadget_rings_exact(self):
         for p in (3, 5, 6):
             g, _ = gen_subcubic_gp(p)
-            code, trace = construct_graph_code(g, 3)
+            code, trace = construct_code(g, 3)
             assert is_io_code(g, code).ok
             # extremal instance: the bound forces exactly 5p
             assert len(code) == 5 * p
@@ -312,7 +303,7 @@ class TestGraphConstructor:
             for k in (2, 3, 4, 5):
                 g, _ = gen_star_plus_edge(variant, k)
                 d = max(3, max_degree(g))
-                code, trace = construct_graph_code(g, d)
+                code, trace = construct_code(g, d)
                 assert is_io_code(g, code).ok
                 assert check_bound(g.n, len(code), d) is not BoundStatus.VIOLATION
 
@@ -327,7 +318,7 @@ class TestGraphConstructor:
                 g, _ = gen_star_plus_edge(variant, k)
                 d = max(3, max_degree(g))
                 for delta in (d, d + 1):
-                    code, trace = construct_graph_code(g, delta)
+                    code, trace = construct_code(g, delta)
                     steps = [s for s in trace.steps if s.case == "star_plus_edge_pattern"]
                     variants.update(s.detail["variant"] for s in steps)
                     digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
@@ -363,7 +354,8 @@ class TestGraphConstructor:
     def test_graph_codes_and_traces_are_pinned(self):
         # sha256 over (sorted code, trace) at delta = max(3, max degree) and
         # one more, taken while every graph-constructor level still copied
-        # its part into a relabeled Graph
+        # its part into a relabeled Graph.  Trees among them go through the
+        # graph builder too, as ``construct_code`` sends them to the tree one.
         graphs = local_test_graphs()
         graphs += [g for g, _ in enumerate_graph_classes(7, 3) if g.n >= 5]
         graphs += [gen_subcubic_gp(p)[0] for p in (3, 5, 6, 7, 8, 9, 21)]
@@ -374,7 +366,7 @@ class TestGraphConstructor:
         for g in graphs:
             d = max(3, max_degree(g))
             for delta in (d, d + 1):
-                code, trace = construct_graph_code(g, delta)
+                code, trace = construct._decompose(construct._build_graph, g, delta)
                 cases.update(s.case for s in trace.steps)
                 digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
         assert len(graphs) == 278
@@ -392,7 +384,7 @@ class TestGraphConstructor:
         # a 6- and an 8-cycle with a pendant leaf on every other vertex:
         # deleting any cycle edge leaves twins, so a degree-2 cycle vertex goes
         g6 = parse_graph6("HhEK@?G")
-        code, trace = construct_graph_code(g6, 3)
+        code, trace = construct_code(g6, 3)
         assert sorted(code) == [0, 2, 3, 4, 5] and solve(g6).gamma == 5
         assert [(s.case, s.detail) for s in trace.steps] == [
             ("cycle_vertex_removed", {"vertex": 1}),
@@ -400,7 +392,7 @@ class TestGraphConstructor:
             ("family_canonical", {"root": 4, "vector": [1, 0, 2, 0, 0, 0], "order": 8}),
         ]
         g8 = parse_graph6("KhCGKE?G?O?O")
-        code, trace = construct_graph_code(g8, 3)
+        code, trace = construct_code(g8, 3)
         assert sorted(code) == [0, 2, 3, 4, 6, 7, 9, 11] and solve(g8).gamma == 7
         assert [s.case for s in trace.steps] == [
             "cycle_vertex_removed",
@@ -424,22 +416,26 @@ class TestGraphConstructor:
         # twin-free 6-cycle with one chord still contains a 4-cycle
         chorded = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
         with pytest.raises(FourCyclePresent):
-            construct_graph_code(chorded, 3)
+            construct_code(chorded, 3)
         with pytest.raises(TooSmall):
-            construct_graph_code(Graph(4, [(0, 1), (1, 2), (2, 3)]), 3)
+            construct_code(Graph(4, [(0, 1), (1, 2), (2, 3)]), 3)
         with pytest.raises(NoCode):
-            construct_graph_code(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]), 3)
+            construct_code(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]), 3)
 
     def test_trees_routed(self):
-        code, trace = construct_graph_code(path(7), 3)
+        # the graph builder hands a tree to the tree builder; the entry point
+        # sends a tree to the tree builder straight away
+        code, trace = construct._decompose(construct._build_graph, path(7), 3)
         assert is_io_code(path(7), code).ok
         assert trace.steps[0].case == "tree_reduction"
+        _, direct = construct_code(path(7), 3)
+        assert direct.steps == trace.steps[1:]
 
     def test_exhaustive_small(self):
         for g, _ in enumerate_graph_classes(7):
             if g.n >= 5:
                 d = max(3, max_degree(g))
-                code, trace = construct_graph_code(g, d)
+                code, trace = construct_code(g, d)
                 assert is_io_code(g, code).ok
                 status = check_bound(g.n, len(code), d, is_exceptional_star=trace.exceptional_star)
                 assert status is not BoundStatus.VIOLATION
@@ -457,13 +453,14 @@ class TestConstructionError:
         return 1  # {0} dominates only its neighbours
 
     @pytest.mark.parametrize(
-        "builder, entry, g",
-        [("_build_tree", construct_tree_code, path(7)), ("_build_graph", construct_graph_code, C5)],
+        "builder, g",
+        [("_build_tree", path(7)), ("_build_graph", C5)],
+        ids=["_build_tree-construct_code-path7", "_build_graph-construct_code-C5"],
     )
-    def test_final_check_raises_with_the_trace(self, monkeypatch, builder, entry, g):
+    def test_final_check_raises_with_the_trace(self, monkeypatch, builder, g):
         monkeypatch.setattr(construct, builder, self.not_a_code)
         with pytest.raises(ConstructionError) as caught:
-            entry(g, 3)
+            construct_code(g, 3)
         assert str(caught.value) == "constructed set failed final verification"
         assert caught.value.trace.as_dict() == {
             "steps": [{"case": "family_canonical", "detail": {"order": g.n}, "contributed": [0]}],

@@ -28,7 +28,7 @@ from iocodes import (
     solve_with_budget,
 )
 from iocodes.graphs import is_tree
-from iocodes.solver import TREE_NODE_FACTOR, _greedy_cover, _propagate_units, _requirements, _tree_dp
+from iocodes.solver import TREE_NODE_FACTOR, _greedy_cover, _requirements, _tree_dp
 from test_tree_dp import subdivided_random_tree
 
 
@@ -402,9 +402,13 @@ def reference_budget(g, max_size):
 def assert_same_as_reference(g):
     reqs = _requirements(g)
     assert reqs == reference_requirements(g)
-    root_chosen, root_open = _propagate_units(reqs, 0)
+    # the search's root: the unit requirements come first, and forcing them
+    # leaves the rest open
+    units = [r for r in reqs if r.bit_count() == 1]
+    root_chosen, root_open = sum(units), reqs[len(units):]
+    assert reqs[: len(units)] == units
     assert (root_chosen, root_open) == reference_propagate_units(reqs, 0)
-    assert _greedy_cover(reqs, root_chosen) == reference_greedy_cover(reqs, root_chosen)
+    assert _greedy_cover(root_open, root_chosen) == reference_greedy_cover(reqs, root_chosen)
     if is_tree(g):
         assert _tree_dp(g) == reference_tree_dp(g)
     result = solve(g)

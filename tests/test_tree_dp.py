@@ -22,7 +22,7 @@ from iocodes import (
     Graph,
     VertexSet,
     check_bound,
-    construct_tree_code,
+    construct_code,
     enumerate_trees,
     find_open_twins,
     is_io_code,
@@ -34,7 +34,6 @@ from iocodes import (
 from iocodes.solver import (
     TREE_NODE_FACTOR,
     _greedy_cover,
-    _propagate_units,
     _requirements,
     _search,
     _tree_dp,
@@ -95,9 +94,9 @@ class TestSeeded:
         # the greedy incumbent is not optimal here, so the search has work to do
         hard = trees[49, 1]
         reqs = _requirements(hard)
-        root_chosen, _ = _propagate_units(reqs, 0)
+        units = [r for r in reqs if r.bit_count() == 1]
         gamma = _tree_dp(hard)[0]
-        assert _greedy_cover(reqs, root_chosen).bit_count() > gamma
+        assert _greedy_cover(reqs[len(units):], sum(units)).bit_count() > gamma
         for key in ((41, 1), (43, 2), (47, 1), (49, 1)):
             g = trees[key]
             result = solve(g)
@@ -207,7 +206,7 @@ class TestProperties:
         if g.n < 5:
             return
         delta = max(3, max_degree(g))
-        code, trace = construct_tree_code(g, delta)
+        code, trace = construct_code(g, delta)
         status = check_bound(g.n, len(code), delta, is_exceptional_star=trace.exceptional_star)
         assert status.value != "violation"
         assert _tree_dp(g)[0] <= len(code)

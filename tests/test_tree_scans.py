@@ -19,7 +19,6 @@ from conftest import brute_all_distances, random_tree
 from iocodes import (
     Graph,
     build_family_tree,
-    construct_tree_code,
     enumerate_trees,
     find_open_twins,
     gen_subdivided_star,
@@ -43,7 +42,7 @@ TWIN_FREE_TREES = [
     t for n in range(1, 13) for t in enumerate_trees(n) if not find_open_twins(t)
 ]
 
-# sha256 over construct_tree_code's (sorted code, trace) on every twin-free
+# sha256 over construct_code's (sorted code, trace) on every twin-free
 # tree with 5 <= n <= 12, at each delta from max(3, max degree) to max
 # degree + 2, as produced by the edge-deletion constructor it replaced.
 TREE_CODES_AND_TRACES_SHA256 = "7cf74bccb07cbfc7b0b865be748eeeca998825427c2bca32a4f2ba49c59e0df5"
@@ -281,7 +280,7 @@ def test_tree_codes_and_traces_unchanged():
             continue
         top = max_degree(t)
         for delta in range(max(3, top), top + 3):
-            code, trace = construct_tree_code(t, delta)
+            code, trace = construct_code(t, delta)
             digest.update(json.dumps([sorted(code), trace.as_dict()], sort_keys=True).encode())
     assert digest.hexdigest() == TREE_CODES_AND_TRACES_SHA256
 
