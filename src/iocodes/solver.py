@@ -16,24 +16,34 @@ list in order, the branch requirement is its first entry, and a child's
 open list is one filter: the root forces every unit, and choosing a
 vertex only closes requirements, so no unit is open below the root.
 
-On trees an exact linear-time dynamic program (``_tree_dp``) supplies
-the minimum as a target: once the search has explored as many nodes as
-the tree has vertices, it stops as soon as its incumbent reaches the
-minimum, and a budget below the minimum is refused without searching.
-The same call gives the program's own minimum code, and a tree search
-that has explored ``TREE_NODE_FACTOR`` nodes per vertex stops and
-returns that code with ``method: "tree_dp"``, so every tree search is
-bounded.  Below that bound the search produces the returned code, which
-is then the one an unbounded search returns.  The program rests on a
-local rule for 4-cycle-free graphs, where two vertices share at most one
-neighbour: S is an IO-code iff every vertex has a neighbour in S and no
-s in S has two neighbours whose only S-neighbour is s.
+The root's incumbent is a greedy cover: each pick is a vertex in the
+most open requirements.  Each vertex keeps one mask of the indices of the
+requirements holding it, and its heap entry is recounted only when it
+comes to the top, because a stale count only overstates.  The bound
+counts packed requirements only until they reach the incumbent, where
+the node is pruned either way.
+
+On trees an exact linear-time dynamic program (``_tree_program``)
+supplies the minimum as a target: once the search has explored as many
+nodes as the tree has vertices, it stops as soon as its incumbent
+reaches the minimum, and a budget below the minimum is refused without
+searching.  The program pays first for the minimum alone: it folds each
+distinct tuple of child exports once per call, so equal subtrees cost
+one fold.  Its own minimum code is built from the back-pointers only
+when it is read: a tree search that has explored ``TREE_NODE_FACTOR``
+nodes per vertex stops and returns that code with ``method:
+"tree_dp"``, so every tree search is bounded.  Below that bound the
+search produces the returned code, which is then the one an unbounded
+search returns.  The program rests on a local rule for 4-cycle-free
+graphs, where two vertices share at most one neighbour: S is an IO-code
+iff every vertex has a neighbour in S and no s in S has two neighbours
+whose only S-neighbour is s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from typing import Callable
 
@@ -72,33 +82,47 @@ def _requirements(g: Graph) -> list[int]:
     formed: for disjoint N(u) and N(v) the separation requirement is
     N(u) | N(v), which contains the domination requirement N(u).  The
     unit requirements are collected first and drop every other
-    requirement holding their vertices.  A kept requirement inside ``r``
-    has its lowest bit in ``r``, so each remaining ``r`` is tested only
-    against the kept requirements filed under its own bits.  The graph
-    must admit a code, so no requirement is empty.
+    requirement holding their vertices.  The rest go by size: two
+    distinct requirements of one size never contain each other, so a
+    size class is tested only against the smaller kept requirements, and
+    the first class not at all.  A kept requirement inside ``r`` has its
+    lowest bit in ``r``, so ``r`` is tested only against the kept
+    requirements filed under its own bits.  The graph must admit a code,
+    so no requirement is empty.
     """
     adj = g.adj
     reqs = set(adj)
-    for w in range(g.n):
-        for u, v in combinations(graphs._bits(adj[w]), 2):
-            reqs.add(adj[u] ^ adj[v])
+    for a in adj:
+        if a & (a - 1):  # two neighbours or more
+            for u, v in combinations(graphs._bits(a), 2):
+                reqs.add(adj[u] ^ adj[v])
     kept = sorted(r for r in reqs if r & (r - 1) == 0)
     units = sum(kept)
+    by_size: dict[int, list[int]] = {}
+    for r in reqs:
+        if r & units == 0:
+            by_size.setdefault(r.bit_count(), []).append(r)
     by_low: dict[int, list[int]] = {}  # lowest bit -> kept requirements with that lowest bit
-    for r in sorted((r for r in reqs if r & units == 0), key=lambda m: (m.bit_count(), m)):
-        dominated = False
-        rest = r
-        while rest and not dominated:
-            low = rest & -rest
-            rest ^= low
-            for k in by_low.get(low, ()):
-                if k & r == k:
-                    dominated = True
-                    break
-        if not dominated:
-            kept.append(r)
+    for size in sorted(by_size):
+        fresh = sorted(by_size[size])
+        if by_low:
+            fresh = [r for r in fresh if not _holds_one(r, by_low)]
+        kept += fresh
+        for r in fresh:
             by_low.setdefault(r & -r, []).append(r)
     return kept
+
+
+def _holds_one(r: int, by_low: dict[int, list[int]]) -> bool:
+    """Whether ``r`` contains a requirement of ``by_low``."""
+    rest = r
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for k in by_low.get(low, ()):
+            if k & r == k:
+                return True
+    return False
 
 
 def _greedy_cover(open_reqs: list[int], chosen: int) -> int:
@@ -106,63 +130,74 @@ def _greedy_cover(open_reqs: list[int], chosen: int) -> int:
     requirements ``chosen`` leaves open; initial incumbent.
 
     Each pick is a vertex in the most open requirements, the lowest on
-    ties.  The counts and each vertex's requirements are built once; a
-    closed requirement decrements its vertices' counts, and a heap whose
-    stale entries are skipped yields the next pick.
+    ties.  Each vertex has one mask of the indices of the requirements
+    holding it and one heap entry, whose count is recounted only when the
+    entry comes to the top: a stale count only overstates, so an entry
+    whose count is still exact there beats every true count.
     """
-    members = [list(graphs._bits(r)) for r in open_reqs]
-    holding: dict[int, list[int]] = {}
-    for i, vertices in enumerate(members):
-        for v in vertices:
-            holding.setdefault(v, []).append(i)
-    counts = {v: len(held) for v, held in holding.items()}
-    heap = [(-count, v) for v, count in counts.items()]
+    closes: dict[int, int] = {}  # vertex -> indices of the open requirements holding it
+    for i, r in enumerate(open_reqs):
+        index = 1 << i
+        while r:
+            low = r & -r
+            v = low.bit_length() - 1
+            closes[v] = closes.get(v, 0) | index
+            r ^= low
+    heap = [(-held.bit_count(), v) for v, held in closes.items()]
     heapify(heap)
-    closed = [False] * len(members)
-    while heap:
-        count, v = heappop(heap)
-        if counts[v] != -count:
-            continue  # stale: the count has dropped since this entry
-        chosen |= 1 << v
-        for i in holding[v]:
-            if closed[i]:
-                continue
-            closed[i] = True
-            for u in members[i]:
-                counts[u] -= 1
-                if counts[u]:
-                    heappush(heap, (-counts[u], u))
+    unhit = (1 << len(open_reqs)) - 1
+    while unhit:
+        count, v = heap[0]
+        fresh = (unhit & closes[v]).bit_count()
+        if fresh == -count:
+            heappop(heap)
+            chosen |= 1 << v
+            unhit &= ~closes[v]
+        elif fresh:
+            heapreplace(heap, (-fresh, v))
+        else:
+            heappop(heap)
     return chosen
 
 
-def _disjoint_bound(open_reqs: list[int]) -> int:
+def _disjoint_bound(open_reqs: list[int], limit: int) -> int:
     """Greedy count of pairwise disjoint requirements, taken in list order,
-    which is ``(size, mask)`` order; each costs >= 1."""
+    which is ``(size, mask)`` order; each costs >= 1.  The count stops
+    once it reaches ``limit``, where it already prunes."""
     used = 0
     count = 0
     for r in open_reqs:
         if r & used == 0:
             count += 1
+            if count >= limit:
+                break
             used |= r
     return count
 
 
-def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int]] | None = None):
+def _children(chosen: int, open_reqs: list[int], candidates: list[int]):
+    """A node's children, lazily: each candidate chosen, with the requirements it leaves open."""
+    for v in candidates:
+        yield chosen | 1 << v, [r for r in open_reqs if not r >> v & 1]
+
+
+def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, Callable[[], int]]] | None = None):
     """Core branch and bound; returns (best_mask or None, nodes explored,
     whether the mask is the witness of ``exact``).
 
     The search stops as soon as the incumbent has size at most its goal:
     ``cap`` itself when a cap is given, so any code within it decides the
     question, or else the exact minimum from ``exact``, which returns a
-    minimum and a code of that size.  That callable costs about as much
-    as exploring one node per vertex, so it is asked only once the search
-    has explored ``g.n`` nodes; searches that end sooner, most of them on
-    small trees, never pay for it.  The incumbent is replaced only on
-    strict improvement, so stopping at the minimum returns the code the
-    unbounded search returns.  With ``exact`` given, the search stops at
-    ``TREE_NODE_FACTOR * g.n`` nodes with its witness as the incumbent.
-    The search runs depth first on an explicit stack of lazy child
-    generators, so its depth is not bounded by the recursion limit.
+    minimum and a callable that builds a code of that size.  The minimum
+    costs about as much as exploring one node per vertex, so it is asked
+    only once the search has explored ``g.n`` nodes; searches that end sooner,
+    most of them on small trees, never pay for it.  The incumbent is
+    replaced only on strict improvement, so stopping at the minimum
+    returns the code the unbounded search returns.  With ``exact`` given,
+    the search stops at ``TREE_NODE_FACTOR * g.n`` nodes with its witness
+    as the incumbent; only that stop builds the witness.  The search runs
+    depth first on an explicit stack of lazy child generators, so its
+    depth is not bounded by the recursion limit.
     """
     reqs = _requirements(g)
     # The root forces every unit requirement.  ``_requirements`` lists them
@@ -182,24 +217,30 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
     witness = None
     from_exact = False
 
-    def expand(chosen: int, open_reqs: list[int]):
-        """Explore one node: its children as a lazy generator, or None."""
-        nonlocal best_mask, best_size, nodes, goal, witness, from_exact
+    # one entry per node on the current path: its children not yet explored
+    stack = [iter([(root_chosen, root_open)])]
+    while stack and best_size > goal:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        chosen, open_reqs = child
         nodes += 1
         if nodes == g.n and exact is not None:
             gamma, witness = exact()
             goal = max(goal, gamma)  # a cap, never below the minimum, stays the goal
         if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
             # the incumbent is above the goal here, which the witness meets
-            best_mask, best_size, from_exact = witness, witness.bit_count(), True
-            return None
+            best_mask = witness()
+            best_size, from_exact = best_mask.bit_count(), True
+            break
         size = chosen.bit_count()
         if not open_reqs:
             if size < best_size:
                 best_mask, best_size = chosen, size
-            return None
-        if size + _disjoint_bound(open_reqs) >= best_size:
-            return None
+            continue
+        if _disjoint_bound(open_reqs, best_size - size) >= best_size - size:
+            continue
         # branch on a smallest requirement; its vertices in most open requirements first
         branch_req = open_reqs[0]
         hits = dict.fromkeys(graphs._bits(branch_req), 0)
@@ -209,21 +250,13 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int
                 low = common & -common
                 hits[low.bit_length() - 1] += 1
                 common ^= low
-        candidates = sorted(hits, key=lambda v: (-hits[v], v))
-        return ((chosen | 1 << v, [r for r in open_reqs if not r >> v & 1]) for v in candidates)
-
-    # one entry per node on the current path: its children not yet explored
-    stack = [iter([(root_chosen, root_open)])]
-    while stack and best_size > goal:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        elif (grandchildren := expand(*child)) is not None:
-            stack.append(grandchildren)
+        # a stable sort: ties keep the increasing order of the vertices
+        candidates = sorted(hits, key=hits.__getitem__, reverse=True)
+        stack.append(_children(chosen, open_reqs, candidates))
     return best_mask, nodes, from_exact
 
 
-# _tree_dp's fold state (S-children capped at 2, private-child count of the
+# _tree_program's fold state (S-children capped at 2, private-child count of the
 # unique S-child, own private children) is coded sc*4 + uq*2 + pc, and a
 # child's key (in S, no S-child, private-child count) x*4 + lone*2 + q.
 _FOLD_STATES = [(sc, uq, pc) for sc in range(3) for uq in (0, 1) for pc in (0, 1)]
@@ -250,8 +283,9 @@ _EXPORT = [
 ]
 
 
-def _tree_dp(g: Graph) -> tuple[int, int]:
-    """Minimum IO-code of a twin-free tree: (gamma, code mask), in O(n).
+def _tree_program(g: Graph) -> tuple[int, Callable[[], int]]:
+    """Minimum IO-code of a twin-free tree, in O(n): (gamma, a callable
+    that builds a code mask of that size).
 
     Rooted at 0 and filled in reverse BFS order.  A vertex v with parent
     p exports, for each value of "p in S", the cheapest choice inside its
@@ -263,60 +297,83 @@ def _tree_dp(g: Graph) -> tuple[int, int]:
     private child, and if v's only S-neighbour is a child c, then c has
     no private child.  States and keys are small integers, and the fold
     and the export read the tables ``_FOLD`` and ``_EXPORT``.  Ties keep
-    the first candidate in insertion order.  The fold keeps
-    back-pointers for the witness.
+    the first candidate in insertion order.
+
+    A vertex's export, its fold back-pointers included, is a function of
+    its children's exports in child order.  So each distinct tuple of
+    child exports is folded once per call, and equal subtrees, every leaf
+    for one, share one export.  The minimum needs only the root's export;
+    the callable walks the back-pointers down from the root when it is
+    called, and the search calls it only at its node bound.
     """
     order, parent = _bfs_tree(g.adj, (1 << g.n) - 1, 0)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in order[1:]:
         children[parent[v]].append(v)
-    # export[v][xp]: key -> (cost, fold state); folds[v][xv]: per child, state -> back-pointer
-    export: list = [None] * g.n
-    folds: list = [None] * g.n
+    seen: dict[tuple[int, ...], int] = {}  # child export ids, in child order -> export id
+    # export id -> ([xp] key -> (cost, fold state), [xv] per child: state -> back-pointer)
+    exports: list[tuple[list[dict], list[list[dict]]]] = []
+    ident = [0] * g.n
     for v in reversed(order):
-        finals, trails = [], []
-        for xv in (0, 1):
-            states = {0: xv}
-            trail = []
-            for c in children[v]:
-                nxt: dict = {}
-                back: dict = {}
-                for s, cost in states.items():
-                    row = _FOLD[s]
-                    for key, (c_cost, _) in export[c][xv].items():
-                        t = row[key]
-                        if t < 0:
-                            continue
-                        total = cost + c_cost
-                        if t not in nxt or total < nxt[t]:
-                            nxt[t] = total
-                            back[t] = (s, key)
-                states = nxt
-                trail.append(back)
-            finals.append(states)
-            trails.append(trail)
-        folds[v] = trails
-        export[v] = []
-        for xp in (0, 1):
-            table: dict = {}
+        kids = tuple([ident[c] for c in children[v]])
+        i = seen.get(kids)
+        if i is None:
+            finals, trails = [], []
             for xv in (0, 1):
-                keys = _EXPORT[xp][xv]
-                for s, cost in finals[xv].items():
-                    key = keys[s]
-                    if key >= 0 and (key not in table or cost < table[key][0]):
-                        table[key] = (cost, s)
-            export[v].append(table)
+                states = {0: xv}
+                trail = []
+                for c in kids:
+                    entries = exports[c][0][xv].items()
+                    nxt: dict = {}
+                    back: dict = {}
+                    for s, cost in states.items():
+                        row = _FOLD[s]
+                        for key, (c_cost, _) in entries:
+                            t = row[key]
+                            if t < 0:
+                                continue
+                            total = cost + c_cost
+                            if t not in nxt or total < nxt[t]:
+                                nxt[t] = total
+                                back[t] = (s, key)
+                    states = nxt
+                    trail.append(back)
+                finals.append(states)
+                trails.append(trail)
+            export = []
+            for xp in (0, 1):
+                table: dict = {}
+                for xv in (0, 1):
+                    keys = _EXPORT[xp][xv]
+                    for s, cost in finals[xv].items():
+                        key = keys[s]
+                        if key >= 0 and (key not in table or cost < table[key][0]):
+                            table[key] = (cost, s)
+                export.append(table)
+            i = seen[kids] = len(exports)
+            exports.append((export, trails))
+        ident[v] = i
     root = order[0]
-    key, (gamma, state) = min(export[root][0].items(), key=lambda item: item[1][0])
-    mask = 0
-    stack = [(root, key >> 2, state)]
-    while stack:
-        v, xv, state = stack.pop()
-        mask |= xv << v
-        for c, back in zip(reversed(children[v]), reversed(folds[v][xv])):
-            state, key = back[state]
-            stack.append((c, key >> 2, export[c][xv][key][1]))
-    return gamma, mask
+    root_key, (gamma, root_state) = min(exports[ident[root]][0][0].items(), key=lambda item: item[1][0])
+
+    def witness() -> int:
+        mask = 0
+        stack = [(root, root_key >> 2, root_state)]
+        while stack:
+            v, xv, state = stack.pop()
+            mask |= xv << v
+            for c, back in zip(reversed(children[v]), reversed(exports[ident[v]][1][xv])):
+                state, key = back[state]
+                stack.append((c, key >> 2, exports[ident[c]][0][xv][key][1]))
+        return mask
+
+    return gamma, witness
+
+
+def _tree_dp(g: Graph) -> tuple[int, int]:
+    """The tree program's minimum and its code mask."""
+    gamma, witness = _tree_program(g)
+    return gamma, witness()
 
 
 def _verified(g: Graph, mask: int) -> VertexSet:
@@ -331,7 +388,7 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 def solve(g: Graph) -> SolveResult:
     """Exact minimum IO-code via branch and bound (targeted and bounded on trees)."""
     require_admissible(g)
-    exact = (lambda: _tree_dp(g)) if is_tree(g) else None
+    exact = (lambda: _tree_program(g)) if is_tree(g) else None
     best_mask, nodes, from_exact = _search(g, exact=exact)
     code = _verified(g, best_mask)
     return SolveResult(len(code), code, nodes, "tree_dp" if from_exact else "branch_and_bound")
@@ -340,7 +397,7 @@ def solve(g: Graph) -> SolveResult:
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     """Some IO-code of size <= max_size, or None (exact decision)."""
     require_admissible(g)
-    dp = _tree_dp(g) if is_tree(g) else None
+    dp = _tree_program(g) if is_tree(g) else None
     if max_size < (0 if dp is None else dp[0]):
         return None
     best_mask, _, _ = _search(g, cap=max_size, exact=None if dp is None else lambda: dp)

@@ -14,6 +14,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,12 +26,14 @@ from iocodes import (
     construct_code,
     enumerate_trees,
     find_open_twins,
+    gen_tight_tree_pair,
     is_io_code,
     max_degree,
     solve,
     solve_oracle,
     solve_with_budget,
 )
+from iocodes import solver
 from iocodes.solver import (
     TREE_NODE_FACTOR,
     _greedy_cover,
@@ -65,9 +68,39 @@ def seeded_trees():
     }
 
 
+def benchmark_solve_inputs():
+    """The large_trees benchmark's 36 solve inputs for input seed 0, in its order.
+
+    One seed-0 stream gives three subdivided random trees per odd order
+    41..61, followed by the tight tree pairs for delta 6, 7 and 8.
+    """
+    rng = random.Random(0)
+    trees = [subdivided_random_tree((n + 1) // 2, rng) for n in range(41, 62, 2) for _ in range(3)]
+    return trees + [gen_tight_tree_pair(delta)[0] for delta in (6, 7, 8)]
+
+
 def dp_code(g):
     gamma, mask = _tree_dp(g)
     return gamma, VertexSet(g.n, mask=mask)
+
+
+@pytest.fixture
+def witness_runs(monkeypatch):
+    """The order of each graph whose tree-program witness is built, in call order."""
+    runs = []
+    program = solver._tree_program
+
+    def spied(g):
+        gamma, witness = program(g)
+
+        def counted():
+            runs.append(g.n)
+            return witness()
+
+        return gamma, counted
+
+    monkeypatch.setattr(solver, "_tree_program", spied)
+    return runs
 
 
 class TestExhaustive:
@@ -116,17 +149,40 @@ class TestSeeded:
             found = solve_with_budget(g, gamma)
             assert found is not None and len(found) == gamma
 
-    def test_hard_tree_search_stops_at_the_node_bound(self):
+    def test_hard_tree_search_stops_at_the_node_bound(self, witness_runs):
         # the unbounded search explores 764,465 nodes on this 81-vertex tree
         g = subdivided_random_tree(41, random.Random(0))
         gamma, witness = _tree_dp(g)
+        del witness_runs[:]
         result = solve(g)
+        # the stop at the node bound is the one reader of the witness
+        assert witness_runs == [81]
         assert result.method == "tree_dp" and result.code.mask == witness
         assert result.gamma == gamma and result.nodes_explored == TREE_NODE_FACTOR * g.n
-        _, nodes, from_exact = _search(g, cap=gamma, exact=lambda: (gamma, witness))
+        _, nodes, from_exact = _search(g, cap=gamma, exact=lambda: (gamma, lambda: witness))
         assert from_exact and nodes == TREE_NODE_FACTOR * g.n
         found = solve_with_budget(g, gamma)
         assert found is not None and len(found) == gamma and is_io_code(g, found).ok
+
+    def test_benchmark_solve_inputs_are_pinned(self, witness_runs):
+        # (n, gamma, code, nodes, method) and the budget codes at gamma and
+        # gamma - 1, as the solver before the cost-first tree program gave them
+        solves, budgets = [], []
+        for g in benchmark_solve_inputs():
+            result = solve(g)
+            solves.append((g.n, result.gamma, sorted(result.code), result.nodes_explored, result.method))
+            found = [solve_with_budget(g, k) for k in (result.gamma, result.gamma - 1)]
+            budgets.append([None if code is None else code.mask for code in found])
+        assert len(solves) == 36
+        # every input stops at node n, the first moment the tree program is
+        # asked, so no solve and no budget reads the witness
+        assert all(nodes == n for n, _, _, nodes, _ in solves)
+        assert witness_runs == []
+        assert all(below is None for _, below in budgets)
+        digest = hashlib.sha256(repr(solves).encode()).hexdigest()
+        assert digest == "43eb256c962d2b67b6666a19a4a79d3a76a002433bd0d6a2698be6d2986a1db1"
+        digest = hashlib.sha256(repr(budgets).encode()).hexdigest()
+        assert digest == "0fd5cdebd8b61de6a57231e22e90d143c654d6e07f441222480648f9ba5414e1"
 
     def test_2001_vertex_tree_is_pinned(self):
         # gamma, node count, method and code as the quadratic solver gave them
