@@ -119,15 +119,16 @@ def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
         n=g.n,
         m=g.edge_count,
         max_degree=degree,
+        # construct_code raises on twins and on a 4-cycle, so neither is left
         twin_free=True,
-        c4_free=not has_four_cycle(g),
+        c4_free=True,
         delta=d,
         gamma=result.gamma,
         constructor_size=len(code),
         bound_status=gamma_status.value,
         constructor_status=cons_status.value,
         is_extremal=extremal,
-        witness_code=tuple(sorted(result.code)),
+        witness_code=tuple(result.code),  # a VertexSet iterates in increasing order
     )
     return record, sum(step.case == "exhaustive_fallback" for step in trace.steps)
 

@@ -4,6 +4,16 @@ Color-refinement plus backtracking over non-singleton cells; the
 canonical form is the lexicographically smallest upper-triangle
 adjacency encoding over all orderings the refinement tree reaches.
 
+Refinement works on an ordered partition.  A vertex's color is the
+position of its cell, the number of vertices in lower cells, so a split
+recolors only the parts after its first.  Each round ranks the members
+of a cell by their sorted tuples of neighbor colors, the order one
+global sort of (color, tuple) gives, and only a cell next to a vertex
+the round before recolored can split: the splitter rule of McKay and
+Piperno (cited below).  So only those cells are sorted again.  After a
+vertex ``v`` is individualized in an equitable coloring, only the cells
+of ``v``'s neighbors can split, and the refinement restarts from those.
+
 The search prunes by automorphisms (McKay and Piperno, "Practical graph
 isomorphism, II", J. Symbolic Comput. 60, 2014).  A leaf that repeats
 the best code yields the automorphism between the two orderings.  At a
@@ -31,46 +41,74 @@ the dive.
 from __future__ import annotations
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
-# functions imported by name, and a bit iterator is not a layer call
+# functions imported by name, and a list of set bits is not a layer call
 from . import graphs
 from .graphs import Graph, is_tree
 
 __all__ = ["canonical_order", "canonical_graph"]
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+def _refine(nbrs: list[list[int]], colors: list[int], touched: list[int] | None = None) -> list[int]:
     """Iterate neighbor-color-multiset refinement to a fixed point.
 
-    ``colors`` are dense ranks; so are the returned ones.  A vertex alone
-    in its cell keeps the signature ``(c,)``: no other signature starts
-    with ``c``, so its neighbors' colors cannot move any rank.  From a
-    uniform coloring the first round ranks the vertices by degree, and
-    it is read straight off the degrees.
+    ``colors`` and the result are cell positions (module docstring).  The
+    first round tries the cells of the vertices ``touched``, or every
+    cell when it is None; the members of every other cell must have equal
+    multisets of neighbor colors already.  A split keeps its first part
+    at the cell's position and recolors only the parts after it, so a
+    cell with no member next to a recolored vertex sees the colors it saw
+    before, and its members still have equal multisets: each later round
+    tries only the cells next to a vertex recolored in the round before.
+    Every cell must hold vertices of one degree, as every coloring below
+    the degree round does, so a cell of leaves is ranked by the one
+    neighbor's color.  From a uniform coloring the first round ranks the
+    vertices by degree, and it is read straight off the degrees.
     """
     n = len(colors)
-    count = len(set(colors))
-    if count == 1 and n > 1:
-        degrees = list(map(len, nbrs))
-        ranked = sorted(set(degrees))
-        if len(ranked) == 1:
+    cells: list[list[int]] = [[] for _ in range(n)]  # position -> the cell there, or []
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    colors = list(colors)
+    if n > 1 and len(cells[0]) == n:
+        by_degree: dict[int, list[int]] = {}
+        for v, nb in enumerate(nbrs):
+            by_degree.setdefault(len(nb), []).append(v)
+        if len(by_degree) == 1:
             return colors
-        rank = {d: i for i, d in enumerate(ranked)}
-        colors = [rank[d] for d in degrees]
-        count = len(ranked)
-    while count < n:
-        size = [0] * n
-        for c in colors:
-            size[c] += 1
-        sigs = [
-            (c, tuple(sorted(map(colors.__getitem__, nb)))) if size[c] > 1 else (c,)
-            for c, nb in zip(colors, nbrs)
-        ]
-        ranked = sorted(set(sigs))
-        if len(ranked) == count:
-            break
-        rank = {s: i for i, s in enumerate(ranked)}
-        colors = [rank[s] for s in sigs]
-        count = len(ranked)
+        p = 0
+        for d in sorted(by_degree):
+            cells[p] = by_degree[d]
+            for v in cells[p]:
+                colors[v] = p
+            p += len(cells[p])
+        touched = None
+    todo = set(colors) if touched is None else {colors[u] for u in touched}
+    color_of = colors.__getitem__
+    while todo:
+        added: list[tuple[int, list[int]]] = []  # (position, part) of each part after a first
+        for p in todo:
+            cell = cells[p]
+            if len(cell) < 2:
+                continue
+            parts: dict = {}
+            if len(nbrs[cell[0]]) == 1:  # leaves: the one neighbor's color is the tuple
+                for v in cell:
+                    parts.setdefault(colors[nbrs[v][0]], []).append(v)
+            else:
+                for v in cell:
+                    parts.setdefault(tuple(sorted(map(color_of, nbrs[v]))), []).append(v)
+            if len(parts) > 1:
+                q = p
+                for key in sorted(parts):
+                    cells[q] = parts[key]
+                    if q != p:
+                        added.append((q, cells[q]))
+                    q += len(cells[q])
+        # every signature of the round reads the old colors
+        for q, part in added:
+            for v in part:
+                colors[v] = q
+        todo = {colors[u] for _, part in added for v in part for u in nbrs[v]}
     return colors
 
 
@@ -91,9 +129,10 @@ def canonical_order(g: Graph) -> list[int]:
 
 
 def _individualize(colors: list[int], c: int, v: int) -> list[int]:
-    """``colors`` with ``v`` split off ahead of its cell ``c``; the
-    colors stay dense ranks."""
-    child = [x if x < c else x + 1 for x in colors]
+    """``colors`` with ``v`` split off ahead of its cell, the cell at
+    position ``c``: the rest of the cell moves up one position, and no
+    other vertex moves."""
+    child = [x + (x == c) for x in colors]
     child[v] = c
     return child
 
@@ -112,17 +151,17 @@ def _dive(g: Graph) -> list[int]:
     first vertex of the least non-singleton cell, and repeat.  On a tree
     every leaf has the minimum code (module docstring)."""
     n = g.n
-    nbrs = [list(graphs._bits(a)) for a in g.adj]
-    colors = [0] * n
+    nbrs = [graphs._bits(a) for a in g.adj]
+    colors = _refine(nbrs, [0] * n)
     while True:
-        colors = _refine(nbrs, colors)
-        size = [0] * n
-        for x in colors:
-            size[x] += 1
-        c = next((c for c in range(n) if size[c] > 1), None)
-        if c is None:
+        # the least position that starts no cell is the second of the
+        # least non-singleton cell
+        inside = set(range(n)).difference(colors)
+        if not inside:
             return _leaf_order(colors)
-        colors = _individualize(colors, c, colors.index(c))
+        c = min(inside) - 1
+        v = colors.index(c)
+        colors = _refine(nbrs, _individualize(colors, c, v), nbrs[v])
 
 
 def _search(g: Graph) -> list[int]:
@@ -131,12 +170,12 @@ def _search(g: Graph) -> list[int]:
     n = g.n
     best_code = -1
     best_order: list[int] = []
-    nbrs = [list(graphs._bits(a)) for a in g.adj]
+    nbrs = [graphs._bits(a) for a in g.adj]
     autos: list[list[int]] = []  # automorphisms met so far, as image lists
 
     def descend(colors: list[int], fixed: list[int]) -> None:
         nonlocal best_code, best_order
-        colors = _refine(nbrs, colors)
+        colors = _refine(nbrs, colors, nbrs[fixed[-1]] if fixed else None)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -180,5 +219,17 @@ def _orbit_meets(v: int, targets: list[int], generators: list[list[int]]) -> boo
 def canonical_graph(g: Graph) -> Graph:
     """The graph relabeled into its canonical ordering."""
     order = canonical_order(g)
-    pos = {old: i for i, old in enumerate(order)}
-    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+    bit = [0] * g.n  # vertex -> the bit of its new label
+    for i, old in enumerate(order):
+        bit[old] = 1 << i
+    # the masks of a valid graph, remapped: no edge list to check again
+    adj = []
+    for old in order:
+        mask = 0
+        rest = g.adj[old]  # bits walked inline: the audit relabels every instance
+        while rest:
+            low = rest & -rest
+            mask |= bit[low.bit_length() - 1]
+            rest ^= low
+        adj.append(mask)
+    return Graph._from_adj(tuple(adj))

@@ -62,7 +62,7 @@ from functools import partial
 from typing import Sequence
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
-# functions imported by name, and a bit iterator is not a layer call
+# functions imported by name, and a list of set bits is not a layer call
 from . import graphs
 from .errors import (
     BadParam,

@@ -29,7 +29,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
-# functions imported by name, and a bit iterator is not a layer call
+# functions imported by name, and a list of set bits is not a layer call
 from . import graphs
 from .canon import canonical_graph
 from .errors import BadParam
@@ -267,14 +267,14 @@ def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
         return None
     order, parent = _bfs_tree(adj, mask, members[0])
     size = dict.fromkeys(members, 1)
-    heaviest = dict.fromkeys(members, 0)  # the largest subtree below each vertex
+    blocked = set()  # the vertices with a subtree below them larger than any attachment
     for w in reversed(order[1:]):
-        u, below = parent[w], size[w]
-        size[u] += below
-        if below > heaviest[u]:
-            heaviest[u] = below
+        u = parent[w]
+        size[u] += size[w]
+        if size[w] > _LARGEST_SHAPE:
+            blocked.add(u)
     for root in members:
-        if heaviest[root] <= _LARGEST_SHAPE and n - size[root] <= _LARGEST_SHAPE:
+        if n - size[root] <= _LARGEST_SHAPE and root not in blocked:
             spec = _family_match_rooted(adj, mask, root)
             if spec is not None:
                 return spec

@@ -8,6 +8,8 @@ column by column into 6-bit groups offset by 63.
 
 from __future__ import annotations
 
+from base64 import b64encode
+
 from .errors import BadParam, ParseError
 from .graphs import Graph
 
@@ -74,18 +76,29 @@ def _g6_order_bytes(n: int) -> bytes:
     raise BadParam(f"order {n} too large for this graph6 writer")
 
 
-# graph6 body byte -> its 6 bits, most significant first, and back
+# graph6 body byte -> its 6 bits, most significant first
 _G6_GROUP = {c: format(c - 63, "06b") for c in range(63, 127)}
-_G6_BYTE = {bits: c for c, bits in _G6_GROUP.items()}
+# base64 cuts bytes into 6-bit groups, most significant first, as graph6
+# does; this maps its digit for each group value to graph6's byte
+_G6_OF_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 string (no header)."""
+    """Encode a graph as a graph6 string (no header).
+
+    The bits are read as one integer, padded to whole 3-byte blocks, and
+    base64 packs its bytes into 6-bit groups in one pass; the groups past
+    the body's are padding and dropped."""
     adj = g.adj
-    # column j is rows 0..j-1 of adj[j], lowest row first
-    bits = "".join([format(adj[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, g.n)])
-    bits += "0" * (-len(bits) % 6)
-    body = bytes([_G6_BYTE[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+    # column j is rows 0..j-1 of adj[j], lowest row first: bin() of those
+    # rows with bit j set has j digits after "0b1", read here backwards
+    bits = "".join([bin(adj[col] & ((1 << col) - 1) | 1 << col)[:2:-1] for col in range(1, g.n)])
+    groups = -(-len(bits) // 6)
+    pad = -len(bits) % 24
+    packed = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    body = b64encode(packed)[:groups].translate(_G6_OF_BASE64)
     return (_g6_order_bytes(g.n) + body).decode("ascii")
 
 

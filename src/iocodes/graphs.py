@@ -24,12 +24,17 @@ __all__ = [
 ]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def _bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in increasing order, as a list.
+
+    A loop that appends is cheaper than a generator on the short masks
+    of the hot paths; a long mask is better read by ``_members``."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -98,7 +103,7 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         self.check_vertex(v)
-        return list(_bits(self.adj[v]))
+        return _bits(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
@@ -227,11 +232,13 @@ def _bfs_tree(adj: Sequence[int], mask: int, start: int) -> tuple[list[int], dic
     unseen = mask & ~(1 << start)
     for u in order:
         below = adj[u] & unseen
-        if below:
-            unseen ^= below
-            for w in _bits(below):
-                parent[w] = u
-                order.append(w)
+        unseen ^= below
+        while below:  # bits walked inline: every solve and family match walks a tree
+            low = below & -below
+            w = low.bit_length() - 1
+            parent[w] = u
+            order.append(w)
+            below ^= low
     return order, parent
 
 
@@ -317,7 +324,7 @@ def _induced(adj: tuple[int, ...], keep: int) -> tuple[Graph, Sequence[int]]:
     no edge list and no checks."""
     if keep == (1 << len(adj)) - 1:
         return Graph._from_adj(adj), range(len(adj))
-    labels = list(_bits(keep))
+    labels = _bits(keep)
     position = {old: i for i, old in enumerate(labels)}
     remapped = []
     for u in labels:

@@ -48,10 +48,10 @@ from itertools import combinations
 from typing import Callable
 
 # graphs._bits is reached through its module: the per-layer tracer wraps
-# functions imported by name, and a bit iterator is not a layer call
+# functions imported by name, and a list of set bits is not a layer call
 from . import graphs
 from .errors import CodeRejected, NoCode, TooLarge
-from .graphs import Graph, VertexSet, _bfs_tree, is_tree
+from .graphs import Graph, VertexSet, _bfs_tree
 from .verify import is_io_code, require_admissible
 
 __all__ = ["SolveResult", "solve", "solve_oracle", "solve_with_budget"]
@@ -283,14 +283,16 @@ _EXPORT = [
 ]
 
 
-def _tree_program(g: Graph) -> tuple[int, Callable[[], int]]:
+def _tree_program(g: Graph, order: list[int], parent: dict[int, int]) -> tuple[int, Callable[[], int]]:
     """Minimum IO-code of a twin-free tree, in O(n): (gamma, a callable
     that builds a code mask of that size).
 
-    Rooted at 0 and filled in reverse BFS order.  A vertex v with parent
-    p exports, for each value of "p in S", the cheapest choice inside its
-    subtree for each key (v in S, v has no S-child, v has a private
-    child), where a private child is one whose only S-neighbour is v.
+    ``order`` and ``parent`` are the tree's ``_bfs_tree`` walk from 0
+    (``_tree_walk``), so the program is rooted at 0 and filled in reverse
+    BFS order.  A vertex v with parent p exports, for each value of "p
+    in S", the cheapest choice inside its subtree for each key (v in S, v
+    has no S-child, v has a private child), where a private child is one
+    whose only S-neighbour is v.
     The parent folds its children's keys into (S-children capped at 2,
     private-child count of the unique S-child, own private children),
     which is all the local rule needs: v is dominated, v has at most one
@@ -306,7 +308,6 @@ def _tree_program(g: Graph) -> tuple[int, Callable[[], int]]:
     the callable walks the back-pointers down from the root when it is
     called, and the search calls it only at its node bound.
     """
-    order, parent = _bfs_tree(g.adj, (1 << g.n) - 1, 0)
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in order[1:]:
         children[parent[v]].append(v)
@@ -370,9 +371,19 @@ def _tree_program(g: Graph) -> tuple[int, Callable[[], int]]:
     return gamma, witness
 
 
+def _tree_walk(g: Graph) -> tuple[list[int], dict[int, int]] | None:
+    """The ``_bfs_tree`` walk from 0 of a tree, or None when ``g`` is not
+    one: a graph with ``n - 1`` edges is a tree when the walk reaches all
+    ``n`` vertices."""
+    if g.edge_count != g.n - 1:
+        return None
+    order, parent = _bfs_tree(g.adj, (1 << g.n) - 1, 0)
+    return (order, parent) if len(order) == g.n else None
+
+
 def _tree_dp(g: Graph) -> tuple[int, int]:
     """The tree program's minimum and its code mask."""
-    gamma, witness = _tree_program(g)
+    gamma, witness = _tree_program(g, *_tree_walk(g))
     return gamma, witness()
 
 
@@ -388,7 +399,8 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 def solve(g: Graph) -> SolveResult:
     """Exact minimum IO-code via branch and bound (targeted and bounded on trees)."""
     require_admissible(g)
-    exact = (lambda: _tree_program(g)) if is_tree(g) else None
+    walk = _tree_walk(g)
+    exact = None if walk is None else lambda: _tree_program(g, *walk)
     best_mask, nodes, from_exact = _search(g, exact=exact)
     code = _verified(g, best_mask)
     return SolveResult(len(code), code, nodes, "tree_dp" if from_exact else "branch_and_bound")
@@ -397,7 +409,8 @@ def solve(g: Graph) -> SolveResult:
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     """Some IO-code of size <= max_size, or None (exact decision)."""
     require_admissible(g)
-    dp = _tree_program(g) if is_tree(g) else None
+    walk = _tree_walk(g)
+    dp = None if walk is None else _tree_program(g, *walk)
     if max_size < (0 if dp is None else dp[0]):
         return None
     best_mask, _, _ = _search(g, cap=max_size, exact=None if dp is None else lambda: dp)

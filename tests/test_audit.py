@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -253,3 +254,26 @@ class TestHelpers:
         with pytest.raises(CodeRejected) as err:
             audit_trees(5)
         assert err.value.verdict is verdict
+
+
+def literal_four_cycle(g: Graph) -> bool:
+    """Whether some four distinct vertices close a cycle a-b-c-d-a, tried in
+    each of the three cyclic orders of every 4-subset."""
+    for a, b, c, d in combinations(range(g.n), 4):
+        for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+            if g.has_edge(w, x) and g.has_edge(x, y) and g.has_edge(y, z) and g.has_edge(z, w):
+                return True
+    return False
+
+
+class TestRecordFacts:
+    """Facts the record states without deriving them again still hold."""
+
+    @pytest.mark.parametrize("run", [lambda: audit_trees(12), lambda: audit_graphs(7)], ids=["trees12", "graphs7"])
+    def test_c4_free_and_ascending_witness(self, run):
+        records, _ = run()
+        assert records
+        for r in records:
+            g = parse_graph6(r.graph6)
+            assert r.c4_free == (not literal_four_cycle(g)), r.graph6
+            assert all(a < b for a, b in zip(r.witness_code, r.witness_code[1:])), r.graph6

@@ -230,3 +230,96 @@ class TestTreeDive:
         for g in (gen_subdivided_star(3)[0], cycle, not_a_tree):
             canonical_order(g)
         assert taken == ["dive", "search", "search"]
+
+
+def reference_refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """The refinement as the package had it before it worked cell by cell:
+    every round ranks every vertex by (color, sorted neighbor colors) in
+    one global sort, on dense-rank colors."""
+    n = len(colors)
+    count = len(set(colors))
+    if count == 1 and n > 1:
+        degrees = list(map(len, nbrs))
+        ranked = sorted(set(degrees))
+        if len(ranked) == 1:
+            return colors
+        rank = {d: i for i, d in enumerate(ranked)}
+        colors = [rank[d] for d in degrees]
+        count = len(ranked)
+    while count < n:
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        sigs = [
+            (c, tuple(sorted(map(colors.__getitem__, nb)))) if size[c] > 1 else (c,)
+            for c, nb in zip(colors, nbrs)
+        ]
+        ranked = sorted(set(sigs))
+        if len(ranked) == count:
+            break
+        rank = {s: i for i, s in enumerate(ranked)}
+        colors = [rank[s] for s in sigs]
+        count = len(ranked)
+    return colors
+
+
+def dense_ranks(colors: list[int]) -> list[int]:
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [rank[c] for c in colors]
+
+
+def positions(ranks: list[int]) -> list[int]:
+    """Dense ranks as cell positions: the number of vertices in lower cells."""
+    start = [0] * (len(ranks) + 1)
+    for c in ranks:
+        start[c + 1] += 1
+    for c in range(len(ranks)):
+        start[c + 1] += start[c]
+    return [start[c] for c in ranks]
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """Checks every refinement ``_dive`` and ``_search`` ask for against
+    ``reference_refine`` on the same ordered partition, and counts them."""
+    calls = []
+    refine = canon._refine
+
+    def checked(nbrs, colors, touched=None):
+        got = refine(nbrs, colors, touched)
+        assert got == positions(dense_ranks(got))
+        assert dense_ranks(got) == reference_refine(nbrs, dense_ranks(colors))
+        calls.append(touched is None)
+        return got
+
+    monkeypatch.setattr(canon, "_refine", checked)
+    return calls
+
+
+class TestCellwiseRefinement:
+    """Re-splitting only the cells next to a split gives the colors of the
+    global sort, round by round and so at the fixed point."""
+
+    def test_every_tree_to_14(self, refinements):
+        for n in range(1, 15):
+            for t in enumerate_trees(n):
+                canonical_order(t)
+                canon._search(t)
+        # the restarts after individualizing mark only the neighbors
+        assert refinements.count(False) > 10_000
+
+    def test_every_twin_free_tree_to_16(self, refinements):
+        for n in range(15, 17):
+            for t in enumerate_twin_free_trees(n):
+                canonical_order(t)
+                canon._search(t)
+        assert len(refinements) > 3_000
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_graph_class_to_7(self, refinements, n):
+        for g in atlas_graphs(n):
+            canonical_order(g)
+
+    def test_seeded_random_graphs_to_9(self, refinements, rng):
+        for _ in range(200):
+            canonical_order(random_graph(rng.randint(1, 9), rng.random(), rng))

@@ -33,7 +33,7 @@ from iocodes import (
     solve_oracle,
     solve_with_budget,
 )
-from iocodes import solver
+from iocodes import graphs, solver
 from iocodes.solver import (
     TREE_NODE_FACTOR,
     _greedy_cover,
@@ -90,8 +90,8 @@ def witness_runs(monkeypatch):
     runs = []
     program = solver._tree_program
 
-    def spied(g):
-        gamma, witness = program(g)
+    def spied(g, *walk):
+        gamma, witness = program(g, *walk)
 
         def counted():
             runs.append(g.n)
@@ -119,6 +119,50 @@ class TestExhaustive:
     def test_matches_oracle_to_10(self):
         for t in twin_free_trees(10):
             assert _tree_dp(t)[0] == solve_oracle(t).gamma, t.edges()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The graph walks a solve makes, in call order: the order reached by
+    each of the solver's ``_bfs_tree`` walks, and "layers" for each BFS by
+    layers, the walk of ``is_connected``."""
+    seen = []
+    bfs, layers = solver._bfs_tree, graphs._layers
+
+    def walked(adj, mask, start):
+        order, parent = bfs(adj, mask, start)
+        seen.append(len(order))
+        return order, parent
+
+    monkeypatch.setattr(solver, "_bfs_tree", walked)
+    monkeypatch.setattr(graphs, "_layers", lambda *args: seen.append("layers") or layers(*args))
+    return seen
+
+
+class TestOneWalk:
+    def test_one_walk_per_tree_solve(self, walks, witness_runs):
+        # the 81-vertex tree reaches the tree program and reads its witness;
+        # the others stop before the program or at its minimum
+        hard = subdivided_random_tree(41, random.Random(0))
+        for g in [hard, *seeded_trees().values(), *twin_free_trees(9)]:
+            del walks[:]
+            result = solve(g)
+            assert walks == [g.n]
+            del walks[:]
+            assert solve_with_budget(g, result.gamma - 1) is None
+            assert walks == [g.n]
+        assert witness_runs == [hard.n]
+
+    def test_n_minus_one_edges_without_a_full_walk_is_no_tree(self, walks):
+        # a triangle beside a path on 4 vertices: 6 edges on 7 vertices, and
+        # the walk from 0 reaches the triangle only
+        g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
+        result = solve(g)
+        assert walks == [3]
+        assert result.method == "branch_and_bound" and result.gamma == solve_oracle(g).gamma
+        del walks[:]
+        assert len(solve_with_budget(g, result.gamma)) == result.gamma
+        assert walks == [3]
 
 
 class TestSeeded:
