@@ -18,8 +18,8 @@ center; rooting at a longest path and splitting off the branch at the
 second, third or fourth path vertex; and peeling a 5- or 6-vertex path
 tail.  A case that does not apply is passed over; if none applies along
 any longest path (three of the 3,149 twin-free trees with n <= 16 reach
-this), an exact solve finishes the sub-instance and the trace carries a
-warning.  All bound arithmetic is integer-exact.
+this), the tree program finishes the sub-instance on its own mask and
+the trace carries a warning.  All bound arithmetic is integer-exact.
 
 Every part is connected, twin-free and 4-cycle-free, as the input is,
 and has at least 5 vertices unless it is the paw, the graph
@@ -48,9 +48,9 @@ path end.  A split is decided before it builds anything, so nothing is
 rolled back, and the merged code needs no check (``_split``), nor does a
 star-plus-edge code (``_build_graph``): ``_decompose`` checks the whole
 input's code alone.  Only a part built without a parent scans itself:
-the input and the first tree a graph decomposition reaches.  A part is
-relabeled into a ``Graph`` only for the tree decomposition's exact
-fallback.  The decomposition runs on one explicit stack (``_drive``), so
+the input and the first tree a graph decomposition reaches.  No part is
+relabeled into a ``Graph``: the tree program walks the fallback's mask
+too.  The decomposition runs on one explicit stack (``_drive``), so
 its depth costs no interpreter frames.
 """
 
@@ -85,16 +85,16 @@ from .families import (
 from .graphs import (
     Graph,
     VertexSet,
+    _bfs_tree,
     _carry_layers,
     _diametral_paths,
-    _induced,
     _induced_cycle,
     _layers,
     has_four_cycle,
     is_connected,
     max_degree,
 )
-from .solver import solve
+from .solver import _tree_program
 from .verify import is_io_code, require_admissible
 
 __all__ = [
@@ -331,10 +331,11 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
             return code
 
     reason = "no decomposition case applied"
-    g, labels = _induced(part.adj, part.mask)
-    trace.warn(f"exhaustive fallback on {g.n}-vertex sub-instance: {reason}")
-    code = graphs._mask_of(labels[v] for v in solve(g).code)
-    trace.add("exhaustive_fallback", {"reason": reason, "order": g.n}, graphs._bits(code))
+    trace.warn(f"exhaustive fallback on {n}-vertex sub-instance: {reason}")
+    # the tree program, rooted at the part's lowest label, reads its mask in place
+    walk = _bfs_tree(part.adj, part.mask, (part.mask & -part.mask).bit_length() - 1)
+    code = _tree_program(len(part.adj), *walk)[1]()
+    trace.add("exhaustive_fallback", {"reason": reason, "order": n}, graphs._bits(code))
     return code
 
 

@@ -314,27 +314,6 @@ def _reach(adj: Sequence[int], mask: int, start: int) -> int:
     return sum(_layers(adj, mask, start))
 
 
-def _induced(adj: tuple[int, ...], keep: int) -> tuple[Graph, Sequence[int]]:
-    """The subgraph that the mask ``keep`` induces in the adjacency tuple
-    ``adj``, as a ``Graph`` on ``0..k-1``, and the label of each vertex.
-
-    The labels are kept in increasing order, so the least new vertex is the
-    least label; the full mask gives a graph on ``adj`` itself, not a copy.
-    The adjacency is remapped bit by bit from a valid graph's, so it needs
-    no edge list and no checks."""
-    if keep == (1 << len(adj)) - 1:
-        return Graph._from_adj(adj), range(len(adj))
-    labels = _bits(keep)
-    position = {old: i for i, old in enumerate(labels)}
-    remapped = []
-    for u in labels:
-        mask = 0
-        for w in _bits(adj[u] & keep):
-            mask |= 1 << position[w]
-        remapped.append(mask)
-    return Graph._from_adj(tuple(remapped)), labels
-
-
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return g.n == 0 or _reach(g.adj, full, 0) == full

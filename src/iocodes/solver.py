@@ -23,21 +23,21 @@ comes to the top, because a stale count only overstates.  The bound
 counts packed requirements only until they reach the incumbent, where
 the node is pruned either way.
 
-On trees an exact linear-time dynamic program (``_tree_program``)
-supplies the minimum as a target: once the search has explored as many
-nodes as the tree has vertices, it stops as soon as its incumbent
-reaches the minimum, and a budget below the minimum is refused without
-searching.  The program pays first for the minimum alone: it folds each
-distinct tuple of child exports once per call, so equal subtrees cost
-one fold.  Its own minimum code is built from the back-pointers only
-when it is read: a tree search that has explored ``TREE_NODE_FACTOR``
-nodes per vertex stops and returns that code with ``method:
-"tree_dp"``, so every tree search is bounded.  Below that bound the
-search produces the returned code, which is then the one an unbounded
-search returns.  The program rests on a local rule for 4-cycle-free
-graphs, where two vertices share at most one neighbour: S is an IO-code
-iff every vertex has a neighbour in S and no s in S has two neighbours
-whose only S-neighbour is s.
+On trees an exact linear-time dynamic program (``_tree_program``) alone
+answers a budget and the constructor's fallback.  Only ``solve``
+searches trees, with the minimum as a target: once the search has
+explored as many nodes as the tree has vertices, it stops as soon as its
+incumbent reaches the minimum.  The program pays first for the minimum
+alone: it folds each distinct tuple of child exports once per call, so
+equal subtrees cost one fold.  Its own minimum code is built from the
+back-pointers only when it is read: a tree search that has explored
+``TREE_NODE_FACTOR`` nodes per vertex stops and returns that code with
+``method: "tree_dp"``, so every tree search is bounded.  Below that
+bound the search produces the returned code, which is then the one an
+unbounded search returns.  The program rests on a local rule for
+4-cycle-free graphs, where two vertices share at most one neighbour: S
+is an IO-code iff every vertex has a neighbour in S and no s in S has
+two neighbours whose only S-neighbour is s.
 """
 
 from __future__ import annotations
@@ -181,23 +181,24 @@ def _children(chosen: int, open_reqs: list[int], candidates: list[int]):
         yield chosen | 1 << v, [r for r in open_reqs if not r >> v & 1]
 
 
-def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, Callable[[], int]]] | None = None):
+def _search(g: Graph, cap: int | None = None, walk: tuple[list[int], dict[int, int]] | None = None):
     """Core branch and bound; returns (best_mask or None, nodes explored,
-    whether the mask is the witness of ``exact``).
+    whether the mask is the tree program's witness).
 
     The search stops as soon as the incumbent has size at most its goal:
     ``cap`` itself when a cap is given, so any code within it decides the
-    question, or else the exact minimum from ``exact``, which returns a
-    minimum and a callable that builds a code of that size.  The minimum
-    costs about as much as exploring one node per vertex, so it is asked
-    only once the search has explored ``g.n`` nodes; searches that end sooner,
-    most of them on small trees, never pay for it.  The incumbent is
-    replaced only on strict improvement, so stopping at the minimum
-    returns the code the unbounded search returns.  With ``exact`` given,
-    the search stops at ``TREE_NODE_FACTOR * g.n`` nodes with its witness
-    as the incumbent; only that stop builds the witness.  The search runs
-    depth first on an explicit stack of lazy child generators, so its
-    depth is not bounded by the recursion limit.
+    question, or else, on a tree whose ``_tree_walk`` is ``walk``, the
+    minimum from ``_tree_program``.  The program costs about as much as
+    exploring one node per vertex, so it is run only once the search has
+    explored ``g.n`` nodes; searches that end sooner, most of them on
+    small trees, never pay for it.  The incumbent is replaced only on
+    strict improvement, so stopping at the minimum returns the code the
+    unbounded search returns.  With ``walk`` given, the search stops at
+    ``TREE_NODE_FACTOR * g.n`` nodes with the program's witness as the
+    incumbent; only that stop builds the witness.  No caller gives both
+    a cap and a walk: a tree budget is answered by the program alone.
+    The search runs depth first on an explicit stack of lazy child
+    generators, so its depth is not bounded by the recursion limit.
     """
     reqs = _requirements(g)
     # The root forces every unit requirement.  ``_requirements`` lists them
@@ -226,9 +227,8 @@ def _search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, Cal
             continue
         chosen, open_reqs = child
         nodes += 1
-        if nodes == g.n and exact is not None:
-            gamma, witness = exact()
-            goal = max(goal, gamma)  # a cap, never below the minimum, stays the goal
+        if nodes == g.n and walk is not None:
+            goal, witness = _tree_program(g.n, *walk)
         if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
             # the incumbent is above the goal here, which the witness meets
             best_mask = witness()
@@ -283,16 +283,17 @@ _EXPORT = [
 ]
 
 
-def _tree_program(g: Graph, order: list[int], parent: dict[int, int]) -> tuple[int, Callable[[], int]]:
+def _tree_program(n: int, order: list[int], parent: dict[int, int]) -> tuple[int, Callable[[], int]]:
     """Minimum IO-code of a twin-free tree, in O(n): (gamma, a callable
     that builds a code mask of that size).
 
-    ``order`` and ``parent`` are the tree's ``_bfs_tree`` walk from 0
-    (``_tree_walk``), so the program is rooted at 0 and filled in reverse
-    BFS order.  A vertex v with parent p exports, for each value of "p
-    in S", the cheapest choice inside its subtree for each key (v in S, v
-    has no S-child, v has a private child), where a private child is one
-    whose only S-neighbour is v.
+    ``order`` and ``parent`` are a ``_bfs_tree`` walk of a tree on labels
+    below ``n`` (a graph's ``_tree_walk``, or a constructor part's walk
+    from its lowest label), so the program is rooted at ``order[0]`` and
+    filled in reverse BFS order.  A vertex v with parent p exports, for
+    each value of "p in S", the cheapest choice inside its subtree for
+    each key (v in S, v has no S-child, v has a private child), where a
+    private child is one whose only S-neighbour is v.
     The parent folds its children's keys into (S-children capped at 2,
     private-child count of the unique S-child, own private children),
     which is all the local rule needs: v is dominated, v has at most one
@@ -306,15 +307,15 @@ def _tree_program(g: Graph, order: list[int], parent: dict[int, int]) -> tuple[i
     child exports is folded once per call, and equal subtrees, every leaf
     for one, share one export.  The minimum needs only the root's export;
     the callable walks the back-pointers down from the root when it is
-    called, and the search calls it only at its node bound.
+    called, which the search does only at its node bound.
     """
-    children: list[list[int]] = [[] for _ in range(g.n)]
+    children: list[list[int]] = [[] for _ in range(n)]
     for v in order[1:]:
         children[parent[v]].append(v)
     seen: dict[tuple[int, ...], int] = {}  # child export ids, in child order -> export id
     # export id -> ([xp] key -> (cost, fold state), [xv] per child: state -> back-pointer)
     exports: list[tuple[list[dict], list[list[dict]]]] = []
-    ident = [0] * g.n
+    ident = [0] * n
     for v in reversed(order):
         kids = tuple([ident[c] for c in children[v]])
         i = seen.get(kids)
@@ -381,12 +382,6 @@ def _tree_walk(g: Graph) -> tuple[list[int], dict[int, int]] | None:
     return (order, parent) if len(order) == g.n else None
 
 
-def _tree_dp(g: Graph) -> tuple[int, int]:
-    """The tree program's minimum and its code mask."""
-    gamma, witness = _tree_program(g, *_tree_walk(g))
-    return gamma, witness()
-
-
 def _verified(g: Graph, mask: int) -> VertexSet:
     """The code of ``mask``, re-checked against the literal predicates."""
     code = VertexSet(g.n, mask=mask)
@@ -399,21 +394,20 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 def solve(g: Graph) -> SolveResult:
     """Exact minimum IO-code via branch and bound (targeted and bounded on trees)."""
     require_admissible(g)
-    walk = _tree_walk(g)
-    exact = None if walk is None else lambda: _tree_program(g, *walk)
-    best_mask, nodes, from_exact = _search(g, exact=exact)
+    best_mask, nodes, from_exact = _search(g, walk=_tree_walk(g))
     code = _verified(g, best_mask)
     return SolveResult(len(code), code, nodes, "tree_dp" if from_exact else "branch_and_bound")
 
 
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
-    """Some IO-code of size <= max_size, or None (exact decision)."""
+    """Some IO-code of size <= max_size, or None (exact decision); on a
+    tree, the tree program's code."""
     require_admissible(g)
     walk = _tree_walk(g)
-    dp = None if walk is None else _tree_program(g, *walk)
-    if max_size < (0 if dp is None else dp[0]):
-        return None
-    best_mask, _, _ = _search(g, cap=max_size, exact=None if dp is None else lambda: dp)
+    if walk is not None:
+        gamma, witness = _tree_program(g.n, *walk)
+        return None if max_size < gamma else _verified(g, witness())
+    best_mask, _, _ = _search(g, cap=max_size)
     return None if best_mask is None else _verified(g, best_mask)
 
 

@@ -53,6 +53,17 @@ def atlas_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(Graph(n, g.edges()) for g in nx.graph_atlas_g() if g.number_of_nodes() == n)
 
 
+def induced(adj, keep: int) -> tuple[Graph, list[int]]:
+    """The subgraph that the mask ``keep`` induces in the adjacency list
+    ``adj``, as a checked ``Graph`` on ``0..k-1``, and the label of each of
+    its vertices, in increasing order: the relabeled copy that the
+    package's mask-reading routines are compared against."""
+    labels = [v for v in range(len(adj)) if keep >> v & 1]
+    position = {old: i for i, old in enumerate(labels)}
+    edges = [(position[u], position[w]) for u in labels for w in labels if u < w and adj[u] >> w & 1]
+    return Graph(len(labels), edges), labels
+
+
 def brute_open_twins(g: Graph) -> list[tuple[int, int]]:
     out = []
     for u in range(g.n):

@@ -279,6 +279,76 @@ class TestTreeConstructor:
             assert check_bound(t.n, len(code), d, is_exceptional_star=trace.exceptional_star) is not BoundStatus.VIOLATION
 
 
+# The 13 twin-free trees with n <= 18, in canonical labels, whose
+# construction at max(3, max degree) ends in an exhaustive fallback; the
+# tree program's code differs from the earlier exact solve's on two.
+FALLBACK_TREES = [
+    "N?AA@?O@?C?A?A?@`KG",
+    "O??CA?_C?C?@??AO_?oH`",
+    "O??CA?_C?C?G?A?@@E?GF",
+    "P???C@?G?_????AP?cO?K?eC",
+    "P???C@?G?_?G?@??@CGGo?_s",
+    "P??CA?_C?O?O?O?@??O?B@MC",
+    "P??CA?_C?O?O?O?@??OH_?A[",
+    "Q????A?O@?A?????@COGa?b?@BG",
+    "Q???C@?G?_@??O??_??H@??WA[G",
+    "Q???C@?G?_@??O??_??H@?e??Dg",
+    "Q???C@?G?_@??O?G??O?A@?KA[G",
+    "Q??CA?_C?O?O?O?G??_?C@E??@w",
+    "Q???C@?G?_@??O?G??O?A@E?ACw",
+]
+FALLBACK_CODE_CHANGED = {"O??CA?_C?C?@??AO_?oH`", "Q???C@?G?_@??O??_??H@??WA[G"}
+# sha256 as an exact solve of a relabeled copy gave them: over each
+# tree's trace with its fallback steps' contributed lists left out, and
+# over the whole (sorted code, trace) of the eleven trees not changed
+FALLBACK_TRACES_SHA256 = "6bcbae538e0a0a141d1a233aebf173562e99ad05cdb37faf349bb63fa292c07b"
+FALLBACK_UNCHANGED_SHA256 = "1607026b84f923da7f0cdba2b370f17f900f50f13466ba5ce85679bbd1dbcd4b"
+
+
+class TestFallback:
+    def test_fallback_trees_get_minimum_codes_and_unchanged_traces(self):
+        traces, unchanged = hashlib.sha256(), hashlib.sha256()
+        for text in FALLBACK_TREES:
+            g = parse_graph6(text)
+            code, trace = construct_code(g, max(3, max_degree(g)))
+            assert is_io_code(g, code).ok and len(code) == solve(g).gamma, text
+            d = trace.as_dict()
+            assert "exhaustive_fallback" in [step["case"] for step in d["steps"]]
+            if text not in FALLBACK_CODE_CHANGED:
+                unchanged.update(json.dumps([sorted(code), d], sort_keys=True).encode())
+            for step in d["steps"]:
+                if step["case"] == "exhaustive_fallback":
+                    del step["contributed"]
+            traces.update(json.dumps(d, sort_keys=True).encode())
+        assert traces.hexdigest() == FALLBACK_TRACES_SHA256
+        assert unchanged.hexdigest() == FALLBACK_UNCHANGED_SHA256
+
+    def test_fallback_on_a_shifted_mask(self):
+        # the n = 15 tree that falls back at once, moved up by 6 labels in a
+        # 26-label adjacency whose other labels form paths hung on the part
+        g = parse_graph6("NhE?GC@_??_@?C??_A?")
+        delta = max(3, max_degree(g))
+        code, trace = construct_code(g, delta)
+        assert [step.case for step in trace.steps] == ["exhaustive_fallback"]
+        shift = 6
+        edges = [(u + shift, v + shift) for u, v in g.edges()]
+        edges += [(i, i + 1) for i in range(shift - 1)] + [(shift - 1, shift)]
+        top = shift + g.n - 1
+        edges += [(top, top + 1)] + [(i, i + 1) for i in range(top + 1, top + 5)]
+        adj = [0] * (top + 6)
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        mask = ((1 << g.n) - 1) << shift
+        shifted = construct.ConstructionTrace()
+        found = construct._drive(construct._build_tree(construct._Part(tuple(adj), mask), delta, shifted))
+        assert found == code.mask << shift
+        assert shifted.warnings == trace.warnings
+        [step] = shifted.steps
+        assert (step.case, step.detail) == (trace.steps[0].case, trace.steps[0].detail)
+        assert step.contributed == tuple(v + shift for v in trace.steps[0].contributed)
+
+
 class TestGraphConstructor:
     def test_c5(self):
         code, trace = construct_code(C5, 3)

@@ -9,6 +9,7 @@ from conftest import (
     brute_has_four_cycle,
     brute_open_twins,
     deque_bfs,
+    induced,
     random_graph,
     random_tree,
 )
@@ -29,7 +30,6 @@ from iocodes.graphs import (
     _bfs_tree,
     _bits,
     _diametral_paths,
-    _induced,
     _induced_cycle,
     _members,
     _reach,
@@ -148,15 +148,15 @@ class TestFourCycle:
 
 class TestInduced:
     def test_matches_the_definition(self, rng):
-        # _induced builds its graph through Graph._from_adj, which skips the
-        # constructor's checks, so this test makes them
+        # conftest's induced is the relabeled copy that the mask-reading
+        # routines are compared against here and in test_tree_scans
         for draw in range(150):
             g = random_graph(rng.randint(0, 14), rng.random(), rng)
             keep = (1 << g.n) - 1 if draw % 10 == 0 else rng.getrandbits(g.n)
-            h, labels = _induced(g.adj, keep)
+            h, labels = induced(g.adj, keep)
             # strictly increasing, so the least new vertex is the least label
             assert list(labels) == [v for v in range(g.n) if keep >> v & 1]
-            assert (h.adj is g.adj) == (keep == (1 << g.n) - 1)
+            assert (h == g) == (keep == (1 << g.n) - 1)
             assert h.n == len(labels) and len(h.adj) == h.n
             for i in range(h.n):
                 assert h.adj[i] >> h.n == 0 and not h.adj[i] >> i & 1
@@ -203,9 +203,9 @@ class TestConnectivity:
                     rest ^= part
                 assert [list(_bits(part)) for part in parts] == expected
                 for part in parts:
-                    sub, labels = _induced(g.adj, part)
-                    induced = nx.relabel_nodes(oracle.subgraph(labels), {old: i for i, old in enumerate(labels)})
-                    assert sorted(sub.edges()) == sorted(tuple(sorted(e)) for e in induced.edges())
+                    sub, labels = induced(g.adj, part)
+                    copy = nx.relabel_nodes(oracle.subgraph(labels), {old: i for i, old in enumerate(labels)})
+                    assert sorted(sub.edges()) == sorted(tuple(sorted(e)) for e in copy.edges())
                     assert sub.n == len(labels)
 
 
@@ -253,7 +253,11 @@ class TestDeletion:
         assert longest_path(g) == [0, 1, 2, 3, 4]
 
     def test_paw_minus_leaf_is_triangle(self):
-        h, labels = _induced(PAW.adj, 0b0111)
+        # read in place: the triangle is the mask's cycle, and a walk of the
+        # mask never reaches the leaf
+        assert _induced_cycle(PAW.adj, 0b0111) == [0, 1, 2]
+        assert _bfs_tree(PAW.adj, 0b0111, 0) == ([0, 1, 2], {1: 0, 2: 0})
+        h, labels = induced(PAW.adj, 0b0111)
         assert h.n == 3 and h.edge_count == 3
         assert list(labels) == [0, 1, 2]
 
@@ -268,9 +272,11 @@ class TestDeletion:
         assert 6 * solve(t).gamma == 5 * t.n
 
     def test_original_untouched(self):
+        # a sub-instance is a mask of the input's adjacency, never a copy
         g = path(4)
-        _induced(g.adj, 0b1110)
-        assert g.edge_count == 3 and g.n == 4
+        assert _bfs_tree(g.adj, 0b1110, 1) == ([1, 2, 3], {2: 1, 3: 2})
+        assert _induced_cycle(g.adj, 0b1110) is None
+        assert g.edge_count == 3 and g.n == 4 and g == path(4)
 
 
 class TestInducedCycle:
@@ -293,7 +299,7 @@ class TestInducedCycle:
         for _ in range(150):
             g = random_graph(rng.randint(3, 12), rng.uniform(0.15, 0.5), rng)
             keep = rng.getrandbits(g.n)
-            h, labels = _induced(g.adj, keep)
+            h, labels = induced(g.adj, keep)
             cycle = _induced_cycle(h.adj, (1 << h.n) - 1)
             expected = None if cycle is None else [labels[v] for v in cycle]
             assert _induced_cycle(g.adj, keep) == expected
@@ -391,7 +397,7 @@ class TestBfsTree:
                 assert _bfs_tree(g.adj, full, start) == (order, {v: parent[v] for v in order[1:]})
             # within a vertex mask: the walk of its relabeled copy, in labels
             keep = rng.getrandbits(g.n) | 1
-            h, labels = _induced(g.adj, keep)
+            h, labels = induced(g.adj, keep)
             for start in range(h.n):
                 order, _, parent = deque_bfs(h, start)
                 expected = [labels[v] for v in order], {labels[v]: labels[parent[v]] for v in order[1:]}

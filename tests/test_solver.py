@@ -26,10 +26,11 @@ from iocodes import (
     solve,
     solve_oracle,
     solve_with_budget,
+    solver,
 )
 from iocodes.graphs import is_tree
-from iocodes.solver import TREE_NODE_FACTOR, _greedy_cover, _requirements, _tree_dp
-from test_tree_dp import subdivided_random_tree
+from iocodes.solver import TREE_NODE_FACTOR, _greedy_cover, _requirements
+from test_tree_dp import benchmark_solve_inputs, subdivided_random_tree, tree_dp, twin_free_trees
 
 
 def path(n):
@@ -124,6 +125,24 @@ class TestBudget:
             g, _ = gen_subdivided_star(delta)
             assert solve_with_budget(g, 2 * delta - 1) is None
             assert solve_with_budget(g, 2 * delta) is not None
+
+    def test_trees_are_answered_by_the_tree_program(self, monkeypatch):
+        # gamma from the branch and bound; a tree budget runs no search
+        searched = []
+        search = solver._search
+        monkeypatch.setattr(solver, "_search", lambda g, **kw: searched.append(g.n) or search(g, **kw))
+        hard = subdivided_random_tree(41, random.Random(0))
+        trees = [*twin_free_trees(13), *relabeled_subdivided_trees(), *benchmark_solve_inputs(), hard]
+        assert len(trees) == 333 + 11 + 36 + 1
+        for g in trees:
+            gamma = solve(g).gamma
+            assert searched == [g.n]  # the spy sees solve's search
+            assert solve_with_budget(g, gamma - 1) is None
+            for k in {gamma, gamma + 1, g.n}:
+                code = solve_with_budget(g, k)
+                assert code is not None and len(code) == gamma and is_io_code(g, code).ok
+            assert searched == [g.n]
+            del searched[:]
 
     def test_full_set_budget(self, rng):
         for _ in range(30):
@@ -256,10 +275,10 @@ def reference_search(g: Graph, cap: int | None = None, exact: Callable[[], tuple
     The search stops as soon as the incumbent has size at most its goal:
     ``cap`` itself when a cap is given, so any code within it decides the
     question, or else the exact minimum from ``exact``, which returns a
-    minimum and a code of that size.  That callable costs about as much
-    as exploring one node per vertex, so it is asked only once the search
-    has explored ``g.n`` nodes; searches that end sooner, most of them on
-    small trees, never pay for it.  The incumbent is replaced only on
+    minimum and a code of that size; no caller gives both.  That callable
+    costs about as much as exploring one node per vertex, so it is asked
+    only once the search has explored ``g.n`` nodes; searches that end
+    sooner, most of them on small trees, never pay for it.  The incumbent is replaced only on
     strict improvement, so stopping at the minimum returns the code the
     unbounded search returns.  With ``exact`` given, the search stops at
     ``TREE_NODE_FACTOR * g.n`` nodes with its witness as the incumbent.
@@ -283,8 +302,7 @@ def reference_search(g: Graph, cap: int | None = None, exact: Callable[[], tuple
         nonlocal best_mask, best_size, nodes, goal, witness, from_exact
         nodes += 1
         if nodes == g.n and exact is not None:
-            gamma, witness = exact()
-            goal = max(goal, gamma)  # a cap, never below the minimum, stays the goal
+            goal, witness = exact()
         if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
             # the incumbent is above the goal here, which the witness meets
             best_mask, best_size, from_exact = witness, witness.bit_count(), True
@@ -391,11 +409,12 @@ def reference_solve(g):
 
 
 def reference_budget(g, max_size):
-    """``solve_with_budget``'s code mask, or None, under the reference."""
-    dp = reference_tree_dp(g) if is_tree(g) else None
-    if max_size < (0 if dp is None else dp[0]):
-        return None
-    mask, _, _ = reference_search(g, cap=max_size, exact=None if dp is None else lambda: dp)
+    """``solve_with_budget``'s code mask, or None, under the reference: on a
+    tree the program's code, or None below its minimum."""
+    if is_tree(g):
+        gamma, mask = reference_tree_dp(g)
+        return None if max_size < gamma else mask
+    mask, _, _ = reference_search(g, cap=max_size)
     return mask
 
 
@@ -410,7 +429,7 @@ def assert_same_as_reference(g):
     assert (root_chosen, root_open) == reference_propagate_units(reqs, 0)
     assert _greedy_cover(root_open, root_chosen) == reference_greedy_cover(reqs, root_chosen)
     if is_tree(g):
-        assert _tree_dp(g) == reference_tree_dp(g)
+        assert tree_dp(g) == reference_tree_dp(g)
     result = solve(g)
     gamma, mask, nodes, method = reference_solve(g)
     assert (result.gamma, result.code.mask, result.nodes_explored, result.method) == (gamma, mask, nodes, method)
@@ -425,6 +444,12 @@ def relabeled_subdivided_tree(k, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def relabeled_subdivided_trees():
+    """Eleven of them from one seeded stream, up to 399 vertices."""
+    rng = random.Random(4)
+    return [relabeled_subdivided_tree(k, rng) for k in (3, 5, 8, 13, 21, 34, 55, 89, 120, 150, 200)]
 
 
 class TestAgainstReference:
@@ -452,10 +477,8 @@ class TestAgainstReference:
                 assert_same_as_reference(g)
 
     def test_relabeled_subdivided_trees(self):
-        rng = random.Random(4)
         orders = []
-        for k in (3, 5, 8, 13, 21, 34, 55, 89, 120, 150, 200):
-            g = relabeled_subdivided_tree(k, rng)
+        for g in relabeled_subdivided_trees():
             assert_same_as_reference(g)
             orders.append(g.n)
         assert max(orders) == 399

@@ -39,7 +39,8 @@ from iocodes.solver import (
     _greedy_cover,
     _requirements,
     _search,
-    _tree_dp,
+    _tree_program,
+    _tree_walk,
 )
 
 
@@ -79,22 +80,28 @@ def benchmark_solve_inputs():
     return trees + [gen_tight_tree_pair(delta)[0] for delta in (6, 7, 8)]
 
 
+def tree_dp(g):
+    """The tree program's minimum and its code mask, on the tree's walk from 0."""
+    gamma, witness = _tree_program(g.n, *_tree_walk(g))
+    return gamma, witness()
+
+
 def dp_code(g):
-    gamma, mask = _tree_dp(g)
+    gamma, mask = tree_dp(g)
     return gamma, VertexSet(g.n, mask=mask)
 
 
 @pytest.fixture
 def witness_runs(monkeypatch):
-    """The order of each graph whose tree-program witness is built, in call order."""
+    """The label count of each tree-program witness built, in call order."""
     runs = []
     program = solver._tree_program
 
-    def spied(g, *walk):
-        gamma, witness = program(g, *walk)
+    def spied(n, *walk):
+        gamma, witness = program(n, *walk)
 
         def counted():
-            runs.append(g.n)
+            runs.append(n)
             return witness()
 
         return gamma, counted
@@ -118,7 +125,7 @@ class TestExhaustive:
 
     def test_matches_oracle_to_10(self):
         for t in twin_free_trees(10):
-            assert _tree_dp(t)[0] == solve_oracle(t).gamma, t.edges()
+            assert tree_dp(t)[0] == solve_oracle(t).gamma, t.edges()
 
 
 @pytest.fixture
@@ -172,45 +179,48 @@ class TestSeeded:
         hard = trees[49, 1]
         reqs = _requirements(hard)
         units = [r for r in reqs if r.bit_count() == 1]
-        gamma = _tree_dp(hard)[0]
+        gamma = tree_dp(hard)[0]
         assert _greedy_cover(reqs[len(units):], sum(units)).bit_count() > gamma
         for key in ((41, 1), (43, 2), (47, 1), (49, 1)):
             g = trees[key]
             result = solve(g)
             unbounded, unbounded_nodes, _ = _search(g)
             assert result.code.mask == unbounded, key
-            assert result.gamma == _tree_dp(g)[0]
+            assert result.gamma == tree_dp(g)[0]
             # the target cut the search short
             assert g.n <= result.nodes_explored < unbounded_nodes
 
     def test_budget_below_gamma_is_refused(self):
         trees = list(seeded_trees().values()) + list(twin_free_trees(9))
         for g in trees:
-            gamma, _ = _tree_dp(g)
+            gamma, _ = tree_dp(g)
             assert solve_with_budget(g, gamma - 1) is None
         for g in list(twin_free_trees(9)):
-            gamma, _ = _tree_dp(g)
+            gamma, _ = tree_dp(g)
             found = solve_with_budget(g, gamma)
             assert found is not None and len(found) == gamma
 
     def test_hard_tree_search_stops_at_the_node_bound(self, witness_runs):
         # the unbounded search explores 764,465 nodes on this 81-vertex tree
         g = subdivided_random_tree(41, random.Random(0))
-        gamma, witness = _tree_dp(g)
+        gamma, witness = tree_dp(g)
         del witness_runs[:]
         result = solve(g)
         # the stop at the node bound is the one reader of the witness
         assert witness_runs == [81]
         assert result.method == "tree_dp" and result.code.mask == witness
         assert result.gamma == gamma and result.nodes_explored == TREE_NODE_FACTOR * g.n
-        _, nodes, from_exact = _search(g, cap=gamma, exact=lambda: (gamma, lambda: witness))
-        assert from_exact and nodes == TREE_NODE_FACTOR * g.n
+        best, nodes, from_exact = _search(g, walk=_tree_walk(g))
+        assert from_exact and nodes == TREE_NODE_FACTOR * g.n and best == witness
+        # a budget reads the witness without searching
         found = solve_with_budget(g, gamma)
-        assert found is not None and len(found) == gamma and is_io_code(g, found).ok
+        assert found is not None and found.mask == witness and is_io_code(g, found).ok
+        assert witness_runs == [81, 81, 81]
 
     def test_benchmark_solve_inputs_are_pinned(self, witness_runs):
-        # (n, gamma, code, nodes, method) and the budget codes at gamma and
-        # gamma - 1, as the solver before the cost-first tree program gave them
+        # (n, gamma, code, nodes, method) as the solver before the cost-first
+        # tree program gave them, and the budget codes at gamma and gamma - 1:
+        # the tree program's code and None
         solves, budgets = [], []
         for g in benchmark_solve_inputs():
             result = solve(g)
@@ -219,14 +229,14 @@ class TestSeeded:
             budgets.append([None if code is None else code.mask for code in found])
         assert len(solves) == 36
         # every input stops at node n, the first moment the tree program is
-        # asked, so no solve and no budget reads the witness
+        # asked, so no solve reads the witness and each budget at gamma does
         assert all(nodes == n for n, _, _, nodes, _ in solves)
-        assert witness_runs == []
+        assert witness_runs == [n for n, _, _, _, _ in solves]
         assert all(below is None for _, below in budgets)
         digest = hashlib.sha256(repr(solves).encode()).hexdigest()
         assert digest == "43eb256c962d2b67b6666a19a4a79d3a76a002433bd0d6a2698be6d2986a1db1"
         digest = hashlib.sha256(repr(budgets).encode()).hexdigest()
-        assert digest == "0fd5cdebd8b61de6a57231e22e90d143c654d6e07f441222480648f9ba5414e1"
+        assert digest == "8ea13f183a8d6aa5a25251c88a017e1ef50d1bd2a298519409ed3679e5bcb635"
 
     def test_2001_vertex_tree_is_pinned(self):
         # gamma, node count, method and code as the quadratic solver gave them
@@ -241,14 +251,13 @@ class TestSeeded:
         script = textwrap.dedent(
             """
             import random, sys
-            from test_tree_dp import subdivided_random_tree
+            from test_tree_dp import subdivided_random_tree, tree_dp
             from iocodes import solve
-            from iocodes.solver import _tree_dp
 
             g = subdivided_random_tree(201, random.Random(0))
             sys.setrecursionlimit(100)
             result = solve(g)
-            print(g.n, result.gamma, _tree_dp(g)[0], result.method)
+            print(g.n, result.gamma, tree_dp(g)[0], result.method)
             """
         )
         paths = [str(Path(__file__).parent), str(Path(iocodes.__file__).parents[1])]
@@ -309,9 +318,9 @@ class TestProperties:
         code, trace = construct_code(g, delta)
         status = check_bound(g.n, len(code), delta, is_exceptional_star=trace.exceptional_star)
         assert status.value != "violation"
-        assert _tree_dp(g)[0] <= len(code)
+        assert tree_dp(g)[0] <= len(code)
 
     @given(random_twin_free_trees(16))
     def test_dp_equals_search(self, g):
         unbounded, _, _ = _search(g)
-        assert _tree_dp(g)[0] == unbounded.bit_count()
+        assert tree_dp(g)[0] == unbounded.bit_count()
