@@ -66,9 +66,9 @@ def _read_code(path: str, n: int) -> VertexSet:
     return VertexSet(n, members)
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload: dict, out=None) -> None:
     # one write: json.dump would stream the document in hundreds of chunks
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out or sys.stdout).write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -182,8 +182,7 @@ def _cmd_generate(args) -> int:
             _emit(sidecar)
         else:
             with open(args.sidecar, "w", encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                _emit(sidecar, fh)
     return OK
 
 

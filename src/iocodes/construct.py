@@ -307,14 +307,11 @@ def _build_tree(part: _Part, delta: int, trace: ConstructionTrace):
     # the family match rejects a tree of more than 1 + _LARGEST_SHAPE times
     # its maximum degree vertices, and no degree exceeds delta
     if n <= 1 + _LARGEST_SHAPE * delta:
-        spec = _family_match(part.adj, part.mask)
-        if spec is not None:
-            code = _canonical_code(spec, part.mask)
-            trace.add(
-                "family_canonical",
-                {"root": spec.distinguished["root"], "vector": list(spec.params["vector"]), "order": n},
-                graphs._bits(code),
-            )
+        match = _family_match(part.adj, part.mask)
+        if match is not None:
+            root, vector, blocks = match
+            code = _canonical_code(vector, blocks, part.mask)
+            trace.add("family_canonical", {"root": root, "vector": list(vector), "order": n}, graphs._bits(code))
             return code
 
     for k, _, center, other in part.scan(delta):
@@ -523,9 +520,9 @@ def _path_rule(part: _Part, path: list[int]):
 def _branch_near(position: int, root: int, part: _Part, near: int) -> tuple[int | None, dict]:
     """A deep branch rooted at path vertex ``root``: its canonical set if it
     is a family tree there, else None, for a code built for it on its own."""
-    spec = _family_match_rooted(part.adj, near, root)
-    detail = {"position": position, "near_order": near.bit_count(), "recognized_branch": spec is not None}
-    return (None if spec is None else _canonical_code(spec, near)), detail
+    match = _family_match_rooted(part.adj, near, root)
+    detail = {"position": position, "near_order": near.bit_count(), "recognized_branch": match is not None}
+    return (None if match is None else _canonical_code(*match[1:], near)), detail
 
 
 def _tail_near(path: list[int], part: _Part, near: int) -> tuple[int, dict]:

@@ -11,8 +11,10 @@ attachment types:
 An attachment vector counts attachments per type; admissible vectors
 have at most one type-1 attachment and exclude the four tiny vectors
 that would produce paths on fewer than five vertices.  Every admissible
-tree carries an explicitly constructed vertex set (its canonical set)
-that is always an IO-code.
+tree carries an explicitly constructed vertex set (its canonical set).
+It is an IO-code whenever the tree has no open twins; the one admissible
+tree with twins is the single type-5 attachment, whose root is a twin
+of the attachment's near leaf, and it has no IO-code at all.
 
 Also here: subdivided stars and their reduced variants, the bridged
 star pair and the subcubic gadget cycle that attain the extremal bound,
@@ -23,7 +25,7 @@ harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Sequence
@@ -95,19 +97,18 @@ _TYPE_OF_WALK = _walk_types()
 @dataclass(frozen=True)
 class FamilySpec:
     """Descriptor of a generated instance: parameters, distinguished
-    vertices, optionally a reference code known to verify.
+    vertices and a reference code known to verify.
 
-    For an attachment tree, ``attachments`` holds one ``(type, block)``
-    pair per branch at the root, sorted by type and then link: ``block``
-    lists the branch's vertices in the position order of ``_SHAPES``, so
-    ``block[0]`` is the link, the root's neighbour.
+    The reference code is None in two cases only: an attachment tree with
+    open twins, which has no IO-code, and the reduced subdivided star at
+    delta = 2.  That star is the path on four vertices, the excluded
+    vector (1, 1, 0, 0, 0, 0), whose canonical set is not a code.
     """
 
     kind: str
     params: dict
     distinguished: dict
     reference_code: VertexSet | None = None
-    attachments: tuple = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -130,34 +131,36 @@ def is_admissible(vector: Sequence[int]) -> bool:
 
 
 def build_family_tree(vector: Sequence[int]) -> tuple[Graph, FamilySpec]:
-    """Grow the tree for an admissible attachment vector; any other vector
-    is a bad parameter.
-
-    The root is vertex 0; attachments are laid out in type order, then
-    creation order, each contributing a contiguous vertex block.
-    """
+    """Grow the tree for an admissible attachment vector (``_grow``); any
+    other vector is a bad parameter.  Its reference code is the canonical
+    set, or None when the tree has open twins."""
     vector = tuple(vector)
     if not is_admissible(vector):
         raise BadParam(f"attachment vector {vector} is not admissible")
+    g, code = _grow(vector)
+    reference = VertexSet(g.n, mask=code) if _twin_free(g.adj) else None
+    return g, FamilySpec("attachment_tree", {"vector": vector, "order": g.n}, {"root": 0}, reference)
+
+
+def _grow(vector: tuple[int, ...]) -> tuple[Graph, int]:
+    """The attachment tree of ``vector``, unchecked, and its canonical set
+    as a mask.
+
+    The root is vertex 0; attachments are laid out in type order, then
+    creation order, each contributing a contiguous vertex block in the
+    position order of ``_SHAPES``.
+    """
     edges: list[tuple[int, int]] = []
-    attachments: list[tuple[int, tuple[int, ...]]] = []
+    blocks: list[tuple[int, tuple[int, ...]]] = []
     nxt = 1
     for t, count in enumerate(vector, 1):
         parents = _SHAPES[t][0]
         for _ in range(count):
             block = tuple(range(nxt, nxt + len(parents)))
             edges += [(0 if p < 0 else block[p], v) for p, v in zip(parents, block)]
-            attachments.append((t, block))
+            blocks.append((t, block))
             nxt += len(parents)
-
-    g = Graph(nxt, edges)
-    spec = FamilySpec(
-        kind="attachment_tree",
-        params={"vector": vector, "order": nxt},
-        distinguished={"root": 0},
-        attachments=tuple(attachments),
-    )
-    return g, spec
+    return Graph(nxt, edges), _canonical_code(vector, blocks, (1 << nxt) - 1)
 
 
 # the two trees whose root is a degree-2 support vertex: their canonical
@@ -165,10 +168,13 @@ def build_family_tree(vector: Sequence[int]) -> tuple[Graph, FamilySpec]:
 _KEEPS_TYPE1_LINK = {(1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0)}
 
 
-def _canonical_code(spec: FamilySpec, mask: int) -> int:
-    """The canonical set of the attachment tree ``spec`` on the vertices
-    ``mask``, its always-verifying code, as a mask: ``mask`` without the
-    vertices it leaves out.
+def _canonical_code(vector: tuple[int, ...], blocks: Sequence[tuple[int, tuple[int, ...]]], mask: int) -> int:
+    """The canonical set of the attachment tree of ``vector`` on the
+    vertices ``mask``, as a mask: ``mask`` without the vertices it leaves
+    out.  ``blocks`` holds one ``(type, block)`` pair per branch at the
+    root, sorted by type and then link; ``block`` lists the branch's
+    vertices in the position order of ``_SHAPES``, so ``block[0]`` is the
+    link, the root's neighbour.
 
     Those are the positions ``_SHAPES`` leaves out of each attachment: the
     type-1 link, the far leaf of types 3 and 4, the distance-2 leaf of
@@ -177,11 +183,10 @@ def _canonical_code(spec: FamilySpec, mask: int) -> int:
     is left out too, and the two trees in ``_KEEPS_TYPE1_LINK`` keep their
     type-1 link.
     """
-    vec = spec.params["vector"]
-    drop_type2_leaf = vec[0] == 0
-    for t, block in spec.attachments:
+    drop_type2_leaf = vector[0] == 0
+    for t, block in blocks:
         left_out = _SHAPES[t][1]
-        if t == 1 and vec in _KEEPS_TYPE1_LINK:
+        if t == 1 and vector in _KEEPS_TYPE1_LINK:
             left_out = ()
         elif t == 2 and drop_type2_leaf:
             left_out, drop_type2_leaf = (1,), False
@@ -216,9 +221,10 @@ def _branch_shape(adj: Sequence[int], mask: int, root: int, link: int) -> tuple[
     return None if found is None else (found[0], tuple([walked[i] for i in found[1]]))
 
 
-def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> FamilySpec | None:
+def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> tuple[int, tuple[int, ...], tuple] | None:
     """The family match of the tree that ``mask`` induces, in its labels,
-    with the root ``root``, or None.
+    with the root ``root``, or None: ``(root, vector, blocks)``, with the
+    blocks that ``_canonical_code`` reads.
 
     No attachment has more than 5 vertices, so a root of degree below
     (n - 1) / 5 is rejected without walking its branches.
@@ -238,15 +244,10 @@ def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> FamilySpec
     if not is_admissible(vector) or 1 + sum(len(block) for _, block in branches) != n:
         return None
     branches.sort()
-    return FamilySpec(
-        kind="attachment_tree",
-        params={"vector": vector, "order": n},
-        distinguished={"root": root},
-        attachments=tuple(branches),
-    )
+    return root, vector, tuple(branches)
 
 
-def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
+def _family_match(adj: Sequence[int], mask: int) -> tuple[int, tuple[int, ...], tuple] | None:
     """The family match of the graph that ``mask`` induces, in its labels,
     at the lowest label for which it has one, or None.
 
@@ -275,9 +276,9 @@ def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
             blocked.add(u)
     for root in members:
         if n - size[root] <= _LARGEST_SHAPE and root not in blocked:
-            spec = _family_match_rooted(adj, mask, root)
-            if spec is not None:
-                return spec
+            match = _family_match_rooted(adj, mask, root)
+            if match is not None:
+                return match
     return None
 
 
@@ -286,47 +287,25 @@ def _family_match(adj: Sequence[int], mask: int) -> FamilySpec | None:
 
 
 def gen_subdivided_star(delta: int) -> tuple[Graph, FamilySpec]:
-    """Star K_{1,delta} with every edge subdivided once; center is vertex 0."""
+    """Star K_{1,delta} with every edge subdivided once, the attachment tree
+    of delta type-2 blocks (support, leaf); center is vertex 0."""
     if delta < 2:
         raise BadParam(f"subdivided star needs delta >= 2, got {delta}")
-    edges = []
-    supports, leaves = [], []
-    for j in range(delta):
-        s, u = 1 + 2 * j, 2 + 2 * j
-        edges += [(0, s), (s, u)]
-        supports.append(s)
-        leaves.append(u)
-    g = Graph(2 * delta + 1, edges)
-    left_out = _subdivided_star_leave_out(g.adj, (1 << g.n) - 1)
-    spec = FamilySpec(
-        kind="subdivided_star",
-        params={"delta": delta, "order": g.n},
-        distinguished={"center": 0, "supports": supports, "leaves": leaves},
-        reference_code=VertexSet(g.n, (v for v in range(g.n) if v not in left_out)),
-    )
-    return g, spec
+    g, code = _grow((0, delta, 0, 0, 0, 0))
+    distinguished = {"center": 0, "supports": list(range(1, g.n, 2)), "leaves": list(range(2, g.n, 2))}
+    return g, FamilySpec("subdivided_star", {"delta": delta, "order": g.n}, distinguished, VertexSet(g.n, mask=code))
 
 
 def gen_reduced_subdivided_star(delta: int) -> tuple[Graph, FamilySpec]:
-    """Subdivided star minus one leaf; the center keeps a pendant neighbor."""
+    """Subdivided star minus one leaf: the center keeps the type-1 block,
+    pendant vertex 1, then delta - 1 type-2 blocks."""
     if delta < 2:
         raise BadParam(f"reduced subdivided star needs delta >= 2, got {delta}")
-    edges = [(0, 1)]
-    supports, leaves = [], []
-    for j in range(delta - 1):
-        s, u = 2 + 2 * j, 3 + 2 * j
-        edges += [(0, s), (s, u)]
-        supports.append(s)
-        leaves.append(u)
-    g = Graph(2 * delta, edges)
-    reference = VertexSet(g.n, mask=(1 << g.n) - 1 - (1 << 1)) if delta >= 3 else None
-    spec = FamilySpec(
-        kind="reduced_subdivided_star",
-        params={"delta": delta, "order": g.n},
-        distinguished={"center": 0, "center_leaf": 1, "supports": supports, "leaves": leaves},
-        reference_code=reference,
-    )
-    return g, spec
+    g, code = _grow((1, delta - 1, 0, 0, 0, 0))
+    supports, leaves = list(range(2, g.n, 2)), list(range(3, g.n, 2))
+    distinguished = {"center": 0, "center_leaf": 1, "supports": supports, "leaves": leaves}
+    reference = VertexSet(g.n, mask=code) if delta >= 3 else None  # P4, whose canonical set is no code
+    return g, FamilySpec("reduced_subdivided_star", {"delta": delta, "order": g.n}, distinguished, reference)
 
 
 def gen_tight_tree_pair(delta: int) -> tuple[Graph, FamilySpec]:

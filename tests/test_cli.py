@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from iocodes.cli import main
+from iocodes.cli import _FAMILY_BUILDERS, main
 
 
 def run(capsys, *argv):
@@ -222,6 +222,50 @@ class TestGenerate:
     def test_attachment_tree(self, capsys):
         status, out, _ = run(capsys, "generate", "attachment-tree", "1", "3", "2", "3", "2", "2")
         assert status == 0
+
+    # one call per builder, each star-plus-edge variant
+    FAMILIES = [
+        "subdivided-star 4",
+        "reduced-subdivided-star 4",
+        "attachment-tree 1 3 2 3 2 2",
+        "tight-tree-pair 4",
+        "gadget-cycle 5",
+        "star-plus-edge g1 4",
+        "star-plus-edge g2 4",
+        "star-plus-edge g3 4",
+    ]
+
+    def test_families_cover_every_builder(self):
+        assert {family.split()[0] for family in self.FAMILIES} == set(_FAMILY_BUILDERS)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sidecar_code_verifies(self, capsys, tmp_path, code_file, family):
+        graph, sidecar = tmp_path / "fam.edges", tmp_path / "fam.json"
+        status, out, _ = run(capsys, "generate", *family.split(), "--sidecar", str(sidecar))
+        assert status == 0
+        graph.write_text(out)
+        code = json.loads(sidecar.read_text())["reference_code"]
+        status, out, _ = run(capsys, "verify", str(graph), code_file("fam.code", code))
+        assert status == 0 and json.loads(out)["ok"] is True
+
+    def test_twin_tree_sidecar_has_no_code(self, capsys, tmp_path):
+        # the single type-5 tree: its root is an open twin of the near leaf
+        graph, sidecar = tmp_path / "fam.edges", tmp_path / "fam.json"
+        status, out, _ = run(capsys, "generate", "attachment-tree", *"0 0 0 0 1 0".split(), "--sidecar", str(sidecar))
+        assert status == 0
+        assert json.loads(sidecar.read_text())["reference_code"] is None
+        graph.write_text(out)
+        status, out, err = run(capsys, "solve", str(graph))
+        assert status == 1 and out == ""
+        assert "open twins (0, 2)" in err
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_file_and_stdout_sidecars_are_equal(self, capsys, tmp_path, family):
+        sidecar = tmp_path / "fam.json"
+        _, graph_text, _ = run(capsys, "generate", *family.split(), "--sidecar", str(sidecar))
+        status, out, _ = run(capsys, "generate", *family.split(), "--sidecar", "-")
+        assert status == 0
+        assert out == graph_text + sidecar.read_text()
 
     def test_unknown_family(self, capsys):
         status, _, err = run(capsys, "generate", "klein-bottle", "3")

@@ -10,7 +10,6 @@ from conftest import prufer_tree
 from iocodes import (
     BadParam,
     Graph,
-    VertexSet,
     build_family_tree,
     enumerate_graph_classes,
     enumerate_small_graphs,
@@ -31,7 +30,6 @@ from iocodes import (
 from iocodes.canon import canonical_graph
 from iocodes.families import (
     TREE_CAP,
-    _canonical_code,
     _family_match,
     _family_match_rooted,
     _free_tree_levels,
@@ -74,13 +72,14 @@ class TestFamilyTrees:
         g, spec = build_family_tree((1, 3, 2, 3, 2, 2))
         assert g.degree(0) == 13
         assert g.n == 44
-        assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok
+        assert is_io_code(g, spec.reference_code).ok
 
     def test_plain_star_is_family_member(self):
         g, spec = build_family_tree((0, 4, 0, 0, 0, 0))
         star, star_spec = gen_subdivided_star(4)
         assert canonical_graph(g) == canonical_graph(star)
-        assert _canonical_code(spec, (1 << g.n) - 1).bit_count() == 8
+        assert len(spec.reference_code) == 8
+        assert spec.reference_code == star_spec.reference_code
 
     def test_reduced_star_is_family_member(self):
         g, _ = build_family_tree((1, 3, 0, 0, 0, 0))
@@ -91,13 +90,13 @@ class TestFamilyTrees:
         g, spec = build_family_tree((1, 0, 1, 0, 0, 0))
         p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert canonical_graph(g) == canonical_graph(p5)
-        c = VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))
+        c = spec.reference_code
         assert len(c) == 4 and is_io_code(g, c).ok
 
         g2, spec2 = build_family_tree((1, 0, 0, 0, 1, 0))
         red, _ = gen_reduced_subdivided_star(3)
         assert canonical_graph(g2) == canonical_graph(red)
-        c2 = VertexSet(g2.n, mask=_canonical_code(spec2, (1 << g2.n) - 1))
+        c2 = spec2.reference_code
         assert len(c2) == 5 and is_io_code(g2, c2).ok
 
     def test_canonical_sets_verify_exhaustively(self):
@@ -112,10 +111,11 @@ class TestFamilyTrees:
             g, spec = build_family_tree(vec)
             if vec == (0, 0, 0, 0, 1, 0):
                 assert find_open_twins(g) == [(0, 2)]
+                assert spec.reference_code is None
                 continue
             assert find_open_twins(g) == []
             count += 1
-            assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok
+            assert is_io_code(g, spec.reference_code).ok
         assert count > 100
 
     def test_canonical_size_within_degree_bound(self):
@@ -134,7 +134,7 @@ class TestFamilyTrees:
             star = _subdivided_star(g.adj, full)
             if star is not None and star[1] == delta:
                 continue
-            size = _canonical_code(spec, full).bit_count()
+            size = len(spec.reference_code)
             assert 2 * delta * size <= (2 * delta - 1) * g.n, vec
             checked += 1
 
@@ -146,19 +146,19 @@ class TestFamilyTrees:
                 if is_admissible(vec) and sum(vec) <= 10 and vec != (0, 0, 0, 0, 1, 0):
                     break
             g, spec = build_family_tree(vec)
-            assert is_io_code(g, VertexSet(g.n, mask=_canonical_code(spec, (1 << g.n) - 1))).ok
+            assert is_io_code(g, spec.reference_code).ok
 
 
 class TestRecognition:
     def test_p5_from_end(self):
         p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        spec = _family_match(p5.adj, 0b11111)
-        assert spec.distinguished["root"] == 0 and spec.params["vector"] == (0, 0, 0, 1, 0, 0)
+        root, vector, _ = _family_match(p5.adj, 0b11111)
+        assert root == 0 and vector == (0, 0, 0, 1, 0, 0)
 
     def test_reduced_star(self):
         g, _ = gen_reduced_subdivided_star(4)
-        spec = _family_match(g.adj, (1 << g.n) - 1)
-        assert spec.distinguished["root"] == 0 and spec.params["vector"] == (1, 3, 0, 0, 0, 0)
+        root, vector, _ = _family_match(g.adj, (1 << g.n) - 1)
+        assert root == 0 and vector == (1, 3, 0, 0, 0, 0)
 
     def test_small_paths_rejected(self):
         for n in (2, 3, 4):
@@ -173,17 +173,17 @@ class TestRecognition:
                 if is_admissible(vec) and 1 <= sum(vec) <= 6:
                     break
             g, _ = build_family_tree(vec)
-            spec = _family_match(g.adj, (1 << g.n) - 1)
-            assert spec is not None
-            rebuilt, _ = build_family_tree(spec.params["vector"])
+            match = _family_match(g.adj, (1 << g.n) - 1)
+            assert match is not None
+            rebuilt, _ = build_family_tree(match[1])
             assert canonical_graph(g) == canonical_graph(rebuilt)
 
     def test_rooted_variant(self):
         g, _ = build_family_tree((0, 2, 1, 0, 0, 0))
         full = (1 << g.n) - 1
-        spec = _family_match_rooted(g.adj, full, 0)
-        assert spec is not None
-        assert spec.params["vector"] == (0, 2, 1, 0, 0, 0)
+        match = _family_match_rooted(g.adj, full, 0)
+        assert match is not None
+        assert match[1] == (0, 2, 1, 0, 0, 0)
         assert _family_match_rooted(g.adj, full, 1) is None
 
 
@@ -254,12 +254,18 @@ class TestNamedGenerators:
         calls += [(gen_subcubic_gp, p) for p in (3, *range(5, 31))]
         calls += [(gen_star_plus_edge, variant, k) for variant in ("g1", "g2", "g3") for k in range(2, 31)]
         digest = hashlib.sha256()
+        uncoded = []
         for gen, *params in calls:
             g, spec = gen(*params)
             ref = None if spec.reference_code is None else sorted(spec.reference_code)
             fields = [emit_graph6(g), spec.kind, spec.params, spec.distinguished, ref]
             digest.update(json.dumps(fields, sort_keys=True).encode())
+            if ref is None:
+                uncoded.append((gen, *params))
+            else:
+                assert is_io_code(g, spec.reference_code).ok, (gen.__name__, params)
         assert len(calls) == 200
+        assert uncoded == [(gen_reduced_subdivided_star, 2)]  # P4, whose canonical set is no code
         assert digest.hexdigest() == "373322954b546805b213f7dd21f9ac7d7676445230c5d0286ad94b56378f6709"
 
     def test_bad_params(self):

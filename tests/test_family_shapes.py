@@ -76,10 +76,9 @@ def branch_shape_by_cases(g, root, link):
     return None
 
 
-def canonical_set_by_roles(spec):
-    vec = tuple(spec.params["vector"])
-    n = spec.params["order"]
-    atts = [(t, dict(zip(ROLES[t], block))) for t, block in spec.attachments]
+def canonical_set_by_roles(n, match):
+    root, vec, blocks = match
+    atts = [(t, dict(zip(ROLES[t], block))) for t, block in blocks]
     full = (1 << n) - 1
     if vec == (1, 0, 1, 0, 0, 0):
         roles = next(r for t, r in atts if t == 3)
@@ -87,7 +86,7 @@ def canonical_set_by_roles(spec):
     if vec == (1, 0, 0, 0, 1, 0):
         roles = next(r for t, r in atts if t == 5)
         return VertexSet(n, mask=full ^ (1 << roles["leaf2"]))
-    members = {spec.distinguished["root"]}
+    members = {root}
     dropped_type2_leaf = False
     for t, roles in atts:
         if t == 2:
@@ -121,9 +120,9 @@ def test_branch_shapes_match_the_cases_on_every_small_tree():
                         kind, roles = expected
                         assert shape == (kind, tuple(roles.values()))
                         checked += 1
-            spec = _family_match(t.adj, (1 << n) - 1)
-            if spec is not None:
-                assert _canonical_code(spec, (1 << n) - 1) == canonical_set_by_roles(spec).mask
+            match = _family_match(t.adj, (1 << n) - 1)
+            if match is not None:
+                assert _canonical_code(*match[1:], (1 << n) - 1) == canonical_set_by_roles(n, match).mask
     assert checked > 1000
 
 
@@ -141,7 +140,12 @@ def test_canonical_sets_match_the_roles():
             larger.append(vec)
     for vec in vectors + larger:
         g, spec = build_family_tree(vec)
-        assert _canonical_code(spec, (1 << g.n) - 1) == canonical_set_by_roles(spec).mask
+        # the roles read the blocks that recognition finds, not the grown ones
+        match = _family_match_rooted(g.adj, (1 << g.n) - 1, 0)
+        by_roles = canonical_set_by_roles(g.n, match)
+        assert _canonical_code(*match[1:], (1 << g.n) - 1) == by_roles.mask
+        # the single type-5 tree has open twins, so no code at all
+        assert spec.reference_code == (None if vec == (0, 0, 0, 0, 1, 0) else by_roles)
     assert len(vectors) == 373
 
 

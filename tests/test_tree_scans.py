@@ -230,12 +230,9 @@ def _embedded(g, labels):
     return adj, sum(1 << v for v in labels)
 
 
-def _relabeled_spec(spec, labels):
-    return (
-        spec.params,
-        labels[spec.distinguished["root"]],
-        tuple((t, tuple(labels[v] for v in block)) for t, block in spec.attachments),
-    )
+def _relabeled_match(match, labels):
+    root, vector, blocks = match
+    return labels[root], vector, tuple((t, tuple(labels[v] for v in block)) for t, block in blocks)
 
 
 class TestMaskCores:
@@ -248,18 +245,19 @@ class TestMaskCores:
         h, order = induced(tuple(adj), mask)
         assert h == g and list(order) == labels
         full = (1 << g.n) - 1
-        spec = _family_match(g.adj, full)
+        match = _family_match(g.adj, full)
         found = _family_match(adj, mask)
-        assert (found is None) == (spec is None)
-        if spec is not None:
-            assert (found.params, found.distinguished["root"], found.attachments) == _relabeled_spec(spec, labels)
-            assert _canonical_code(found, mask) == sum(1 << labels[v] for v in _bits(_canonical_code(spec, full)))
+        assert (found is None) == (match is None)
+        if match is not None:
+            assert found == _relabeled_match(match, labels)
+            code = _canonical_code(*match[1:], full)
+            assert _canonical_code(*found[1:], mask) == sum(1 << labels[v] for v in _bits(code))
         for root in range(g.n):
-            spec = _family_match_rooted(g.adj, full, root)
+            match = _family_match_rooted(g.adj, full, root)
             found = _family_match_rooted(adj, mask, labels[root])
-            assert (found is None) == (spec is None)
-            if spec is not None:
-                assert (found.params, found.distinguished["root"], found.attachments) == _relabeled_spec(spec, labels)
+            assert (found is None) == (match is None)
+            if match is not None:
+                assert found == _relabeled_match(match, labels)
         star = _subdivided_star(g.adj, full)
         assert _subdivided_star(adj, mask) == (None if star is None else (labels[star[0]], star[1]))
         if star is not None:
