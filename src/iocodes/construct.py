@@ -114,8 +114,8 @@ class BoundStatus(str, Enum):
 
 def check_bound(n: int, size: int, delta: int, *, is_exceptional_star: bool = False) -> BoundStatus:
     """Integer-exact comparison of a code size against the target fraction."""
-    if n <= 0 or size < 0 or delta < 1:
-        raise BadParam("check_bound needs positive n, delta and size >= 0")
+    if not isinstance(delta, int) or n <= 0 or size < 0 or delta < 1:
+        raise BadParam("check_bound needs positive n, an integer delta >= 1 and size >= 0")
     if is_exceptional_star and size * (2 * delta + 1) == 2 * delta * n:
         return BoundStatus.EXCEPTIONAL_STAR
     if 2 * delta * size <= (2 * delta - 1) * n:
@@ -225,9 +225,13 @@ _PAW_DEGREES = [1, 2, 2, 3]
 
 
 def _check_delta(delta: int | None) -> None:
-    """Reject a degree bound below 3; ``None`` (the audits' per-instance
-    bound) passes."""
-    if delta is not None and delta < 3:
+    """Reject a degree bound that is not an integer of at least 3; ``None``
+    (the audits' per-instance bound) passes."""
+    if delta is None:
+        return
+    if not isinstance(delta, int):
+        raise BadParam(f"delta must be an integer, got {delta!r}")
+    if delta < 3:
         raise BadParam(f"delta must be at least 3, got {delta}")
 
 
@@ -239,6 +243,8 @@ def _validate(g: Graph, delta: int) -> None:
     report twins, and one with ``n - 1`` edges is a tree, so only an input
     with ``m >= n`` is searched for a 4-cycle.
     """
+    if delta is None:
+        raise BadParam("construct_code needs a degree bound, got None")
     _check_delta(delta)
     paw = g.n == 4 and sorted(g.degree_sequence()) == _PAW_DEGREES
     if g.n < 5 and not paw:

@@ -3,8 +3,8 @@
 Vertices are the integers ``0..n-1``.  Every neighborhood is kept as a
 Python integer used as a bitset, which makes the intersection/symmetric
 difference operations at the heart of code verification and the exact
-solver word-parallel.  All operations are pure; an induced subgraph is
-a fresh value.
+solver word-parallel.  A ``Graph`` is never changed after it is built,
+and every operation is pure.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def has_four_cycle(g: Graph) -> bool:
     for nbrs in g.adj:
         if nbrs & (nbrs - 1) == 0:  # no pair of neighbours
             continue
-        rest = nbrs  # bits walked inline: the labeled sweep calls this millions of times
+        rest = nbrs  # walked inline: the tests' labeled-sweep oracle calls this millions of times
         while rest:
             low = rest & -rest
             others = nbrs ^ low

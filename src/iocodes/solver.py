@@ -24,20 +24,17 @@ counts packed requirements only until they reach the incumbent, where
 the node is pruned either way.
 
 On trees an exact linear-time dynamic program (``_tree_program``) alone
-answers a budget and the constructor's fallback.  Only ``solve``
-searches trees, with the minimum as a target: once the search has
-explored as many nodes as the tree has vertices, it stops as soon as its
-incumbent reaches the minimum.  The program pays first for the minimum
-alone: it folds each distinct tuple of child exports once per call, so
-equal subtrees cost one fold.  Its own minimum code is built from the
-back-pointers only when it is read: a tree search that has explored
-``TREE_NODE_FACTOR`` nodes per vertex stops and returns that code with
-``method: "tree_dp"``, so every tree search is bounded.  Below that
-bound the search produces the returned code, which is then the one an
-unbounded search returns.  The program rests on a local rule for
-4-cycle-free graphs, where two vertices share at most one neighbour: S
-is an IO-code iff every vertex has a neighbour in S and no s in S has
-two neighbours whose only S-neighbour is s.
+answers a budget and the constructor's fallback.  ``solve`` searches a
+tree for at most one node per vertex, about what the program costs.  A
+search that ends sooner has its minimum; one that uses all ``n`` nodes
+hands over to the program, whose code is returned with ``method:
+"tree_dp"`` unless the incumbent already has its size.  The program
+pays first for the minimum alone: it folds each distinct tuple of child
+exports once per call, so equal subtrees cost one fold, and its code is
+built from the back-pointers only when it is read.  The program rests
+on a local rule for 4-cycle-free graphs, where two vertices share at
+most one neighbour: S is an IO-code iff every vertex has a neighbour in
+S and no s in S has two neighbours whose only S-neighbour is s.
 """
 
 from __future__ import annotations
@@ -57,13 +54,6 @@ from .verify import is_io_code, require_admissible
 __all__ = ["SolveResult", "solve", "solve_oracle", "solve_with_budget"]
 
 ORACLE_CAP = 24
-# nodes per vertex after which a tree search returns the tree program's code.
-# Measured: in canonical labels, as the audit solves them, every twin-free
-# tree with n <= 16 and all 36 large_trees benchmark solve inputs stay within
-# one node per vertex, and the worst tree to n = 18 needs 23 nodes (1.28 n).
-# In enumerate_trees' labels one n = 18 tree needs 186 nodes (10.3 n), so a
-# factor below 11 would change its witness.
-TREE_NODE_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -181,23 +171,15 @@ def _children(chosen: int, open_reqs: list[int], candidates: list[int]):
         yield chosen | 1 << v, [r for r in open_reqs if not r >> v & 1]
 
 
-def _search(g: Graph, cap: int | None = None, walk: tuple[list[int], dict[int, int]] | None = None):
-    """Core branch and bound; returns (best_mask or None, nodes explored,
-    whether the mask is the tree program's witness).
+def _search(g: Graph, cap: int | None = None, limit: int | None = None) -> tuple[int | None, int]:
+    """Core branch and bound; returns (best_mask or None, nodes explored).
 
-    The search stops as soon as the incumbent has size at most its goal:
-    ``cap`` itself when a cap is given, so any code within it decides the
-    question, or else, on a tree whose ``_tree_walk`` is ``walk``, the
-    minimum from ``_tree_program``.  The program costs about as much as
-    exploring one node per vertex, so it is run only once the search has
-    explored ``g.n`` nodes; searches that end sooner, most of them on
-    small trees, never pay for it.  The incumbent is replaced only on
-    strict improvement, so stopping at the minimum returns the code the
-    unbounded search returns.  With ``walk`` given, the search stops at
-    ``TREE_NODE_FACTOR * g.n`` nodes with the program's witness as the
-    incumbent; only that stop builds the witness.  No caller gives both
-    a cap and a walk: a tree budget is answered by the program alone.
-    The search runs depth first on an explicit stack of lazy child
+    The search stops as soon as the incumbent is within ``cap`` when a
+    cap is given, so any code within it decides the question, and after
+    ``limit`` nodes when a limit is given, with its best incumbent.  A
+    search that stops for neither is exhaustive, so its incumbent is a
+    minimum.  The incumbent is replaced only on strict improvement.  The
+    search runs depth first on an explicit stack of lazy child
     generators, so its depth is not bounded by the recursion limit.
     """
     reqs = _requirements(g)
@@ -215,25 +197,16 @@ def _search(g: Graph, cap: int | None = None, walk: tuple[list[int], dict[int, i
         best_mask, best_size = greedy, greedy.bit_count()
     goal = cap if cap is not None else 0  # every code has size >= 1
     nodes = 0
-    witness = None
-    from_exact = False
 
     # one entry per node on the current path: its children not yet explored
     stack = [iter([(root_chosen, root_open)])]
-    while stack and best_size > goal:
+    while stack and best_size > goal and nodes != limit:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
             continue
         chosen, open_reqs = child
         nodes += 1
-        if nodes == g.n and walk is not None:
-            goal, witness = _tree_program(g.n, *walk)
-        if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
-            # the incumbent is above the goal here, which the witness meets
-            best_mask = witness()
-            best_size, from_exact = best_mask.bit_count(), True
-            break
         size = chosen.bit_count()
         if not open_reqs:
             if size < best_size:
@@ -253,7 +226,7 @@ def _search(g: Graph, cap: int | None = None, walk: tuple[list[int], dict[int, i
         # a stable sort: ties keep the increasing order of the vertices
         candidates = sorted(hits, key=hits.__getitem__, reverse=True)
         stack.append(_children(chosen, open_reqs, candidates))
-    return best_mask, nodes, from_exact
+    return best_mask, nodes
 
 
 # _tree_program's fold state (S-children capped at 2, private-child count of the
@@ -307,7 +280,7 @@ def _tree_program(n: int, order: list[int], parent: dict[int, int]) -> tuple[int
     child exports is folded once per call, and equal subtrees, every leaf
     for one, share one export.  The minimum needs only the root's export;
     the callable walks the back-pointers down from the root when it is
-    called, which the search does only at its node bound.
+    called.
     """
     children: list[list[int]] = [[] for _ in range(n)]
     for v in order[1:]:
@@ -392,11 +365,18 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 
 
 def solve(g: Graph) -> SolveResult:
-    """Exact minimum IO-code via branch and bound (targeted and bounded on trees)."""
+    """Exact minimum IO-code via branch and bound; a tree's search stops
+    after ``n`` nodes and hands over to the tree program."""
     require_admissible(g)
-    best_mask, nodes, from_exact = _search(g, walk=_tree_walk(g))
+    walk = _tree_walk(g)
+    best_mask, nodes = _search(g, limit=None if walk is None else g.n)
+    method = "branch_and_bound"
+    if nodes == g.n and walk is not None:
+        gamma, witness = _tree_program(g.n, *walk)
+        if gamma < best_mask.bit_count():
+            best_mask, method = witness(), "tree_dp"
     code = _verified(g, best_mask)
-    return SolveResult(len(code), code, nodes, "tree_dp" if from_exact else "branch_and_bound")
+    return SolveResult(len(code), code, nodes, method)
 
 
 def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
@@ -407,7 +387,7 @@ def solve_with_budget(g: Graph, max_size: int) -> VertexSet | None:
     if walk is not None:
         gamma, witness = _tree_program(g.n, *walk)
         return None if max_size < gamma else _verified(g, witness())
-    best_mask, _, _ = _search(g, cap=max_size)
+    best_mask, _ = _search(g, cap=max_size)
     return None if best_mask is None else _verified(g, best_mask)
 
 

@@ -165,6 +165,26 @@ class TestDeltaCheck:
         with pytest.raises(BadParam, match="delta must be at least 3, got 2"):
             audit.audit_graphs_sampled(4, 8, 11, seed=0, delta=2)
 
+    def test_delta_must_be_an_integer(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("instances built before the delta check")
+
+        for name in ("enumerate_twin_free_trees", "enumerate_graph_classes", "_random_twin_free_graph"):
+            monkeypatch.setattr(audit, name, fail)
+        for delta, shown in ((3.5, "3.5"), ("3", "'3'")):
+            match = f"delta must be an integer, got {shown}"
+            with pytest.raises(BadParam, match=match):
+                audit_trees(8, delta)
+            with pytest.raises(BadParam, match=match):
+                audit_graphs(7, delta)
+            with pytest.raises(BadParam, match=match):
+                audit.audit_graphs_sampled(4, 8, 11, seed=0, delta=delta)
+
+    def test_no_delta_bounds_each_instance_by_its_own_degree(self):
+        records, summary = audit_trees(8, None)
+        assert summary["delta"] is None
+        assert [r.delta for r in records] == [max(3, r.max_degree) for r in records]
+
 
 class TestSampledAudit:
     def test_seeded_and_clean(self):

@@ -114,6 +114,11 @@ class TestCheckBound:
         with pytest.raises(BadParam):
             check_bound(0, 0, 3)
 
+    @pytest.mark.parametrize("delta", [None, 3.5, "3"])
+    def test_non_integer_delta(self, delta):
+        with pytest.raises(BadParam, match="an integer delta"):
+            check_bound(5, 4, delta)
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("case", list(VALIDATION_TABLE))
@@ -178,6 +183,14 @@ class TestTreeConstructor:
         with pytest.raises(DegreeExceeded):
             g, _ = gen_subdivided_star(5)
             construct_code(g, 4)
+
+    def test_degree_bound_must_be_an_integer(self):
+        with pytest.raises(BadParam, match="needs a degree bound, got None"):
+            construct_code(path(6), None)
+        with pytest.raises(BadParam, match="delta must be an integer, got 3.5"):
+            construct_code(path(6), 3.5)
+        with pytest.raises(BadParam, match="delta must be an integer, got '3'"):
+            construct_code(path(6), "3")
 
     def test_deep_decomposition_on_valid_trees(self):
         # deep decompositions of seeded subdivided random trees: every step

@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from typing import Callable
 
 import pytest
 
@@ -13,8 +12,10 @@ from iocodes import (
     Verdict,
     VertexSet,
     admits_io_code,
+    canonical_graph,
     enumerate_graph_classes,
     enumerate_trees,
+    enumerate_twin_free_trees,
     find_open_twins,
     gen_reduced_subdivided_star,
     gen_subcubic_gp,
@@ -23,13 +24,14 @@ from iocodes import (
     has_four_cycle,
     is_connected,
     is_io_code,
+    parse_graph6,
     solve,
     solve_oracle,
     solve_with_budget,
     solver,
 )
 from iocodes.graphs import is_tree
-from iocodes.solver import TREE_NODE_FACTOR, _greedy_cover, _requirements
+from iocodes.solver import _greedy_cover, _requirements
 from test_tree_dp import benchmark_solve_inputs, subdivided_random_tree, tree_dp, twin_free_trees
 
 
@@ -268,22 +270,15 @@ def reference_disjoint_bound(open_reqs: list[int]) -> int:
     return count
 
 
-def reference_search(g: Graph, cap: int | None = None, exact: Callable[[], tuple[int, int]] | None = None):
-    """Core branch and bound; returns (best_mask or None, nodes explored,
-    whether the mask is the witness of ``exact``).
+def reference_search(g: Graph, cap: int | None = None, limit: int | None = None):
+    """Core branch and bound; returns (best_mask or None, nodes explored).
 
-    The search stops as soon as the incumbent has size at most its goal:
-    ``cap`` itself when a cap is given, so any code within it decides the
-    question, or else the exact minimum from ``exact``, which returns a
-    minimum and a code of that size; no caller gives both.  That callable
-    costs about as much as exploring one node per vertex, so it is asked
-    only once the search has explored ``g.n`` nodes; searches that end
-    sooner, most of them on small trees, never pay for it.  The incumbent is replaced only on
-    strict improvement, so stopping at the minimum returns the code the
-    unbounded search returns.  With ``exact`` given, the search stops at
-    ``TREE_NODE_FACTOR * g.n`` nodes with its witness as the incumbent.
-    The search runs depth first on an explicit stack of lazy child
-    generators, so its depth is not bounded by the recursion limit.
+    The search stops as soon as the incumbent is within ``cap`` when a
+    cap is given, so any code within it decides the question, and after
+    ``limit`` nodes when a limit is given, with its best incumbent.  The
+    incumbent is replaced only on strict improvement.  The search runs
+    depth first on an explicit stack of lazy child generators, so its
+    depth is not bounded by the recursion limit.
     """
     reqs = reference_requirements(g)
     root_chosen, root_open = reference_propagate_units(reqs, 0)
@@ -294,19 +289,11 @@ def reference_search(g: Graph, cap: int | None = None, exact: Callable[[], tuple
         best_mask, best_size = greedy, greedy.bit_count()
     goal = cap if cap is not None else 0  # every code has size >= 1
     nodes = 0
-    witness = None
-    from_exact = False
 
     def expand(chosen: int, open_reqs: list[int]):
         """Explore one node: its children as a lazy generator, or None."""
-        nonlocal best_mask, best_size, nodes, goal, witness, from_exact
+        nonlocal best_mask, best_size, nodes
         nodes += 1
-        if nodes == g.n and exact is not None:
-            goal, witness = exact()
-        if witness is not None and nodes == TREE_NODE_FACTOR * g.n:
-            # the incumbent is above the goal here, which the witness meets
-            best_mask, best_size, from_exact = witness, witness.bit_count(), True
-            return None
         size = chosen.bit_count()
         if not open_reqs:
             if size < best_size:
@@ -323,13 +310,13 @@ def reference_search(g: Graph, cap: int | None = None, exact: Callable[[], tuple
 
     # one entry per node on the current path: its children not yet explored
     stack = [iter([(root_chosen, root_open)])]
-    while stack and best_size > goal:
+    while stack and best_size > goal and nodes != limit:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
         elif (grandchildren := expand(*child)) is not None:
             stack.append(grandchildren)
-    return best_mask, nodes, from_exact
+    return best_mask, nodes
 
 
 def reference_tree_dp(g: Graph) -> tuple[int, int]:
@@ -402,10 +389,18 @@ def reference_tree_dp(g: Graph) -> tuple[int, int]:
 
 
 def reference_solve(g):
-    """``solve``'s (gamma, code mask, nodes explored, method) under the reference."""
-    exact = (lambda: reference_tree_dp(g)) if is_tree(g) else None
-    mask, nodes, from_exact = reference_search(g, exact=exact)
-    return mask.bit_count(), mask, nodes, "tree_dp" if from_exact else "branch_and_bound"
+    """``solve``'s (gamma, code mask, nodes explored, method) under the
+    reference: a tree's search stops after ``n`` nodes, and a search that
+    used them all returns the program's code unless its incumbent already
+    has the minimum size."""
+    tree = is_tree(g)
+    mask, nodes = reference_search(g, limit=g.n if tree else None)
+    method = "branch_and_bound"
+    if tree and nodes == g.n:
+        gamma, witness = reference_tree_dp(g)
+        if gamma < mask.bit_count():
+            mask, method = witness, "tree_dp"
+    return mask.bit_count(), mask, nodes, method
 
 
 def reference_budget(g, max_size):
@@ -414,7 +409,7 @@ def reference_budget(g, max_size):
     if is_tree(g):
         gamma, mask = reference_tree_dp(g)
         return None if max_size < gamma else mask
-    mask, _, _ = reference_search(g, cap=max_size)
+    mask, _ = reference_search(g, cap=max_size)
     return mask
 
 
@@ -482,3 +477,49 @@ class TestAgainstReference:
             assert_same_as_reference(g)
             orders.append(g.n)
         assert max(orders) == 399
+
+
+class TestNodeLimit:
+    def test_tree_solves_hand_over_at_one_node_per_vertex(self):
+        # in canonical labels, as the audit solves them, and in the others
+        audited = [canonical_graph(t) for n in range(2, 17) for t in enumerate_twin_free_trees(n)]
+        trees = [*audited, *benchmark_solve_inputs(), *relabeled_subdivided_trees()]
+        assert len(trees) == 3_151 + 36 + 11
+        methods = set()
+        for g in trees:
+            result = solve(g)
+            assert result.nodes_explored <= g.n
+            assert result.method == "branch_and_bound" or result.nodes_explored == g.n
+            methods.add(result.method)
+        assert methods == {"branch_and_bound", "tree_dp"}
+
+    def test_handed_over_audit_tree_is_pinned(self):
+        # the one twin-free tree with n <= 18 whose search, in canonical
+        # labels, needs more than one node per vertex: before the limit it
+        # took 23 nodes to find a code of the program's size
+        g = parse_graph6("Q?AA@?O???_A?A?@??OOA@_G@_O")
+        assert canonical_graph(g) == g
+        result = solve(g)
+        assert (g.n, result.gamma, result.nodes_explored, result.method) == (18, 13, 18, "tree_dp")
+        assert sorted(result.code) == [1, 3, 5, 6, 7, 8, 10, 11, 12, 13, 15, 16, 17]
+        assert result.code.mask == tree_dp(g)[1]
+
+    def test_search_stops_at_the_limit_on_a_non_tree(self):
+        # 13 vertices and 19 edges, connected, twin-free and 4-cycle-free;
+        # the greedy incumbent has 7 vertices and the minimum 6
+        g = Graph(13, [
+            (0, 7), (0, 8), (0, 9), (0, 11), (0, 12), (1, 5), (1, 7), (1, 10), (2, 8), (3, 4),
+            (3, 5), (3, 6), (3, 9), (4, 10), (5, 11), (6, 12), (7, 9), (8, 11), (10, 12),
+        ])
+        assert is_connected(g) and not is_tree(g) and not find_open_twins(g) and not has_four_cycle(g)
+        best, total = solver._search(g)
+        assert (best.bit_count(), total) == (6, 34) and solve(g).code.mask == best
+        sizes = []
+        for k in range(1, total + 1):
+            mask, nodes = solver._search(g, limit=k)
+            assert nodes == k and (mask, nodes) == reference_search(g, limit=k)
+            assert is_io_code(g, VertexSet(g.n, mask=mask)).ok
+            sizes.append(mask.bit_count())
+        assert sizes[0] == 7 and sizes[-1] == 6 and sizes == sorted(sizes, reverse=True)
+        # a limit above what the search needs changes nothing
+        assert solver._search(g, limit=total + 1) == (best, total)

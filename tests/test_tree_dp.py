@@ -3,7 +3,8 @@
 Its minimum is checked against the unbounded branch and bound (which
 does not consult it) and against the brute-force oracle; its witnesses
 against the literal predicates; and ``solve``'s codes against the codes
-an unbounded search returns.
+an unbounded search returns, or the program's once the search reaches
+its limit of one node per vertex.
 """
 
 import hashlib
@@ -35,7 +36,6 @@ from iocodes import (
 )
 from iocodes import graphs, solver
 from iocodes.solver import (
-    TREE_NODE_FACTOR,
     _greedy_cover,
     _requirements,
     _search,
@@ -115,11 +115,12 @@ class TestExhaustive:
         count = 0
         for t in twin_free_trees(13):
             gamma, code = dp_code(t)
-            unbounded, _, _ = _search(t)
+            unbounded, _ = _search(t)
             assert gamma == unbounded.bit_count(), t.edges()
             assert len(code) == gamma and is_io_code(t, code).ok
             result = solve(t)
-            assert result.gamma == gamma and result.code.mask == unbounded
+            expected = code.mask if result.method == "tree_dp" else unbounded
+            assert result.gamma == gamma and result.code.mask == expected
             count += 1
         assert count == 333
 
@@ -184,11 +185,12 @@ class TestSeeded:
         for key in ((41, 1), (43, 2), (47, 1), (49, 1)):
             g = trees[key]
             result = solve(g)
-            unbounded, unbounded_nodes, _ = _search(g)
+            unbounded, unbounded_nodes = _search(g)
             assert result.code.mask == unbounded, key
             assert result.gamma == tree_dp(g)[0]
-            # the target cut the search short
-            assert g.n <= result.nodes_explored < unbounded_nodes
+            # the node limit cut the search short, with a minimum incumbent
+            assert result.method == "branch_and_bound"
+            assert result.nodes_explored == g.n < unbounded_nodes
 
     def test_budget_below_gamma_is_refused(self):
         trees = list(seeded_trees().values()) + list(twin_free_trees(9))
@@ -206,16 +208,17 @@ class TestSeeded:
         gamma, witness = tree_dp(g)
         del witness_runs[:]
         result = solve(g)
-        # the stop at the node bound is the one reader of the witness
+        # the hand-over at the node limit is the one reader of the witness
         assert witness_runs == [81]
         assert result.method == "tree_dp" and result.code.mask == witness
-        assert result.gamma == gamma and result.nodes_explored == TREE_NODE_FACTOR * g.n
-        best, nodes, from_exact = _search(g, walk=_tree_walk(g))
-        assert from_exact and nodes == TREE_NODE_FACTOR * g.n and best == witness
+        assert result.gamma == gamma and result.nodes_explored == g.n == 81
+        # the search alone stops at the limit above the minimum
+        best, nodes = _search(g, limit=g.n)
+        assert nodes == g.n and best.bit_count() > gamma
         # a budget reads the witness without searching
         found = solve_with_budget(g, gamma)
         assert found is not None and found.mask == witness and is_io_code(g, found).ok
-        assert witness_runs == [81, 81, 81]
+        assert witness_runs == [81, 81]
 
     def test_benchmark_solve_inputs_are_pinned(self, witness_runs):
         # (n, gamma, code, nodes, method) as the solver before the cost-first
@@ -228,8 +231,8 @@ class TestSeeded:
             found = [solve_with_budget(g, k) for k in (result.gamma, result.gamma - 1)]
             budgets.append([None if code is None else code.mask for code in found])
         assert len(solves) == 36
-        # every input stops at node n, the first moment the tree program is
-        # asked, so no solve reads the witness and each budget at gamma does
+        # every input reaches the node limit n with a minimum incumbent, so
+        # no solve reads the witness and each budget at gamma does
         assert all(nodes == n for n, _, _, nodes, _ in solves)
         assert witness_runs == [n for n, _, _, _, _ in solves]
         assert all(below is None for _, below in budgets)
@@ -239,10 +242,11 @@ class TestSeeded:
         assert digest == "8ea13f183a8d6aa5a25251c88a017e1ef50d1bd2a298519409ed3679e5bcb635"
 
     def test_2001_vertex_tree_is_pinned(self):
-        # gamma, node count, method and code as the quadratic solver gave them
+        # gamma, method and code as the quadratic solver gave them; the search
+        # stops at its limit of one node per vertex
         g = subdivided_random_tree(1001, random.Random(0))
         result = solve(g)
-        assert (g.n, result.gamma, result.nodes_explored, result.method) == (2001, 1370, 32016, "tree_dp")
+        assert (g.n, result.gamma, result.nodes_explored, result.method) == (2001, 1370, 2001, "tree_dp")
         digest = hashlib.sha256(" ".join(map(str, sorted(result.code))).encode()).hexdigest()
         assert digest == "d95c66061c6ad40ab4aa09d98e069e8a9d410b6e151bb9004cbe8705ed55f531"
 
@@ -322,5 +326,5 @@ class TestProperties:
 
     @given(random_twin_free_trees(16))
     def test_dp_equals_search(self, g):
-        unbounded, _, _ = _search(g)
+        unbounded, _ = _search(g)
         assert tree_dp(g)[0] == unbounded.bit_count()
