@@ -114,8 +114,8 @@ class BoundStatus(str, Enum):
 
 def check_bound(n: int, size: int, delta: int, *, is_exceptional_star: bool = False) -> BoundStatus:
     """Integer-exact comparison of a code size against the target fraction."""
-    if not isinstance(delta, int) or n <= 0 or size < 0 or delta < 1:
-        raise BadParam("check_bound needs positive n, an integer delta >= 1 and size >= 0")
+    if not (type(n) is type(size) is type(delta) is int) or n <= 0 or size < 0 or delta < 1:
+        raise BadParam("check_bound needs an integer n >= 1, an integer delta >= 1 and an integer size >= 0")
     if is_exceptional_star and size * (2 * delta + 1) == 2 * delta * n:
         return BoundStatus.EXCEPTIONAL_STAR
     if 2 * delta * size <= (2 * delta - 1) * n:

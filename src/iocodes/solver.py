@@ -25,21 +25,28 @@ the node is pruned either way.
 
 On trees an exact linear-time dynamic program (``_tree_program``) alone
 answers a budget and the constructor's fallback.  ``solve`` searches a
-tree for at most one node per vertex, about what the program costs.  A
-search that ends sooner has its minimum; one that uses all ``n`` nodes
-hands over to the program, whose code is returned with ``method:
-"tree_dp"`` unless the incumbent already has its size.  The program
-pays first for the minimum alone: it folds each distinct tuple of child
-exports once per call, so equal subtrees cost one fold, and its code is
-built from the back-pointers only when it is read.  The program rests
-on a local rule for 4-cycle-free graphs, where two vertices share at
-most one neighbour: S is an IO-code iff every vertex has a neighbour in
-S and no s in S has two neighbours whose only S-neighbour is s.
+tree for at most one node per vertex, about what the program costs, and
+runs the program at most once.  When the root's incumbent exceeds the
+forced vertices plus the packing bound by two or more, the program's
+minimum is the search's floor, and the search stops once its incumbent
+has that size.  A search that ends before the limit has its minimum;
+one that uses all ``n`` nodes hands over to the program, whose code is
+returned with ``method: "tree_dp"`` unless the incumbent already has
+its size.  ``nodes_explored`` counts the search's nodes either way.
+
+The program pays first for the minimum alone: it folds each distinct
+tuple of child exports once per call, so equal subtrees cost one fold,
+and its code is built from the back-pointers only when it is read.  The
+program rests on a local rule for 4-cycle-free graphs, where two
+vertices share at most one neighbour: S is an IO-code iff every vertex
+has a neighbour in S and no s in S has two neighbours whose only
+S-neighbour is s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from typing import Callable
@@ -171,7 +178,12 @@ def _children(chosen: int, open_reqs: list[int], candidates: list[int]):
         yield chosen | 1 << v, [r for r in open_reqs if not r >> v & 1]
 
 
-def _search(g: Graph, cap: int | None = None, limit: int | None = None) -> tuple[int | None, int]:
+def _search(
+    g: Graph,
+    cap: int | None = None,
+    limit: int | None = None,
+    floor: Callable[[], int] | None = None,
+) -> tuple[int | None, int]:
     """Core branch and bound; returns (best_mask or None, nodes explored).
 
     The search stops as soon as the incumbent is within ``cap`` when a
@@ -181,6 +193,15 @@ def _search(g: Graph, cap: int | None = None, limit: int | None = None) -> tuple
     minimum.  The incumbent is replaced only on strict improvement.  The
     search runs depth first on an explicit stack of lazy child
     generators, so its depth is not bounded by the recursion limit.
+
+    ``floor``, when given, returns a proven lower bound on the minimum.
+    It is called at most once, at the root, when the root's gap (the
+    incumbent's size less the forced vertices and the root's packing
+    bound) is two or more, and the search then stops as soon as the
+    incumbent reaches it.  The floor prunes nothing, so the search stops
+    on the incumbent it would still hold at any later node.  A gap of one
+    is left to the search, which mostly closes it sooner than a floor
+    would cost.
     """
     reqs = _requirements(g)
     # The root forces every unit requirement.  ``_requirements`` lists them
@@ -212,8 +233,12 @@ def _search(g: Graph, cap: int | None = None, limit: int | None = None) -> tuple
             if size < best_size:
                 best_mask, best_size = chosen, size
             continue
-        if _disjoint_bound(open_reqs, best_size - size) >= best_size - size:
+        room = best_size - size
+        bound = _disjoint_bound(open_reqs, room)
+        if bound >= room:
             continue
+        if nodes == 1 and floor is not None and room - bound >= 2:
+            goal = max(goal, floor())
         # branch on a smallest requirement; its vertices in most open requirements first
         branch_req = open_reqs[0]
         hits = dict.fromkeys(graphs._bits(branch_req), 0)
@@ -365,16 +390,27 @@ def _verified(g: Graph, mask: int) -> VertexSet:
 
 
 def solve(g: Graph) -> SolveResult:
-    """Exact minimum IO-code via branch and bound; a tree's search stops
-    after ``n`` nodes and hands over to the tree program."""
+    """Exact minimum IO-code via branch and bound.
+
+    On a tree the search stops after ``n`` nodes, and the tree program,
+    run at most once, is its floor: asked at a root gap of two or more,
+    its minimum stops the search once the incumbent reaches it.  So
+    ``nodes_explored`` is at most ``n``, and ``method`` is ``"tree_dp"``,
+    with the program's code, only when the incumbent is still above the
+    minimum at the limit.
+    """
     require_admissible(g)
     walk = _tree_walk(g)
-    best_mask, nodes = _search(g, limit=None if walk is None else g.n)
     method = "branch_and_bound"
-    if nodes == g.n and walk is not None:
-        gamma, witness = _tree_program(g.n, *walk)
-        if gamma < best_mask.bit_count():
-            best_mask, method = witness(), "tree_dp"
+    if walk is None:
+        best_mask, nodes = _search(g)
+    else:
+        program = cache(lambda: _tree_program(g.n, *walk))
+        best_mask, nodes = _search(g, limit=g.n, floor=lambda: program()[0])
+        if nodes == g.n:
+            gamma, witness = program()
+            if gamma < best_mask.bit_count():
+                best_mask, method = witness(), "tree_dp"
     code = _verified(g, best_mask)
     return SolveResult(len(code), code, nodes, method)
 

@@ -119,6 +119,13 @@ class TestCheckBound:
         with pytest.raises(BadParam, match="an integer delta"):
             check_bound(5, 4, delta)
 
+    @pytest.mark.parametrize("args", [(5.5, 4, 3), (6, 4.5, 3), (6, 4, True), (True, 1, 3), (6, False, 3)])
+    def test_floats_and_bools_are_refused(self, args):
+        # each would compare as a number: (5.5, 4, 3) and (6, 4.5, 3) as
+        # within the bound, (6, 4, True) with delta 1 as a violation
+        with pytest.raises(BadParam, match="an integer"):
+            check_bound(*args)
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("case", list(VALIDATION_TABLE))

@@ -270,7 +270,7 @@ def reference_disjoint_bound(open_reqs: list[int]) -> int:
     return count
 
 
-def reference_search(g: Graph, cap: int | None = None, limit: int | None = None):
+def reference_search(g: Graph, cap: int | None = None, limit: int | None = None, floor=None):
     """Core branch and bound; returns (best_mask or None, nodes explored).
 
     The search stops as soon as the incumbent is within ``cap`` when a
@@ -278,7 +278,10 @@ def reference_search(g: Graph, cap: int | None = None, limit: int | None = None)
     ``limit`` nodes when a limit is given, with its best incumbent.  The
     incumbent is replaced only on strict improvement.  The search runs
     depth first on an explicit stack of lazy child generators, so its
-    depth is not bounded by the recursion limit.
+    depth is not bounded by the recursion limit.  ``floor`` is asked once
+    at a root whose incumbent exceeds the forced vertices plus the
+    packing bound by two or more, and the search stops once the
+    incumbent reaches it.
     """
     reqs = reference_requirements(g)
     root_chosen, root_open = reference_propagate_units(reqs, 0)
@@ -292,15 +295,18 @@ def reference_search(g: Graph, cap: int | None = None, limit: int | None = None)
 
     def expand(chosen: int, open_reqs: list[int]):
         """Explore one node: its children as a lazy generator, or None."""
-        nonlocal best_mask, best_size, nodes
+        nonlocal best_mask, best_size, goal, nodes
         nodes += 1
         size = chosen.bit_count()
         if not open_reqs:
             if size < best_size:
                 best_mask, best_size = chosen, size
             return None
-        if size + reference_disjoint_bound(open_reqs) >= best_size:
+        bound = reference_disjoint_bound(open_reqs)
+        if size + bound >= best_size:
             return None
+        if nodes == 1 and floor is not None and best_size - size - bound >= 2:
+            goal = max(goal, floor())
         branch_req = min(open_reqs, key=lambda m: (m.bit_count(), m))
         candidates = sorted(
             graphs._bits(branch_req),
@@ -390,17 +396,18 @@ def reference_tree_dp(g: Graph) -> tuple[int, int]:
 
 def reference_solve(g):
     """``solve``'s (gamma, code mask, nodes explored, method) under the
-    reference: a tree's search stops after ``n`` nodes, and a search that
-    used them all returns the program's code unless its incumbent already
-    has the minimum size."""
-    tree = is_tree(g)
-    mask, nodes = reference_search(g, limit=g.n if tree else None)
-    method = "branch_and_bound"
-    if tree and nodes == g.n:
-        gamma, witness = reference_tree_dp(g)
-        if gamma < mask.bit_count():
-            mask, method = witness, "tree_dp"
-    return mask.bit_count(), mask, nodes, method
+    reference: a tree's search stops after ``n`` nodes or once its
+    incumbent reaches the program's minimum, asked at a root gap of two
+    or more, and a search that used all ``n`` nodes returns the program's
+    code unless its incumbent already has the minimum size."""
+    if not is_tree(g):
+        mask, nodes = reference_search(g)
+        return mask.bit_count(), mask, nodes, "branch_and_bound"
+    gamma, witness = reference_tree_dp(g)
+    mask, nodes = reference_search(g, limit=g.n, floor=lambda: gamma)
+    if nodes == g.n and gamma < mask.bit_count():
+        return gamma, witness, nodes, "tree_dp"
+    return mask.bit_count(), mask, nodes, "branch_and_bound"
 
 
 def reference_budget(g, max_size):
@@ -479,19 +486,56 @@ class TestAgainstReference:
         assert max(orders) == 399
 
 
+def limit_only_solve(g):
+    """``solve``'s (gamma, code mask, nodes explored, method) on a tree
+    under the rule without a floor: the search runs to ``n`` nodes, and
+    only a search that used them all consults the tree program."""
+    mask, nodes = solver._search(g, limit=g.n)
+    if nodes == g.n:
+        gamma, witness = tree_dp(g)
+        if gamma < mask.bit_count():
+            return gamma, witness, nodes, "tree_dp"
+    return mask.bit_count(), mask, nodes, "branch_and_bound"
+
+
+# 13 vertices and 19 edges, connected, twin-free and 4-cycle-free; the
+# greedy incumbent has 7 vertices, one of them forced, the root packing
+# bound is 3 and the minimum 6
+NON_TREE_13 = Graph(13, [
+    (0, 7), (0, 8), (0, 9), (0, 11), (0, 12), (1, 5), (1, 7), (1, 10), (2, 8), (3, 4),
+    (3, 5), (3, 6), (3, 9), (4, 10), (5, 11), (6, 12), (7, 9), (8, 11), (10, 12),
+])
+
+
 class TestNodeLimit:
     def test_tree_solves_hand_over_at_one_node_per_vertex(self):
-        # in canonical labels, as the audit solves them, and in the others
-        audited = [canonical_graph(t) for n in range(2, 17) for t in enumerate_twin_free_trees(n)]
-        trees = [*audited, *benchmark_solve_inputs(), *relabeled_subdivided_trees()]
-        assert len(trees) == 3_151 + 36 + 11
+        # in canonical labels, as the audit solves them, in the enumerator's
+        # labels and in random ones; the floor changes no answer, only the
+        # node count.  Seed 7's stream holds a tree on 255 vertices whose
+        # search, if the floor pruned, would stop after 100 nodes, not 124.
+        enumerated = [t for n in range(2, 17) for t in enumerate_twin_free_trees(n)]
+        audited = [canonical_graph(t) for t in enumerated]
+        labeled = [t for t in enumerated if t.n <= 14]
+        rng = random.Random(7)
+        relabeled = [relabeled_subdivided_tree(3 + i * 148 // 199, rng) for i in range(200)]
+        assert max(g.n for g in relabeled) == 301
+        hard = subdivided_random_tree(1001, random.Random(0))
+        trees = [*audited, *labeled, *relabeled, *benchmark_solve_inputs(), hard]
+        assert len(trees) == 3_151 + 693 + 200 + 36 + 1
         methods = set()
+        before = after = fewer = 0
         for g in trees:
+            gamma, mask, nodes, method = limit_only_solve(g)
             result = solve(g)
-            assert result.nodes_explored <= g.n
+            assert (result.gamma, result.code.mask, result.method) == (gamma, mask, method)
+            assert result.nodes_explored <= nodes <= g.n
             assert result.method == "branch_and_bound" or result.nodes_explored == g.n
             methods.add(result.method)
+            before += nodes
+            after += result.nodes_explored
+            fewer += result.nodes_explored < nodes
         assert methods == {"branch_and_bound", "tree_dp"}
+        assert (before, after, fewer) == (47_874, 18_132, 622)
 
     def test_handed_over_audit_tree_is_pinned(self):
         # the one twin-free tree with n <= 18 whose search, in canonical
@@ -505,12 +549,7 @@ class TestNodeLimit:
         assert result.code.mask == tree_dp(g)[1]
 
     def test_search_stops_at_the_limit_on_a_non_tree(self):
-        # 13 vertices and 19 edges, connected, twin-free and 4-cycle-free;
-        # the greedy incumbent has 7 vertices and the minimum 6
-        g = Graph(13, [
-            (0, 7), (0, 8), (0, 9), (0, 11), (0, 12), (1, 5), (1, 7), (1, 10), (2, 8), (3, 4),
-            (3, 5), (3, 6), (3, 9), (4, 10), (5, 11), (6, 12), (7, 9), (8, 11), (10, 12),
-        ])
+        g = NON_TREE_13
         assert is_connected(g) and not is_tree(g) and not find_open_twins(g) and not has_four_cycle(g)
         best, total = solver._search(g)
         assert (best.bit_count(), total) == (6, 34) and solve(g).code.mask == best
@@ -523,3 +562,19 @@ class TestNodeLimit:
         assert sizes[0] == 7 and sizes[-1] == 6 and sizes == sorted(sizes, reverse=True)
         # a limit above what the search needs changes nothing
         assert solver._search(g, limit=total + 1) == (best, total)
+
+    def test_a_floor_stops_the_search_and_prunes_nothing(self):
+        # the root gap is 7 - 1 - 3 = 3, so the floor is asked once; one
+        # below the minimum leaves every incumbent as it was, at every node
+        g = NON_TREE_13
+        best, total = solver._search(g)
+        for floor in range(1, 6):
+            calls = []
+            assert solver._search(g, floor=lambda: calls.append(floor) or floor) == (best, total)
+            assert calls == [floor]
+            for k in range(1, total + 1):
+                assert solver._search(g, limit=k, floor=lambda: floor) == solver._search(g, limit=k)
+        # the minimum stops the search at the first node whose incumbent
+        # has its size
+        assert solver._search(g, floor=lambda: 6) == solver._search(g, limit=6) == (best, 6)
+        assert solver._search(g, limit=5)[0].bit_count() == 7

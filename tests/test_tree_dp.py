@@ -36,6 +36,7 @@ from iocodes import (
 )
 from iocodes import graphs, solver
 from iocodes.solver import (
+    _disjoint_bound,
     _greedy_cover,
     _requirements,
     _search,
@@ -161,6 +162,29 @@ class TestOneWalk:
             assert walks == [g.n]
         assert witness_runs == [hard.n]
 
+    def test_one_program_run_per_tree_solve(self, monkeypatch):
+        # the program runs when the root gap (greedy size less the forced
+        # vertices and the root packing bound) is two or more, or at the
+        # node limit, and then only once
+        runs = []
+        program = solver._tree_program
+        monkeypatch.setattr(solver, "_tree_program", lambda n, *walk: runs.append(n) or program(n, *walk))
+        hard = subdivided_random_tree(41, random.Random(0))
+        gaps = set()
+        for g in [hard, *seeded_trees().values(), *benchmark_solve_inputs(), *twin_free_trees(12)]:
+            reqs = _requirements(g)
+            units = [r for r in reqs if r.bit_count() == 1]
+            root_open = reqs[len(units):]
+            room = _greedy_cover(root_open, sum(units)).bit_count() - len(units)
+            gap = room - _disjoint_bound(root_open, room)
+            gaps.add(min(gap, 2))
+            del runs[:]
+            result = solve(g)
+            assert runs == ([g.n] if gap >= 2 or result.nodes_explored == g.n else [])
+            if gap <= 0:
+                assert result.nodes_explored == 1
+        assert gaps == {0, 1, 2}
+
     def test_n_minus_one_edges_without_a_full_walk_is_no_tree(self, walks):
         # a triangle beside a path on 4 vertices: 6 edges on 7 vertices, and
         # the walk from 0 reaches the triangle only
@@ -182,15 +206,16 @@ class TestSeeded:
         units = [r for r in reqs if r.bit_count() == 1]
         gamma = tree_dp(hard)[0]
         assert _greedy_cover(reqs[len(units):], sum(units)).bit_count() > gamma
-        for key in ((41, 1), (43, 2), (47, 1), (49, 1)):
+        for key, nodes in (((41, 1), 1), ((43, 2), 1), ((47, 1), 1), ((49, 1), 19)):
             g = trees[key]
             result = solve(g)
             unbounded, unbounded_nodes = _search(g)
             assert result.code.mask == unbounded, key
             assert result.gamma == tree_dp(g)[0]
-            # the node limit cut the search short, with a minimum incumbent
+            # the program's minimum cut the search short, with a minimum
+            # incumbent: the greedy one, at the root, on all but the last
             assert result.method == "branch_and_bound"
-            assert result.nodes_explored == g.n < unbounded_nodes
+            assert result.nodes_explored == nodes < g.n < unbounded_nodes
 
     def test_budget_below_gamma_is_refused(self):
         trees = list(seeded_trees().values()) + list(twin_free_trees(9))
@@ -221,9 +246,9 @@ class TestSeeded:
         assert witness_runs == [81, 81]
 
     def test_benchmark_solve_inputs_are_pinned(self, witness_runs):
-        # (n, gamma, code, nodes, method) as the solver before the cost-first
-        # tree program gave them, and the budget codes at gamma and gamma - 1:
-        # the tree program's code and None
+        # (n, gamma, code, nodes, method): every gamma, code and method as the
+        # solver before the cost-first tree program gave them, and the budget
+        # codes at gamma and gamma - 1: the tree program's code and None
         solves, budgets = [], []
         for g in benchmark_solve_inputs():
             result = solve(g)
@@ -231,12 +256,17 @@ class TestSeeded:
             found = [solve_with_budget(g, k) for k in (result.gamma, result.gamma - 1)]
             budgets.append([None if code is None else code.mask for code in found])
         assert len(solves) == 36
-        # every input reaches the node limit n with a minimum incumbent, so
-        # no solve reads the witness and each budget at gamma does
-        assert all(nodes == n for n, _, _, nodes, _ in solves)
+        # every input's incumbent reaches the program's minimum before the
+        # node limit n, all but one at the root, so no solve reads the
+        # witness and each budget at gamma does
+        assert [nodes for _, _, _, nodes, _ in solves] == [1] * 13 + [19] + [1] * 22
         assert witness_runs == [n for n, _, _, _, _ in solves]
         assert all(below is None for _, below in budgets)
         digest = hashlib.sha256(repr(solves).encode()).hexdigest()
+        assert digest == "8f66a06a16425350e433eb5b60e9fdc10756867358d1900e51c265943adf1cbd"
+        # the same answers as the search that ran to its limit of n nodes
+        limit_only = [(n, gamma, code, n, method) for n, gamma, code, _, method in solves]
+        digest = hashlib.sha256(repr(limit_only).encode()).hexdigest()
         assert digest == "43eb256c962d2b67b6666a19a4a79d3a76a002433bd0d6a2698be6d2986a1db1"
         digest = hashlib.sha256(repr(budgets).encode()).hexdigest()
         assert digest == "8ea13f183a8d6aa5a25251c88a017e1ef50d1bd2a298519409ed3679e5bcb635"
