@@ -61,8 +61,10 @@ def _refine(nbrs: list[list[int]], colors: list[int], touched: list[int] | None 
     tries only the cells next to a vertex recolored in the round before.
     Every cell must hold vertices of one degree, as every coloring below
     the degree round does, so a cell of leaves is ranked by the one
-    neighbor's color.  From a uniform coloring the first round ranks the
-    vertices by degree, and it is read straight off the degrees.
+    neighbor's color and a cell of degree 2 by the integer ``min * n +
+    max`` of its two, which sorts as their sorted tuple does.  From a
+    uniform coloring the first round ranks the vertices by degree, and it
+    is read straight off the degrees.
     """
     n = len(colors)
     cells: list[list[int]] = [[] for _ in range(n)]  # position -> the cell there, or []
@@ -91,9 +93,15 @@ def _refine(nbrs: list[list[int]], colors: list[int], touched: list[int] | None 
             if len(cell) < 2:
                 continue
             parts: dict = {}
-            if len(nbrs[cell[0]]) == 1:  # leaves: the one neighbor's color is the tuple
+            degree = len(nbrs[cell[0]])
+            if degree == 1:  # leaves: the one neighbor's color is the tuple
                 for v in cell:
                     parts.setdefault(colors[nbrs[v][0]], []).append(v)
+            elif degree == 2:
+                for v in cell:
+                    a, b = nbrs[v]
+                    a, b = colors[a], colors[b]
+                    parts.setdefault(a * n + b if a < b else b * n + a, []).append(v)
             else:
                 for v in cell:
                     parts.setdefault(tuple(sorted(map(color_of, nbrs[v]))), []).append(v)

@@ -8,7 +8,9 @@ status: 0 on success, 1 when a checked property fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -42,8 +44,8 @@ OK, PROPERTY_FAILURE, INPUT_ERROR = 0, 1, 2
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.read().removeprefix("\ufeff")  # a byte-order mark is dropped, as from a file
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -198,6 +200,9 @@ def _cmd_audit(args) -> int:
     for name in _FOREIGN_AUDIT_OPTIONS[args.space]:
         if getattr(args, name) is not None:
             raise BadParam(f"--{name.replace('_', '-')} does not apply to audit {args.space}")
+    if args.csv and not os.path.isdir(os.path.dirname(args.csv) or "."):
+        # the error open() would raise, before the audit rather than after it
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.csv)
     if args.space == "trees":
         records, summary = audit_trees(10 if args.n_max is None else args.n_max, args.delta)
     elif args.space == "graphs":

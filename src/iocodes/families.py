@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 from . import graphs
 from .canon import canonical_graph
 from .errors import BadParam
-from .graphs import Graph, VertexSet, _bfs_tree, _twin_free, has_four_cycle, is_connected
+from .graphs import Graph, VertexSet, _twin_free, has_four_cycle, is_connected
 
 __all__ = [
     "FamilySpec",
@@ -92,6 +92,24 @@ def _walk_types() -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
 
 
 _TYPE_OF_WALK = _walk_types()
+
+_PRIME = (0, 2, 3, 5, 7, 11, 13)  # by type; a product of primes names a multiset of types
+
+
+def _child_types() -> dict[int, int]:
+    """Each type by the product of the primes of its link's child subtrees'
+    types, read bottom-up as ``_family_match`` reads a tree.  A child that
+    is no attachment has the prime 0, and no type has the product 0."""
+    table = {}
+    for t, (parents, _) in _SHAPES.items():
+        key = [1] * len(parents)
+        for i in range(len(parents) - 1, 0, -1):
+            key[parents[i]] *= _PRIME[table[key[i]]]
+        table[key[0]] = t
+    return table
+
+
+_TYPE_OF_CHILDREN = _child_types()
 
 
 @dataclass(frozen=True)
@@ -251,34 +269,61 @@ def _family_match(adj: Sequence[int], mask: int) -> tuple[int, tuple[int, ...], 
     """The family match of the graph that ``mask`` induces, in its labels,
     at the lowest label for which it has one, or None.
 
-    A match makes the graph a tree in which the root has degree at least
-    (n - 1) / 5 and leaves no component larger than ``_LARGEST_SHAPE``.
-    So each call, once per level of the tree constructor, reads the
-    degrees, makes one subtree-size pass from the lowest vertex and tries
-    only the roots that pass, in increasing label: the first match is
-    the one every root would give.  For n >= 12 the one such root is the
-    tree's centroid (Jordan 1869).
+    A match makes the graph a tree whose root's branches are attachments.
+    So each call, once per level of the tree constructor, walks the tree
+    once from its lowest vertex and reads bottom-up each subtree's size and
+    type, if it is an attachment (``_TYPE_OF_CHILDREN``).  A root whose
+    child subtrees all are walks its parent side alone, if that is small
+    enough.  Roots are tried in increasing label, so the first match is the
+    one every root would give; for n >= 12 it is the centroid (Jordan 1869).
     """
     n = mask.bit_count()
     if n < 2:
         return None
-    members = graphs._members(mask)
-    degrees = [(adj[v] & mask).bit_count() for v in members]
-    if sum(degrees) != 2 * (n - 1) or n > 1 + _LARGEST_SHAPE * max(degrees):
-        return None
-    order, parent = _bfs_tree(adj, mask, members[0])
-    size = dict.fromkeys(members, 1)
-    blocked = set()  # the vertices with a subtree below them larger than any attachment
-    for w in reversed(order[1:]):
-        u = parent[w]
-        size[u] += size[w]
-        if size[w] > _LARGEST_SHAPE:
-            blocked.add(u)
-    for root in members:
-        if n - size[root] <= _LARGEST_SHAPE and root not in blocked:
-            match = _family_match_rooted(adj, mask, root)
-            if match is not None:
-                return match
+    order = [(mask & -mask).bit_length() - 1]  # position -> vertex, breadth-first
+    up = [-1]  # position -> its parent's position
+    first = []  # position -> its first child's position
+    unseen = mask ^ 1 << order[0]
+    ends = 0  # the degree sum
+    for i, u in enumerate(order):
+        first.append(len(order))
+        near = adj[u] & mask
+        ends += near.bit_count()
+        below = near & unseen
+        unseen ^= below
+        while below:  # bits walked inline: the constructor matches every small part
+            low = below & -below
+            order.append(low.bit_length() - 1)
+            up.append(i)
+            below ^= low
+    if unseen or ends != 2 * (n - 1):
+        return None  # not a tree
+    first.append(n)
+    size = [1] * n
+    key = [1] * n  # the product of the primes of the child subtrees' types
+    kind = _TYPE_OF_CHILDREN.get
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
+        key[up[i]] *= _PRIME[kind(key[i], 0)]
+    for i in sorted([i for i in range(n) if key[i] and n - size[i] <= _LARGEST_SHAPE], key=order.__getitem__):
+        branches = []
+        if i:
+            outer = _branch_shape(adj, mask, order[i], order[up[i]])
+            if outer is None:
+                continue
+            branches.append(outer)
+        links = range(first[i], first[i + 1])
+        types = [t for t, _ in branches] + [kind(key[j]) for j in links]
+        vector = tuple(map(types.count, _SHAPES))
+        if not is_admissible(vector):
+            continue
+        for j in links:
+            block = [j]  # breadth-first, smaller subtrees first, as in _SHAPES
+            for q in block:
+                block += sorted(range(first[q], first[q + 1]), key=size.__getitem__)
+            branches.append((kind(key[j]), tuple([order[q] for q in block])))
+        branches.sort()
+        return order[i], vector, tuple(branches)
     return None
 
 

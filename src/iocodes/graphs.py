@@ -90,7 +90,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(adj)
         g.adj = adj
-        g.edge_count = sum(m.bit_count() for m in adj) // 2
+        g.edge_count = sum(map(int.bit_count, adj)) // 2
         return g
 
     def check_vertex(self, v: int) -> None:
@@ -174,7 +174,7 @@ class VertexSet:
 def max_degree(g: Graph) -> int:
     if g.n == 0:
         raise EmptyGraph("max_degree of empty graph")
-    return max(m.bit_count() for m in g.adj)
+    return max(map(int.bit_count, g.adj))
 
 
 def find_open_twins(g: Graph) -> list[tuple[int, int]]:

@@ -46,7 +46,6 @@ S-neighbour is s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 from typing import Callable
@@ -405,7 +404,8 @@ def solve(g: Graph) -> SolveResult:
     if walk is None:
         best_mask, nodes = _search(g)
     else:
-        program = cache(lambda: _tree_program(g.n, *walk))
+        memo = {}  # runs the program at most once, with no cache wrapper built per solve
+        program = lambda: memo[0] if memo else memo.setdefault(0, _tree_program(g.n, *walk))
         best_mask, nodes = _search(g, limit=g.n, floor=lambda: program()[0])
         if nodes == g.n:
             gamma, witness = program()

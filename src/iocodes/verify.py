@@ -46,6 +46,9 @@ class Verdict:
         return f"vertices {args[0]} and {args[1]} have equal signatures"
 
 
+_OK = Verdict(True)  # shared: a frozen dataclass costs a guarded setattr per field to build
+
+
 def _check_universe(g: Graph, s: VertexSet) -> None:
     if s.universe != g.n:
         raise UniverseMismatch(f"set universe {s.universe} != graph order {g.n}")
@@ -63,24 +66,25 @@ def is_total_dominating(g: Graph, s: VertexSet) -> Verdict:
     for v in range(g.n):
         if g.adj[v] & s.mask == 0:
             return Verdict(False, (NOT_TOTALLY_DOMINATED, v))
-    return Verdict(True)
+    return _OK
 
 
 def is_separating_open_code(g: Graph, s: VertexSet) -> Verdict:
     """All signatures pairwise distinct; witness is the smallest colliding pair."""
     _check_universe(g, s)
+    sigs = [a & s.mask for a in g.adj]
+    if len(set(sigs)) == g.n:
+        return _OK
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v] & s.mask, []).append(v)
+    for v, sig in enumerate(sigs):
+        groups.setdefault(sig, []).append(v)
     best = None
     for members in groups.values():
         if len(members) > 1:
             pair = (members[0], members[1])
             if best is None or pair < best:
                 best = pair
-    if best is not None:
-        return Verdict(False, (NOT_SEPARATED, best[0], best[1]))
-    return Verdict(True)
+    return Verdict(False, (NOT_SEPARATED, best[0], best[1]))
 
 
 def is_io_code(g: Graph, s: VertexSet) -> Verdict:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from iocodes import cli
 from iocodes.cli import _FAMILY_BUILDERS, main
 
 
@@ -113,6 +114,33 @@ class TestSolve:
         status, out, _ = run(capsys, "solve", str(f))
         assert status == 0
         assert json.loads(out)["gamma"] == 3  # K4
+
+    def test_edge_list_with_a_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "p5.edges"
+        f.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n2 3\n3 4\n")
+        status, out, err = run(capsys, "solve", str(f))
+        assert (status, err) == (0, "")
+        assert json.loads(out)["gamma"] == 4
+
+    def test_graph6_with_a_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "k4.g6"
+        f.write_bytes(b"\xef\xbb\xbfC~\n")
+        status, out, err = run(capsys, "solve", str(f))
+        assert (status, err) == (0, "")
+        assert json.loads(out)["gamma"] == 3  # K4
+
+    def test_standard_input_with_a_byte_order_mark(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff0 1\n1 2\n2 3\n3 4\n"))
+        status, out, err = run(capsys, "solve", "-")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["gamma"] == 4
+
+    def test_code_file_with_a_byte_order_mark(self, capsys, p5_file, tmp_path):
+        f = tmp_path / "p5.code"
+        f.write_bytes(b"\xef\xbb\xbf0 1 2 3\n")
+        status, out, _ = run(capsys, "verify", p5_file, str(f))
+        assert status == 0
+        assert json.loads(out)["ok"] is True
 
     def test_budget(self, capsys, p5_file):
         _, out, _ = run(capsys, "solve", p5_file, "--budget", "3")
@@ -355,3 +383,22 @@ class TestAudit:
         assert out == ""
         assert err == f"input error: {option} does not apply to audit {space}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("space", ["trees", "graphs"])
+    def test_a_csv_path_in_a_missing_directory_fails_before_the_audit(self, capsys, tmp_path, monkeypatch, space):
+        def never(*args):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr(cli, "audit_trees", never)
+        monkeypatch.setattr(cli, "audit_graphs", never)
+        csv_path = tmp_path / "missing" / "x.csv"
+        status, out, err = run(capsys, "audit", space, "--n-max", "6", "--csv", str(csv_path))
+        assert (status, out) == (2, "")
+        assert err == f"input error: [Errno 2] No such file or directory: {str(csv_path)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_csv_path_without_a_directory_is_written_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        status, _, _ = run(capsys, "audit", "trees", "--n-max", "6", "--csv", "t6.csv")
+        assert status == 0
+        assert (tmp_path / "t6.csv").read_text().startswith("graph6,")

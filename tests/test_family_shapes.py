@@ -10,8 +10,18 @@ import random
 from itertools import product
 
 from conftest import atlas_graphs, random_tree
-from iocodes import Graph, VertexSet, build_family_tree, enumerate_trees, is_admissible
-from iocodes.families import _branch_shape, _canonical_code, _family_match, _family_match_rooted
+from iocodes import Graph, VertexSet, build_family_tree, construct, enumerate_trees, is_admissible
+from iocodes.errors import ConstructionError
+from iocodes.families import (
+    _LARGEST_SHAPE,
+    _branch_shape,
+    _canonical_code,
+    _family_match,
+    _family_match_rooted,
+    enumerate_twin_free_trees,
+)
+from iocodes.graphs import _bfs_tree, _members, max_degree
+from test_tree_dp import subdivided_random_tree
 
 # role names of each type's vertices, in block order
 ROLES = {
@@ -178,3 +188,71 @@ def test_recognition_tries_the_roots_every_root_would():
         assert spec == first_rooted_match(g), g.edges()
         matched += spec is not None
     assert matched > 300
+
+
+def reference_family_match(adj, mask):
+    """The recognizer that walked every branch of each candidate root: a
+    BFS, a subtree-size pass, then ``_family_match_rooted`` at each root
+    that passes it, in increasing label."""
+    n = mask.bit_count()
+    if n < 2:
+        return None
+    members = _members(mask)
+    degrees = [(adj[v] & mask).bit_count() for v in members]
+    if sum(degrees) != 2 * (n - 1) or n > 1 + _LARGEST_SHAPE * max(degrees):
+        return None
+    order, parent = _bfs_tree(adj, mask, members[0])
+    size = dict.fromkeys(members, 1)
+    blocked = set()
+    for w in reversed(order[1:]):
+        u = parent[w]
+        size[u] += size[w]
+        if size[w] > _LARGEST_SHAPE:
+            blocked.add(u)
+    for root in members:
+        if n - size[root] <= _LARGEST_SHAPE and root not in blocked:
+            match = _family_match_rooted(adj, mask, root)
+            if match is not None:
+                return match
+    return None
+
+
+def benchmark_construct_inputs():
+    """The large_trees benchmark's 32 construct inputs for input seed 0: the
+    three n = 61 solve trees, then the construct orders from the same stream."""
+    rng = random.Random(0)
+    solve = [subdivided_random_tree((n + 1) // 2, rng) for n in range(41, 62, 2) for _ in range(3)]
+    orders = {71: 4, 81: 4, 91: 4, 101: 4, 111: 4, 121: 4, 151: 2, 181: 1, 211: 1, 241: 1}
+    return solve[-3:] + [subdivided_random_tree((n + 1) // 2, rng) for n, k in orders.items() for _ in range(k)]
+
+
+def test_one_walk_recognition_matches_the_branch_walks_on_every_constructor_mask(monkeypatch):
+    seen = []
+
+    def spy(adj, mask):  # the constructor runs on the reference answers
+        seen.append((adj, mask))
+        return reference_family_match(adj, mask)
+
+    monkeypatch.setattr(construct, "_family_match", spy)
+    rng = random.Random(35)
+    cases = [
+        (t, delta)
+        for n in range(5, 15)
+        for t in enumerate_twin_free_trees(n)
+        for delta in range(max(3, max_degree(t)), max_degree(t) + 3)
+    ]
+    large = benchmark_construct_inputs()
+    assert len(large) == 32
+    cases += [(g, max(3, max_degree(g))) for g in large]
+    cases += [(g, max(3, max_degree(g))) for g in (subdivided_random_tree(rng.randint(3, 30), rng) for _ in range(200))]
+    for g, delta in cases:
+        try:
+            construct.construct_code(g, delta)
+        except ConstructionError:
+            pass  # four benchmark inputs exceed the recursion limit, after their masks are matched
+    matched = 0
+    for adj, mask in seen:
+        found = _family_match(adj, mask)
+        assert found == reference_family_match(adj, mask), (adj, mask)
+        matched += found is not None
+    assert len(seen) > 4000 and matched > 2000

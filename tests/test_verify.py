@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from iocodes import (
     Graph,
     NoCode,
     UniverseMismatch,
+    Verdict,
     VertexSet,
     admits_io_code,
     gen_subcubic_gp,
@@ -74,6 +76,17 @@ class TestSeparation:
                 _, u, v = verdict.violation
                 sigs = signatures(g, s)
                 assert sigs[u] == sigs[v]
+
+
+class TestPassingVerdict:
+    def test_both_predicates_share_one_frozen_passing_verdict(self):
+        dominated = is_total_dominating(path(5), vs(5, [1, 2, 3]))
+        separated = is_separating_open_code(path(4), VertexSet(4, range(4)))
+        assert dominated is separated is is_io_code(path(4), VertexSet(4, range(4)))
+        assert dominated == Verdict(True) and dominated != Verdict(False)
+        assert (dominated.ok, dominated.violation, dominated.describe(), bool(dominated)) == (True, None, "ok", True)
+        with pytest.raises(FrozenInstanceError):
+            dominated.ok = False
 
 
 class TestIoCode:
