@@ -200,9 +200,11 @@ def _cmd_audit(args) -> int:
     for name in _FOREIGN_AUDIT_OPTIONS[args.space]:
         if getattr(args, name) is not None:
             raise BadParam(f"--{name.replace('_', '-')} does not apply to audit {args.space}")
+    # the errors open() would raise, before the audit rather than after it
     if args.csv and not os.path.isdir(os.path.dirname(args.csv) or "."):
-        # the error open() would raise, before the audit rather than after it
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.csv)
+    if args.csv and os.path.isdir(args.csv):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.csv)
     if args.space == "trees":
         records, summary = audit_trees(10 if args.n_max is None else args.n_max, args.delta)
     elif args.space == "graphs":

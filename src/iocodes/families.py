@@ -26,7 +26,7 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -61,8 +61,9 @@ _EXCLUDED_VECTORS = {
 
 # The six attachment types as vertex blocks: for each position in the
 # block, the position of its parent (-1 for the root), then the positions
-# the canonical set leaves out.  Positions list the branch breadth-first,
-# smaller subtrees first; no type has a second such listing.
+# the canonical set leaves out.  Positions run through the branch
+# breadth-first, the smaller child subtree first; no vertex of any type has
+# two child subtrees of one size, so the order is unique.
 _SHAPES = {
     1: ((-1,), (0,)),
     2: ((-1, 0), ()),
@@ -73,33 +74,13 @@ _SHAPES = {
 }
 _LARGEST_SHAPE = max(len(parents) for parents, _ in _SHAPES.values())
 
-
-def _walk_types() -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
-    """Each breadth-first listing of an attachment, siblings in any order,
-    by its parent positions: the type, and the listing position of each
-    block position.  No type has two siblings alike, so each listing
-    reads back one way."""
-    table = {}
-    for t, (parents, _) in _SHAPES.items():
-        children = [[i for i, p in enumerate(parents) if p == u] for u in range(len(parents))]
-        for orders in product(*map(permutations, children)):
-            walk = [0]
-            for u in walk:
-                walk += orders[u]
-            listing = tuple(walk.index(parents[v]) if parents[v] >= 0 else -1 for v in walk)
-            table[listing] = t, tuple(map(walk.index, range(len(parents))))
-    return table
-
-
-_TYPE_OF_WALK = _walk_types()
-
 _PRIME = (0, 2, 3, 5, 7, 11, 13)  # by type; a product of primes names a multiset of types
 
 
 def _child_types() -> dict[int, int]:
     """Each type by the product of the primes of its link's child subtrees'
-    types, read bottom-up as ``_family_match`` reads a tree.  A child that
-    is no attachment has the prime 0, and no type has the product 0."""
+    types, read bottom-up as ``_walk`` reads a tree.  A child that is no
+    attachment has the prime 0, and no type has the product 0."""
     table = {}
     for t, (parents, _) in _SHAPES.items():
         key = [1] * len(parents)
@@ -213,77 +194,16 @@ def _canonical_code(vector: tuple[int, ...], blocks: Sequence[tuple[int, tuple[i
     return mask
 
 
-def _branch_shape(adj: Sequence[int], mask: int, root: int, link: int) -> tuple[int, tuple[int, ...]] | None:
-    """The branch at ``link`` of the tree that ``mask`` induces, as
-    ``(type, block)``, if it is an attachment.
-
-    One breadth-first walk on adjacency masks lists each vertex's
-    children in increasing index and stops once the branch outgrows the
-    largest attachment; its parent positions are looked up in
-    ``_TYPE_OF_WALK``, which reorders the walk into the block: the branch
-    breadth-first, smaller subtrees first.
-    """
-    parent = {link: root}
-    walked = [link]
-    listing = [-1]
-    for i, u in enumerate(walked):
-        below = adj[u] & mask ^ 1 << parent[u]
-        if below:
-            for w in graphs._bits(below):
-                parent[w] = u
-                walked.append(w)
-                listing.append(i)
-            if len(walked) > _LARGEST_SHAPE:
-                return None
-    found = _TYPE_OF_WALK.get(tuple(listing))
-    return None if found is None else (found[0], tuple([walked[i] for i in found[1]]))
-
-
-def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> tuple[int, tuple[int, ...], tuple] | None:
-    """The family match of the tree that ``mask`` induces, in its labels,
-    with the root ``root``, or None: ``(root, vector, blocks)``, with the
-    blocks that ``_canonical_code`` reads.
-
-    No attachment has more than 5 vertices, so a root of degree below
-    (n - 1) / 5 is rejected without walking its branches.
-    """
+def _walk(adj: Sequence[int], mask: int, start: int) -> tuple[list[int], ...] | None:
+    """The tree that ``mask`` induces, walked breadth-first from ``start``,
+    by position: the vertex, its first child's position (one more entry:
+    n), its subtree's order and the product of the primes of its child
+    subtrees' types (``_TYPE_OF_CHILDREN``); None when it is no tree."""
     n = mask.bit_count()
-    links = adj[root] & mask
-    if n < 2 or n > 1 + _LARGEST_SHAPE * links.bit_count():
-        return None
-    branches = []
-    for link in graphs._bits(links):
-        shape = _branch_shape(adj, mask, root, link)
-        if shape is None:
-            return None
-        branches.append(shape)
-    types = [t for t, _ in branches]
-    vector = tuple(map(types.count, _SHAPES))
-    if not is_admissible(vector) or 1 + sum(len(block) for _, block in branches) != n:
-        return None
-    branches.sort()
-    return root, vector, tuple(branches)
-
-
-def _family_match(adj: Sequence[int], mask: int) -> tuple[int, tuple[int, ...], tuple] | None:
-    """The family match of the graph that ``mask`` induces, in its labels,
-    at the lowest label for which it has one, or None.
-
-    A match makes the graph a tree whose root's branches are attachments.
-    So each call, once per level of the tree constructor, walks the tree
-    once from its lowest vertex and reads bottom-up each subtree's size and
-    type, if it is an attachment (``_TYPE_OF_CHILDREN``).  A root whose
-    child subtrees all are walks its parent side alone, if that is small
-    enough.  Roots are tried in increasing label, so the first match is the
-    one every root would give; for n >= 12 it is the centroid (Jordan 1869).
-    """
-    n = mask.bit_count()
-    if n < 2:
-        return None
-    order = [(mask & -mask).bit_length() - 1]  # position -> vertex, breadth-first
-    up = [-1]  # position -> its parent's position
-    first = []  # position -> its first child's position
-    unseen = mask ^ 1 << order[0]
+    order = [start]
+    up = [-1]
+    first = []
+    unseen = mask ^ 1 << start
     ends = 0  # the degree sum
     for i, u in enumerate(order):
         first.append(len(order))
@@ -297,33 +217,78 @@ def _family_match(adj: Sequence[int], mask: int) -> tuple[int, tuple[int, ...], 
             up.append(i)
             below ^= low
     if unseen or ends != 2 * (n - 1):
-        return None  # not a tree
+        return None
     first.append(n)
     size = [1] * n
-    key = [1] * n  # the product of the primes of the child subtrees' types
+    key = [1] * n
     kind = _TYPE_OF_CHILDREN.get
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
         key[up[i]] *= _PRIME[kind(key[i], 0)]
+    return order, first, size, key
+
+
+def _match_at_start(walk: tuple[list[int], ...]) -> tuple[int, tuple[int, ...], tuple] | None:
+    """The family match of a ``_walk`` rooted at its start, or None unless
+    its child subtrees are attachments with an admissible vector.  A block
+    lists its branch breadth-first, smaller subtrees first, as ``_SHAPES``."""
+    order, first, size, key = walk
+    if not key[0]:
+        return None
+    links = range(first[0], first[1])
+    types = [_TYPE_OF_CHILDREN[key[j]] for j in links]
+    vector = tuple(map(types.count, _SHAPES))
+    if not is_admissible(vector):
+        return None
+    branches = []
+    for t, j in zip(types, links):
+        block = [j]
+        for q in block:
+            block += sorted(range(first[q], first[q + 1]), key=size.__getitem__)
+        branches.append((t, tuple([order[q] for q in block])))
+    branches.sort()
+    return order[0], vector, tuple(branches)
+
+
+def _family_match_rooted(adj: Sequence[int], mask: int, root: int) -> tuple[int, tuple[int, ...], tuple] | None:
+    """The family match of the tree that ``mask`` induces, in its labels,
+    with the root ``root``, or None: ``(root, vector, blocks)``, with the
+    blocks that ``_canonical_code`` reads.
+
+    No attachment has more than 5 vertices, so a root of degree below
+    (n - 1) / 5 is rejected without a walk.
+    """
+    n = mask.bit_count()
+    if n < 2 or n > 1 + _LARGEST_SHAPE * (adj[root] & mask).bit_count():
+        return None
+    walk = _walk(adj, mask, root)
+    return None if walk is None else _match_at_start(walk)
+
+
+def _family_match(adj: Sequence[int], mask: int) -> tuple[int, tuple[int, ...], tuple] | None:
+    """The family match of the graph that ``mask`` induces, in its labels,
+    at the lowest label for which it has one, or None.
+
+    A match makes the graph a tree whose root's branches are attachments.
+    So each call, once per level of the tree constructor, walks the tree
+    once from its lowest vertex (``_walk``).  A root is tried only if its
+    child subtrees there are attachments and its parent side is no larger
+    than an attachment: the start is read off that walk, any other root
+    walked by ``_family_match_rooted``.  Roots are tried in increasing
+    label, so the first match is the one every root would give; for
+    n >= 12 it is the centroid (Jordan 1869).
+    """
+    n = mask.bit_count()
+    if n < 2:
+        return None
+    walk = _walk(adj, mask, (mask & -mask).bit_length() - 1)
+    if walk is None:
+        return None
+    order, _, size, key = walk
     for i in sorted([i for i in range(n) if key[i] and n - size[i] <= _LARGEST_SHAPE], key=order.__getitem__):
-        branches = []
-        if i:
-            outer = _branch_shape(adj, mask, order[i], order[up[i]])
-            if outer is None:
-                continue
-            branches.append(outer)
-        links = range(first[i], first[i + 1])
-        types = [t for t, _ in branches] + [kind(key[j]) for j in links]
-        vector = tuple(map(types.count, _SHAPES))
-        if not is_admissible(vector):
-            continue
-        for j in links:
-            block = [j]  # breadth-first, smaller subtrees first, as in _SHAPES
-            for q in block:
-                block += sorted(range(first[q], first[q + 1]), key=size.__getitem__)
-            branches.append((kind(key[j]), tuple([order[q] for q in block])))
-        branches.sort()
-        return order[i], vector, tuple(branches)
+        match = _match_at_start(walk) if i == 0 else _family_match_rooted(adj, mask, order[i])
+        if match is not None:
+            return match
     return None
 
 

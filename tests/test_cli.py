@@ -397,6 +397,16 @@ class TestAudit:
         assert err == f"input error: [Errno 2] No such file or directory: {str(csv_path)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("space", ["trees", "graphs"])
+    def test_a_csv_path_that_is_a_directory_fails_before_the_audit(self, capsys, tmp_path, monkeypatch, space):
+        calls = []
+        monkeypatch.setattr(cli, "audit_trees", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "audit_graphs", lambda *args: calls.append(args))
+        status, out, err = run(capsys, "audit", space, "--n-max", "14", "--csv", str(tmp_path))
+        assert (status, out, calls) == (2, "", [])
+        assert err == f"input error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_csv_path_without_a_directory_is_written_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         status, _, _ = run(capsys, "audit", "trees", "--n-max", "6", "--csv", "t6.csv")
