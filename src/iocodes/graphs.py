@@ -242,22 +242,30 @@ def _bfs_tree(adj: Sequence[int], mask: int, start: int) -> tuple[list[int], dic
     return order, parent
 
 
+def _reach(adj: Sequence[int], mask: int, start: int, layers: list[int] | None = None) -> int:
+    """Mask of the vertices of ``mask`` reachable from ``start`` inside it,
+    for the adjacency list ``adj``: the union of its BFS layers, which are
+    appended to ``layers`` as vertex masks, nearest first, when it is given."""
+    frontier = 1 << start
+    unseen = mask ^ frontier
+    while frontier:
+        if layers is not None:
+            layers.append(frontier)
+        nxt = 0
+        while frontier:  # bits walked inline, highest first: a path has one layer per vertex
+            v = frontier.bit_length() - 1
+            nxt |= adj[v]
+            frontier ^= 1 << v
+        frontier = nxt & unseen
+        unseen ^= frontier
+    return mask ^ unseen
+
+
 def _layers(adj: Sequence[int], mask: int, start: int) -> list[int]:
     """The BFS layers from ``start`` within the vertex mask ``mask`` of the
     adjacency list ``adj``, as vertex masks, nearest first."""
     layers = []
-    frontier = 1 << start
-    unseen = mask ^ frontier
-    while frontier:
-        layers.append(frontier)
-        nxt = 0
-        rest = frontier  # bits walked inline, highest first: a path has one layer per vertex
-        while rest:
-            v = rest.bit_length() - 1
-            nxt |= adj[v]
-            rest ^= 1 << v
-        frontier = nxt & unseen
-        unseen ^= frontier
+    _reach(adj, mask, start, layers)
     return layers
 
 
@@ -306,12 +314,6 @@ def _carry_layers(
                 carried[end] = _restrict_layers((masks, lo + d, hi), keep)
                 break
     return carried
-
-
-def _reach(adj: Sequence[int], mask: int, start: int) -> int:
-    """Mask of the vertices of ``mask`` reachable from ``start`` inside it:
-    its disjoint BFS layers."""
-    return sum(_layers(adj, mask, start))
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import os
+import threading
 from itertools import combinations
 
 import pytest
@@ -65,11 +68,17 @@ class TestTreeAudit:
         for r in records3:
             assert gamma4[r.graph6] == r.gamma  # gamma does not depend on delta
 
-    def test_tree_audit_to_16_is_pinned(self):
-        records, summary = audit_trees(16)
-        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
-        assert digest == "b2fe93ecc1365b943f95653847495ef872ee4b23aa1f7d5ae7287e2b05f34e33"
-        assert summary["instances"] == 3149 and summary["fallbacks"] == 3
+    def test_tree_audit_to_16_is_pinned(self, monkeypatch):
+        # unset, the audit pools past its serial head on a host with several CPUs
+        for workers in (None, "1"):
+            if workers is None:
+                monkeypatch.delenv(audit.WORKERS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(audit.WORKERS_ENV, workers)
+            records, summary = audit_trees(16)
+            digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+            assert digest == "b2fe93ecc1365b943f95653847495ef872ee4b23aa1f7d5ae7287e2b05f34e33"
+            assert summary["instances"] == 3149 and summary["fallbacks"] == 3
 
     def test_capped_tree_audit_to_14_is_pinned(self):
         # pinned while the audit built every tree and filtered out those with twins
@@ -211,6 +220,7 @@ class TestWorkers:
         def audits():
             return [audit_trees(9, 3)[0], audit_graphs(7)[0], audit_graphs_sampled(8, 8, 11, seed=5)[0]]
 
+        monkeypatch.setenv(WORKERS_ENV, "1")
         serial = audits()
         monkeypatch.setenv(WORKERS_ENV, "3")
         for a, b in zip(serial, audits(), strict=True):
@@ -234,6 +244,99 @@ class TestWorkers:
         assert main(["audit", "trees", "--n-max", "6"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("input error: ") and repr(value) in out.err
+
+    def test_unset_means_the_available_cpus(self, monkeypatch):
+        monkeypatch.delenv(audit.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(48)), raising=False)
+        assert audit._worker_count() == (48, audit.SERIAL_HEAD)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert audit._worker_count() == (6, audit.SERIAL_HEAD)
+        # a set value is taken as it is, however large, and starts nothing here
+        monkeypatch.setenv(audit.WORKERS_ENV, "4096")
+        assert audit._worker_count() == (4096, 0)
+
+    @staticmethod
+    def spy_on_pools(monkeypatch, cpus):
+        """Report ``cpus`` available CPUs, and record each pool size asked for
+        instead of starting a pool."""
+        started = []
+
+        def pool(workers):
+            started.append(workers)
+            raise RuntimeError("a pool was started")
+
+        monkeypatch.delenv(audit.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        return started
+
+    def test_a_space_within_the_serial_head_starts_no_pool(self, monkeypatch):
+        started = self.spy_on_pools(monkeypatch, 64)
+        trees = [t for n in range(5, 15) for t in families.enumerate_twin_free_trees(n)]
+        head = trees[: audit.SERIAL_HEAD]
+        results, workers = audit._map_instances(iter(head), None, *audit._worker_count())
+        assert workers == 1 and len(results) == audit.SERIAL_HEAD
+        _, summary = audit_graphs(7)  # its 53 classes
+        assert summary["workers"] == 1
+        # a single chunk past the head stays in process too: one worker would gain nothing
+        space = trees[: audit.SERIAL_HEAD + audit.CHUNK]
+        results, workers = audit._map_instances(iter(space), None, *audit._worker_count())
+        assert workers == 1 and len(results) == len(space)
+        assert started == []
+        if multiprocessing.get_all_start_methods()[0] == "fork":
+            # one instance more starts a pool, of no more workers than chunks, not of all 64 CPUs
+            for extra, workers in ((1, 2), (2 * audit.CHUNK, 3)):
+                space = iter(trees[: audit.SERIAL_HEAD + audit.CHUNK + extra])
+                with pytest.raises(RuntimeError, match="a pool was started"):
+                    audit._map_instances(space, None, *audit._worker_count())
+                assert started.pop() == workers
+
+    @pytest.mark.parametrize("caller", ["spawn_by_default", "spawn_set", "daemonic", "threaded"])
+    def test_callers_that_may_not_fork_stay_serial(self, monkeypatch, caller):
+        monkeypatch.setenv(audit.WORKERS_ENV, "1")
+        serial = records_to_csv(audit_trees(13)[0])  # 331 trees, past the serial head
+        started = self.spy_on_pools(monkeypatch, 2)
+        if caller == "spawn_by_default":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "fork"])
+            records, summary = audit_trees(13)
+        elif caller == "spawn_set":
+            # as after ``multiprocessing.set_start_method("spawn")`` in the caller's script
+            monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
+            records, summary = audit_trees(13)
+        elif caller == "daemonic":
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("a forked pool worker is the daemonic caller")
+            # the worker inherits the spy: a pool started there raises through apply
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                records, summary = pool.apply(audit_trees, (13,))
+                pool.close()
+                pool.join()
+        else:
+            release = threading.Event()
+            other = threading.Thread(target=release.wait, args=(60,))
+            other.start()
+            try:
+                records, summary = audit_trees(13)
+            finally:
+                release.set()
+                other.join(timeout=60)
+            assert not other.is_alive()
+        assert started == [] and summary["workers"] == 1
+        assert records_to_csv(records) == serial
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="a pool starts unasked only where fork is the default",
+    )
+    def test_no_process_outlives_a_pooled_audit(self, monkeypatch):
+        monkeypatch.delenv(audit.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        records, summary = audit_trees(14, 3)
+        assert summary["workers"] == 2
+        assert multiprocessing.active_children() == []
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "6aca61ed118dcfa2548ee24c70010811bcd05a44705c98e51399d070c091eb04"
 
     def test_graph_audits_on_a_pool_match_serial(self, monkeypatch):
         from iocodes.audit import WORKERS_ENV, audit_graphs_sampled
@@ -259,6 +362,7 @@ class TestHelpers:
         payload = json.loads(summary_to_json(summary))
         assert payload["violations"] == 0
         assert payload["fallbacks"] == 0
+        assert payload["workers"] == 1  # 20 trees, within the serial head
 
     def test_fallbacks_are_counted(self):
         # the smallest audited tree where no decomposition case applies

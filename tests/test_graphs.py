@@ -31,6 +31,7 @@ from iocodes.graphs import (
     _bits,
     _diametral_paths,
     _induced_cycle,
+    _layers,
     _members,
     _reach,
     _shortest_cycle_through,
@@ -184,6 +185,23 @@ class TestConnectivity:
         h = Graph(t.n, [e for e in t.edges() if e != (u, v)])
         near = _reach(h.adj, 0xFF, u)
         assert not near >> v & 1 and _reach(h.adj, 0xFF, v) == 0xFF ^ near
+
+    def test_reach_is_the_union_of_the_layers(self):
+        # both share one walk, so each is checked against distances in networkx
+        rng = random.Random(3701)
+        for _ in range(400):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.uniform(0.0, 0.5), rng)
+            mask = rng.getrandbits(n) | 1 << rng.randrange(n)
+            start = rng.choice(list(_bits(mask)))
+            oracle = nx.Graph(g.edges()).subgraph(_bits(mask)).copy()
+            oracle.add_node(start)
+            dist = nx.single_source_shortest_path_length(oracle, start)
+            layers = [0] * (max(dist.values()) + 1)
+            for v, d in dist.items():
+                layers[d] |= 1 << v
+            assert _layers(g.adj, mask, start) == layers
+            assert _reach(g.adj, mask, start) == sum(layers)
 
     def test_agrees_with_networkx(self):
         # sparse draws, so most of the graphs fall apart into several components
