@@ -1,17 +1,18 @@
 """Batch certification of the degree bound over enumerated instance spaces.
 
-Every audited instance is relabeled canonically before solving, so CSV
-rows are reproducible byte for byte and diffable across runs.  Records
-carry the exact minimum, the constructor's size, and integer-exact bound
-statuses; summaries count violations (expected zero), the flagged
-subdivided stars, and the instances meeting the bound with equality.
+Every audited instance is certified in canonical labels, so CSV rows
+are reproducible byte for byte and diffable across runs: trees are
+relabeled, while graph classes and sampled graphs are built in them.
+Records carry the exact minimum, the constructor's size, and
+integer-exact bound statuses; summaries count violations (expected
+zero), the flagged subdivided stars, and the instances meeting the bound
+with equality.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import random
 import threading
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .canon import canonical_graph
 from .construct import BoundStatus, _check_delta, check_bound, construct_code
@@ -35,7 +36,7 @@ from .families import (
     gen_subdivided_star,
     gen_tight_tree_pair,
 )
-from .formats import emit_graph6
+from .formats import emit_graph6, emit_json
 from .graphs import Graph, _twin_free, has_four_cycle, is_connected, max_degree
 from .solver import solve, solve_with_budget
 from .verify import is_io_code
@@ -127,24 +128,23 @@ def _may_fork_by_default() -> bool:
 
 
 def _map_instances(
-    graphs: Iterable[Graph], delta: int | None, workers: int, head: int
+    task: Callable[[Graph], tuple[AuditRecord, int]], graphs: Iterable[Graph], workers: int, head: int
 ) -> tuple[list[tuple[AuditRecord, int]], int]:
-    """Certify each graph at ``delta``; the results and the size of the
-    pool that certified some of them, 1 when none started.
+    """Certify each graph by ``task``, a ``functools.partial`` of
+    ``_audit_instance`` or ``_audit_tree``; the results and the size of
+    the pool that certified some of them, 1 when none started.
 
     With ``workers`` above 1, the first ``head`` graphs are certified in
     process and the rest on a pool of ``workers`` processes.  A pool
     after a head is one nobody asked for: it is forked, has no more
     workers than ``CHUNK``-graph chunks in the rest, and starts only for
     more than one chunk and where ``_may_fork_by_default`` allows;
-    otherwise the rest stays in process.  One ``functools.partial`` of
-    ``_audit_instance`` is mapped over the graphs, which pickle as they
-    are and may come from a generator, so no list of them is held beyond
-    the chunks read to size the pool.  Results always come back in
-    enumeration order, so summaries and CSV output do not depend on
-    scheduling.
+    otherwise the rest stays in process.  The task is mapped over the
+    graphs, which pickle as they are and may come from a generator, so
+    no list of them is held beyond the chunks read to size the pool.
+    Results always come back in enumeration order, so summaries and CSV
+    output do not depend on scheduling.
     """
-    task = partial(_audit_instance, delta=delta)
     graphs = iter(graphs)
     results = []
     if workers > 1 and head:
@@ -167,9 +167,15 @@ def _map_instances(
     return results, workers
 
 
+def _audit_tree(t: Graph, delta: int | None) -> tuple[AuditRecord, int]:
+    """``_audit_instance`` of the tree relabeled canonically, in the pool's
+    worker: the enumerator's labels are not canonical."""
+    return _audit_instance(canonical_graph(t), delta)
+
+
 def _audit_instance(g: Graph, delta: int | None) -> tuple[AuditRecord, int]:
-    """The instance's record and its count of exhaustive constructor fallbacks."""
-    g = canonical_graph(g)
+    """The instance's record, in its own labels, and its count of
+    exhaustive constructor fallbacks."""
     degree = max_degree(g)
     d = delta if delta is not None else max(3, degree)
     result = solve(g)  # its code passed ``is_io_code`` there, or ``CodeRejected`` was raised
@@ -242,7 +248,7 @@ def audit_trees(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord]
         for t in enumerate_twin_free_trees(n)
         if delta is None or max_degree(t) <= delta
     )
-    results, workers = _map_instances(trees, delta, workers, head)
+    results, workers = _map_instances(partial(_audit_tree, delta=delta), trees, workers, head)
     return _summarize(results, started, workers=workers, n_max=n_max, delta=delta)
 
 
@@ -266,7 +272,8 @@ def audit_graphs(n_max: int, delta: int | None = None) -> tuple[list[AuditRecord
     started = time.monotonic()
     classes = [(g, count) for g, count in enumerate_graph_classes(n_max, delta) if g.n >= 5]
     labeled = sum(count for _, count in classes)
-    results, workers = _map_instances([g for g, _ in classes], delta, workers, head)
+    # the classes come in canonical labels already
+    results, workers = _map_instances(partial(_audit_instance, delta=delta), [g for g, _ in classes], workers, head)
     return _summarize(results, started, workers=workers, n_max=n_max, delta=delta, labeled_instances=labeled)
 
 
@@ -280,8 +287,9 @@ def audit_graphs_sampled(
     """Seeded sampled audit for orders beyond the exhaustive range.
 
     Draws connected twin-free random graphs, keeps the 4-cycle-free ones
-    up to ``count``, and certifies each; the seed is recorded in the
-    summary so runs are reproducible.  Raises ``BadParam`` once
+    up to ``count``, and certifies each in the canonical labels that
+    also key its class; the seed is recorded in the summary so runs are
+    reproducible.  Raises ``BadParam`` once
     ``SAMPLE_STALL_DRAWS`` draws in a row add no new class, as when the
     range holds fewer than ``count`` classes.
     """
@@ -298,14 +306,15 @@ def audit_graphs_sampled(
             g = _random_twin_free_graph(rng, n_low, n_high, 0.1, 0.35)
             if has_four_cycle(g) or delta is not None and max_degree(g) > delta:
                 continue
-            key = emit_graph6(canonical_graph(g))
+            g = canonical_graph(g)
+            key = emit_graph6(g)
             if key not in seen:
                 break
         else:
             raise BadParam(f"found {len(graphs)} of {count} instances: {SAMPLE_STALL_DRAWS} draws in a row added none")
         seen.add(key)
         graphs.append(g)
-    results, workers = _map_instances(graphs, delta, workers, head)
+    results, workers = _map_instances(partial(_audit_instance, delta=delta), graphs, workers, head)
     return _summarize(results, started, workers=workers, seed=seed, n_low=n_low, n_high=n_high, delta=delta)
 
 
@@ -395,4 +404,4 @@ def records_to_csv(records: list[AuditRecord]) -> str:
 
 
 def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return emit_json(summary) + "\n"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 import time
@@ -34,7 +33,7 @@ from .families import (
     gen_subdivided_star,
     gen_tight_tree_pair,
 )
-from .formats import emit_edge_list, emit_graph6, load_graph
+from .formats import emit_edge_list, emit_graph6, emit_json, load_graph
 from .graphs import Graph, VertexSet
 from .solver import solve, solve_oracle, solve_with_budget
 from .verify import is_io_code, signatures
@@ -51,6 +50,14 @@ def _read_text(path: str) -> str:
 
 def _read_graph(path: str) -> Graph:
     return load_graph(_read_text(path))
+
+
+def _read_graph_and_code(args) -> tuple[Graph, VertexSet]:
+    # standard input holds one document: the second read would find it spent
+    if args.graph == args.code == "-":
+        raise BadParam("the graph and the code cannot both be read from standard input")
+    g = _read_graph(args.graph)
+    return g, _read_code(args.code, g.n)
 
 
 def _read_code(path: str, n: int) -> VertexSet:
@@ -70,12 +77,11 @@ def _read_code(path: str, n: int) -> VertexSet:
 
 def _emit(payload: dict, out=None) -> None:
     # one write: json.dump would stream the document in hundreds of chunks
-    (out or sys.stdout).write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out or sys.stdout).write(emit_json(payload) + "\n")
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
-    code = _read_code(args.code, g.n)
+    g, code = _read_graph_and_code(args)
     verdict = is_io_code(g, code)
     _emit(
         {
@@ -90,8 +96,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    g = _read_graph(args.graph)
-    code = _read_code(args.code, g.n)
+    g, code = _read_graph_and_code(args)
     table = [sorted(sig) for sig in signatures(g, code)]
     _emit({"n": g.n, "code": sorted(code), "signatures": table})
     return OK

@@ -3,12 +3,18 @@
 Edge lists are one ``u v`` pair per line with ``#`` comments; the vertex
 count is implied by the largest index unless a ``n <count>`` header line
 is present.  graph6 packs the upper triangle of the adjacency matrix
-column by column into 6-bit groups offset by 63.
+column by column into 6-bit groups offset by 63; it is read and written
+in time linear in its bytes plus its edges.  CLI JSON is indented by 2
+with sorted keys.
 """
 
 from __future__ import annotations
 
-from base64 import b64encode
+import json
+import re
+from base64 import b64decode, b64encode
+from json.encoder import encode_basestring_ascii as _quote
+from math import isqrt
 
 from .errors import BadParam, ParseError
 from .graphs import Graph
@@ -18,6 +24,7 @@ __all__ = [
     "emit_edge_list",
     "parse_graph6",
     "emit_graph6",
+    "emit_json",
     "load_graph",
 ]
 
@@ -76,34 +83,41 @@ def _g6_order_bytes(n: int) -> bytes:
     raise BadParam(f"order {n} too large for this graph6 writer")
 
 
-# graph6 body byte -> its 6 bits, most significant first
-_G6_GROUP = {c: format(c - 63, "06b") for c in range(63, 127)}
 # base64 cuts bytes into 6-bit groups, most significant first, as graph6
-# does; this maps its digit for each group value to graph6's byte
-_G6_OF_BASE64 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+# does; these map its digit for each group value to graph6's byte and back
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_DIGITS = bytes(range(63, 127))
+_G6_OF_BASE64 = bytes.maketrans(_BASE64_DIGITS, _G6_DIGITS)
+_BASE64_OF_G6 = bytes.maketrans(_G6_DIGITS, _BASE64_DIGITS)
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (no header).
 
-    The bits are read as one integer, padded to whole 3-byte blocks, and
-    base64 packs its bytes into 6-bit groups in one pass; the groups past
-    the body's are padding and dropped."""
-    adj = g.adj
-    # column j is rows 0..j-1 of adj[j], lowest row first: bin() of those
-    # rows with bit j set has j digits after "0b1", read here backwards
-    bits = "".join([bin(adj[col] & ((1 << col) - 1) | 1 << col)[:2:-1] for col in range(1, g.n)])
-    groups = -(-len(bits) // 6)
-    pad = -len(bits) % 24
-    packed = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
-    body = b64encode(packed)[:groups].translate(_G6_OF_BASE64)
-    return (_g6_order_bytes(g.n) + body).decode("ascii")
+    Edge ``row < col`` is bit ``col(col-1)/2 + row`` of the body.  Each
+    edge sets its bit in a zeroed buffer of whole 3-byte blocks, base64
+    packs the buffer into 6-bit groups in one pass, and the groups past
+    the body's are dropped."""
+    n = g.n
+    groups = -(-(n * (n - 1) // 2) // 6)
+    body = bytearray(-(-groups // 4) * 3)
+    for row, mask in enumerate(g.adj):
+        above = mask >> row  # bit j is vertex row + j; bit 0 is clear
+        while above:
+            low = above & -above
+            col = row + low.bit_length() - 1
+            k = (col * (col - 1) >> 1) + row
+            body[k >> 3] |= 128 >> (k & 7)
+            above ^= low
+    return (_g6_order_bytes(n) + b64encode(body)[:groups].translate(_G6_OF_BASE64)).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optional ``>>graph6<<`` header)."""
+    """Decode one graph6 string (optional ``>>graph6<<`` header).
+
+    The checked body is translated to base64's digits and decoded in one
+    pass.  Only its nonzero bytes are read: set bit ``k`` is the edge
+    ``row < col`` with ``col(col-1)/2 + row = k``."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -134,27 +148,86 @@ def parse_graph6(text: str) -> Graph:
         pos = 1
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(data) - pos != need:
-        raise ParseError(
-            f"graph6 body length {len(data) - pos}, expected {need}", position=pos
-        )
-    groups = [_G6_GROUP.get(c) for c in data[pos:]]
-    if None in groups:
-        i = pos + groups.index(None)
-        raise ParseError(f"invalid graph6 byte {data[i]}", position=i)
-    bits = "".join(groups)
-    edges = []
-    start = 0
-    for col in range(1, n):
-        end = start + col
-        row = bits.find("1", start, end)
-        while row >= 0:
-            edges.append((row - start, col))
-            row = bits.find("1", row + 1, end)
-        start = end
-    if "1" in bits[nbits:]:
+    body = data[pos:]
+    if len(body) != need:
+        raise ParseError(f"graph6 body length {len(body)}, expected {need}", position=pos)
+    invalid = body.translate(None, _G6_DIGITS)
+    if invalid:
+        # the first invalid byte's first occurrence is the first invalid byte
+        raise ParseError(f"invalid graph6 byte {invalid[0]}", position=pos + body.index(invalid[0]))
+    # the last group's bits past the body's bits
+    if (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise ParseError("nonzero padding bits in graph6 body", position=pos)
-    return Graph(n, edges)
+    raw = b64decode(body.translate(_BASE64_OF_G6) + b"A" * (-need % 4))
+    adj = [0] * n
+    for match in re.finditer(rb"[^\x00]", raw):
+        i = match.start()
+        byte = raw[i]
+        while byte:
+            top = byte.bit_length() - 1
+            byte ^= 1 << top
+            k = 8 * i + 7 - top
+            col = (isqrt(8 * k + 1) + 1) >> 1
+            row = k - (col * (col - 1) >> 1)
+            adj[row] |= 1 << col
+            adj[col] |= 1 << row
+    return Graph._from_adj(tuple(adj))
+
+
+def emit_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    json's indenting encoder is pure Python.  Here plain ``int``, ``str``,
+    ``bool`` and ``None`` values are written by type, a list of plain ints
+    with one join, and every other scalar and every non-``str`` key by
+    json's C encoder, which also raises json's ``TypeError`` for what it
+    cannot encode."""
+    out: list[str] = []
+    _put_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _put_json(o, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``o``, whose items start on ``newline`` plus
+    two spaces; containers are matched as json matches them, subclasses
+    included."""
+    t = type(o)
+    if t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            # a non-str key as the C encoder writes it in a one-item dict: '{"1.5": 0}'
+            out.append(sep + (_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": ")
+            _put_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, o)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _put_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(o))
 
 
 def load_graph(text: str) -> Graph:

@@ -34,7 +34,7 @@ from iocodes import (
     solve_oracle,
     solve_with_budget,
 )
-from iocodes.audit import _audit_instance, sample_twin_free_graphs
+from iocodes.audit import _audit_tree, sample_twin_free_graphs
 from iocodes.canon import canonical_graph
 
 
@@ -119,7 +119,7 @@ def test_criterion_04_tree_audit_to_14():
         for t in enumerate_trees(n):
             if find_open_twins(t):
                 continue
-            records.append(_audit_instance(t, None)[0])
+            records.append(_audit_tree(t, None)[0])
     exceptional = [r for r in records if r.bound_status == "exceptional_star"]
     for r in records:
         assert r.bound_status != "violation"
@@ -185,7 +185,7 @@ def test_criterion_07_tightness_at_every_delta():
         gamma = solve(g).gamma
         assert gamma == 4 * delta - 2
         assert 2 * delta * gamma == (2 * delta - 1) * g.n
-        record, _ = _audit_instance(g, delta)
+        record, _ = _audit_tree(g, delta)
         assert record.is_extremal
     records, _ = audit_trees(12, 3)
     pair3, _ = gen_tight_tree_pair(3)

@@ -3,12 +3,23 @@ import json
 import multiprocessing
 import os
 import threading
+from functools import partial
 from itertools import combinations
 
 import pytest
 
-from iocodes import BadParam, CodeRejected, Graph, audit, audit_graphs, audit_trees, families, verify_tight_families
-from iocodes.audit import _audit_instance, records_to_csv, sample_twin_free_graphs, summary_to_json
+from iocodes import (
+    BadParam,
+    CodeRejected,
+    Graph,
+    audit,
+    audit_graphs,
+    audit_trees,
+    canonical_graph,
+    families,
+    verify_tight_families,
+)
+from iocodes.audit import _audit_tree, records_to_csv, sample_twin_free_graphs, summary_to_json
 from iocodes.families import TREE_CAP
 from iocodes.formats import parse_graph6
 from iocodes.graphs import VertexSet
@@ -204,8 +215,12 @@ class TestSampledAudit:
         assert summary["seed"] == 5
         again, _ = audit_graphs_sampled(8, 8, 11, seed=5)
         assert records_to_csv(records) == records_to_csv(again)
+        # pinned while each draw was relabeled a second time before certifying
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "47edd6f6e51dd46b30d11a7444a47023e7dc3efec7cf22360b8659f01b659a78"
         for r in records:
             assert r.c4_free and r.twin_free
+            assert canonical_graph(parse_graph6(r.graph6)) == parse_graph6(r.graph6)
 
     def test_a_range_with_too_few_classes_raises(self):
         # order 5 holds 5 classes, so a sixth is never drawn
@@ -274,14 +289,15 @@ class TestWorkers:
     def test_a_space_within_the_serial_head_starts_no_pool(self, monkeypatch):
         started = self.spy_on_pools(monkeypatch, 64)
         trees = [t for n in range(5, 15) for t in families.enumerate_twin_free_trees(n)]
+        certify = partial(audit._audit_tree, delta=None)
         head = trees[: audit.SERIAL_HEAD]
-        results, workers = audit._map_instances(iter(head), None, *audit._worker_count())
+        results, workers = audit._map_instances(certify, iter(head), *audit._worker_count())
         assert workers == 1 and len(results) == audit.SERIAL_HEAD
         _, summary = audit_graphs(7)  # its 53 classes
         assert summary["workers"] == 1
         # a single chunk past the head stays in process too: one worker would gain nothing
         space = trees[: audit.SERIAL_HEAD + audit.CHUNK]
-        results, workers = audit._map_instances(iter(space), None, *audit._worker_count())
+        results, workers = audit._map_instances(certify, iter(space), *audit._worker_count())
         assert workers == 1 and len(results) == len(space)
         assert started == []
         if multiprocessing.get_all_start_methods()[0] == "fork":
@@ -289,7 +305,7 @@ class TestWorkers:
             for extra, workers in ((1, 2), (2 * audit.CHUNK, 3)):
                 space = iter(trees[: audit.SERIAL_HEAD + audit.CHUNK + extra])
                 with pytest.raises(RuntimeError, match="a pool was started"):
-                    audit._map_instances(space, None, *audit._worker_count())
+                    audit._map_instances(certify, space, *audit._worker_count())
                 assert started.pop() == workers
 
     @pytest.mark.parametrize("caller", ["spawn_by_default", "spawn_set", "daemonic", "threaded"])
@@ -368,7 +384,7 @@ class TestHelpers:
         # the smallest audited tree where no decomposition case applies
         tree = Graph(15, [(0, 5), (1, 6), (2, 7), (3, 8), (4, 14), (5, 9), (6, 10), (7, 14),
                           (8, 14), (9, 11), (10, 12), (11, 13), (12, 13), (13, 14)])
-        record, fallbacks = _audit_instance(tree, None)
+        record, fallbacks = _audit_tree(tree, None)
         assert fallbacks == 1
         assert record.constructor_status == "within_bound"
 

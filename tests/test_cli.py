@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from iocodes import cli
 from iocodes.cli import _FAMILY_BUILDERS, main
+from iocodes.formats import emit_graph6, load_graph
 
 
 def run(capsys, *argv):
@@ -69,6 +71,15 @@ class TestVerify:
         status, _, err = run(capsys, "verify", p5_file, str(f))
         assert status == 2
         assert "'x'" in err and "(line 2)" in err
+
+    def test_graph_and_code_both_from_standard_input_is_an_input_error(self, capsys, monkeypatch):
+        # the code was read from the spent stream as the empty set: exit 1, not_totally_dominated
+        stdin = io.StringIO("0 1\n1 2\n2 3\n3 4\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        status, out, err = run(capsys, "verify", "-", "-")
+        assert (status, out) == (2, "")
+        assert err == "input error: the graph and the code cannot both be read from standard input\n"
+        assert stdin.tell() == 0
 
 
 class TestSolve:
@@ -226,6 +237,17 @@ class TestOutputBytes:
         _, out, _ = run(capsys, "construct", tree_file)
         assert hashlib.sha256(out.encode()).hexdigest() == self.CONSTRUCT_SHA256
 
+    def test_graph6_input_prints_the_edge_list_bytes(self, capsys, tmp_path):
+        # vertex i of 1..1000 joined to a random earlier one, every edge subdivided: 2,001 vertices
+        rng = random.Random(3)
+        edges = tmp_path / "t2001.edges"
+        edges.write_text("".join(f"{rng.randrange(i)} {1000 + i}\n{1000 + i} {i}\n" for i in range(1, 1001)))
+        g6 = tmp_path / "t2001.g6"
+        g6.write_text(emit_graph6(load_graph(edges.read_text())) + "\n")
+        status, from_edges, _ = run(capsys, "construct", str(edges))
+        assert status == 0 and json.loads(from_edges)["bound_status"] == "within_bound"
+        assert run(capsys, "construct", str(g6)) == (0, from_edges, "")
+
 
 class TestGenerate:
     def test_edge_list_output(self, capsys):
@@ -338,6 +360,15 @@ class TestSignature:
         payload = json.loads(out)
         assert payload["signatures"][0] == [1]
         assert payload["signatures"][2] == [1]
+
+    def test_graph_and_code_both_from_standard_input_is_an_input_error(self, capsys, monkeypatch):
+        # an empty code was printed with exit 0
+        stdin = io.StringIO("0 1\n1 2\n2 3\n3 4\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        status, out, err = run(capsys, "signature", "-", "-")
+        assert (status, out) == (2, "")
+        assert err == "input error: the graph and the code cannot both be read from standard input\n"
+        assert stdin.tell() == 0
 
 
 class TestAudit:

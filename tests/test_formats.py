@@ -1,13 +1,17 @@
+import json
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from iocodes import Graph, ParseError
 from iocodes.formats import (
     emit_edge_list,
     emit_graph6,
+    emit_json,
     load_graph,
     parse_edge_list,
     parse_graph6,
@@ -153,6 +157,19 @@ class TestLoadGraph:
             assert caught.value.line == 1
 
 
+def reference_emit_graph6(g: Graph) -> str:
+    """graph6 bit by bit: the order's groups, then the upper triangle
+    column by column, padded with zeros to whole 6-bit groups."""
+    n = g.n
+    groups = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    bits = [mask >> row & 1 for col, mask in enumerate(g.adj) for row in range(col)]
+    bits += [0] * (-len(bits) % 6)
+    for i in range(0, len(bits), 6):
+        b = bits[i : i + 6]
+        groups.append(32 * b[0] + 16 * b[1] + 8 * b[2] + 4 * b[3] + 2 * b[4] + b[5])
+    return "".join(chr(63 + c) for c in groups)
+
+
 # graph6 decoding as it was before it went a whole group at a time, kept
 # verbatim as the reference: every graph and every error must be the same.
 
@@ -217,9 +234,19 @@ def decoded(parse, text):
 class TestGraph6AgainstReference:
     def test_valid_strings(self, rng):
         for _ in range(200):
-            g = random_graph(rng.choice([rng.randint(0, 20), rng.randint(60, 90)]), rng.random(), rng)
+            n = rng.choice([rng.randint(0, 20), rng.randint(60, 90), rng.randint(91, 300)])
+            g = random_graph(n, rng.random(), rng)
             text = emit_graph6(g)
             assert parse_graph6(text) == reference_parse_graph6(text) == g
+
+    def test_emitted_strings(self, rng):
+        # orders 0..62 take the one-byte order form, 63 on the four-byte one
+        for n in range(301):
+            g = random_graph(n, rng.random() ** 3, rng)  # sparse more often than not
+            assert emit_graph6(g) == reference_emit_graph6(g), n
+        for n in (0, 1, 2, 62, 63, 300):
+            complete = Graph(n, [(u, v) for v in range(n) for u in range(v)])
+            assert emit_graph6(complete) == reference_emit_graph6(complete), n
 
     def test_corrupted_strings_give_the_same_error(self):
         rng = random.Random(6)
@@ -253,3 +280,45 @@ class TestGraph6AgainstReference:
             errors += isinstance(ours, tuple)
         assert non_ascii == 12
         assert errors >= 800
+
+
+# every JSON value: numeric keys share a dict, since mixed str and number
+# keys cannot be sorted; floats take nan and both infinities
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.integers() | st.booleans() | st.floats(), children)
+    | st.dictionaries(st.none(), children),
+    max_leaves=30,
+)
+
+
+class TestJson:
+    @settings(max_examples=200)
+    @given(json_values)
+    def test_emit_json_is_json_dumps(self, value):
+        assert emit_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [1, True, 2], "b": (), "c": {}, "d": [], "\u00e9": "\u2603"},
+            {True: [float("nan"), float("inf"), -float("inf")], 2: (0, -1), 1.5: {"x": [[], {}]}},
+            {None: [10**30, -(10**30), 0.1, 1e300, "\x00\n\"", ("t", (1, 2))]},
+            [],
+            "top",
+        ],
+    )
+    def test_emit_json_examples(self, value):
+        assert emit_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_unencodable_values_raise_as_json_does(self):
+        for value in ({(1, 2): 0}, {"a": {1, 2}}, [object()], {"a": 1, 2: 1}):
+            with pytest.raises(TypeError) as expected:
+                json.dumps(value, indent=2, sort_keys=True)
+            with pytest.raises(TypeError) as ours:
+                emit_json(value)
+            assert str(ours.value) == str(expected.value)

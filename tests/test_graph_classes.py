@@ -163,6 +163,15 @@ def test_levels_are_the_connected_4_cycle_free_classes(monkeypatch, max_deg):
         assert levels[n] == expected, n
 
 
+@pytest.mark.parametrize("max_deg", [None, 3])
+def test_classes_come_in_canonical_labels(max_deg):
+    # the graph audit certifies the classes as they come, without relabeling
+    classes = [g for g, _ in enumerate_graph_classes(7, max_deg)]
+    assert len(classes) == (58 if max_deg is None else 40)
+    for g in classes:
+        assert canonical_graph(g) == g, g.adj
+
+
 def test_search_matches_relabeling_to_7():
     for g, labeled in enumerate_graph_classes(7):
         expected = relabeled_orbit(g)
